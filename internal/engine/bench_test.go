@@ -47,6 +47,23 @@ func BenchmarkEngineTailoredUncached(b *testing.B) {
 	}
 }
 
+// BenchmarkEngineTailoredUncachedTie is a cold solve with a tied
+// optimum (squared loss, full side, n=8, α=1/2): the warm start
+// certifies an optimal basis with some zero reduced costs, and the
+// solve is finished by the lexicographic refinement on the sparse LU.
+// Before that refinement existed, a tie demoted to the dense big.Rat
+// two-phase solve, which took about 1.6s here.
+func BenchmarkEngineTailoredUncachedTie(b *testing.B) {
+	a := rational.MustParse("1/2")
+	c := &consumer.Consumer{Loss: loss.Squared{}}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := consumer.OptimalMechanism(c, 8, a); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkEngineTailoredUncachedN16 is the large-n cold solve the
 // revised-simplex pipeline made servable (it exceeded the old
 // full-tableau solver's practical range): the float-guided basis plus

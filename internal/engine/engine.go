@@ -342,6 +342,8 @@ func (e *Engine) lpOpts() (lp.SolveOpts, *lp.SolveStats) {
 // advances when ExactLPOnly skipped the warm-start machinery — the
 // zero-value stats report Fallback == false there, by design, so the
 // fallback counter keeps meaning "warm start attempted and demoted".
+// The tied-optimum counter is orthogonal to the path and advances on
+// either strategy.
 func (e *Engine) recordLP(s *store, key string, stats *lp.SolveStats) {
 	e.lp.solves.Add(1)
 	e.lp.floatPivots.Add(uint64(stats.FloatPivots))
@@ -355,6 +357,9 @@ func (e *Engine) recordLP(s *store, key string, stats *lp.SolveStats) {
 	e.lp.magnitudeRefacts.Add(uint64(stats.MagnitudeRefactors))
 	e.lp.presolveRows.Add(uint64(stats.PresolveRows))
 	e.lp.presolveCols.Add(uint64(stats.PresolveCols))
+	if stats.TiedOptima {
+		e.lp.tiedOptima.Add(1)
+	}
 	switch {
 	case stats.WarmStartHit:
 		e.lp.warmStartHits.Add(1)

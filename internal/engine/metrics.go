@@ -94,9 +94,11 @@ type ArtifactStats struct {
 // combined). Exactly one of the three path counters advances per
 // solve: a hit means the float-located basis was certified optimal
 // and unique with zero exact pivots; a resume means exact pivoting
-// continued from that basis; a fallback means the full exact
-// two-phase simplex ran from scratch (float failure, infeasible or
-// unbounded verdicts, or a tied optimum — see lp.SolveStats).
+// continued from that basis (including the refinement of a tied
+// optimum to the canonical one); a fallback means the full exact
+// two-phase simplex ran from scratch because the float solve failed
+// (see lp.SolveStats). TiedOptima counts solves whose optimum was not
+// unique, on either strategy.
 // Solves counts LP solver invocations (successful or not) across the
 // engine's lifetime; a warm boot that answers every request from the
 // disk store reports Solves == 0, which is exactly what the restart
@@ -130,6 +132,8 @@ type LPSolveStats struct {
 	// variables eliminated exactly (lp/presolve.go).
 	PresolveRows uint64 `json:"presolve_rows_removed"`
 	PresolveCols uint64 `json:"presolve_cols_removed"`
+
+	TiedOptima uint64 `json:"tied_optima"`
 }
 
 // lpCounters is the live, atomically-updated form of LPSolveStats.
@@ -149,6 +153,7 @@ type lpCounters struct {
 	magnitudeRefacts atomic.Uint64
 	presolveRows     atomic.Uint64
 	presolveCols     atomic.Uint64
+	tiedOptima       atomic.Uint64
 }
 
 func (c *lpCounters) snapshot() LPSolveStats {
@@ -168,6 +173,7 @@ func (c *lpCounters) snapshot() LPSolveStats {
 		MagnitudeRefactors: c.magnitudeRefacts.Load(),
 		PresolveRows:       c.presolveRows.Load(),
 		PresolveCols:       c.presolveCols.Load(),
+		TiedOptima:         c.tiedOptima.Load(),
 	}
 }
 

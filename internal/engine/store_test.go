@@ -196,6 +196,73 @@ func TestEngineStoreCorruptFallback(t *testing.T) {
 	}
 }
 
+// TestEngineStaleVersionResolves boots against a store written under
+// format version 1, holding the tailored artifact for a tied key
+// (zero-one loss, n=6, α=1/2) as the version-1 solver chose it: a
+// different vertex of the tied optimal face than the canonical one.
+// The stale entry must be a plain miss — re-solved, neither served nor
+// counted as corruption — and the write-back must replace it with the
+// canonical bytes, which a third boot then serves with zero solves.
+func TestEngineStaleVersionResolves(t *testing.T) {
+	dir := t.TempDir()
+	src := filepath.Join("testdata", "v1store")
+	err := filepath.Walk(src, func(path string, info os.FileInfo, err error) error {
+		if err != nil || info.IsDir() {
+			return err
+		}
+		rel, err := filepath.Rel(src, path)
+		if err != nil {
+			return err
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		dst := filepath.Join(dir, rel)
+		if err := os.MkdirAll(filepath.Dir(dst), 0o755); err != nil {
+			return err
+		}
+		return os.WriteFile(dst, data, 0o644)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := &consumer.Consumer{Loss: loss.ZeroOne{}}
+	alpha := rational.MustParse("1/2")
+	fresh, err := New(Config{}).TailoredMechanism(c, 6, alpha)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	db := openDisk(t, dir)
+	boot := New(Config{Store: db})
+	got, err := boot.TailoredMechanism(c, 6, alpha)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.Mechanism.Equal(fresh.Mechanism) || got.Loss.Cmp(fresh.Loss) != 0 {
+		t.Fatal("stale version-1 artifact served instead of the canonical optimum")
+	}
+	if m := boot.Metrics(); m.LP.Solves != 1 || m.LP.TiedOptima != 1 || m.Tailored.StoreHits != 0 {
+		t.Errorf("boot over a version-1 store: LP %+v, tailored %+v; want one tied solve, no store hit", m.LP, m.Tailored)
+	}
+	if st := db.Stats(); st.Corrupt != 0 || st.Writes != 1 {
+		t.Errorf("store stats = %+v, want a plain miss (Corrupt 0) and one write-back", st)
+	}
+
+	warm := New(Config{Store: openDisk(t, dir)})
+	again, err := warm.TailoredMechanism(c, 6, alpha)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !again.Mechanism.Equal(fresh.Mechanism) {
+		t.Fatal("re-written entry does not hold the canonical optimum")
+	}
+	if m := warm.Metrics(); m.LP.Solves != 0 {
+		t.Errorf("third boot ran %d solves, want 0: the write-back did not replace the stale entry", m.LP.Solves)
+	}
+}
+
 // TestEngineNoStoreUnchanged pins that a store-less engine still
 // works and reports zeroed store counters (the nil-binding path).
 func TestEngineNoStoreUnchanged(t *testing.T) {

@@ -15,7 +15,9 @@ import (
 // the benchmarks (absolute loss, n=8, α=1/2). It pins down three
 // things: the warm path actually engages (nonzero warm-start hits and
 // zero exact pivots), both engines return byte-identical artifacts,
-// and the warm path is faster by a comfortable margin. The speed
+// and the warm path is faster by a comfortable margin. A tied key
+// (zero-one loss, n=6, α=1/2) must likewise match the exact-only
+// engine, lex-refined without the dense fallback. The speed
 // assertion is deliberately loose (≥2×, versus ~7× measured on idle
 // hardware) so scheduler noise and -race overhead cannot flake it;
 // the precise factor is logged for humans reading the test output.
@@ -73,6 +75,31 @@ func TestWarmStartColdPathGate(t *testing.T) {
 		t.Errorf("warm-started solve only %.2f× faster than exact (exact %v, warm %v); expected ≥2× at this size",
 			factor, exactDur, warmDur)
 	}
+
+	// A tied key (zero-one loss, n=6, α=1/2): the optimum is not
+	// unique, so the warm engine must lex-refine on the revised simplex
+	// — no dense fallback — and still match the exact-only engine.
+	tc := &consumer.Consumer{Loss: loss.ZeroOne{}}
+	tie := big.NewRat(1, 2)
+	tieWarm := New(Config{})
+	warmTie, err := tieWarm.TailoredMechanism(tc, 6, tie)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m := tieWarm.Metrics().LP; m.Fallbacks != 0 || m.TiedOptima != 1 || m.CrossoverResumes != 1 {
+		t.Fatalf("tied key LP stats = %+v, want one lex-refined resume and no fallback", m)
+	}
+	tieExact := New(Config{ExactLPOnly: true})
+	exactTie, err := tieExact.TailoredMechanism(tc, 6, tie)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m := tieExact.Metrics().LP; m.TiedOptima != 1 {
+		t.Errorf("ExactLPOnly tied key TiedOptima = %d, want 1", m.TiedOptima)
+	}
+	if !warmTie.Mechanism.Equal(exactTie.Mechanism) || warmTie.Loss.Cmp(exactTie.Loss) != 0 {
+		t.Fatal("tied key: warm-started and exact-only engines produced different mechanisms")
+	}
 }
 
 // TestRecordLPFoldsAllCounters feeds recordLP a synthetic stats block
@@ -94,6 +121,7 @@ func TestRecordLPFoldsAllCounters(t *testing.T) {
 		PresolveRows:       17,
 		PresolveCols:       19,
 		Fallback:           true,
+		TiedOptima:         true,
 	})
 	m := e.Metrics().LP
 	want := LPSolveStats{
@@ -102,6 +130,7 @@ func TestRecordLPFoldsAllCounters(t *testing.T) {
 		SmallOps: 11, WideOps: 23, BigFallbacks: 13,
 		Refactorizations: 29, MagnitudeRefactors: 31,
 		PresolveRows: 17, PresolveCols: 19,
+		TiedOptima: 1,
 	}
 	if m != want {
 		t.Fatalf("LP metrics after synthetic fold = %+v, want %+v", m, want)

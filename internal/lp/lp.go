@@ -17,11 +17,13 @@
 // By default Solve does not run the two-phase method cold: it first
 // lets a dense float64 simplex (floatsimplex.go) locate a candidate
 // optimal basis in microseconds, then certifies that basis in exact
-// arithmetic and only falls back to exact pivoting when the
-// certificate fails (warmstart.go). The result is bit-for-bit the
-// same class of certified rational solution at a fraction of the
-// rational-arithmetic cost; SolveOpts selects the pure exact strategy
-// for ablations and cross-checks.
+// arithmetic (warmstart.go), resuming exact revised-simplex pivoting
+// from it when the certificate fails and running the dense two-phase
+// method only when the float solve fails outright. Every Optimal
+// result is the canonical optimum — the lexicographically smallest
+// optimal point (lex.go) — so it is byte-identical whichever path ran;
+// SolveOpts selects the pure exact strategy for ablations and
+// cross-checks.
 package lp
 
 import (
@@ -217,11 +219,14 @@ func (p *Problem) SolveCtx(ctx context.Context) (*Solution, error) {
 // presolve (presolve.go) strips rows and columns resolvable by
 // inspection, the float-guided warm start locates a candidate basis
 // for what remains, an exact crossover certifies it (warmstart.go),
-// and the full two-phase rational simplex runs only as a fallback.
-// StrategyExact forces the cold two-phase solve on the untouched
-// problem (the ablation baseline and byte-identity oracle). Whatever
-// the strategy, the returned Solution is certified by exact
-// arithmetic.
+// a tied optimum is refined to the canonical one on the sparse LU
+// (lex.go), and the full two-phase rational simplex runs only when
+// the float solve fails. StrategyExact forces the cold two-phase solve
+// on the untouched problem (the ablation baseline), finished by the
+// same refinement. Whatever the strategy, the returned Solution is
+// certified by exact arithmetic, and an Optimal one is the
+// lexicographically smallest optimal point, so both strategies return
+// the same bytes.
 func (p *Problem) SolveWithOpts(ctx context.Context, opts SolveOpts) (*Solution, error) {
 	if len(p.vars) == 0 {
 		return nil, errors.New("lp: no variables")
@@ -240,34 +245,40 @@ func (p *Problem) SolveWithOpts(ctx context.Context, opts SolveOpts) (*Solution,
 		// Presolve either fired nothing or could not certify a unique
 		// optimum through the reductions: solve the original problem.
 	}
-	s := newStandardForm(p)
+	sol, _, err := newStandardForm(p).solve(ctx, &opts)
+	return sol, err
+}
+
+// solve runs opts' strategy on the standard form and reports whether
+// an Optimal result is the unique optimum. The warm start is tried
+// first under StrategyWarmStart; the dense two-phase solve runs under
+// StrategyExact or when the warm start demotes (a float failure). Both
+// finish on the canonical optimum (lex.go).
+func (s *standardForm) solve(ctx context.Context, opts *SolveOpts) (*Solution, bool, error) {
 	if opts.Strategy == StrategyWarmStart {
-		sol, done, err := s.solveWarmStart(ctx, &opts)
-		if err != nil {
-			return nil, err
-		}
-		if done {
-			return sol, nil
+		sol, unique, done, err := s.solveWarmStart(ctx, opts)
+		if err != nil || done {
+			return sol, unique, err
 		}
 		if opts.Stats != nil {
 			opts.Stats.Fallback = true
 		}
 	}
-	tab, status, err := s.phase1(ctx, &opts)
+	tab, status, err := s.phase1(ctx, opts)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	if status == Infeasible {
-		return &Solution{Status: Infeasible}, nil
+		return &Solution{Status: Infeasible}, false, nil
 	}
 	status, err = s.phase2(ctx, tab)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	if status == Unbounded {
-		return &Solution{Status: Unbounded}, nil
+		return &Solution{Status: Unbounded}, false, nil
 	}
-	return s.solution(s.extract(tab)), nil
+	return s.denseOptimum(ctx, tab, opts)
 }
 
 // solution wraps an original-variable assignment as an Optimal
@@ -322,7 +333,8 @@ type standardForm struct {
 	c          []*big.Rat // phase-2 cost over structural+slack columns, minimization sense
 	artOffset  int
 
-	cols [][]spTerm // lazy column view of rows (see columns)
+	cols  [][]spTerm // lazy column view of rows (see columns)
+	hcols [][]hTerm  // lazy hval view of cols (see hcol)
 }
 
 func newStandardForm(p *Problem) *standardForm {

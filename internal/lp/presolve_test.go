@@ -15,7 +15,7 @@ type presolveCase struct {
 	// minimum reductions the presolver must report
 	minRows, minCols int
 	wantStatus       Status
-	wantDemoted      bool // tied optimum: presolved path must demote to Fallback
+	wantTied         bool // tied optimum: lex-refined, never the float-failure fallback
 }
 
 func presolveCases() []presolveCase {
@@ -195,7 +195,7 @@ func presolveCases() []presolveCase {
 			minCols: 1, wantStatus: Optimal,
 		},
 		{
-			name: "tied-optimum-demotes-to-fallback",
+			name: "tied-optimum-lex-refined",
 			build: func() *Problem {
 				p := NewProblem(Maximize)
 				x := p.NewVariable("x")
@@ -205,7 +205,7 @@ func presolveCases() []presolveCase {
 				p.AddConstraint([]Term{TInt(x, 1), TInt(y, 1), TInt(s, 1)}, EQ, rational.Int(4))
 				return p
 			},
-			minCols: 1, wantStatus: Optimal, wantDemoted: true,
+			minCols: 1, wantStatus: Optimal, wantTied: true,
 		},
 	}
 }
@@ -229,8 +229,8 @@ func TestPresolveReductions(t *testing.T) {
 			if stats.PresolveCols < tc.minCols {
 				t.Errorf("PresolveCols = %d, want ≥ %d", stats.PresolveCols, tc.minCols)
 			}
-			if tc.wantDemoted && !stats.Fallback {
-				t.Errorf("tied optimum should demote to the fallback path, got %+v", stats)
+			if tc.wantTied && (!stats.TiedOptima || stats.Fallback) {
+				t.Errorf("tied optimum should be lex-refined without the dense fallback, got %+v", stats)
 			}
 		})
 	}

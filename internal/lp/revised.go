@@ -27,11 +27,12 @@
 // kernels; the ratoverflow analyzer's scope covers this package to
 // keep it that way.
 //
-// Identity with the dense solver is certified, not assumed: the
-// revised path returns a Solution only when the final basis passes
-// the same strict (uniqueness) dual certificate as a warm-start hit.
-// A tied optimum falls back to the full-tableau solver, which remains
-// the oracle (FuzzPresolveMatchesDense, FuzzWarmStartMatchesExact).
+// Identity with the dense solver needs no shared pivot sequence: a
+// final basis that passes the strict (uniqueness) dual certificate is
+// the only optimum, and a tied one is refined on the same factorization
+// to the canonical lexicographically smallest optimal point (lex.go),
+// which the dense solver also returns (FuzzPresolveMatchesDense,
+// FuzzWarmStartMatchesExact).
 package lp
 
 import (
@@ -620,21 +621,9 @@ const dualRepairCap = 400
 func (s *standardForm) solveDualRepair(ctx context.Context, basis []int, xB []hval, lu *sparseLU, h *hstats, opts *SolveOpts) (*sparseLU, []hval, bool, error) {
 	m := s.nrows
 	one := hvRat(rational.One())
-	cols := s.columns()
 	cvals := make([]hval, s.ncols)
 	for j, c := range s.c {
 		cvals[j] = hvRat(c)
-	}
-	hcols := make([][]hTerm, s.ncols)
-	colView := func(j int) []hTerm {
-		if hcols[j] == nil {
-			hc := make([]hTerm, len(cols[j]))
-			for n, e := range cols[j] {
-				hc[n] = hTerm{idx: int32(e.idx), v: hvRat(e.v)}
-			}
-			hcols[j] = hc
-		}
-		return hcols[j]
 	}
 	inBasis := make([]bool, s.ncols)
 	for _, j := range basis {
@@ -650,16 +639,9 @@ func (s *standardForm) solveDualRepair(ctx context.Context, basis []int, xB []hv
 	y := lu.solveTranspose(cB)
 	z := make([]hval, s.ncols)
 	for j := 0; j < s.ncols; j++ {
-		if inBasis[j] {
-			continue
+		if !inBasis[j] {
+			z[j] = s.price(h, cvals[j], j, y)
 		}
-		zj := cvals[j]
-		for _, e := range colView(j) {
-			if yv := y[e.idx]; !yv.IsZero() {
-				zj = h.fms(zj, e.v, yv)
-			}
-		}
-		z[j] = zj
 	}
 	ep := make([]hval, m)
 	negAlpha := make([]hval, s.ncols) // −α_pj for the current pricing row
@@ -700,12 +682,7 @@ func (s *standardForm) solveDualRepair(ctx context.Context, basis []int, xB []hv
 			if inBasis[j] {
 				continue
 			}
-			var na hval
-			for _, e := range colView(j) {
-				if bv := beta[e.idx]; !bv.IsZero() {
-					na = h.fms(na, e.v, bv)
-				}
-			}
+			na := s.price(h, hval{}, j, beta)
 			negAlpha[j] = na
 			if na.Sign() <= 0 {
 				continue // only α_pj < 0 columns can absorb the deficit
@@ -727,7 +704,7 @@ func (s *standardForm) solveDualRepair(ctx context.Context, basis []int, xB []hv
 			// derive the canonical verdict.
 			return nil, nil, false, nil
 		}
-		w := lu.ftran(colView(enter))
+		w := lu.ftran(s.hcol(enter))
 		if w[leave].Sign() >= 0 {
 			// w[leave] is α_p,enter and must be negative; anything else
 			// means the factorization and the pricing row disagree.
@@ -775,38 +752,24 @@ func (s *standardForm) solveDualRepair(ctx context.Context, basis []int, xB []hv
 }
 
 // solveRevised resumes exact phase-2 pivoting from a primal-feasible
-// basis via the revised simplex. Pivot rules mirror tableau.iterate —
-// Dantzig entering column (first wins ties) switching to Bland's rule
-// after stallLimit degenerate pivots, leaving row by minimum ratio
-// with ties toward the smaller basis index — and reduced costs are
-// the same exact rationals a dense tableau would carry, so the two
-// paths walk the same vertex sequence. The result is still gated: it
-// is returned only when the final basis passes the strict-uniqueness
-// dual certificate; a tied optimal face reports done=false and the
-// caller falls back to the full-tableau solve, whose vertex choice
-// defines the canonical answer.
+// basis via the revised simplex: Dantzig entering column (first wins
+// ties) switching to Bland's rule after stallLimit degenerate pivots,
+// leaving row by minimum ratio with ties toward the smaller basis
+// index. An optimum certified strictly dual non-degenerate is unique
+// and returned as is; a tied one is refined on the same factorization
+// to the canonical optimum (lexRefine), so the pivot path never shows
+// in the result. unique reports which of the two happened; done=false
+// means a refactorization found the basis singular and the caller must
+// fall back to the dense solve.
 //
 // An Unbounded verdict is trustworthy: it is reached from an
 // exactly-feasible vertex by exact pivoting.
-func (s *standardForm) solveRevised(ctx context.Context, basis []int, xB []hval, lu *sparseLU, h *hstats, opts *SolveOpts) (sol *Solution, done bool, err error) {
-	const stallLimit = 12 // keep in lockstep with tableau.iterate
+func (s *standardForm) solveRevised(ctx context.Context, basis []int, xB []hval, lu *sparseLU, h *hstats, opts *SolveOpts) (sol *Solution, unique, done bool, err error) {
+	const stallLimit = 12 // degenerate pivots tolerated before engaging Bland
 	m := s.nrows
-	cols := s.columns()
 	cvals := make([]hval, s.ncols)
 	for j, c := range s.c {
 		cvals[j] = hvRat(c)
-	}
-	// Sparse hval column view for pricing and FTRAN.
-	hcols := make([][]hTerm, s.ncols)
-	colView := func(j int) []hTerm {
-		if hcols[j] == nil {
-			hc := make([]hTerm, len(cols[j]))
-			for n, e := range cols[j] {
-				hc[n] = hTerm{idx: int32(e.idx), v: hvRat(e.v)}
-			}
-			hcols[j] = hc
-		}
-		return hcols[j]
 	}
 	cB := make([]hval, m)
 	inBasis := make([]bool, s.ncols)
@@ -821,12 +784,10 @@ func (s *standardForm) solveRevised(ctx context.Context, basis []int, xB []hval,
 	// that wraps the full column range with no candidate declares
 	// optimality (and only such a full sweep is trusted for the
 	// tied-optimum check). The entering choice is the window-local
-	// Dantzig winner, so the vertex path may differ from the dense
-	// solver's — harmless, because the result is only returned under
-	// the strict-uniqueness dual certificate below, and a unique
-	// optimum leaves no room for the paths to land on different
-	// answers. Bland mode keeps a full smallest-index scan: its
-	// anti-cycling guarantee needs the global minimum eligible index.
+	// Dantzig winner, which only changes the pivot path, never the
+	// canonical result. Bland mode keeps a full smallest-index scan:
+	// its anti-cycling guarantee needs the global minimum eligible
+	// index.
 	priceWindow := s.ncols / 8
 	if priceWindow < 64 {
 		priceWindow = 64
@@ -834,30 +795,19 @@ func (s *standardForm) solveRevised(ctx context.Context, basis []int, xB []hval,
 	priceStart := 0
 	for {
 		if err := ctx.Err(); err != nil {
-			return nil, false, err
+			return nil, false, false, err
 		}
 		y := lu.solveTranspose(cB)
 		useBland := stalled >= stallLimit
 		enter := -1
 		var bestZ hval
 		tied := false
-		price := func(j int) hval {
-			z := cvals[j]
-			for _, e := range colView(j) {
-				ye := y[e.idx]
-				if ye.IsZero() {
-					continue
-				}
-				z = h.fms(z, e.v, ye)
-			}
-			return z
-		}
 		if useBland {
 			for j := 0; j < s.ncols; j++ {
 				if inBasis[j] {
 					continue
 				}
-				switch z := price(j); z.Sign() {
+				switch z := s.price(h, cvals[j], j, y); z.Sign() {
 				case 0:
 					tied = true
 				case -1:
@@ -883,7 +833,7 @@ func (s *standardForm) solveRevised(ctx context.Context, basis []int, xB []hval,
 					if inBasis[jj] {
 						continue
 					}
-					z := price(jj)
+					z := s.price(h, cvals[jj], jj, y)
 					sgn := z.Sign()
 					if sgn == 0 {
 						tied = true
@@ -907,17 +857,12 @@ func (s *standardForm) solveRevised(ctx context.Context, basis []int, xB []hval,
 		}
 		if enter < 0 {
 			if tied {
-				// Optimal but possibly not unique: only the cold path's
-				// own vertex choice is guaranteed to match the cold path.
-				return nil, false, nil
+				sol, err := s.lexRefine(ctx, basis, xB, lu, h, opts)
+				return sol, false, err == nil, err
 			}
-			colVal := rational.Vector(s.ncols)
-			for k, j := range basis {
-				colVal[j] = xB[k].Rat()
-			}
-			return s.solution(s.extractFromCols(colVal)), true, nil
+			return s.basicSolution(basis, xB), true, true, nil
 		}
-		w := lu.ftran(colView(enter))
+		w := lu.ftran(s.hcol(enter))
 		leave := -1
 		var bestRatio hval
 		for k := 0; k < m; k++ {
@@ -932,7 +877,7 @@ func (s *standardForm) solveRevised(ctx context.Context, basis []int, xB []hval,
 			}
 		}
 		if leave < 0 {
-			return &Solution{Status: Unbounded}, true, nil
+			return &Solution{Status: Unbounded}, false, true, nil
 		}
 		theta := bestRatio
 		degenerate := theta.IsZero()
@@ -954,7 +899,7 @@ func (s *standardForm) solveRevised(ctx context.Context, basis []int, xB []hval,
 		if refac, mag := lu.needsRefactor(); refac {
 			nlu, ok := s.factorizeSparse(basis, h)
 			if !ok {
-				return nil, false, nil // should not happen; dense path decides
+				return nil, false, false, nil // should not happen; dense path decides
 			}
 			lu = nlu
 			recordRefactor(opts, mag)

@@ -292,11 +292,7 @@ func TestDualRepairMagnitudeRefactor(t *testing.T) {
 	if !hasNeg {
 		t.Fatal("perturbed candidate basis already primal feasible; the dirty-basis premise no longer holds")
 	}
-	cB := make([]hval, s.nrows)
-	for k, j := range basis {
-		cB[k] = hvRat(s.c[j])
-	}
-	if s.dualCertificate(basis, lu.solveTranspose(cB), &h) != dualStrict {
+	if s.dualCertificate(basis, lu, &h) != dualStrict {
 		t.Fatal("candidate basis not strictly dual feasible; dual repair premise broken")
 	}
 

@@ -11,30 +11,23 @@
 //	primal feasibility:  x_B = B⁻¹ b ≥ 0        (componentwise, exact)
 //	dual optimality:     z_j = c_j − y·A_j > 0   with  Bᵀy = c_B
 //
-// The dual check is deliberately *strict* on every nonbasic column:
-// strict dual non-degeneracy certifies not just optimality but
-// uniqueness of the optimal point, which is what lets the warm path
-// promise byte-identical results to the cold exact solver — a unique
-// optimum leaves no vertex for the two paths to disagree on. When the
-// certificate holds, the solution is returned directly (a "hit": zero
-// exact pivots). When some reduced cost is negative but the basis is
-// still primal feasible, exact phase-2 pivoting resumes from it —
-// still strictly cheaper than a cold phase 1 — and its final tableau
-// must pass the same strict certificate. A tie (some nonbasic reduced
-// cost exactly zero, so the optimal face may be an edge or larger)
-// falls back to the full two-phase solve: correctness would survive
-// returning the tied vertex, identity with the cold path might not.
-// Primal-infeasible, singular, or artificial-containing bases, and a
-// float solver that fails outright, also take the fallback. In every
-// case the answer carries the same exact certificate as the cold
-// solver's.
+// A strict dual check (every nonbasic z_j > 0) certifies not just
+// optimality but uniqueness of the optimal point, so the certified
+// vertex is the canonical optimum (lex.go) and is returned directly (a
+// "hit": zero exact pivots). When some reduced cost is negative but the
+// basis is still primal feasible, exact revised-simplex pivoting
+// resumes from it — still strictly cheaper than a cold phase 1. A tie
+// (some nonbasic reduced cost exactly zero, so the optimal face may be
+// an edge or larger), reached directly, after dual repair or after a
+// resume, is refined on the same sparse LU to the lexicographically
+// smallest optimal point, which every solve path returns. Only a float
+// solver that fails outright, a singular or unrepairable candidate
+// basis, or a repair that gives up demote to the dense two-phase
+// fallback, which finishes with the same refinement. In every case the
+// answer carries the same exact certificate as the cold solver's.
 package lp
 
-import (
-	"context"
-
-	"minimaxdp/internal/rational"
-)
+import "context"
 
 // Strategy selects how Solve locates the optimal basis.
 type Strategy int
@@ -42,8 +35,9 @@ type Strategy int
 const (
 	// StrategyWarmStart — the default — runs the float64 simplex
 	// first and certifies its final basis in exact arithmetic,
-	// falling back to the pure exact solve when the certificate
-	// fails. The result is identical to StrategyExact's.
+	// pivoting on from it exactly when the certificate fails and
+	// falling back to the pure exact solve only when the float solve
+	// does. The result is identical to StrategyExact's.
 	StrategyWarmStart Strategy = iota
 	// StrategyExact forces the cold two-phase exact solve: the
 	// ablation baseline, and a cross-check against the warm path.
@@ -97,29 +91,35 @@ type SolveStats struct {
 	PresolveCols int // variables eliminated
 
 	WarmStartHit     bool // float basis certified optimal and unique; zero exact pivots
-	CrossoverResumed bool // exact pivoting resumed (primal resume or dual repair)
-	Fallback         bool // full two-phase exact solve ran (incl. tied-optimum demotions)
+	CrossoverResumed bool // exact pivoting resumed (primal resume, dual repair or lex refinement)
+	Fallback         bool // full two-phase exact solve ran: the float solve failed
+
+	// TiedOptima reports an optimum that was not unique, refined to
+	// the canonical lexicographically smallest optimal point (lex.go).
+	// It is set on any strategy and path, alongside the path flag.
+	TiedOptima bool
 }
 
 // solveWarmStart attempts the float-guided path. done=false (with nil
 // error) means the caller must run the full two-phase fallback; when
-// done=true, sol is the certified result.
-func (s *standardForm) solveWarmStart(ctx context.Context, opts *SolveOpts) (sol *Solution, done bool, err error) {
+// done=true, sol is the certified result and unique reports whether an
+// Optimal sol is the only optimum.
+func (s *standardForm) solveWarmStart(ctx context.Context, opts *SolveOpts) (sol *Solution, unique, done bool, err error) {
 	if err := ctx.Err(); err != nil {
-		return nil, false, err
+		return nil, false, false, err
 	}
 	basis, floatPivots, ok := s.floatCandidateBasis()
 	if opts.Stats != nil {
 		opts.Stats.FloatPivots = floatPivots
 	}
 	if !ok {
-		return nil, false, nil
+		return nil, false, false, nil
 	}
 	var h hstats
 	defer func() { h.fold(opts.Stats) }()
 	lu, ok := s.factorizeSparse(basis, &h)
 	if !ok {
-		return nil, false, nil // singular basis: the float path lost the plot
+		return nil, false, false, nil // singular basis: the float path lost the plot
 	}
 	xB := lu.solve(s.b)
 	repaired := false
@@ -142,28 +142,18 @@ func (s *standardForm) solveWarmStart(ctx context.Context, opts *SolveOpts) (sol
 		// (solveDualRepair), preserving dual feasibility throughout,
 		// then fall through to the usual certification below. Any
 		// other shape of infeasibility still takes the dense fallback.
-		cB := make([]hval, s.nrows)
-		for k, j := range basis {
-			cB[k] = hvRat(s.c[j])
-		}
-		yh := lu.solveTranspose(cB)
-		if s.dualCertificate(basis, yh, &h) != dualStrict {
-			return nil, false, nil // not repairable: certificate failed
+		if s.dualCertificate(basis, lu, &h) != dualStrict {
+			return nil, false, false, nil // not repairable: certificate failed
 		}
 		lu, xB, ok, err = s.solveDualRepair(ctx, basis, xB, lu, &h, opts)
 		if err != nil || !ok {
-			return nil, false, err
+			return nil, false, false, err
 		}
 		repaired = true
 	}
 	// The basis is an exactly-feasible vertex. Check dual optimality:
 	// solve Bᵀy = c_B, then price every nonbasic column.
-	cB := make([]hval, s.nrows)
-	for k, j := range basis {
-		cB[k] = hvRat(s.c[j])
-	}
-	yh := lu.solveTranspose(cB)
-	switch s.dualCertificate(basis, yh, &h) {
+	switch s.dualCertificate(basis, lu, &h) {
 	case dualStrict:
 		if opts.Stats != nil {
 			// A repaired basis ran exact pivots to get here, so it
@@ -174,27 +164,26 @@ func (s *standardForm) solveWarmStart(ctx context.Context, opts *SolveOpts) (sol
 				opts.Stats.WarmStartHit = true
 			}
 		}
-		colVal := rational.Vector(s.ncols)
-		for k, j := range basis {
-			colVal[j] = xB[k].Rat()
-		}
-		return s.solution(s.extractFromCols(colVal)), true, nil
+		return s.basicSolution(basis, xB), true, true, nil
 	case dualDegenerate:
-		// Optimal but possibly not unique: only the cold path's own
-		// vertex choice is guaranteed to match the cold path.
-		return nil, false, nil
+		// Optimal but not unique: refine to the canonical optimum.
+		sol, err = s.lexRefine(ctx, basis, xB, lu, &h, opts)
+	default:
+		// Feasible but not optimal: resume exact revised-simplex
+		// pivoting from this vertex against the factorization,
+		// skipping phase 1 entirely (revised.go).
+		sol, unique, done, err = s.solveRevised(ctx, basis, xB, lu, &h, opts)
+		if err != nil || !done {
+			return nil, false, false, err
+		}
 	}
-	// Feasible but not optimal: resume exact revised-simplex pivoting
-	// from this vertex against the factorization, skipping phase 1
-	// entirely (revised.go).
-	sol, done, err = s.solveRevised(ctx, basis, xB, lu, &h, opts)
-	if err != nil || !done {
-		return nil, done, err
+	if err != nil {
+		return nil, false, false, err
 	}
 	if opts.Stats != nil {
 		opts.Stats.CrossoverResumed = true
 	}
-	return sol, true, nil
+	return sol, unique, true, nil
 }
 
 // dualVerdict classifies the reduced costs of the nonbasic columns.
@@ -206,28 +195,25 @@ const (
 	dualStrict                        // all z_j > 0: optimal and unique
 )
 
-// dualCertificate prices every nonbasic column against the dual
-// vector y and classifies the basis. Pricing runs on the hybrid
-// Small/big kernels: on the mechanism LPs both y and the matrix
-// entries fit int64 rationals, so the sweep is allocation-free.
-func (s *standardForm) dualCertificate(basis []int, y []hval, h *hstats) dualVerdict {
+// dualCertificate solves Bᵀy = c_B against the factorization, prices
+// every nonbasic column against y and classifies the basis. Pricing
+// runs on the hybrid Small/big kernels: on the mechanism LPs both y
+// and the matrix entries fit int64 rationals, so the sweep is
+// allocation-free.
+func (s *standardForm) dualCertificate(basis []int, lu *sparseLU, h *hstats) dualVerdict {
+	cB := make([]hval, s.nrows)
 	inBasis := make([]bool, s.ncols)
-	for _, j := range basis {
+	for k, j := range basis {
+		cB[k] = hvRat(s.c[j])
 		inBasis[j] = true
 	}
+	y := lu.solveTranspose(cB)
 	verdict := dualStrict
-	cols := s.columns()
 	for j := 0; j < s.ncols; j++ {
 		if inBasis[j] {
 			continue // z_j = 0 by construction of y
 		}
-		z := hvRat(s.c[j])
-		for _, e := range cols[j] {
-			if yv := y[e.idx]; !yv.IsZero() {
-				z = h.fms(z, hvRat(e.v), yv)
-			}
-		}
-		switch z.Sign() {
+		switch s.price(h, hvRat(s.c[j]), j, y).Sign() {
 		case -1:
 			return dualInfeasible
 		case 0:
@@ -239,8 +225,7 @@ func (s *standardForm) dualCertificate(basis []int, y []hval, h *hstats) dualVer
 
 // strictlyOptimal reports whether the (already optimal) tableau's
 // nonbasic structural reduced costs are all strictly positive — the
-// uniqueness certificate the presolve path requires before trusting
-// vertex identity with a solve of the unreduced problem. Artificial
+// certificate that its vertex is the unique optimum. Artificial
 // columns are excluded: they are banned from entering, so their
 // reduced costs carry no information about alternative optima.
 func (t *tableau) strictlyOptimal() bool {
@@ -261,37 +246,10 @@ func (t *tableau) strictlyOptimal() bool {
 
 // solveCertified solves p through the warm-start pipeline and
 // additionally reports whether an Optimal result is certified
-// *unique* (strict dual non-degeneracy). The warm paths only return
-// under that certificate; the dense fallback reads it off its final
-// tableau. The presolve driver requires uniqueness before mapping a
-// reduced solution back to the original problem, because only a
-// unique optimum is guaranteed to coincide with what a direct solve
-// of the original would have returned.
+// *unique* (strict dual non-degeneracy). The presolve driver requires
+// uniqueness before mapping a reduced solution back to the original
+// problem: the canonical optimum of the reduced problem need not map
+// to the canonical optimum of the original, but a unique one does.
 func (p *Problem) solveCertified(ctx context.Context, opts *SolveOpts) (*Solution, bool, error) {
-	s := newStandardForm(p)
-	sol, done, err := s.solveWarmStart(ctx, opts)
-	if err != nil {
-		return nil, false, err
-	}
-	if done {
-		return sol, true, nil
-	}
-	if opts.Stats != nil {
-		opts.Stats.Fallback = true
-	}
-	tab, status, err := s.phase1(ctx, opts)
-	if err != nil {
-		return nil, false, err
-	}
-	if status == Infeasible {
-		return &Solution{Status: Infeasible}, false, nil
-	}
-	status, err = s.phase2(ctx, tab)
-	if err != nil {
-		return nil, false, err
-	}
-	if status == Unbounded {
-		return &Solution{Status: Unbounded}, false, nil
-	}
-	return s.solution(s.extract(tab)), tab.strictlyOptimal(), nil
+	return newStandardForm(p).solve(ctx, opts)
 }

@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"testing"
 
+	"minimaxdp/internal/loss"
 	"minimaxdp/internal/rational"
 )
 
@@ -50,48 +51,10 @@ func assertIdentical(t *testing.T, exact, warm *Solution) {
 	}
 }
 
-// tailoredTestLP hand-builds the §2.5 tailored-mechanism LP for the
-// absolute-loss consumer (|i−r| coefficients) at size n — the same
-// structure internal/consumer generates, without importing it.
+// tailoredTestLP builds the §2.5 tailored-mechanism LP for the
+// absolute-loss consumer at size n.
 func tailoredTestLP(n int, alpha *big.Rat) *Problem {
-	p := NewProblem(Minimize)
-	d := p.NewVariable("d")
-	xv := make([][]Var, n+1)
-	for i := 0; i <= n; i++ {
-		xv[i] = make([]Var, n+1)
-		for r := 0; r <= n; r++ {
-			xv[i][r] = p.NewVariable(fmt.Sprintf("x_%d_%d", i, r))
-		}
-	}
-	p.SetObjective(TInt(d, 1))
-	for i := 0; i <= n; i++ {
-		terms := []Term{TInt(d, 1)}
-		for r := 0; r <= n; r++ {
-			dd := int64(i - r)
-			if dd < 0 {
-				dd = -dd
-			}
-			if dd != 0 {
-				terms = append(terms, T(xv[i][r], rational.Int(-dd)))
-			}
-		}
-		p.AddConstraint(terms, GE, rational.Zero())
-	}
-	negAlpha := rational.Neg(alpha)
-	for i := 0; i < n; i++ {
-		for r := 0; r <= n; r++ {
-			p.AddConstraint([]Term{TInt(xv[i][r], 1), T(xv[i+1][r], negAlpha)}, GE, rational.Zero())
-			p.AddConstraint([]Term{TInt(xv[i+1][r], 1), T(xv[i][r], negAlpha)}, GE, rational.Zero())
-		}
-	}
-	for i := 0; i <= n; i++ {
-		terms := make([]Term, 0, n+1)
-		for r := 0; r <= n; r++ {
-			terms = append(terms, TInt(xv[i][r], 1))
-		}
-		p.AddConstraint(terms, EQ, rational.One())
-	}
-	return p
+	return tailoredLP(n, alpha, loss.Absolute{})
 }
 
 // TestWarmStartMatchesExactOnSuite runs every shape the exact solver
@@ -285,10 +248,9 @@ func TestSolveStatsReset(t *testing.T) {
 // byte-identical to the pure exact solve in Status, Objective, and
 // every coordinate of X.
 func FuzzWarmStartMatchesExact(f *testing.F) {
-	f.Add([]byte{2, 2, 7, 3, 1, 9, 4, 2, 8, 6})
-	f.Add([]byte{3, 4, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0})
-	f.Add([]byte{1, 1, 255, 128, 64, 32})
-	f.Add([]byte{4, 5, 13, 200, 250, 3, 17, 90, 41, 6, 66, 12, 250, 9})
+	for _, seed := range warmStartSeeds {
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p := fuzzProblem(data)
 		if p == nil {
@@ -319,6 +281,15 @@ func FuzzWarmStartMatchesExact(f *testing.F) {
 			}
 		}
 	})
+}
+
+// warmStartSeeds are FuzzWarmStartMatchesExact's seed inputs; the
+// committed corpus under testdata/fuzz adds tied-optimum entries.
+var warmStartSeeds = [][]byte{
+	{2, 2, 7, 3, 1, 9, 4, 2, 8, 6},
+	{3, 4, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+	{1, 1, 255, 128, 64, 32},
+	{4, 5, 13, 200, 250, 3, 17, 90, 41, 6, 66, 12, 250, 9},
 }
 
 // fuzzProblem deterministically decodes an LP from fuzz bytes:

@@ -18,10 +18,12 @@
 //
 // Failure policy: the store is an accelerator, never an authority.
 // Get reports a miss for anything it cannot fully verify — wrong
-// magic, unknown version, class/key mismatch, bad checksum, truncated
-// file — and moves the offending file into root/quarantine/ so the
-// next boot does not trip on it again; the caller falls back to
-// solving and the write-back repairs the entry. I/O errors on the
+// magic, class/key mismatch, bad checksum, truncated file — and moves
+// the offending file into root/quarantine/ so the next boot does not
+// trip on it again; the caller falls back to solving and the
+// write-back repairs the entry. An entry written under another
+// FormatVersion is not corrupt, just stale: it is a plain miss, left
+// in place for the write-back to overwrite. I/O errors on the
 // read path are likewise misses (counted, not fatal). Put is atomic
 // per entry: temp file, fsync, rename.
 //
@@ -44,10 +46,18 @@ import (
 )
 
 // FormatVersion is the on-disk envelope version. Bump it when the
-// envelope or any codec changes incompatibly; readers treat files
-// from other versions as misses (the artifact is re-solved and
-// re-written in the current format).
-const FormatVersion = 1
+// envelope or any codec changes incompatibly, or when the artifact a
+// key denotes changes; readers treat files from other versions as
+// plain misses (the artifact is re-solved and re-written in the
+// current format), never as corruption.
+//
+// Version 2: tied LP optima resolve to the canonical lexicographically
+// smallest optimal point, so tailored artifacts of tied keys changed
+// bytes.
+const FormatVersion = 2
+
+// errStale reports an envelope written under another FormatVersion.
+var errStale = errors.New("store: envelope from another format version")
 
 // magic identifies a minimaxdp artifact envelope.
 var magic = [4]byte{'M', 'D', 'P', 'A'}
@@ -177,7 +187,7 @@ func decodeEnvelope(class, key string, data []byte) ([]byte, error) {
 		return nil, errors.New("store: bad magic")
 	}
 	if v := binary.BigEndian.Uint16(data[4:6]); v != FormatVersion {
-		return nil, fmt.Errorf("store: format version %d (want %d)", v, FormatVersion)
+		return nil, fmt.Errorf("%w: %d (want %d)", errStale, v, FormatVersion)
 	}
 	classLen := int(binary.BigEndian.Uint16(data[6:8]))
 	keyLen := int(binary.BigEndian.Uint32(data[8:12]))
@@ -202,8 +212,9 @@ func decodeEnvelope(class, key string, data []byte) ([]byte, error) {
 }
 
 // Get loads the payload stored for (class, key). ok is false on a
-// miss — absent entry, or an entry that failed any verification (the
-// file is then quarantined). Get never returns an error to the
+// miss — absent entry, an entry from another format version (left for
+// the write-back to overwrite), or an entry that failed any other
+// verification (the file is then quarantined). Get never returns an error to the
 // caller: the store's contract is "serve a verified artifact or get
 // out of the way", so every failure mode degrades to a miss and the
 // caller re-solves.
@@ -220,7 +231,9 @@ func (s *Store) Get(class, key string) (payload []byte, ok bool) {
 	}
 	payload, err = decodeEnvelope(class, key, data)
 	if err != nil {
-		s.quarantine(path)
+		if !errors.Is(err, errStale) {
+			s.quarantine(path)
+		}
 		s.misses.Add(1)
 		return nil, false
 	}

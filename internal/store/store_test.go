@@ -157,6 +157,20 @@ func TestVersionMismatchIsMiss(t *testing.T) {
 	if _, ok := s.Get("tailored", "k"); ok {
 		t.Fatal("future-version entry served")
 	}
+	// A stale entry is a plain miss, not corruption: it stays in place,
+	// uncounted and unquarantined, until the write-back overwrites it.
+	if st := s.Stats(); st.Corrupt != 0 || st.Misses != 1 {
+		t.Errorf("stats after version miss = %+v, want Corrupt 0, Misses 1", st)
+	}
+	if q, _ := filepath.Glob(filepath.Join(s.Root(), "quarantine", "*")); len(q) != 0 {
+		t.Errorf("version-mismatched entry quarantined: %v", q)
+	}
+	if err := s.Put("tailored", "k", []byte("p2")); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := s.Get("tailored", "k"); !ok || string(got) != "p2" {
+		t.Fatalf("after write-back Get = %q, %v; want \"p2\", true", got, ok)
+	}
 }
 
 // TestMovedEntryRejected pins the identity check: a byte-valid

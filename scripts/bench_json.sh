@@ -48,7 +48,10 @@ BEGIN {
     n = 0
 }
 /^Benchmark/ {
+    # Drop the -GOMAXPROCS suffix go test appends, so baselines recorded
+    # on one CPU count still name the same ops on another.
     name = $1
+    sub(/-[0-9]+$/, "", name)
     ns = $3
     allocs = "null"
     for (i = 4; i <= NF; i++) {

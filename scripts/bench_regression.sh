@@ -7,6 +7,9 @@
 # The gate compares per-op ns/op with a 2x ratio plus an absolute
 # slack floor: nanosecond-scale ops (the dyadic kernel is ~3ns) jitter
 # by integer nanoseconds under CI load, so a pure ratio would flake.
+# It also compares allocs/op: at most 2x the baseline, and an op whose
+# baseline is 0 allocs/op must stay at exactly 0 (allocation counts do
+# not jitter, and a zero-alloc hot path gaining one is a regression).
 # An op present in a baseline but missing from the fresh run fails
 # too — a silently vanished benchmark is a hole in the gate.
 #
@@ -26,9 +29,9 @@ BENCHTIME="${BENCHTIME}" OUT_LP="${tmpdir}/lp.json" OUT_SAMPLE="${tmpdir}/sample
     OUT_STORE="${tmpdir}/store.json" OUT_COMPARE="${tmpdir}/compare.json" \
     ./scripts/bench_json.sh >/dev/null
 
-# compare <baseline> <fresh>: extract "op ns" pairs from both JSON
-# files (the shape is one benchmark object per line, written by
-# bench_json.sh) and apply the threshold.
+# compare <baseline> <fresh>: extract "op ns allocs" triples from both
+# JSON files (the shape is one benchmark object per line, written by
+# bench_json.sh) and apply the thresholds.
 compare() {
     local baseline="$1" fresh="$2"
     awk -v slack="${SLACK_NS}" -v base_name="${baseline}" '
@@ -38,9 +41,13 @@ function extract(line) {
     op = substr(line, RSTART + 7, RLENGTH - 8)
     match(line, /"ns_per_op": [0-9.e+]*/)
     ns = substr(line, RSTART + 13, RLENGTH - 13) + 0
+    # allocs is "" when the record carries "allocs_per_op": null.
+    allocs = ""
+    if (match(line, /"allocs_per_op": [0-9]+/))
+        allocs = substr(line, RSTART + 17, RLENGTH - 17) + 0
 }
-FNR == NR && /"op":/ { extract($0); old[op] = ns; next }
-FNR != NR && /"op":/ { extract($0); new[op] = ns }
+FNR == NR && /"op":/ { extract($0); old[op] = ns; oldA[op] = allocs; next }
+FNR != NR && /"op":/ { extract($0); new[op] = ns; newA[op] = allocs }
 END {
     bad = 0
     for (op in old) {
@@ -53,6 +60,13 @@ END {
         if (new[op] > limit) {
             printf "REGRESSION %s: %.1f ns/op > limit %.1f (baseline %.1f)\n", \
                 op, new[op], limit, old[op]
+            bad = 1
+        }
+        if (oldA[op] == "" || newA[op] == "")
+            continue
+        if (newA[op] > oldA[op] * 2) {
+            printf "REGRESSION %s: %d allocs/op > limit %d (baseline %d)\n", \
+                op, newA[op], oldA[op] * 2, oldA[op]
             bad = 1
         }
     }
@@ -70,4 +84,4 @@ if [ "${status}" -ne 0 ]; then
     echo "bench regression gate FAILED (baselines: BENCH_lp.json, BENCH_sample.json, BENCH_store.json, BENCH_compare.json)" >&2
     exit 1
 fi
-echo "bench regression gate passed (threshold: 2x + ${SLACK_NS}ns per op)"
+echo "bench regression gate passed (threshold: 2x + ${SLACK_NS}ns and 2x allocs per op, 0 stays 0)"

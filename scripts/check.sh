@@ -131,6 +131,11 @@ curl -fsS -X POST -d "${compare_spec}" "http://${base}/v1/compare" \
 curl -fsS -X POST -d "${compare_spec}" "http://${base}/v1/compare" >/dev/null
 curl -fsS "http://${base}/v1/metrics" \
     | sed -n 's/.*"compares":\(.*\)"samplers".*/\1/p' | grep -q '"hits":[1-9]'
+# The interval-side consumer's LPs have tied optima: they must be
+# lex-refined on the revised simplex (counted as tied_optima), never
+# demoted to the dense fallback.
+curl -fsS "http://${base}/v1/metrics" | grep -q '"tied_optima":[1-9]'
+curl -fsS "http://${base}/v1/metrics" | grep -q '"fallbacks":0'
 stop_server "${smokedir}/dpserver.log"
 
 # Run 2 (warm boot): same store dir and tenant config. The whole
