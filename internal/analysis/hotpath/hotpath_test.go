@@ -24,7 +24,6 @@ func TestProductionAnnotations(t *testing.T) {
 	want := map[string][]string{
 		"../../../internal/sample/dyadic.go":  {"Uint64", "Block", "Next", "SampleWord"},
 		"../../../internal/engine/sampler.go": {"Sample", "SampleInto"},
-		"../../../internal/lp/lp.go":          {"pivot", "eliminateRows"},
 		"../../../cmd/dpserver/server.go":     {"handleSample"},
 	}
 	fset := token.NewFileSet()

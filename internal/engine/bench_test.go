@@ -14,6 +14,7 @@ import (
 
 	"minimaxdp/internal/consumer"
 	"minimaxdp/internal/loss"
+	"minimaxdp/internal/lp"
 	"minimaxdp/internal/rational"
 	"minimaxdp/internal/sample"
 )
@@ -59,6 +60,23 @@ func BenchmarkEngineTailoredUncachedTie(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := consumer.OptimalMechanism(c, 8, a); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkEngineTailoredExactOnly is the BenchmarkEngineTailoredUncached
+// solve as an ExactLPOnly engine runs it: StrategyExact, the cold
+// two-phase revised simplex that also serves every float-failure
+// fallback. It keeps that path gated at serving size, though neither
+// served workload normally reaches it.
+func BenchmarkEngineTailoredExactOnly(b *testing.B) {
+	a := rational.MustParse("1/2")
+	c := &consumer.Consumer{Loss: loss.Absolute{}}
+	opts := lp.SolveOpts{Strategy: lp.StrategyExact}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := consumer.OptimalMechanismOpts(context.Background(), c, 8, a, opts); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -349,7 +349,6 @@ func (e *Engine) recordLP(s *store, key string, stats *lp.SolveStats) {
 	e.lp.floatPivots.Add(uint64(stats.FloatPivots))
 	e.lp.exactPivots.Add(uint64(stats.ExactPivots))
 	e.lp.revisedPivots.Add(uint64(stats.RevisedPivots))
-	e.lp.parallelPivots.Add(uint64(stats.ParallelPivots))
 	e.lp.smallOps.Add(uint64(stats.SmallOps))
 	e.lp.wideOps.Add(uint64(stats.WideOps))
 	e.lp.bigFallbacks.Add(uint64(stats.BigFallbacks))

@@ -111,7 +111,11 @@ type LPSolveStats struct {
 	FloatPivots      uint64 `json:"float_pivots"`
 	ExactPivots      uint64 `json:"exact_pivots"`
 	RevisedPivots    uint64 `json:"revised_pivots"`
-	ParallelPivots   uint64 `json:"parallel_pivots"`
+	// ParallelPivots is always 0: the parallel dense-tableau
+	// elimination it counted is gone. It stays on the wire because
+	// perfbench/counters.go reads it (lp.parallel_pivots_per_solve);
+	// remove the two together.
+	ParallelPivots uint64 `json:"parallel_pivots"`
 
 	// Hybrid-kernel tier split for the sparse LU / revised-simplex
 	// path: exact rational operations served by the int64
@@ -145,7 +149,6 @@ type lpCounters struct {
 	floatPivots      atomic.Uint64
 	exactPivots      atomic.Uint64
 	revisedPivots    atomic.Uint64
-	parallelPivots   atomic.Uint64
 	smallOps         atomic.Uint64
 	wideOps          atomic.Uint64
 	bigFallbacks     atomic.Uint64
@@ -165,7 +168,6 @@ func (c *lpCounters) snapshot() LPSolveStats {
 		FloatPivots:        c.floatPivots.Load(),
 		ExactPivots:        c.exactPivots.Load(),
 		RevisedPivots:      c.revisedPivots.Load(),
-		ParallelPivots:     c.parallelPivots.Load(),
 		SmallOps:           c.smallOps.Load(),
 		WideOps:            c.wideOps.Load(),
 		BigFallbacks:       c.bigFallbacks.Load(),

@@ -17,8 +17,8 @@ import (
 // zero exact pivots), both engines return byte-identical artifacts,
 // and the warm path is faster by a comfortable margin. A tied key
 // (zero-one loss, n=6, α=1/2) must likewise match the exact-only
-// engine, lex-refined without the dense fallback. The speed
-// assertion is deliberately loose (≥2×, versus ~7× measured on idle
+// engine, lex-refined without the cold fallback. The speed
+// assertion is deliberately loose (≥2×, versus ~15× measured on idle
 // hardware) so scheduler noise and -race overhead cannot flake it;
 // the precise factor is logged for humans reading the test output.
 func TestWarmStartColdPathGate(t *testing.T) {
@@ -78,7 +78,7 @@ func TestWarmStartColdPathGate(t *testing.T) {
 
 	// A tied key (zero-one loss, n=6, α=1/2): the optimum is not
 	// unique, so the warm engine must lex-refine on the revised simplex
-	// — no dense fallback — and still match the exact-only engine.
+	// — no cold fallback — and still match the exact-only engine.
 	tc := &consumer.Consumer{Loss: loss.ZeroOne{}}
 	tie := big.NewRat(1, 2)
 	tieWarm := New(Config{})
@@ -105,14 +105,15 @@ func TestWarmStartColdPathGate(t *testing.T) {
 // TestRecordLPFoldsAllCounters feeds recordLP a synthetic stats block
 // with every field set and reads the full set back through the JSON
 // metrics surface: a counter added to lp.SolveStats but not plumbed
-// into lpCounters/snapshot would silently report zero forever.
+// into lpCounters/snapshot would silently report zero forever. The
+// wire-only ParallelPivots field has no source counter and must read
+// back as 0.
 func TestRecordLPFoldsAllCounters(t *testing.T) {
 	e := New(Config{})
 	e.recordLP(e.tailored, "synthetic", &lp.SolveStats{
 		FloatPivots:        3,
 		ExactPivots:        5,
 		RevisedPivots:      7,
-		ParallelPivots:     2,
 		SmallOps:           11,
 		WideOps:            23,
 		BigFallbacks:       13,
@@ -126,7 +127,7 @@ func TestRecordLPFoldsAllCounters(t *testing.T) {
 	m := e.Metrics().LP
 	want := LPSolveStats{
 		Solves: 1, Fallbacks: 1,
-		FloatPivots: 3, ExactPivots: 5, RevisedPivots: 7, ParallelPivots: 2,
+		FloatPivots: 3, ExactPivots: 5, RevisedPivots: 7,
 		SmallOps: 11, WideOps: 23, BigFallbacks: 13,
 		Refactorizations: 29, MagnitudeRefactors: 31,
 		PresolveRows: 17, PresolveCols: 19,

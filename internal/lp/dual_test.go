@@ -118,35 +118,43 @@ func TestDualPricesValidation(t *testing.T) {
 	}
 }
 
+// strongDualityLP draws a random minimization LP with positive costs,
+// nonnegative coefficients and mostly GE rows: feasible more often
+// than not, and bounded whenever feasible.
+func strongDualityLP(rng *rand.Rand) *Problem {
+	nv := 2 + rng.Intn(3)
+	nc := 2 + rng.Intn(4)
+	p := NewProblem(Minimize)
+	vars := make([]Var, nv)
+	for i := range vars {
+		vars[i] = p.NewVariable("v")
+		p.SetObjectiveCoeff(vars[i], rational.Int(int64(rng.Intn(8)+1)))
+	}
+	for c := 0; c < nc; c++ {
+		terms := make([]Term, 0, nv)
+		for i := range vars {
+			if coef := rng.Intn(5); coef > 0 {
+				terms = append(terms, TInt(vars[i], int64(coef)))
+			}
+		}
+		if len(terms) == 0 {
+			terms = append(terms, TInt(vars[0], 1))
+		}
+		op := GE
+		if rng.Intn(3) == 0 {
+			op = LE
+		}
+		p.AddConstraint(terms, op, rational.Int(int64(rng.Intn(12))))
+	}
+	return p
+}
+
 // Strong duality holds exactly on random feasible bounded LPs.
 func TestStrongDualityRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	checked := 0
 	for trial := 0; trial < 60; trial++ {
-		nv := 2 + rng.Intn(3)
-		nc := 2 + rng.Intn(4)
-		p := NewProblem(Minimize)
-		vars := make([]Var, nv)
-		for i := range vars {
-			vars[i] = p.NewVariable("v")
-			p.SetObjectiveCoeff(vars[i], rational.Int(int64(rng.Intn(8)+1)))
-		}
-		for c := 0; c < nc; c++ {
-			terms := make([]Term, 0, nv)
-			for i := range vars {
-				if coef := rng.Intn(5); coef > 0 {
-					terms = append(terms, TInt(vars[i], int64(coef)))
-				}
-			}
-			if len(terms) == 0 {
-				terms = append(terms, TInt(vars[0], 1))
-			}
-			op := GE
-			if rng.Intn(3) == 0 {
-				op = LE
-			}
-			p.AddConstraint(terms, op, rational.Int(int64(rng.Intn(12))))
-		}
+		p := strongDualityLP(rng)
 		primal, err := p.Solve()
 		if err != nil {
 			t.Fatal(err)

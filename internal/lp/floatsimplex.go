@@ -45,15 +45,15 @@ const (
 	floatCapped
 )
 
-// floatTab is the dense float64 analogue of tableau, built from the
-// same standardForm and pivoted by the same rules (Dantzig with a
-// stall→Bland switch, identical tie-breaks) so that its final basis
-// is, in the overwhelmingly common case, exactly the basis the exact
-// solver would reach. That lockstep is what makes the warm-start
-// crossover (warmstart.go) produce byte-identical solutions to the
-// cold exact solve rather than merely equally-optimal ones. (A devex
-// pricing experiment took *more* pivots on the tailored family than
-// Dantzig does, so lockstep costs nothing here.)
+// floatTab is a dense float64 two-phase simplex tableau built from the
+// standardForm. Its pivot rule is Dantzig's (most negative reduced
+// cost, first wins ties) switching to Bland's after a run of
+// degenerate pivots, with the leaving row chosen by minimum ratio and
+// ties toward the smaller basis index. Nothing depends on it tracking
+// an exact solver's pivot path: the float solve only proposes a basis,
+// and byte identity comes from the exact certificate and the canonical
+// optimum (lex.go). (A devex pricing experiment took *more* pivots on
+// the tailored family than Dantzig does.)
 type floatTab struct {
 	rows   [][]float64
 	basis  []int
@@ -76,7 +76,7 @@ type floatTab struct {
 }
 
 // newFloatTab builds the phase-1 float tableau, seeding the basis
-// from slack columns exactly where the exact phase1 would and adding
+// from slack columns where initialBasis offers one and adding
 // artificials elsewhere. With perturb set, each right-hand side gets
 // its anti-degeneracy offset (see perturbScale).
 func (s *standardForm) newFloatTab(perturb bool) *floatTab {
@@ -167,8 +167,7 @@ func (s *standardForm) floatSolve(perturb bool) (st Status, ft *floatTab, ok boo
 	if math.Abs(ft.obj) > floatEps {
 		return Infeasible, ft, true
 	}
-	// Drive leftover artificials out of the basis where possible,
-	// mirroring the exact phase1.
+	// Drive leftover artificials out of the basis where possible.
 	for r := range ft.rows {
 		if ft.basis[r] < s.ncols {
 			continue
@@ -370,12 +369,12 @@ func (p *Problem) SolveFloat() (*FloatSolution, error) {
 	return &FloatSolution{Status: Optimal, Objective: objective, X: x}, nil
 }
 
-// iterate mirrors tableau.iterate pivot-for-pivot: Dantzig entering
+// iterate pivots until optimal, unbounded or capped: Dantzig entering
 // column (most negative reduced cost, first wins ties) switching to
 // Bland's rule after stallLimit degenerate pivots, leaving row by
 // minimum ratio with ties broken toward the smaller basis index.
 func (ft *floatTab) iterate(banned []bool, maxPivots int) floatOutcome {
-	const stallLimit = 12 // keep in lockstep with tableau.iterate
+	const stallLimit = 12 // degenerate pivots tolerated before engaging Bland
 	stalled := 0
 	lastObj := ft.obj
 	for {
@@ -431,11 +430,10 @@ func (ft *floatTab) iterate(banned []bool, maxPivots int) floatOutcome {
 	}
 }
 
-// pivot mirrors tableau.pivot's sparsity trick: only the nonzero
-// columns of the pivot row participate in the elimination. Entries the
-// dense loop would have touched with pr[j] == 0 are no-ops (x − f·0 is
-// exactly x in IEEE arithmetic), so the produced tableau — and hence
-// the pivot path and final basis — is unchanged. Once the pivot row
+// pivot eliminates with only the nonzero columns of the pivot row.
+// Entries a full sweep would have touched with pr[j] == 0 are no-ops
+// (x − f·0 is exactly x in IEEE arithmetic), so the produced tableau —
+// and hence the pivot path and final basis — is unchanged. Once the pivot row
 // has filled in past ~2/3 density the indirect nonzero walk loses to
 // a straight sequential sweep, so the elimination switches between
 // the two forms per pivot; both compute identical values.

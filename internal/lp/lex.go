@@ -10,7 +10,7 @@
 // part before its negative part). That point is unique by
 // construction — the slack columns are determined by the structural
 // ones — so every solve path (warm-start hit, primal resume, dual
-// repair, the dense two-phase solve) returns the same bytes because
+// repair, the cold two-phase solve) returns the same bytes because
 // there is only one answer, not because the paths share a pivot
 // sequence.
 //
@@ -39,18 +39,20 @@ import (
 	"minimaxdp/internal/rational"
 )
 
-// errLexInvariant reports a basis handed to lexRefine that violates
-// its preconditions (not optimal, or a pricing row that disagrees with
-// the factorization). Callers only pass certified-optimal bases, so
-// this marks a solver bug, not a property of the input.
-var errLexInvariant = errors.New("lp: lexicographic refinement invariant violated")
+// errInvariant reports a state exact arithmetic rules out: a basis
+// handed to lexRefine that is not optimal, a pricing row that
+// disagrees with the factorization, a singular refactorization of a
+// basis reached by exact pivots, or an unbounded phase 1. It marks a
+// solver bug, not a property of the input.
+var errInvariant = errors.New("lp: exact simplex invariant violated")
 
 // lexRefine returns the canonical (lexicographically smallest) optimal
 // point, starting from the optimal basis whose factorization is lu
 // and basic solution xB. basis and xB are consumed. Columns at index
 // s.ncols and beyond are artificial unit columns (withArtificials):
 // they stay basic at zero on their redundant rows and never enter.
-// Pivots are counted in SolveStats.RevisedPivots.
+// Pivots are counted in SolveStats.RevisedPivots (solveCold moves its
+// own to ExactPivots).
 func (s *standardForm) lexRefine(ctx context.Context, basis []int, xB []hval, lu *sparseLU, h *hstats, opts *SolveOpts) (*Solution, error) {
 	if opts.Stats != nil {
 		opts.Stats.TiedOptima = true
@@ -79,7 +81,7 @@ func (s *standardForm) lexRefine(ctx context.Context, basis []int, xB []hval, lu
 		}
 		switch s.price(h, hvRat(s.c[j]), j, y).Sign() {
 		case -1:
-			return nil, errLexInvariant
+			return nil, errInvariant
 		case 0:
 			free++
 		default:
@@ -135,7 +137,7 @@ func (s *standardForm) lexRefine(ctx context.Context, basis []int, xB []hval, lu
 			}
 			w := lu.ftran(s.hcol(enter))
 			if w[p].Sign() <= 0 {
-				return nil, errLexInvariant // z_enter = −w_p must be negative
+				return nil, errInvariant // z_enter = −w_p must be negative
 			}
 			// Ratio test, ties toward the smaller basic column (Bland).
 			leave := -1
@@ -164,20 +166,9 @@ func (s *standardForm) lexRefine(ctx context.Context, basis []int, xB []hval, lu
 				free++ // leaving columns are never banned
 			}
 			pos[enter] = leave
-			basis[leave] = enter
 			free--
-			if opts.Stats != nil {
-				opts.Stats.RevisedPivots++
-			}
-			lu.pushEta(leave, w)
-			if refac, mag := lu.needsRefactor(); refac {
-				nlu, ok := s.factorizeSparse(basis, h)
-				if !ok {
-					return nil, errLexInvariant
-				}
-				lu = nlu
-				recordRefactor(opts, mag)
-				xB = lu.solve(s.b)
+			if err := s.commitPivot(basis, xB, lu, leave, enter, w, h, opts); err != nil {
+				return nil, err
 			}
 		}
 	}
@@ -194,40 +185,6 @@ func (s *standardForm) basicSolution(basis []int, xB []hval) *Solution {
 		}
 	}
 	return s.solution(s.extractFromCols(colVal))
-}
-
-// denseOptimum returns the canonical optimum from the dense solver's
-// final, optimal phase-2 tableau, and whether it is unique. A strictly
-// optimal tableau is read off directly; a tied one is refactorized on
-// the sparse LU and handed to lexRefine. A basic artificial left on a
-// redundant row enters the factorization as its row's unit column.
-func (s *standardForm) denseOptimum(ctx context.Context, t *tableau, opts *SolveOpts) (*Solution, bool, error) {
-	if t.strictlyOptimal() {
-		return s.solution(s.extract(t)), true, nil
-	}
-	basis := append([]int(nil), t.basis...)
-	s.withArtificials()
-	var h hstats
-	defer h.fold(opts.Stats)
-	lu, ok := s.factorizeSparse(basis, &h)
-	if !ok {
-		return nil, false, errLexInvariant
-	}
-	sol, err := s.lexRefine(ctx, basis, lu.solve(s.b), lu, &h, opts)
-	return sol, false, err
-}
-
-// withArtificials extends the column view with the phase-1 artificial
-// unit columns, numbered as phase1 numbers them: the k-th artificial is
-// e_r for the k-th row that has no seeding slack.
-func (s *standardForm) withArtificials() {
-	cols := s.columns()
-	for r, sl := range s.slack {
-		if sl < 0 {
-			cols = append(cols, []spTerm{{idx: r, v: rational.One()}})
-		}
-	}
-	s.cols = cols
 }
 
 // hcol returns column j as hval terms, converting it on first use and

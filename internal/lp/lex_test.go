@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/big"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -16,26 +17,17 @@ import (
 	"minimaxdp/internal/rational"
 )
 
-// denseRaw runs the bare two-phase tableau solve on p — no presolve,
-// no warm start, no canonical refinement — and returns its vertex
-// together with whether the final tableau certified it unique.
+// denseRaw runs the dense oracle's bare two-phase solve on p — no
+// presolve, no warm start, no canonical refinement — and returns its
+// vertex together with whether the final tableau certified it unique.
 func denseRaw(t *testing.T, p *Problem) (*Solution, bool) {
 	t.Helper()
 	s := newStandardForm(p)
-	tab, status, err := s.phase1(context.Background(), &SolveOpts{})
-	if err != nil {
-		t.Fatal(err)
+	status, tab := denseSolve(s)
+	if status != Optimal {
+		return &Solution{Status: status}, false
 	}
-	if status == Infeasible {
-		return &Solution{Status: Infeasible}, false
-	}
-	if status, err = s.phase2(context.Background(), tab); err != nil {
-		t.Fatal(err)
-	}
-	if status == Unbounded {
-		return &Solution{Status: Unbounded}, false
-	}
-	return s.solution(s.extract(tab)), tab.strictlyOptimal()
+	return tab.solution(s), tab.strictlyOptimal()
 }
 
 // lexOracle computes the canonical optimum of p by sequential dense
@@ -266,5 +258,104 @@ func TestLexCanonicalMatchesOracle(t *testing.T) {
 				t.Errorf("canonical optimum fails verification: %v", err)
 			}
 		})
+	}
+}
+
+// TestColdPathMatchesOracle runs StrategyExact — the cold two-phase
+// revised simplex — over infeasible, unbounded, redundant-equality-row
+// and tied LPs and the random shapes of TestStrongDualityRandom, and
+// asserts the dense oracle's status and bytes, with every pivot
+// counted as an exact pivot and none as a warm-path revised pivot.
+func TestColdPathMatchesOracle(t *testing.T) {
+	type tcase struct {
+		name string
+		p    *Problem
+		tied bool
+	}
+	infeasible := NewProblem(Minimize)
+	x := infeasible.NewVariable("x")
+	infeasible.SetObjective(TInt(x, 1))
+	infeasible.AddConstraint([]Term{TInt(x, 1)}, LE, rational.Int(1))
+	infeasible.AddConstraint([]Term{TInt(x, 1)}, GE, rational.Int(2))
+
+	unbounded := NewProblem(Maximize)
+	x = unbounded.NewVariable("x")
+	y := unbounded.NewVariable("y")
+	unbounded.SetObjective(TInt(x, 1), TInt(y, 1))
+	unbounded.AddConstraint([]Term{TInt(x, 1), TInt(y, -1)}, LE, rational.Int(1))
+
+	// The second row is twice the first: after phase 1 one artificial
+	// stays basic at zero on a redundant row.
+	redundant := NewProblem(Minimize)
+	x = redundant.NewVariable("x")
+	y = redundant.NewVariable("y")
+	z := redundant.NewVariable("z")
+	redundant.SetObjective(TInt(x, -1), TInt(z, 1))
+	redundant.AddConstraint([]Term{TInt(x, 1), TInt(y, 1), TInt(z, 1)}, EQ, rational.Int(3))
+	redundant.AddConstraint([]Term{TInt(x, 2), TInt(y, 2), TInt(z, 2)}, EQ, rational.Int(6))
+	redundant.AddConstraint([]Term{TInt(x, 1), TInt(z, -1)}, LE, rational.Int(1))
+
+	// The same redundant rows under a cost that ties along an edge.
+	redundantTie := NewProblem(Minimize)
+	x = redundantTie.NewVariable("x")
+	y = redundantTie.NewVariable("y")
+	redundantTie.SetObjective(TInt(x, 1), TInt(y, 1))
+	redundantTie.AddConstraint([]Term{TInt(x, 1), TInt(y, 1)}, EQ, rational.Int(2))
+	redundantTie.AddConstraint([]Term{TInt(x, 3), TInt(y, 3)}, EQ, rational.Int(6))
+
+	// x ≥ 2, x ≤ 2 and 4x ≥ 5 twice: phase 1 ends with artificials
+	// basic at zero on rows that are not redundant, and phase 2 goes
+	// wrong (x = 5/4) unless they are driven out first.
+	driveOut := NewProblem(Minimize)
+	x = driveOut.NewVariable("x")
+	driveOut.SetObjective(TInt(x, 5))
+	driveOut.AddConstraint([]Term{TInt(x, 1)}, GE, rational.Int(2))
+	driveOut.AddConstraint([]Term{TInt(x, 1)}, LE, rational.Int(2))
+	driveOut.AddConstraint([]Term{TInt(x, 4)}, GE, rational.Int(5))
+	driveOut.AddConstraint([]Term{TInt(x, 4)}, GE, rational.Int(5))
+
+	cases := []tcase{
+		{"infeasible", infeasible, false},
+		{"artificial-drive-out", driveOut, false},
+		{"unbounded", unbounded, false},
+		{"redundant-equality-row", redundant, false},
+		{"redundant-equality-row-tied", redundantTie, true},
+		{"tied-edge", smallLP(), true},
+		{"tailored-zero-one-n4", tailoredLP(4, rational.New(1, 2), loss.ZeroOne{}), true},
+	}
+	rng := rand.New(rand.NewSource(31))
+	for trial := 0; trial < 60; trial++ {
+		p := strongDualityLP(rng)
+		// Keep the shapes whose start basis holds an artificial, so the
+		// cold solve must pivot (a positive-cost minimization over a
+		// slack basis is optimal at once).
+		for _, sl := range newStandardForm(p).slack {
+			if sl < 0 {
+				cases = append(cases, tcase{fmt.Sprintf("strong-duality-%d", trial), p, false})
+				break
+			}
+		}
+	}
+	statuses := map[Status]int{}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			want := lexOracle(t, tc.p)
+			statuses[want.Status]++
+			var stats SolveStats
+			got, err := tc.p.SolveWithOpts(context.Background(), SolveOpts{Strategy: StrategyExact, Stats: &stats})
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertIdentical(t, want, got)
+			if stats.ExactPivots == 0 || stats.RevisedPivots != 0 {
+				t.Errorf("ExactPivots = %d, RevisedPivots = %d; want > 0 and 0", stats.ExactPivots, stats.RevisedPivots)
+			}
+			if tc.tied && !stats.TiedOptima {
+				t.Error("tied LP not lex-refined")
+			}
+		})
+	}
+	if statuses[Optimal] < 10 || statuses[Infeasible] == 0 || statuses[Unbounded] == 0 {
+		t.Errorf("oracle statuses %v: want ≥ 10 optimal and every verdict", statuses)
 	}
 }

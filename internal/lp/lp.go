@@ -9,7 +9,8 @@
 //     known consumer (Section 2.5).
 //
 // Go's standard library has no LP solver, so this package provides a
-// two-phase primal simplex method. All pivoting is exact, and Bland's
+// two-phase primal revised simplex method over an exact sparse LU
+// factorization (revised.go). All pivoting is exact, and Bland's
 // anti-cycling rule guarantees termination, so the solver needs no
 // numeric tolerances: feasibility and optimality certificates are true
 // rational equalities.
@@ -18,7 +19,7 @@
 // lets a dense float64 simplex (floatsimplex.go) locate a candidate
 // optimal basis in microseconds, then certifies that basis in exact
 // arithmetic (warmstart.go), resuming exact revised-simplex pivoting
-// from it when the certificate fails and running the dense two-phase
+// from it when the certificate fails and running the cold two-phase
 // method only when the float solve fails outright. Every Optimal
 // result is the canonical optimum — the lexicographically smallest
 // optimal point (lex.go) — so it is byte-identical whichever path ran;
@@ -31,9 +32,7 @@ import (
 	"errors"
 	"fmt"
 	"math/big"
-	"runtime"
 	"sort"
-	"sync"
 
 	"minimaxdp/internal/rational"
 )
@@ -204,7 +203,7 @@ func (p *Problem) Solve() (*Solution, error) {
 }
 
 // SolveCtx runs the exact solver with default options
-// (float-guided warm start, parallel pivoting) under ctx. The pivot
+// (presolve, float-guided warm start) under ctx. The pivot
 // loop checks ctx between pivots, so a canceled or deadline-expired
 // context aborts the solve within one pivot's worth of work and
 // returns ctx.Err(). The paper's LPs cost seconds-to-minutes of pure
@@ -220,7 +219,7 @@ func (p *Problem) SolveCtx(ctx context.Context) (*Solution, error) {
 // inspection, the float-guided warm start locates a candidate basis
 // for what remains, an exact crossover certifies it (warmstart.go),
 // a tied optimum is refined to the canonical one on the sparse LU
-// (lex.go), and the full two-phase rational simplex runs only when
+// (lex.go), and the cold two-phase revised simplex runs only when
 // the float solve fails. StrategyExact forces the cold two-phase solve
 // on the untouched problem (the ablation baseline), finished by the
 // same refinement. Whatever the strategy, the returned Solution is
@@ -251,7 +250,7 @@ func (p *Problem) SolveWithOpts(ctx context.Context, opts SolveOpts) (*Solution,
 
 // solve runs opts' strategy on the standard form and reports whether
 // an Optimal result is the unique optimum. The warm start is tried
-// first under StrategyWarmStart; the dense two-phase solve runs under
+// first under StrategyWarmStart; the cold two-phase solve runs under
 // StrategyExact or when the warm start demotes (a float failure). Both
 // finish on the canonical optimum (lex.go).
 func (s *standardForm) solve(ctx context.Context, opts *SolveOpts) (*Solution, bool, error) {
@@ -264,21 +263,130 @@ func (s *standardForm) solve(ctx context.Context, opts *SolveOpts) (*Solution, b
 			opts.Stats.Fallback = true
 		}
 	}
-	tab, status, err := s.phase1(ctx, opts)
-	if err != nil {
-		return nil, false, err
+	return s.solveCold(ctx, opts)
+}
+
+// solveCold is the two-phase revised simplex on the sparse LU of
+// revised.go, started from the slack/artificial basis (B = I):
+//
+//  1. Phase 1 minimizes the sum of the artificials, one per row
+//     without a seeding slack (withArtificials), with no lex step. An
+//     artificial still basic and nonzero at its optimum proves the LP
+//     infeasible.
+//  2. Each artificial left basic (at zero) is driven out by a
+//     degenerate pivot on the first nonbasic column with a nonzero
+//     entry in its row of B⁻¹A. A redundant row has none, and its
+//     artificial stays basic at zero, which lexRefine and
+//     basicSolution expect.
+//  3. Phase 2 is solveRevised under the LP's own cost, ending in the
+//     canonical-optimum step.
+//
+// Artificial columns never enter. Every pivot, the lex step's
+// included, counts in SolveStats.ExactPivots; RevisedPivots stays a
+// warm-path count.
+func (s *standardForm) solveCold(ctx context.Context, opts *SolveOpts) (*Solution, bool, error) {
+	if opts.Stats != nil {
+		warm := opts.Stats.RevisedPivots
+		defer func() {
+			opts.Stats.ExactPivots += opts.Stats.RevisedPivots - warm
+			opts.Stats.RevisedPivots = warm
+		}()
 	}
-	if status == Infeasible {
-		return &Solution{Status: Infeasible}, false, nil
+	var h hstats
+	defer h.fold(opts.Stats)
+	s.withArtificials()
+	basis := s.initialBasis()
+	phase1 := make([]hval, len(s.columns()))
+	art := s.ncols
+	for r, j := range basis {
+		if j < 0 {
+			basis[r] = art
+			phase1[art] = hvRat(rational.One())
+			art++
+		}
 	}
-	status, err = s.phase2(ctx, tab)
-	if err != nil {
-		return nil, false, err
+	lu, ok := s.factorizeSparse(basis, &h)
+	if !ok {
+		return nil, false, errInvariant
 	}
-	if status == Unbounded {
-		return &Solution{Status: Unbounded}, false, nil
+	xB := lu.solve(s.b)
+	if art > s.ncols {
+		sol, _, err := s.solveRevised(ctx, basis, xB, lu, &h, opts, phase1, false)
+		if err != nil {
+			return nil, false, err
+		}
+		if sol != nil {
+			return nil, false, errInvariant // phase 1 is bounded below by 0
+		}
+		for k, j := range basis {
+			if j >= s.ncols && !xB[k].IsZero() {
+				return &Solution{Status: Infeasible}, false, nil
+			}
+		}
+		if err := s.driveOutArtificials(basis, xB, lu, &h, opts); err != nil {
+			return nil, false, err
+		}
 	}
-	return s.denseOptimum(ctx, tab, opts)
+	return s.solveRevised(ctx, basis, xB, lu, &h, opts, s.hcost(), true)
+}
+
+// driveOutArtificials replaces every artificial left basic at zero
+// after phase 1 by a degenerate pivot: BTRAN its row of B⁻¹, and enter
+// the first nonbasic column with a nonzero entry in that row of B⁻¹A.
+// The basic solution does not move.
+func (s *standardForm) driveOutArtificials(basis []int, xB []hval, lu *sparseLU, h *hstats, opts *SolveOpts) error {
+	inBasis := make([]bool, s.ncols)
+	for _, j := range basis {
+		if j < s.ncols {
+			inBasis[j] = true
+		}
+	}
+	ep := make([]hval, s.nrows)
+	for p, a := range basis {
+		if a < s.ncols {
+			continue
+		}
+		ep[p] = hvRat(rational.One())
+		beta := lu.solveTranspose(ep)
+		ep[p] = hval{}
+		for j := 0; j < s.ncols; j++ {
+			if inBasis[j] || s.price(h, hval{}, j, beta).IsZero() {
+				continue
+			}
+			inBasis[j] = true
+			if err := s.commitPivot(basis, xB, lu, p, j, lu.ftran(s.hcol(j)), h, opts); err != nil {
+				return err
+			}
+			break
+		}
+	}
+	return nil
+}
+
+// withArtificials extends the column view with the phase-1 artificial
+// unit columns: the k-th artificial, column s.ncols+k, is e_r for the
+// k-th row that has no seeding slack. It is idempotent.
+func (s *standardForm) withArtificials() {
+	cols := s.columns()
+	if len(cols) > s.ncols {
+		return
+	}
+	for r, sl := range s.slack {
+		if sl < 0 {
+			cols = append(cols, []spTerm{{idx: r, v: rational.One()}})
+		}
+	}
+	s.cols = cols
+}
+
+// hcost returns the LP's minimization cost over every column of the
+// current column view as hvals; artificial columns cost 0.
+func (s *standardForm) hcost() []hval {
+	cost := make([]hval, len(s.columns()))
+	for j, c := range s.c {
+		cost[j] = hvRat(c)
+	}
+	return cost
 }
 
 // solution wraps an original-variable assignment as an Optimal
@@ -322,7 +430,6 @@ type spTerm struct {
 type standardForm struct {
 	p          *Problem
 	ncols      int // structural + slack/surplus columns (artificials appended after)
-	nart       int
 	nrows      int
 	structural int        // number of structural columns; slack/surplus follow
 	colPos     []int      // original var -> positive part column
@@ -331,7 +438,6 @@ type standardForm struct {
 	slack      []int      // per row: the +1 slack column seeding the basis, or -1
 	b          []*big.Rat
 	c          []*big.Rat // phase-2 cost over structural+slack columns, minimization sense
-	artOffset  int
 
 	cols  [][]spTerm // lazy column view of rows (see columns)
 	hcols [][]hTerm  // lazy hval view of cols (see hcol)
@@ -362,7 +468,6 @@ func newStandardForm(p *Problem) *standardForm {
 	}
 	s.ncols = col
 	s.nrows = len(p.cons)
-	s.artOffset = s.ncols
 	s.rows = make([][]spTerm, s.nrows)
 	s.slack = make([]int, s.nrows)
 	s.b = make([]*big.Rat, s.nrows)
@@ -502,394 +607,15 @@ func (s *standardForm) columns() [][]spTerm {
 	return s.cols
 }
 
-// tableau is a simplex dictionary: rows of [A | b] with basis indices
-// and a reduced-cost row z of len totalCols, plus current (negated)
-// objective value.
-type tableau struct {
-	rows  [][]*big.Rat // nrows × (totalCols+1); last entry is rhs
-	basis []int
-	z     []*big.Rat // reduced costs, len totalCols
-	obj   *big.Rat   // current objective value (minimization sense)
-	ncols int        // total columns, incl. artificials
-	art   int        // first artificial column (== len without artificials)
-
-	stats    *SolveStats // optional solve counters (nil = not recorded)
-	parallel bool        // allow parallel row elimination in pivot
-
-	// Pooled scratch for the ratio-test and pivot inner loops, reused
-	// across pivots so the hot rational kernels do not allocate per
-	// row per pivot.
-	inv, zf, f, tmp *big.Rat
-	ratio, best     *big.Rat
-	nz              []int
-}
-
-// initScratch attaches opts-driven knobs and allocates the pooled
-// scratch. Every tableau constructor must call it before pivoting.
-func (t *tableau) initScratch(opts *SolveOpts) {
-	if opts != nil {
-		t.stats = opts.Stats
-		t.parallel = !opts.NoParallelPivot
-	}
-	t.inv = new(big.Rat)
-	t.zf = new(big.Rat)
-	t.f = new(big.Rat)
-	t.tmp = new(big.Rat)
-	t.ratio = new(big.Rat)
-	t.best = new(big.Rat)
-	t.nz = make([]int, 0, t.ncols+1)
-}
-
-// phase1 builds the initial tableau with artificial variables where
-// needed, minimizes their sum, and reports Infeasible if it cannot be
-// driven to zero.
-func (s *standardForm) phase1(ctx context.Context, opts *SolveOpts) (*tableau, Status, error) {
-	// Decide per-row whether a slack can serve as the initial basic
-	// variable (only for LE rows after sign normalisation, where the
-	// slack has +1 coefficient).
-	t := &tableau{art: s.ncols}
-	t.basis = make([]int, s.nrows)
-	nart := 0
-	basisFromSlack := s.initialBasis()
-	for r := 0; r < s.nrows; r++ {
-		if basisFromSlack[r] < 0 {
-			nart++
-		}
-	}
-	s.nart = nart
-	t.ncols = s.ncols + nart
-	t.initScratch(opts)
-	t.rows = make([][]*big.Rat, s.nrows)
-	artCol := s.ncols
-	for r := 0; r < s.nrows; r++ {
-		row := make([]*big.Rat, t.ncols+1)
-		for j := range row {
-			row[j] = new(big.Rat)
-		}
-		for _, e := range s.rows[r] {
-			row[e.idx].Set(e.v)
-		}
-		row[t.ncols].Set(s.b[r])
-		if basisFromSlack[r] >= 0 {
-			t.basis[r] = basisFromSlack[r]
-		} else {
-			row[artCol] = rational.One()
-			t.basis[r] = artCol
-			artCol++
-		}
-		t.rows[r] = row
-	}
-	// Phase-1 cost: minimize sum of artificials. Reduced costs:
-	// z_j = c_j − Σ_{basic rows} c_B · a_rj, with c = 1 on artificials.
-	t.z = rational.Vector(t.ncols)
-	t.obj = rational.Zero()
-	for j := s.ncols; j < t.ncols; j++ {
-		t.z[j] = rational.One()
-	}
-	for r := 0; r < s.nrows; r++ {
-		if t.basis[r] >= s.ncols { // artificial basic: subtract its row
-			for j := 0; j < t.ncols; j++ {
-				t.z[j].Sub(t.z[j], t.rows[r][j])
-			}
-			t.obj.Sub(t.obj, t.rows[r][t.ncols])
-		}
-	}
-	status, err := t.iterate(ctx, nil)
-	if err != nil {
-		return nil, NoStatus, err
-	}
-	if status == Unbounded {
-		// Phase 1 is bounded below by 0; unbounded cannot happen, but
-		// guard anyway.
-		return nil, Infeasible, nil
-	}
-	// Feasible iff artificial sum is zero. obj holds −(current value).
-	if t.obj.Sign() != 0 {
-		return nil, Infeasible, nil
-	}
-	// Drive any artificial variables remaining in the basis out.
-	for r := 0; r < s.nrows; r++ {
-		if t.basis[r] < s.ncols {
-			continue
-		}
-		pivoted := false
-		for j := 0; j < s.ncols; j++ {
-			if t.rows[r][j].Sign() != 0 {
-				t.pivot(r, j)
-				pivoted = true
-				break
-			}
-		}
-		if !pivoted {
-			// Redundant row: zero out; its artificial stays basic at 0
-			// and will never re-enter because phase 2 bans artificial
-			// columns from entering.
-			continue
-		}
-	}
-	return t, Optimal, nil
-}
-
-func (s *standardForm) isSlackColumn(j int) bool {
-	// Slack/surplus columns are those after the structural block.
-	return j >= s.structural
-}
-
 // initialBasis returns, per row, the slack column usable as that
 // row's initial basic variable, or −1 where the row needs an
 // artificial. The candidate is recorded during construction: each
 // slack/surplus column appears in exactly one row, so a row's own
 // +1-coefficient slack (LE rows after sign normalization) is the
-// unique choice. Both the exact phase 1 and the float solver seed
-// their bases from this, which keeps their pivot paths aligned for
-// the warm-start crossover.
+// unique choice. The cold exact solve and the float solver both seed
+// their bases from this.
 func (s *standardForm) initialBasis() []int {
 	return append([]int(nil), s.slack...)
-}
-
-// phase2 swaps in the real cost vector and re-optimizes, forbidding
-// artificial columns from entering.
-func (s *standardForm) phase2(ctx context.Context, t *tableau) (Status, error) {
-	// Rebuild reduced costs for the real objective:
-	// z_j = c_j − Σ_r c_{B(r)} a_{rj};  obj = −Σ_r c_{B(r)} b_r.
-	t.z = rational.Vector(t.ncols)
-	t.obj = rational.Zero()
-	for j := 0; j < s.ncols; j++ {
-		t.z[j] = rational.Clone(s.c[j])
-	}
-	tmp := rational.Zero()
-	for r := 0; r < s.nrows; r++ {
-		bi := t.basis[r]
-		var cb *big.Rat
-		if bi < s.ncols {
-			cb = s.c[bi]
-		} else {
-			cb = rational.Zero() // leftover artificial pinned at 0
-		}
-		if cb.Sign() == 0 {
-			continue
-		}
-		for j := 0; j < t.ncols; j++ {
-			tmp.Mul(cb, t.rows[r][j])
-			t.z[j].Sub(t.z[j], tmp)
-		}
-		tmp.Mul(cb, t.rows[r][t.ncols])
-		t.obj.Sub(t.obj, tmp)
-	}
-	banned := make([]bool, t.ncols)
-	for j := s.ncols; j < t.ncols; j++ {
-		banned[j] = true
-	}
-	return t.iterate(ctx, banned)
-}
-
-// iterate runs simplex pivots until optimal, unbounded, or ctx
-// cancellation (the solver's cancellation checkpoint: one ctx.Err()
-// read per pivot, negligible next to the rational arithmetic of the
-// pivot itself). banned marks columns that may not enter (nil =
-// none).
-//
-// Pivot rule: Dantzig (most negative reduced cost) by default — it
-// needs far fewer pivots, which matters doubly here because every
-// pivot also grows the rational entries — switching to Bland's rule
-// whenever the objective has stalled for a while. Bland's rule cannot
-// cycle, so the hybrid terminates; degenerate stretches are exactly
-// where Dantzig could loop.
-func (t *tableau) iterate(ctx context.Context, banned []bool) (Status, error) {
-	const stallLimit = 12 // degenerate pivots tolerated before engaging Bland
-	stalled := 0
-	lastObj := rational.Clone(t.obj)
-	for {
-		if err := ctx.Err(); err != nil {
-			// NoStatus, never Optimal: an aborted solve must not be
-			// mistakable for a certified one by a caller that checks the
-			// status before the error.
-			return NoStatus, err
-		}
-		useBland := stalled >= stallLimit
-		enter := -1
-		var best *big.Rat
-		for j := 0; j < t.ncols; j++ {
-			if banned != nil && banned[j] {
-				continue
-			}
-			if t.z[j].Sign() >= 0 {
-				continue
-			}
-			if useBland {
-				enter = j
-				break // Bland: smallest eligible index
-			}
-			if enter < 0 || t.z[j].Cmp(best) < 0 {
-				enter = j
-				best = t.z[j]
-			}
-		}
-		if enter < 0 {
-			return Optimal, nil
-		}
-		leave := -1
-		// Two pooled scratch Rats ping-pong between "candidate" and
-		// "best so far", so the ratio test allocates nothing.
-		ratio, bestRatio := t.ratio, t.best
-		for r := range t.rows {
-			arj := t.rows[r][enter]
-			if arj.Sign() <= 0 {
-				continue
-			}
-			ratio.Quo(t.rows[r][t.ncols], arj)
-			if leave < 0 || ratio.Cmp(bestRatio) < 0 ||
-				(ratio.Cmp(bestRatio) == 0 && t.basis[r] < t.basis[leave]) {
-				leave = r
-				ratio, bestRatio = bestRatio, ratio
-			}
-		}
-		if leave < 0 {
-			return Unbounded, nil
-		}
-		t.pivot(leave, enter)
-		if t.obj.Cmp(lastObj) == 0 {
-			stalled++
-		} else {
-			stalled = 0
-			lastObj.Set(t.obj)
-		}
-	}
-}
-
-// parallelPivotMinWork is the rows×nonzeros product above which pivot
-// row elimination fans out across goroutines. Below it the rational
-// arithmetic per pivot is cheaper than goroutine handoff; at the
-// serving-size mechanism LPs a single pivot is hundreds of thousands
-// of big.Rat multiplies and the fan-out wins decisively.
-const parallelPivotMinWork = 2048
-
-// pivot performs a full tableau pivot on (row, col). Only the nonzero
-// columns of the pivot row participate in the elimination — simplex
-// tableaus on the paper's LPs stay sparse for many iterations, and
-// skipping structural zeros is a large constant-factor win for
-// rational arithmetic.
-//
-// The body works entirely in pooled scratch (t.inv, t.zf, t.tmp) —
-// the hotpath annotation holds the pool discipline in place.
-//
-//dpvet:hotpath
-func (t *tableau) pivot(row, col int) {
-	if t.stats != nil {
-		t.stats.ExactPivots++
-	}
-	pr := t.rows[row]
-	t.inv.Inv(pr[col])
-	nz := t.nz[:0]
-	for j := range pr {
-		if pr[j].Sign() == 0 {
-			continue
-		}
-		pr[j].Mul(pr[j], t.inv)
-		nz = append(nz, j)
-	}
-	t.nz = nz
-	if t.parallel && (len(t.rows)-1)*len(nz) >= parallelPivotMinWork {
-		t.eliminateRowsParallel(row, col, pr, nz)
-	} else {
-		t.eliminateRows(row, col, pr, nz)
-	}
-	zf := t.zf
-	zf.Set(t.z[col])
-	if zf.Sign() != 0 {
-		tmp := t.tmp
-		for _, j := range nz {
-			tmp.Mul(zf, pr[j])
-			if j < t.ncols {
-				t.z[j].Sub(t.z[j], tmp)
-			} else {
-				t.obj.Sub(t.obj, tmp)
-			}
-		}
-	}
-	t.basis[row] = col
-}
-
-// eliminateRows is the serial elimination kernel: subtract
-// factor×(pivot row) from every other row with a nonzero in the pivot
-// column. The factor is copied into pooled scratch first because
-// tr[col] — the factor's own cell — is zeroed mid-loop.
-//
-//dpvet:hotpath
-func (t *tableau) eliminateRows(row, col int, pr []*big.Rat, nz []int) {
-	f, tmp := t.f, t.tmp
-	for r := range t.rows {
-		if r == row {
-			continue
-		}
-		tr := t.rows[r]
-		if tr[col].Sign() == 0 {
-			continue
-		}
-		f.Set(tr[col])
-		for _, j := range nz {
-			tmp.Mul(f, pr[j])
-			tr[j].Sub(tr[j], tmp)
-		}
-	}
-}
-
-// eliminateRowsParallel fans the eliminations out across a bounded
-// set of goroutines. Safe without locks: each worker owns a disjoint
-// chunk of rows and its own scratch Rats, the pivot row pr and nz are
-// read-only here (normalized before the fan-out), and the z-row is
-// updated serially by the caller afterwards.
-func (t *tableau) eliminateRowsParallel(row, col int, pr []*big.Rat, nz []int) {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(t.rows) {
-		workers = len(t.rows)
-	}
-	if workers < 2 {
-		t.eliminateRows(row, col, pr, nz)
-		return
-	}
-	if t.stats != nil {
-		t.stats.ParallelPivots++
-	}
-	chunk := (len(t.rows) + workers - 1) / workers
-	var wg sync.WaitGroup
-	for lo := 0; lo < len(t.rows); lo += chunk {
-		hi := lo + chunk
-		if hi > len(t.rows) {
-			hi = len(t.rows)
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			f := new(big.Rat)
-			tmp := new(big.Rat)
-			for r := lo; r < hi; r++ {
-				if r == row {
-					continue
-				}
-				tr := t.rows[r]
-				if tr[col].Sign() == 0 {
-					continue
-				}
-				f.Set(tr[col])
-				for _, j := range nz {
-					tmp.Mul(f, pr[j])
-					tr[j].Sub(tr[j], tmp)
-				}
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
-}
-
-// extract reads the optimal original-variable values out of the final
-// tableau.
-func (s *standardForm) extract(t *tableau) []*big.Rat {
-	colVal := rational.Vector(t.ncols)
-	for r, bi := range t.basis {
-		colVal[bi] = rational.Clone(t.rows[r][t.ncols])
-	}
-	return s.extractFromCols(colVal)
 }
 
 // extractFromCols maps a per-column value vector (basic variables set,

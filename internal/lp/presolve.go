@@ -52,8 +52,8 @@ import (
 // reduced problem and maps the result back. done=false (with nil
 // error) means the caller should solve the original problem instead —
 // either nothing fired, or the reduced optimum could not be certified
-// unique, in which case only a direct solve keeps the byte-identity
-// contract with the dense oracle.
+// unique, in which case only a direct solve is sure to return the
+// canonical optimum of the original problem.
 func (p *Problem) solvePresolved(ctx context.Context, opts *SolveOpts) (*Solution, bool, error) {
 	if !p.presolveMayFire() {
 		return nil, false, nil
@@ -511,12 +511,12 @@ func (pr *presolver) colPass(j int) (Status, bool) {
 		// rewards growth makes the LP unbounded *if* the rest is
 		// feasible. A cost that punishes growth pins the variable at 0
 		// in every optimum, so fixing preserves the optimal set. A zero
-		// cost is a tie: the dense solver provably leaves a column that
-		// was empty *as modelled* nonbasic at 0 (its reduced cost is 0
-		// in both phases, never negative), so 0 is identity-safe there —
-		// but a column emptied by reductions (a shifted bound variable
-		// whose rows were dropped, say) has no such pin, and fixing it
-		// resolves a tie the dense solver might resolve differently.
+		// cost is a tie: a column that was empty *as modelled* is
+		// unconstrained, so the canonical optimum (lex.go) minimizes it
+		// to 0 and fixing it there is identity-safe — but a column
+		// emptied by reductions (a shifted bound variable whose rows
+		// were dropped, say) has no such pin, and fixing it may resolve
+		// a tie differently from the canonical optimum.
 		// The driver demotes such solves to the original problem.
 		sgn := pr.cmin[j].Sign()
 		if sgn < 0 || (pr.free[j] && sgn != 0) {

@@ -230,7 +230,7 @@ func TestPresolveReductions(t *testing.T) {
 				t.Errorf("PresolveCols = %d, want ≥ %d", stats.PresolveCols, tc.minCols)
 			}
 			if tc.wantTied && (!stats.TiedOptima || stats.Fallback) {
-				t.Errorf("tied optimum should be lex-refined without the dense fallback, got %+v", stats)
+				t.Errorf("tied optimum should be lex-refined without the cold fallback, got %+v", stats)
 			}
 		})
 	}
@@ -378,9 +378,9 @@ func TestPresolveAllVariablesEliminated(t *testing.T) {
 
 // FuzzPresolveMatchesDense decodes deliberately sparse LPs — rows with
 // few nonzeros, so empty rows, singletons, and empty columns abound —
-// and asserts the presolve+revised pipeline is byte-identical to the
-// pure dense two-phase oracle, and that Optimal solutions verify
-// against the original problem. The committed corpus under
+// and asserts the presolve+revised pipeline and StrategyExact are both
+// byte-identical to the dense oracle (lexOracle), and that Optimal
+// solutions verify against the original problem. The committed corpus under
 // testdata/fuzz includes tied-optimum and degenerate seeds.
 func FuzzPresolveMatchesDense(f *testing.F) {
 	// nv, nc, then per constraint: per var a sparse coefficient nibble,
@@ -395,34 +395,7 @@ func FuzzPresolveMatchesDense(f *testing.F) {
 		if p == nil {
 			t.Skip()
 		}
-		exact, errExact := p.SolveWithOpts(context.Background(), SolveOpts{Strategy: StrategyExact})
-		var stats SolveStats
-		warm, errWarm := p.SolveWithOpts(context.Background(), SolveOpts{Stats: &stats})
-		if (errExact == nil) != (errWarm == nil) {
-			t.Fatalf("error mismatch: exact %v, warm %v", errExact, errWarm)
-		}
-		if errExact != nil {
-			return
-		}
-		if exact.Status != warm.Status {
-			t.Fatalf("status: exact %v, presolved %v (stats %+v)", exact.Status, warm.Status, stats)
-		}
-		if exact.Status != Optimal {
-			return
-		}
-		if exact.Objective.Cmp(warm.Objective) != 0 {
-			t.Fatalf("objective: exact %s, presolved %s",
-				exact.Objective.RatString(), warm.Objective.RatString())
-		}
-		for i := range exact.X {
-			if exact.X[i].Cmp(warm.X[i]) != 0 {
-				t.Fatalf("X[%d]: exact %s, presolved %s (stats %+v)",
-					i, exact.X[i].RatString(), warm.X[i].RatString(), stats)
-			}
-		}
-		if err := warm.Verify(p); err != nil {
-			t.Fatalf("postsolved solution fails Verify: %v", err)
-		}
+		assertMatchesOracle(t, p)
 	})
 }
 

@@ -1,7 +1,7 @@
 // Revised simplex over a sparse exact LU factorization.
 //
-// This file supplies the two pieces that turned the warm-start
-// crossover from "cheaper than a cold solve" into "microseconds":
+// This file supplies the two pieces every exact pivot in the package
+// runs on, warm-start crossover and cold two-phase solve alike:
 //
 //   - sparseLU, an exact PBQ = LU factorization of the basis columns
 //     that eliminates in fill-minimizing order (singleton columns
@@ -9,10 +9,10 @@
 //     triangular for free) and stores only nonzeros. It replaces the
 //     dense m³/3 factorization warmstart.go used to build.
 //
-//   - solveRevised, a revised primal simplex that resumes exact
-//     phase-2 pivoting from a certified-feasible basis using
-//     BTRAN/FTRAN against the factorization plus product-form eta
-//     updates, instead of rebuilding and pivoting a dense tableau.
+//   - solveRevised, a revised primal simplex that pivots exactly from
+//     a feasible basis — the certified float candidate, or the cold
+//     solve's slack/artificial basis (solveCold) — using BTRAN/FTRAN
+//     against the factorization plus product-form eta updates.
 //
 // Every scalar is an hval (= rational.Hval): the three-tier ladder
 // Small → Wide → big.Rat of overflow-*checked* fixed-width rationals.
@@ -27,12 +27,13 @@
 // kernels; the ratoverflow analyzer's scope covers this package to
 // keep it that way.
 //
-// Identity with the dense solver needs no shared pivot sequence: a
-// final basis that passes the strict (uniqueness) dual certificate is
-// the only optimum, and a tied one is refined on the same factorization
-// to the canonical lexicographically smallest optimal point (lex.go),
-// which the dense solver also returns (FuzzPresolveMatchesDense,
-// FuzzWarmStartMatchesExact).
+// Identity across solve paths needs no shared pivot sequence: a final
+// basis that passes the strict (uniqueness) dual certificate is the
+// only optimum, and a tied one is refined on the same factorization to
+// the canonical lexicographically smallest optimal point (lex.go). The
+// fuzz targets FuzzPresolveMatchesDense and FuzzWarmStartMatchesExact
+// check both strategies against an independent dense-tableau oracle
+// that lives in the tests.
 package lp
 
 import (
@@ -591,10 +592,36 @@ func recordRefactor(opts *SolveOpts, magnitude bool) {
 	}
 }
 
+// commitPivot makes column enter basic at position p, whose FTRAN
+// image is w, and counts the pivot. Once needsRefactor asks for it the
+// eta chain collapses into a fresh factorization, in place, and xB is
+// recomputed from scratch: exact values, so this is a representation
+// refresh, not a numeric repair, and it sheds the wide representations
+// the eta chain accumulated, which is half the point of refactorizing.
+// A singular refactorization cannot happen in exact arithmetic and
+// reports errInvariant.
+func (s *standardForm) commitPivot(basis []int, xB []hval, lu *sparseLU, p, enter int, w []hval, h *hstats, opts *SolveOpts) error {
+	basis[p] = enter
+	if opts.Stats != nil {
+		opts.Stats.RevisedPivots++
+	}
+	lu.pushEta(p, w)
+	if refac, mag := lu.needsRefactor(); refac {
+		nlu, ok := s.factorizeSparse(basis, h)
+		if !ok {
+			return errInvariant
+		}
+		*lu = *nlu
+		recordRefactor(opts, mag)
+		copy(xB, lu.solve(s.b))
+	}
+	return nil
+}
+
 // dualRepairCap bounds dual-simplex repair pivots. Repair starts from
 // a strictly dual-feasible basis, so the first step is non-degenerate,
 // but dual degeneracy can develop mid-run; past the cap the solve
-// demotes to the dense fallback rather than risk cycling.
+// demotes to the cold two-phase fallback rather than risk cycling.
 const dualRepairCap = 400
 
 // solveDualRepair restores exact primal feasibility by dual-simplex
@@ -616,8 +643,8 @@ const dualRepairCap = 400
 // rather than recomputed, which is what keeps repair per-pivot cost
 // near the crossover's. All arithmetic is exact; ok is false when the
 // repair gives up (pivot cap, a singular refactorization, or a row
-// proving primal infeasibility — all demoted to the dense fallback,
-// whose verdict is canonical).
+// proving primal infeasibility — all demoted to the cold two-phase
+// fallback, whose verdict is canonical).
 func (s *standardForm) solveDualRepair(ctx context.Context, basis []int, xB []hval, lu *sparseLU, h *hstats, opts *SolveOpts) (*sparseLU, []hval, bool, error) {
 	m := s.nrows
 	one := hvRat(rational.One())
@@ -700,7 +727,7 @@ func (s *standardForm) solveDualRepair(ctx context.Context, basis []int, xB []hv
 			}
 		}
 		if enter < 0 {
-			// Row `leave` proves infeasibility; let the dense path
+			// Row `leave` proves infeasibility; let the cold solve
 			// derive the canonical verdict.
 			return nil, nil, false, nil
 		}
@@ -751,31 +778,33 @@ func (s *standardForm) solveDualRepair(ctx context.Context, basis []int, xB []hv
 	}
 }
 
-// solveRevised resumes exact phase-2 pivoting from a primal-feasible
-// basis via the revised simplex: Dantzig entering column (first wins
-// ties) switching to Bland's rule after stallLimit degenerate pivots,
-// leaving row by minimum ratio with ties toward the smaller basis
-// index. An optimum certified strictly dual non-degenerate is unique
-// and returned as is; a tied one is refined on the same factorization
-// to the canonical optimum (lexRefine), so the pivot path never shows
-// in the result. unique reports which of the two happened; done=false
-// means a refactorization found the basis singular and the caller must
-// fall back to the dense solve.
+// solveRevised runs exact primal revised-simplex pivoting from a
+// primal-feasible basis under cost (indexed by column, artificials
+// included; only columns below s.ncols ever enter): Dantzig entering
+// column (first wins ties) switching to Bland's rule after stallLimit
+// degenerate pivots, leaving row by minimum ratio with ties toward the
+// smaller basis index. basis, xB and lu are advanced in place.
+//
+// With lex set, cost is the LP's own and the optimum is final: one
+// certified strictly dual non-degenerate is unique and returned as is
+// (unique=true); a tied one is refined on the same factorization to
+// the canonical optimum (lexRefine), so the pivot path never shows in
+// the result. Without lex (the cold solve's phase 1) an optimum
+// returns a nil Solution and leaves basis, xB and lu at the optimal
+// vertex.
 //
 // An Unbounded verdict is trustworthy: it is reached from an
 // exactly-feasible vertex by exact pivoting.
-func (s *standardForm) solveRevised(ctx context.Context, basis []int, xB []hval, lu *sparseLU, h *hstats, opts *SolveOpts) (sol *Solution, unique, done bool, err error) {
+func (s *standardForm) solveRevised(ctx context.Context, basis []int, xB []hval, lu *sparseLU, h *hstats, opts *SolveOpts, cost []hval, lex bool) (sol *Solution, unique bool, err error) {
 	const stallLimit = 12 // degenerate pivots tolerated before engaging Bland
 	m := s.nrows
-	cvals := make([]hval, s.ncols)
-	for j, c := range s.c {
-		cvals[j] = hvRat(c)
-	}
 	cB := make([]hval, m)
 	inBasis := make([]bool, s.ncols)
 	for k, j := range basis {
-		cB[k] = cvals[j]
-		inBasis[j] = true
+		cB[k] = cost[j]
+		if j < s.ncols {
+			inBasis[j] = true
+		}
 	}
 	stalled := 0
 	// Partial (candidate-list) pricing: each Dantzig iteration prices a
@@ -785,17 +814,22 @@ func (s *standardForm) solveRevised(ctx context.Context, basis []int, xB []hval,
 	// optimality (and only such a full sweep is trusted for the
 	// tied-optimum check). The entering choice is the window-local
 	// Dantzig winner, which only changes the pivot path, never the
-	// canonical result. Bland mode keeps a full smallest-index scan:
-	// its anti-cycling guarantee needs the global minimum eligible
-	// index.
+	// canonical result. Phase 1 (no lex) prices every column instead:
+	// its path from the artificial basis is long, and full Dantzig
+	// pricing there more than halves the n=8 tailored LP's cold solve.
+	// Bland mode keeps a full smallest-index scan: its anti-cycling
+	// guarantee needs the global minimum eligible index.
 	priceWindow := s.ncols / 8
+	if !lex {
+		priceWindow = s.ncols
+	}
 	if priceWindow < 64 {
 		priceWindow = 64
 	}
 	priceStart := 0
 	for {
 		if err := ctx.Err(); err != nil {
-			return nil, false, false, err
+			return nil, false, err
 		}
 		y := lu.solveTranspose(cB)
 		useBland := stalled >= stallLimit
@@ -807,7 +841,7 @@ func (s *standardForm) solveRevised(ctx context.Context, basis []int, xB []hval,
 				if inBasis[j] {
 					continue
 				}
-				switch z := s.price(h, cvals[j], j, y); z.Sign() {
+				switch z := s.price(h, cost[j], j, y); z.Sign() {
 				case 0:
 					tied = true
 				case -1:
@@ -833,7 +867,7 @@ func (s *standardForm) solveRevised(ctx context.Context, basis []int, xB []hval,
 					if inBasis[jj] {
 						continue
 					}
-					z := s.price(h, cvals[jj], jj, y)
+					z := s.price(h, cost[jj], jj, y)
 					sgn := z.Sign()
 					if sgn == 0 {
 						tied = true
@@ -856,11 +890,14 @@ func (s *standardForm) solveRevised(ctx context.Context, basis []int, xB []hval,
 			}
 		}
 		if enter < 0 {
-			if tied {
+			switch {
+			case !lex:
+				return nil, false, nil
+			case tied:
 				sol, err := s.lexRefine(ctx, basis, xB, lu, h, opts)
-				return sol, false, err == nil, err
+				return sol, false, err
 			}
-			return s.basicSolution(basis, xB), true, true, nil
+			return s.basicSolution(basis, xB), true, nil
 		}
 		w := lu.ftran(s.hcol(enter))
 		leave := -1
@@ -877,7 +914,7 @@ func (s *standardForm) solveRevised(ctx context.Context, basis []int, xB []hval,
 			}
 		}
 		if leave < 0 {
-			return &Solution{Status: Unbounded}, false, true, nil
+			return &Solution{Status: Unbounded}, false, nil
 		}
 		theta := bestRatio
 		degenerate := theta.IsZero()
@@ -888,26 +925,13 @@ func (s *standardForm) solveRevised(ctx context.Context, basis []int, xB []hval,
 			xB[k] = h.fms(xB[k], w[k], theta)
 		}
 		xB[leave] = theta
-		inBasis[basis[leave]] = false
-		inBasis[enter] = true
-		basis[leave] = enter
-		cB[leave] = cvals[enter]
-		if opts != nil && opts.Stats != nil {
-			opts.Stats.RevisedPivots++
+		if out := basis[leave]; out < s.ncols {
+			inBasis[out] = false
 		}
-		lu.pushEta(leave, w)
-		if refac, mag := lu.needsRefactor(); refac {
-			nlu, ok := s.factorizeSparse(basis, h)
-			if !ok {
-				return nil, false, false, nil // should not happen; dense path decides
-			}
-			lu = nlu
-			recordRefactor(opts, mag)
-			// Recompute the basic solution from scratch: exact values, so
-			// this is a representation refresh, not a numeric repair —
-			// and it sheds the wide representations the eta chain
-			// accumulated, which is half the point of refactorizing.
-			xB = lu.solve(s.b)
+		inBasis[enter] = true
+		cB[leave] = cost[enter]
+		if err := s.commitPivot(basis, xB, lu, leave, enter, w, h, opts); err != nil {
+			return nil, false, err
 		}
 		if degenerate {
 			stalled++

@@ -22,9 +22,9 @@
 // resume, is refined on the same sparse LU to the lexicographically
 // smallest optimal point, which every solve path returns. Only a float
 // solver that fails outright, a singular or unrepairable candidate
-// basis, or a repair that gives up demote to the dense two-phase
-// fallback, which finishes with the same refinement. In every case the
-// answer carries the same exact certificate as the cold solver's.
+// basis, or a repair that gives up demote to the cold two-phase
+// fallback (solveCold), which finishes with the same refinement. In
+// every case the answer carries the same exact certificate.
 package lp
 
 import "context"
@@ -45,12 +45,9 @@ const (
 )
 
 // SolveOpts configures SolveWithOpts. The zero value is the
-// production default: warm start on, parallel pivoting on.
+// production default: presolve and warm start on.
 type SolveOpts struct {
 	Strategy Strategy
-	// NoParallelPivot disables the multi-goroutine row-elimination
-	// kernel, keeping every pivot on the calling goroutine.
-	NoParallelPivot bool
 	// NoPresolve skips the exact presolve reductions (presolve.go),
 	// solving the problem as modelled. StrategyExact never presolves
 	// regardless, so this knob only affects the warm-start strategy.
@@ -65,10 +62,9 @@ type SolveOpts struct {
 // set on a StrategyWarmStart solve that returns a Solution; a
 // StrategyExact solve sets none of them.
 type SolveStats struct {
-	FloatPivots    int // pivots of the float64 basis-locating solve
-	ExactPivots    int // exact dense-tableau pivots (fallback path)
-	RevisedPivots  int // exact revised-simplex pivots (crossover resume + dual repair)
-	ParallelPivots int // exact pivots whose elimination ran parallel
+	FloatPivots   int // pivots of the float64 basis-locating solve
+	ExactPivots   int // pivots of the cold two-phase solve (StrategyExact or fallback), lex step included
+	RevisedPivots int // warm-path exact pivots (crossover resume, dual repair, lex refinement)
 
 	// Hybrid-kernel tier counters for the sparse LU / revised path:
 	// how many exact rational operations ran on the int64
@@ -92,7 +88,7 @@ type SolveStats struct {
 
 	WarmStartHit     bool // float basis certified optimal and unique; zero exact pivots
 	CrossoverResumed bool // exact pivoting resumed (primal resume, dual repair or lex refinement)
-	Fallback         bool // full two-phase exact solve ran: the float solve failed
+	Fallback         bool // cold two-phase exact solve ran: the float solve failed
 
 	// TiedOptima reports an optimum that was not unique, refined to
 	// the canonical lexicographically smallest optimal point (lex.go).
@@ -101,7 +97,7 @@ type SolveStats struct {
 }
 
 // solveWarmStart attempts the float-guided path. done=false (with nil
-// error) means the caller must run the full two-phase fallback; when
+// error) means the caller must run the cold two-phase fallback; when
 // done=true, sol is the certified result and unique reports whether an
 // Optimal sol is the only optimum.
 func (s *standardForm) solveWarmStart(ctx context.Context, opts *SolveOpts) (sol *Solution, unique, done bool, err error) {
@@ -141,7 +137,7 @@ func (s *standardForm) solveWarmStart(ctx context.Context, opts *SolveOpts) (sol
 		// wants: repair primal feasibility by exact dual pivoting
 		// (solveDualRepair), preserving dual feasibility throughout,
 		// then fall through to the usual certification below. Any
-		// other shape of infeasibility still takes the dense fallback.
+		// other shape of infeasibility still takes the cold fallback.
 		if s.dualCertificate(basis, lu, &h) != dualStrict {
 			return nil, false, false, nil // not repairable: certificate failed
 		}
@@ -172,10 +168,7 @@ func (s *standardForm) solveWarmStart(ctx context.Context, opts *SolveOpts) (sol
 		// Feasible but not optimal: resume exact revised-simplex
 		// pivoting from this vertex against the factorization,
 		// skipping phase 1 entirely (revised.go).
-		sol, unique, done, err = s.solveRevised(ctx, basis, xB, lu, &h, opts)
-		if err != nil || !done {
-			return nil, false, false, err
-		}
+		sol, unique, err = s.solveRevised(ctx, basis, xB, lu, &h, opts, s.hcost(), true)
 	}
 	if err != nil {
 		return nil, false, false, err
@@ -221,27 +214,6 @@ func (s *standardForm) dualCertificate(basis []int, lu *sparseLU, h *hstats) dua
 		}
 	}
 	return verdict
-}
-
-// strictlyOptimal reports whether the (already optimal) tableau's
-// nonbasic structural reduced costs are all strictly positive — the
-// certificate that its vertex is the unique optimum. Artificial
-// columns are excluded: they are banned from entering, so their
-// reduced costs carry no information about alternative optima.
-func (t *tableau) strictlyOptimal() bool {
-	inBasis := make([]bool, t.ncols)
-	for _, bi := range t.basis {
-		inBasis[bi] = true
-	}
-	for j := 0; j < t.art; j++ {
-		if inBasis[j] {
-			continue
-		}
-		if t.z[j].Sign() == 0 {
-			return false
-		}
-	}
-	return true
 }
 
 // solveCertified solves p through the warm-start pipeline and

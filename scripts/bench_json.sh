@@ -1,7 +1,10 @@
 #!/usr/bin/env bash
 # bench_json.sh — run the benchmark suites and distill the results
 # into the committed JSON baselines: one record per benchmark op with
-# its ns/op and allocs/op.
+# its ns/op and allocs/op, under a "commit" stamp naming the code that
+# was measured (git HEAD, suffixed -dirty when tracked files other than
+# the baselines differ from HEAD — a baseline recorded alongside an
+# uncommitted change names that change's parent).
 #
 #   BENCH_lp.json      LP-solver benchmarks (root package: paper-scale
 #                      simplex, warm-start vs exact) plus the engine's
@@ -38,13 +41,18 @@ OUT_COMPARE="${OUT_COMPARE:-BENCH_compare.json}"
 raw="$(mktemp)"
 trap 'rm -f "${raw}"' EXIT
 
+commit="$(git rev-parse HEAD 2>/dev/null || echo unknown)"
+if ! git diff --quiet HEAD -- . ':(exclude)BENCH_*.json'; then
+    commit="${commit}-dirty"
+fi
+
 # distill <raw-file> <out-file>: go test -bench output -> JSON.
 # -benchmem is required upstream: allocs/op is half the point of the
 # allocation-lean kernel work.
 distill() {
-    awk -v benchtime="${BENCHTIME}" '
+    awk -v benchtime="${BENCHTIME}" -v commit="${commit}" '
 BEGIN {
-    printf "{\n  \"benchtime\": \"%s\",\n  \"benchmarks\": [\n", benchtime
+    printf "{\n  \"commit\": \"%s\",\n  \"benchtime\": \"%s\",\n  \"benchmarks\": [\n", commit, benchtime
     n = 0
 }
 /^Benchmark/ {

@@ -11,7 +11,9 @@
 # baseline is 0 allocs/op must stay at exactly 0 (allocation counts do
 # not jitter, and a zero-alloc hot path gaining one is a regression).
 # An op present in a baseline but missing from the fresh run fails
-# too — a silently vanished benchmark is a hole in the gate.
+# too — a silently vanished benchmark is a hole in the gate. Each
+# baseline's "commit" stamp (written by bench_json.sh) is printed, so a
+# stale baseline is visible, and a baseline without one fails.
 #
 # Environment: BENCHTIME (default 0.2s — enough iterations that the
 # fresh numbers are stable, cheap enough for every CI run),
@@ -33,7 +35,13 @@ BENCHTIME="${BENCHTIME}" OUT_LP="${tmpdir}/lp.json" OUT_SAMPLE="${tmpdir}/sample
 # JSON files (the shape is one benchmark object per line, written by
 # bench_json.sh) and apply the thresholds.
 compare() {
-    local baseline="$1" fresh="$2"
+    local baseline="$1" fresh="$2" commit
+    commit="$(sed -n 's/^  "commit": "\(.*\)",$/\1/p' "${baseline}")"
+    if [ -z "${commit}" ]; then
+        echo "NO COMMIT stamp in ${baseline} (re-record it with scripts/bench_json.sh)"
+        return 1
+    fi
+    echo "${baseline}: recorded at commit ${commit}"
     awk -v slack="${SLACK_NS}" -v base_name="${baseline}" '
 function extract(line) {
     # line: {"op": "BenchmarkX-8", "ns_per_op": 123.4, ...}
