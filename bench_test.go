@@ -388,6 +388,25 @@ func BenchmarkSimplexRationalVsFloat(b *testing.B) {
 	})
 }
 
+// BenchmarkSimplexFloatLocate times the float64 simplex alone — the
+// layer that locates the basis every warm-started tailored solve
+// certifies — on the tailored absolute-loss LP at α = 1/2.
+func BenchmarkSimplexFloatLocate(b *testing.B) {
+	for _, n := range []int{8, 16} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			p := buildTailoredLP(n, MustRat("1/2"))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sol, err := p.SolveFloat()
+				if err != nil || sol.Status != lp.Optimal {
+					b.Fatalf("%v %v", sol, err)
+				}
+			}
+		})
+	}
+}
+
 // --- Ablation: float-guided warm start vs cold exact solve -----------------
 
 // buildTailoredLP constructs the §2.5 tailored-mechanism LP for the

@@ -347,6 +347,7 @@ func (e *Engine) lpOpts() (lp.SolveOpts, *lp.SolveStats) {
 func (e *Engine) recordLP(s *store, key string, stats *lp.SolveStats) {
 	e.lp.solves.Add(1)
 	e.lp.floatPivots.Add(uint64(stats.FloatPivots))
+	e.lp.floatNanos.Add(uint64(stats.FloatNanos))
 	e.lp.exactPivots.Add(uint64(stats.ExactPivots))
 	e.lp.revisedPivots.Add(uint64(stats.RevisedPivots))
 	e.lp.smallOps.Add(uint64(stats.SmallOps))

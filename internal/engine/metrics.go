@@ -111,6 +111,9 @@ type LPSolveStats struct {
 	FloatPivots      uint64 `json:"float_pivots"`
 	ExactPivots      uint64 `json:"exact_pivots"`
 	RevisedPivots    uint64 `json:"revised_pivots"`
+	// FloatNanos is the wall time spent in the float64 basis-locating
+	// solve (lp.SolveStats.FloatNanos), summed over every solve.
+	FloatNanos uint64 `json:"float_ns"`
 	// ParallelPivots is always 0: the parallel dense-tableau
 	// elimination it counted is gone. It stays on the wire because
 	// perfbench/counters.go reads it (lp.parallel_pivots_per_solve);
@@ -147,6 +150,7 @@ type lpCounters struct {
 	crossoverResumes atomic.Uint64
 	fallbacks        atomic.Uint64
 	floatPivots      atomic.Uint64
+	floatNanos       atomic.Uint64
 	exactPivots      atomic.Uint64
 	revisedPivots    atomic.Uint64
 	smallOps         atomic.Uint64
@@ -166,6 +170,7 @@ func (c *lpCounters) snapshot() LPSolveStats {
 		CrossoverResumes:   c.crossoverResumes.Load(),
 		Fallbacks:          c.fallbacks.Load(),
 		FloatPivots:        c.floatPivots.Load(),
+		FloatNanos:         c.floatNanos.Load(),
 		ExactPivots:        c.exactPivots.Load(),
 		RevisedPivots:      c.revisedPivots.Load(),
 		SmallOps:           c.smallOps.Load(),

@@ -112,6 +112,7 @@ func TestRecordLPFoldsAllCounters(t *testing.T) {
 	e := New(Config{})
 	e.recordLP(e.tailored, "synthetic", &lp.SolveStats{
 		FloatPivots:        3,
+		FloatNanos:         37,
 		ExactPivots:        5,
 		RevisedPivots:      7,
 		SmallOps:           11,
@@ -127,7 +128,7 @@ func TestRecordLPFoldsAllCounters(t *testing.T) {
 	m := e.Metrics().LP
 	want := LPSolveStats{
 		Solves: 1, Fallbacks: 1,
-		FloatPivots: 3, ExactPivots: 5, RevisedPivots: 7,
+		FloatPivots: 3, FloatNanos: 37, ExactPivots: 5, RevisedPivots: 7,
 		SmallOps: 11, WideOps: 23, BigFallbacks: 13,
 		Refactorizations: 29, MagnitudeRefactors: 31,
 		PresolveRows: 17, PresolveCols: 19,

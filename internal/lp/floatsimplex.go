@@ -3,8 +3,6 @@ package lp
 import (
 	"errors"
 	"math"
-	"runtime"
-	"sync"
 
 	"minimaxdp/internal/rational"
 )
@@ -54,20 +52,24 @@ const (
 // and byte identity comes from the exact certificate and the canonical
 // optimum (lex.go). (A devex pricing experiment took *more* pivots on
 // the tailored family than Dantzig does.)
+//
+// The tableau is stored column-major in one flat slab, so that a pivot
+// updates each touched column with one sequential axpy (see pivot).
 type floatTab struct {
-	rows   [][]float64
+	// cols[j] for j < total is column j; cols[total] is the right-hand
+	// side, and with delta set cols[total+1] is the delta column.
+	cols   [][]float64
 	basis  []int
 	z      []float64
 	obj    float64
 	total  int // columns incl. artificials
 	ncols  int // columns excl. artificials (== standardForm.ncols)
 	pivots int
-	nz     []int     // pooled pivot-row nonzero list, reused across pivots
-	nzv    []float64 // pivot-row values at nz, gathered for sequential reads
-	// delta reports that each row carries one extra trailing column (at
-	// index total+1) holding the image of the anti-degeneracy RHS
+	f      []float64 // pivot-column scratch, reused across pivots
+	// delta reports that the tableau carries one extra trailing column
+	// (cols[total+1]) holding the image of the anti-degeneracy RHS
 	// perturbation under the pivots so far. B⁻¹b for the TRUE b is then
-	// row[total] − row[total+1], which is what the post-optimal dual
+	// cols[total] − cols[total+1], which is what the post-optimal dual
 	// cleanup (dualCleanup) prices — without it the candidate basis is
 	// optimal for the perturbed RHS but primal infeasible for the real
 	// one, and every infeasible position costs the crossover an exact
@@ -91,38 +93,40 @@ func (s *standardForm) newFloatTab(perturb bool) *floatTab {
 		total: s.ncols + nart,
 		ncols: s.ncols,
 		basis: make([]int, s.nrows),
-		rows:  make([][]float64, s.nrows),
+		f:     make([]float64, s.nrows),
 		delta: perturb,
 	}
-	// One flat slab for all rows: fewer allocations and sequential
-	// row-to-row memory, which the elimination loops below stream over.
-	// Perturbed tableaus get one extra trailing column per row carrying
-	// the perturbation's image (floatTab.delta).
+	// One flat slab for all columns, the right-hand side and (when
+	// perturbed) the delta column (floatTab.delta) included.
 	width := ft.total + 1
 	if perturb {
 		width++
 	}
-	slab := make([]float64, s.nrows*width)
+	m := s.nrows
+	slab := make([]float64, width*m)
+	ft.cols = make([][]float64, width)
+	for j := range ft.cols {
+		ft.cols[j] = slab[j*m : (j+1)*m : (j+1)*m]
+	}
+	rhs := ft.cols[ft.total]
 	artCol := s.ncols
-	for r := 0; r < s.nrows; r++ {
-		row := slab[r*width : (r+1)*width : (r+1)*width]
+	for r := 0; r < m; r++ {
 		for _, e := range s.rows[r] {
-			row[e.idx] = rational.Float(e.v)
+			ft.cols[e.idx][r] = rational.Float(e.v)
 		}
-		row[ft.total] = rational.Float(s.b[r])
+		rhs[r] = rational.Float(s.b[r])
 		if perturb {
-			off := perturbScale * float64(r+1) / float64(s.nrows)
-			row[ft.total] += off
-			row[ft.total+1] = off
+			off := perturbScale * float64(r+1) / float64(m)
+			rhs[r] += off
+			ft.cols[ft.total+1][r] = off
 		}
 		if basisFromSlack[r] >= 0 {
 			ft.basis[r] = basisFromSlack[r]
 		} else {
-			row[artCol] = 1
+			ft.cols[artCol][r] = 1
 			ft.basis[r] = artCol
 			artCol++
 		}
-		ft.rows[r] = row
 	}
 	return ft
 }
@@ -132,7 +136,7 @@ func (s *standardForm) newFloatTab(perturb bool) *floatTab {
 // solver the float one needs a cap; it is far above any pivot count a
 // well-posed LP of this size produces.
 func (ft *floatTab) maxPivots() int {
-	return 5000 + 50*(len(ft.rows)+ft.total)
+	return 5000 + 50*(len(ft.basis)+ft.total)
 }
 
 // floatSolve runs the two-phase dense float64 simplex on s. ok is
@@ -145,18 +149,11 @@ func (s *standardForm) floatSolve(perturb bool) (st Status, ft *floatTab, ok boo
 
 	// Phase 1: minimize the artificial sum.
 	ft.z = make([]float64, ft.total)
+	artCost := make([]float64, ft.total)
 	for j := s.ncols; j < ft.total; j++ {
-		ft.z[j] = 1
+		artCost[j] = 1
 	}
-	ft.obj = 0
-	for r := range ft.rows {
-		if ft.basis[r] >= s.ncols {
-			for j := 0; j < ft.total; j++ {
-				ft.z[j] -= ft.rows[r][j]
-			}
-			ft.obj -= ft.rows[r][ft.total]
-		}
-	}
+	ft.price(artCost)
 	switch ft.iterate(nil, pivotCap) {
 	case floatCapped:
 		return NoStatus, ft, false
@@ -168,12 +165,12 @@ func (s *standardForm) floatSolve(perturb bool) (st Status, ft *floatTab, ok boo
 		return Infeasible, ft, true
 	}
 	// Drive leftover artificials out of the basis where possible.
-	for r := range ft.rows {
+	for r := range ft.basis {
 		if ft.basis[r] < s.ncols {
 			continue
 		}
 		for j := 0; j < s.ncols; j++ {
-			if math.Abs(ft.rows[r][j]) > floatEps {
+			if math.Abs(ft.cols[j][r]) > floatEps {
 				ft.pivot(r, j)
 				break
 			}
@@ -182,12 +179,11 @@ func (s *standardForm) floatSolve(perturb bool) (st Status, ft *floatTab, ok boo
 
 	// Artificials are dead past this point — phase 2 bans them from
 	// entering, so their columns only cost elimination sweeps. Unless
-	// one is stuck basic (a degenerate redundant row), chop them off:
-	// the right-hand side moves down into the first artificial slot and
-	// every row narrows to the structural columns. No pivot choice
-	// changes — banned columns were never consulted — so the pivot
-	// path, and hence the final basis, is identical to the uncompacted
-	// tableau's.
+	// one is stuck basic (a degenerate redundant row), drop them from
+	// the column list: the right-hand side (and delta) columns move
+	// down to follow the structural ones. No pivot choice changes —
+	// banned columns were never consulted — so the pivot path, and
+	// hence the final basis, is identical to the uncompacted tableau's.
 	if ft.total > s.ncols {
 		stuck := false
 		for _, bi := range ft.basis {
@@ -197,16 +193,7 @@ func (s *standardForm) floatSolve(perturb bool) (st Status, ft *floatTab, ok boo
 			}
 		}
 		if !stuck {
-			for r := range ft.rows {
-				row := ft.rows[r]
-				row[s.ncols] = row[ft.total]
-				if ft.delta {
-					row[s.ncols+1] = row[ft.total+1]
-					ft.rows[r] = row[:s.ncols+2]
-				} else {
-					ft.rows[r] = row[:s.ncols+1]
-				}
-			}
+			ft.cols = append(ft.cols[:s.ncols], ft.cols[ft.total:]...)
 			ft.total = s.ncols
 		}
 	}
@@ -216,25 +203,7 @@ func (s *standardForm) floatSolve(perturb bool) (st Status, ft *floatTab, ok boo
 	for j := 0; j < s.ncols; j++ {
 		c[j] = rational.Float(s.c[j])
 	}
-	for j := range ft.z {
-		ft.z[j] = 0
-	}
-	copy(ft.z, c)
-	ft.obj = 0
-	for r := range ft.rows {
-		bi := ft.basis[r]
-		cb := 0.0
-		if bi < s.ncols {
-			cb = c[bi]
-		}
-		if cb == 0 {
-			continue
-		}
-		for j := 0; j < ft.total; j++ {
-			ft.z[j] -= cb * ft.rows[r][j]
-		}
-		ft.obj -= cb * ft.rows[r][ft.total]
-	}
+	ft.price(c)
 	banned := make([]bool, ft.total)
 	for j := s.ncols; j < ft.total; j++ {
 		banned[j] = true
@@ -257,6 +226,28 @@ func (s *standardForm) floatSolve(perturb bool) (st Status, ft *floatTab, ok boo
 	return Optimal, ft, true
 }
 
+// price loads cost (columns past len(cost) cost 0) into the reduced
+// costs z and subtracts cb·(row r) from z and the objective for every
+// row r whose basic variable has a nonzero cost cb.
+func (ft *floatTab) price(cost []float64) {
+	clear(ft.z)
+	copy(ft.z, cost)
+	ft.obj = 0
+	for r, bi := range ft.basis {
+		cb := 0.0
+		if bi < len(cost) {
+			cb = cost[bi]
+		}
+		if cb == 0 {
+			continue
+		}
+		for j := 0; j < ft.total; j++ {
+			ft.z[j] -= cb * ft.cols[j][r]
+		}
+		ft.obj -= cb * ft.cols[ft.total][r]
+	}
+}
+
 // floatSkipDualCleanup suppresses the float-side dual cleanup so the
 // candidate basis stays optimal for the perturbed RHS only. Tests flip
 // it to regenerate the long-eta-chain exact dual repairs the cleanup
@@ -265,7 +256,7 @@ func (s *standardForm) floatSolve(perturb bool) (st Status, ft *floatTab, ok boo
 var floatSkipDualCleanup = false
 
 // dualCleanup runs dual-simplex pivots against the de-perturbed
-// right-hand side (row[total] − row[total+1], see floatTab.delta)
+// right-hand side (cols[total] − cols[total+1], see floatTab.delta)
 // until it is nonnegative within tolerance: leaving row most negative,
 // entering column by the dual ratio test min z_j/(−a_rj) over
 // a_rj < 0, ties toward the smaller column index — the float mirror
@@ -276,13 +267,12 @@ func (ft *floatTab) dualCleanup(banned []bool, maxPivots int) bool {
 	if !ft.delta {
 		return true
 	}
-	d := ft.total + 1
 	for ft.pivots < maxPivots {
+		rhs, delta := ft.cols[ft.total], ft.cols[ft.total+1]
 		leave := -1
 		worst := -floatEps
-		for r := range ft.rows {
-			row := ft.rows[r]
-			if tv := row[ft.total] - row[d]; tv < worst {
+		for r := range rhs {
+			if tv := rhs[r] - delta[r]; tv < worst {
 				worst = tv
 				leave = r
 			}
@@ -290,14 +280,13 @@ func (ft *floatTab) dualCleanup(banned []bool, maxPivots int) bool {
 		if leave < 0 {
 			return true
 		}
-		lr := ft.rows[leave]
 		enter := -1
 		best := math.Inf(1)
 		for j := 0; j < ft.total; j++ {
 			if banned != nil && j < len(banned) && banned[j] {
 				continue
 			}
-			a := lr[j]
+			a := ft.cols[j][leave]
 			if a >= -floatEps {
 				continue
 			}
@@ -355,7 +344,7 @@ func (p *Problem) SolveFloat() (*FloatSolution, error) {
 	}
 	colVal := make([]float64, ft.total)
 	for r, bi := range ft.basis {
-		colVal[bi] = ft.rows[r][ft.total]
+		colVal[bi] = ft.cols[ft.total][r]
 	}
 	x := make([]float64, len(p.vars))
 	objective := 0.0
@@ -405,12 +394,12 @@ func (ft *floatTab) iterate(banned []bool, maxPivots int) floatOutcome {
 		}
 		leave := -1
 		bestRatio := math.Inf(1)
-		for r := range ft.rows {
-			arj := ft.rows[r][enter]
+		rhs := ft.cols[ft.total]
+		for r, arj := range ft.cols[enter] {
 			if arj <= floatEps {
 				continue
 			}
-			ratio := ft.rows[r][ft.total] / arj
+			ratio := rhs[r] / arj
 			if ratio < bestRatio-floatEps ||
 				(math.Abs(ratio-bestRatio) <= floatEps && (leave < 0 || ft.basis[r] < ft.basis[leave])) {
 				leave = r
@@ -430,36 +419,36 @@ func (ft *floatTab) iterate(banned []bool, maxPivots int) floatOutcome {
 	}
 }
 
-// pivot eliminates with only the nonzero columns of the pivot row.
-// Entries a full sweep would have touched with pr[j] == 0 are no-ops
-// (x − f·0 is exactly x in IEEE arithmetic), so the produced tableau —
-// and hence the pivot path and final basis — is unchanged. Once the pivot row
-// has filled in past ~2/3 density the indirect nonzero walk loses to
-// a straight sequential sweep, so the elimination switches between
-// the two forms per pivot; both compute identical values.
+// pivot pivots on (row, col) column by column. The pivot column is
+// copied once into the scratch f with f[row] = 0; then every column j
+// whose pivot-row entry a is nonzero gets p = a·(1/pivot), the
+// contiguous update col_j[r] −= f[r]·p, and col_j[row] = p. A column
+// whose pivot-row entry is zero is left as it is (x − f·0 is x). Each
+// new entry depends only on its old value, f and p, never on the order
+// of the updates, so the pivot path does not depend on the storage
+// layout; TestFloatLocatePinned holds it to a golden. p must stay
+// a·(1/pivot): a/pivot rounds differently. The reduced costs and the
+// objective follow from the same p.
 func (ft *floatTab) pivot(row, col int) {
 	ft.pivots++
-	pr := ft.rows[row]
-	inv := 1 / pr[col]
-	nz := ft.nz[:0]
-	nzv := ft.nzv[:0]
-	for j := range pr {
-		if pr[j] == 0 {
+	f := ft.f
+	copy(f, ft.cols[col])
+	inv := 1 / f[row]
+	f[row] = 0
+	zf := ft.z[col]
+	for j, cj := range ft.cols {
+		a := cj[row]
+		if a == 0 {
 			continue
 		}
-		pr[j] *= inv
-		nz = append(nz, j)
-		nzv = append(nzv, pr[j])
-	}
-	ft.nz = nz
-	ft.nzv = nzv
-	ft.eliminate(row, col, 0, len(ft.rows))
-	if zf := ft.z[col]; zf != 0 {
-		for _, j := range nz {
+		p := a * inv
+		axpy(cj, f, p)
+		cj[row] = p
+		if zf != 0 {
 			if j < ft.total {
-				ft.z[j] -= zf * pr[j]
+				ft.z[j] -= zf * p
 			} else if j == ft.total {
-				ft.obj -= zf * pr[j]
+				ft.obj -= zf * p
 			}
 			// j == ft.total+1 is the perturbation-delta column: it has
 			// no reduced cost or objective contribution.
@@ -468,66 +457,20 @@ func (ft *floatTab) pivot(row, col int) {
 	ft.basis[row] = col
 }
 
-// floatParallelWork is the pivot work (rows × pivot-row nonzeros)
-// below which the fan-out overhead of parallel elimination outweighs
-// the arithmetic it spreads. Measured on the tailored family: the
-// crossover sits near 2¹⁴ multiply-adds; the threshold is set above
-// it so small LPs never pay a goroutine spawn.
-const floatParallelWork = 1 << 15
-
-// eliminate applies the scaled pivot row to rows [lo, hi), switching
-// between the dense sweep and the gathered sparse walk per the pivot
-// row's fill. It fans the row range out across GOMAXPROCS workers
-// when the pivot is large enough to amortize the spawns; workers own
-// disjoint row chunks and only read pr/nz/nzv, so the result is
-// bitwise identical to the serial sweep regardless of scheduling.
-func (ft *floatTab) eliminate(row, col, lo, hi int) {
-	if workers := runtime.GOMAXPROCS(0); workers > 1 && (hi-lo) > 1 &&
-		(hi-lo)*len(ft.nz) >= floatParallelWork {
-		chunk := (hi - lo + workers - 1) / workers
-		var wg sync.WaitGroup
-		for l := lo; l < hi; l += chunk {
-			h := l + chunk
-			if h > hi {
-				h = hi
-			}
-			wg.Add(1)
-			go func(l, h int) {
-				defer wg.Done()
-				ft.eliminateRange(row, col, l, h)
-			}(l, h)
-		}
-		wg.Wait()
-		return
+// axpy computes y[r] −= x[r]·a over len(y) entries, unrolled four
+// ways. Serial on purpose: splitting pivot's columns across two
+// goroutines bought no wall time at n=16 and spent a second core
+// (DESIGN §10).
+func axpy(y, x []float64, a float64) {
+	x = x[:len(y)]
+	for len(y) >= 4 && len(x) >= 4 {
+		y[0] -= x[0] * a
+		y[1] -= x[1] * a
+		y[2] -= x[2] * a
+		y[3] -= x[3] * a
+		y, x = y[4:], x[4:]
 	}
-	ft.eliminateRange(row, col, lo, hi)
-}
-
-// eliminateRange is the serial worker behind eliminate.
-func (ft *floatTab) eliminateRange(row, col, lo, hi int) {
-	pr := ft.rows[row]
-	nz, nzv := ft.nz, ft.nzv
-	dense := 3*len(nz) >= 2*len(pr)
-	for r := lo; r < hi; r++ {
-		if r == row {
-			continue
-		}
-		tr := ft.rows[r]
-		f := tr[col]
-		if f == 0 {
-			continue
-		}
-		if dense {
-			tr := tr[:len(pr)] // bounds-check elimination for the sweep
-			for j, p := range pr {
-				tr[j] -= f * p
-			}
-		} else {
-			// The gathered nzv turns the pivot-row reads sequential;
-			// only the tr writes stay scattered.
-			for k, j := range nz {
-				tr[j] -= f * nzv[k]
-			}
-		}
+	for i := range y {
+		y[i] -= x[i] * a
 	}
 }

@@ -94,6 +94,16 @@ func lexOracle(t *testing.T, p *Problem) *Solution {
 // tailoredLP builds the §2.5 tailored-mechanism LP for loss l over the
 // full side set, exactly as internal/consumer models it.
 func tailoredLP(n int, alpha *big.Rat, l loss.Function) *Problem {
+	side := make([]int, n+1)
+	for i := range side {
+		side[i] = i
+	}
+	return tailoredSideLP(n, alpha, l, side)
+}
+
+// tailoredSideLP is tailoredLP over the side set side: one loss row
+// per i ∈ side.
+func tailoredSideLP(n int, alpha *big.Rat, l loss.Function, side []int) *Problem {
 	p := NewProblem(Minimize)
 	d := p.NewVariable("d")
 	xv := make([][]Var, n+1)
@@ -104,7 +114,7 @@ func tailoredLP(n int, alpha *big.Rat, l loss.Function) *Problem {
 		}
 	}
 	p.SetObjective(TInt(d, 1))
-	for i := 0; i <= n; i++ {
+	for _, i := range side {
 		terms := []Term{TInt(d, 1)}
 		for r := 0; r <= n; r++ {
 			if c := l.Loss(i, r); c.Sign() != 0 {
@@ -166,16 +176,16 @@ func interactionLP(deployed *mechanism.Mechanism, l loss.Function) *Problem {
 	return p
 }
 
-// warmStartCorpus returns the FuzzWarmStartMatchesExact seed inputs
-// and committed corpus entries, keyed by the names the fuzz test runs
-// them under.
-func warmStartCorpus(t *testing.T) (names []string, inputs [][]byte) {
+// fuzzCorpus returns a fuzz target's seed inputs and committed corpus
+// entries (testdata/fuzz/<target>), keyed by the names the fuzz test
+// runs them under.
+func fuzzCorpus(t *testing.T, target string, seeds [][]byte) (names []string, inputs [][]byte) {
 	t.Helper()
-	for k, seed := range warmStartSeeds {
+	for k, seed := range seeds {
 		names = append(names, fmt.Sprintf("seed#%d", k))
 		inputs = append(inputs, seed)
 	}
-	files, err := filepath.Glob(filepath.Join("testdata", "fuzz", "FuzzWarmStartMatchesExact", "*"))
+	files, err := filepath.Glob(filepath.Join("testdata", "fuzz", target, "*"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +230,7 @@ func TestLexCanonicalMatchesOracle(t *testing.T) {
 		{"interaction-zero-one-vs-laplace-n4", interactionLP(laplace, loss.ZeroOne{}), false},
 	}
 	ties := 0
-	names, inputs := warmStartCorpus(t)
+	names, inputs := fuzzCorpus(t, "FuzzWarmStartMatchesExact", warmStartSeeds)
 	for k, data := range inputs {
 		p := fuzzProblem(data)
 		if p == nil {

@@ -383,13 +383,9 @@ func TestPresolveAllVariablesEliminated(t *testing.T) {
 // solutions verify against the original problem. The committed corpus under
 // testdata/fuzz includes tied-optimum and degenerate seeds.
 func FuzzPresolveMatchesDense(f *testing.F) {
-	// nv, nc, then per constraint: per var a sparse coefficient nibble,
-	// an operator, an rhs. A spread of shapes incl. ties/degeneracy.
-	f.Add([]byte{2, 1, 9, 9, 0, 4, 251, 251})       // x+y ≤ 4, max x+y: tied edge
-	f.Add([]byte{3, 2, 9, 0, 0, 2, 0, 9, 9, 0, 4})  // singleton + pair
-	f.Add([]byte{1, 1, 0, 1, 3, 5})                 // empty row
-	f.Add([]byte{4, 3, 9, 1, 0, 0, 2, 8, 0, 9, 10}) // mixed ops
-	f.Add([]byte{2, 2, 9, 10, 1, 0, 10, 9, 2, 0, 0, 0})
+	for _, seed := range presolveSeeds {
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p := fuzzSparseProblem(data)
 		if p == nil {
@@ -397,6 +393,17 @@ func FuzzPresolveMatchesDense(f *testing.F) {
 		}
 		assertMatchesOracle(t, p)
 	})
+}
+
+// presolveSeeds are FuzzPresolveMatchesDense's seed inputs: nv, nc,
+// then per constraint a sparse coefficient nibble per var, an
+// operator, an rhs. A spread of shapes incl. ties/degeneracy.
+var presolveSeeds = [][]byte{
+	{2, 1, 9, 9, 0, 4, 251, 251},       // x+y ≤ 4, max x+y: tied edge
+	{3, 2, 9, 0, 0, 2, 0, 9, 9, 0, 4},  // singleton + pair
+	{1, 1, 0, 1, 3, 5},                 // empty row
+	{4, 3, 9, 1, 0, 0, 2, 8, 0, 9, 10}, // mixed ops
+	{2, 2, 9, 10, 1, 0, 10, 9, 2, 0, 0, 0},
 }
 
 // fuzzSparseProblem decodes an LP whose rows are mostly sparse:

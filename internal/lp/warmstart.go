@@ -27,7 +27,10 @@
 // every case the answer carries the same exact certificate.
 package lp
 
-import "context"
+import (
+	"context"
+	"time"
+)
 
 // Strategy selects how Solve locates the optimal basis.
 type Strategy int
@@ -62,9 +65,10 @@ type SolveOpts struct {
 // set on a StrategyWarmStart solve that returns a Solution; a
 // StrategyExact solve sets none of them.
 type SolveStats struct {
-	FloatPivots   int // pivots of the float64 basis-locating solve
-	ExactPivots   int // pivots of the cold two-phase solve (StrategyExact or fallback), lex step included
-	RevisedPivots int // warm-path exact pivots (crossover resume, dual repair, lex refinement)
+	FloatPivots   int   // pivots of the float64 basis-locating solve
+	FloatNanos    int64 // wall time of the float64 basis-locating solve in ns, summed when presolve demotes to a second one
+	ExactPivots   int   // pivots of the cold two-phase solve (StrategyExact or fallback), lex step included
+	RevisedPivots int   // warm-path exact pivots (crossover resume, dual repair, lex refinement)
 
 	// Hybrid-kernel tier counters for the sparse LU / revised path:
 	// how many exact rational operations ran on the int64
@@ -104,9 +108,11 @@ func (s *standardForm) solveWarmStart(ctx context.Context, opts *SolveOpts) (sol
 	if err := ctx.Err(); err != nil {
 		return nil, false, false, err
 	}
+	start := time.Now()
 	basis, floatPivots, ok := s.floatCandidateBasis()
 	if opts.Stats != nil {
 		opts.Stats.FloatPivots = floatPivots
+		opts.Stats.FloatNanos += time.Since(start).Nanoseconds()
 	}
 	if !ok {
 		return nil, false, false, nil

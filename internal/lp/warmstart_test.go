@@ -163,6 +163,9 @@ func TestWarmStartHitOnTailoredLPs(t *testing.T) {
 			if stats.FloatPivots == 0 {
 				t.Error("float solver reported zero pivots")
 			}
+			if stats.FloatNanos <= 0 {
+				t.Errorf("float locate reported %d ns, want > 0", stats.FloatNanos)
+			}
 		})
 	}
 }

@@ -116,6 +116,8 @@ curl -fsS "http://${base}/v1/tailored?loss=absolute&n=16&level=1" | grep -q mini
 curl -fsS "http://${base}/v1/metrics" | grep -q '"small_ops":[1-9]'
 curl -fsS "http://${base}/v1/metrics" | grep -q '"wide_ops":[0-9]'
 curl -fsS "http://${base}/v1/metrics" | grep -q '"big_fallbacks":[0-9]'
+# The float locate's wall time is on the wire: the solves above ran it.
+curl -fsS "http://${base}/v1/metrics" | grep -q '"float_ns":[1-9]'
 # Above the cap the request must be rejected, not queued.
 curl -sS "http://${base}/v1/tailored?loss=absolute&n=17&level=1" | grep -q "exceeds the LP cap"
 curl -fsS "http://${base}/v1/tenants" | grep -q '"smoke"'
