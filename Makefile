@@ -61,5 +61,5 @@ fuzz-smoke:
 	go test -run='^$$' -fuzz='^FuzzUnmarshalJSON$$' -fuzztime=$${FUZZTIME:-10s} ./internal/mechanism
 	go test -run='^$$' -fuzz='^FuzzParseLevels$$' -fuzztime=$${FUZZTIME:-10s} ./cmd/dpserver
 	go test -run='^$$' -fuzz='^FuzzWarmStartMatchesExact$$' -fuzztime=$${FUZZTIME:-10s} ./internal/lp
-	go test -run='^$$' -fuzz='^FuzzPresolveMatchesDense$$' -fuzztime=$${FUZZTIME:-10s} ./internal/lp
+	go test -run='^$$' -fuzz='^FuzzSparseMatchesDense$$' -fuzztime=$${FUZZTIME:-10s} ./internal/lp
 	go test -run='^$$' -fuzz='^FuzzDyadicAlias$$' -fuzztime=$${FUZZTIME:-10s} ./internal/sample

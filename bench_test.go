@@ -478,53 +478,6 @@ func BenchmarkSimplexWarmStart(b *testing.B) {
 	b.Run("warmstart", run(lp.StrategyWarmStart))
 }
 
-// BenchmarkSimplexPresolve measures the exact presolve: the Table 1
-// tailored LP padded with presolve-removable structure (fixed
-// variables via equality singletons, plus rows that reference them),
-// solved with the reductions on vs off. The presolve sub-benchmark
-// asserts rows and columns were actually eliminated, so the two
-// numbers really compare reduced vs unreduced solves of the same
-// problem; byte-identity of the two answers is the fuzz oracle's job
-// (FuzzPresolveMatchesDense).
-func BenchmarkSimplexPresolve(b *testing.B) {
-	alpha := MustRat("1/4")
-	build := func() *lp.Problem {
-		p := buildTailoredLP(3, alpha)
-		aux := make([]lp.Var, 48)
-		for j := range aux {
-			aux[j] = p.NewVariable("aux")
-			p.AddConstraint([]lp.Term{lp.TInt(aux[j], 1)}, lp.EQ, rational.New(int64(j), int64(j+1)))
-		}
-		// Rows over fixed variables collapse once the fixings
-		// substitute through.
-		for j := 0; j+2 < len(aux); j += 3 {
-			p.AddConstraint([]lp.Term{
-				lp.TInt(aux[j], 1), lp.TInt(aux[j+1], 2), lp.TInt(aux[j+2], 3),
-			}, lp.LE, rational.New(1000, 1))
-		}
-		return p
-	}
-	run := func(noPresolve bool) func(*testing.B) {
-		return func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				p := build()
-				var stats lp.SolveStats
-				sol, err := p.SolveWithOpts(context.Background(),
-					lp.SolveOpts{NoPresolve: noPresolve, Stats: &stats})
-				if err != nil || sol.Status != lp.Optimal {
-					b.Fatalf("%v %v", sol, err)
-				}
-				if !noPresolve && (stats.PresolveRows == 0 || stats.PresolveCols == 0) {
-					b.Fatalf("presolve eliminated nothing: %+v", stats)
-				}
-			}
-		}
-	}
-	b.Run("presolve", run(false))
-	b.Run("nopresolve", run(true))
-}
-
 // --- Ablation: sampler strategies ------------------------------------------
 
 func BenchmarkSamplerStrategies(b *testing.B) {

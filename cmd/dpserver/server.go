@@ -32,13 +32,14 @@ import (
 
 // defaultMaxTailoredN caps the domain size accepted by /v1/tailored:
 // the §2.5 LP has (n+1)²+1 variables and is meant here as an
-// interactive demonstration, not a bulk workload. With the presolved
+// interactive demonstration, not a bulk workload. With the
 // float-guided revised simplex the cap sits at 32: measured uncached
-// solve times on the dev box are ~3ms at n=8, ~0.15s at n=16, ~3s at
-// n=20, ~20s at n=24 and ~3.6min at n=32 — the last being the most a
-// single interactive request may reasonably pin a solver slot for
-// (pair a larger cap with -solve-timeout). Solves beyond the cap
-// return 422 rather than silently queueing for minutes.
+// absolute-loss solve times on a 2-vCPU amd64 container are ~6 ms at
+// n=8, ~0.1 s at n=16, ~0.5 s at n=20, ~1.5 s at n=24 and ~22 s at
+// n=32 — the last being the most a single interactive request may
+// reasonably pin a solver slot for, and more than the default
+// -solve-timeout (pair a large n with a longer one). Solves beyond the
+// cap return 422 rather than silently queueing.
 const defaultMaxTailoredN = 32
 
 // maxSampleCount caps one /v1/sample batch.

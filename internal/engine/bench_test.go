@@ -66,10 +66,9 @@ func BenchmarkEngineTailoredUncachedTie(b *testing.B) {
 }
 
 // BenchmarkEngineTailoredExactOnly is the BenchmarkEngineTailoredUncached
-// solve as an ExactLPOnly engine runs it: StrategyExact, the cold
-// two-phase revised simplex that also serves every float-failure
-// fallback. It keeps that path gated at serving size, though neither
-// served workload normally reaches it.
+// solve under StrategyExact: the cold two-phase revised simplex that
+// also serves every float-failure fallback. It keeps that path gated
+// at serving size, though neither served workload normally reaches it.
 func BenchmarkEngineTailoredExactOnly(b *testing.B) {
 	a := rational.MustParse("1/2")
 	c := &consumer.Consumer{Loss: loss.Absolute{}}

@@ -146,7 +146,7 @@ func (e *Engine) modelTailoredCtx(ctx context.Context, m consumer.Model, mk stri
 		return t, err
 	}
 	return getTyped(ctx, e.tailored, key, func(solveCtx context.Context) (*consumer.Tailored, error) {
-		opts, stats := e.lpOpts()
+		opts, stats := lpOpts()
 		t, err := m.OptimalMechanismCtx(solveCtx, n, alpha, opts)
 		e.recordLP(e.tailored, key, stats)
 		return t, err
@@ -174,7 +174,7 @@ func (e *Engine) modelInteractionCtx(ctx context.Context, m consumer.Model, mk s
 		if err != nil {
 			return nil, err
 		}
-		opts, stats := e.lpOpts()
+		opts, stats := lpOpts()
 		in, err := m.OptimalInteractionCtx(solveCtx, deployed, opts)
 		e.recordLP(e.interactions, key, stats)
 		return in, err

@@ -120,6 +120,20 @@ func TestFlightLastWaiterCancelsSolve(t *testing.T) {
 	}
 }
 
+// TestFlightSequentialCallsStartFresh: a call that has returned is
+// retired, so the same caller's next request for the key must start a
+// new computation. Joining the finished call instead would count it as
+// coalesced, never as a cache miss.
+func TestFlightSequentialCallsStartFresh(t *testing.T) {
+	var g flightGroup
+	fn := func(context.Context) (any, error) { return 1, nil }
+	for i := 0; i < 1000; i++ {
+		if _, started, err := g.do(context.Background(), "k", fn); err != nil || !started {
+			t.Fatalf("call %d: started = %v, err = %v; want a fresh computation", i, started, err)
+		}
+	}
+}
+
 // --- engine-level cancellation -------------------------------------------
 
 func absConsumer() *consumer.Consumer {

@@ -92,12 +92,12 @@ const DefaultMaxInFlightSolves = 16
 var ErrSaturated = errors.New("engine: too many LP solves in flight")
 
 // DefaultMaxLPDomainN bounds the domain size n of LP-backed artifacts
-// when Config.MaxLPDomainN is zero. Even on the presolved float-guided
+// when Config.MaxLPDomainN is zero. Even on the float-guided
 // revised-simplex path a cold tailored solve scales steeply in n
-// (~3ms at n=8, ~0.15s at n=16, ~20s at n=24, ~3.6min at n=32 on the
-// dev box), so an unbounded n from untrusted input could pin a solver
-// slot for minutes. 32 is the largest size whose worst case is still
-// plausibly interactive.
+// (~6 ms at n=8, ~0.1 s at n=16, ~1.5 s at n=24 and ~22 s at n=32 on a
+// 2-vCPU amd64 container), so an unbounded n from untrusted input
+// could pin a solver slot for far longer. 32 is the largest size whose
+// worst case is still plausibly interactive.
 const DefaultMaxLPDomainN = 32
 
 // ErrDomainTooLarge is returned (wrapped) by the LP-backed artifact
@@ -128,13 +128,6 @@ type Config struct {
 	// before touching cache or solver. Zero means DefaultMaxLPDomainN;
 	// negative disables the guard.
 	MaxLPDomainN int
-	// ExactLPOnly disables the float-guided warm-start path: every LP
-	// solve runs the pure exact two-phase simplex from scratch. The
-	// default (false) uses lp.StrategyWarmStart. Results are identical
-	// either way — the warm path certifies exactly before returning —
-	// so this is a diagnostic/benchmarking escape hatch, not a
-	// correctness knob.
-	ExactLPOnly bool
 	// Seed is the base seed for the sampler shards' PRNGs. Shard k
 	// draws from splitmix64 stream (Seed, k), so a fixed seed gives a
 	// reproducible *set* of streams (though goroutine scheduling still
@@ -193,9 +186,8 @@ type Engine struct {
 	batchSizes batchHist
 	trace      TraceFunc // nil = tracing off
 
-	lp        lpCounters
-	exactOnly bool
-	maxLPN    int // < 0 = unguarded
+	lp     lpCounters
+	maxLPN int // < 0 = unguarded
 }
 
 // New builds an Engine from cfg (zero value fine; see Config).
@@ -212,7 +204,6 @@ func New(cfg Config) *Engine {
 		samplers:     newStore("samplers", cfg.SamplerCacheSize),
 		shards:       newShardSet(cfg.Seed),
 		trace:        cfg.Trace,
-		exactOnly:    cfg.ExactLPOnly,
 		maxLPN:       cfg.MaxLPDomainN,
 	}
 	if cfg.MaxInFlightSolves >= 0 {
@@ -323,27 +314,19 @@ func consumerKey(m consumer.Model, n int) (string, error) {
 
 // --- LP solver plumbing ---------------------------------------------------
 
-// lpOpts builds the per-solve LP options honoring Config.ExactLPOnly,
-// with a fresh stats block for recordLP to fold into the engine-wide
-// counters afterwards.
-func (e *Engine) lpOpts() (lp.SolveOpts, *lp.SolveStats) {
+// lpOpts builds the default per-solve LP options with a fresh stats
+// block for recordLP to fold into the engine-wide counters afterwards.
+func lpOpts() (lp.SolveOpts, *lp.SolveStats) {
 	stats := new(lp.SolveStats)
-	opts := lp.SolveOpts{Stats: stats}
-	if e.exactOnly {
-		opts.Strategy = lp.StrategyExact
-	}
-	return opts, stats
+	return lp.SolveOpts{Stats: stats}, stats
 }
 
 // recordLP folds one solve's stats into the engine counters and emits
 // the matching path trace event on the solving store. Pivot counters
 // accumulate even for failed or canceled solves (the work was done);
-// the path counters are mutually exclusive per solve, and none
-// advances when ExactLPOnly skipped the warm-start machinery — the
-// zero-value stats report Fallback == false there, by design, so the
-// fallback counter keeps meaning "warm start attempted and demoted".
-// The tied-optimum counter is orthogonal to the path and advances on
-// either strategy.
+// the path counters are mutually exclusive per solve, and the fallback
+// counter means "warm start attempted and demoted". The tied-optimum
+// counter is orthogonal to the path.
 func (e *Engine) recordLP(s *store, key string, stats *lp.SolveStats) {
 	e.lp.solves.Add(1)
 	e.lp.floatPivots.Add(uint64(stats.FloatPivots))
@@ -355,8 +338,6 @@ func (e *Engine) recordLP(s *store, key string, stats *lp.SolveStats) {
 	e.lp.bigFallbacks.Add(uint64(stats.BigFallbacks))
 	e.lp.refactorizations.Add(uint64(stats.Refactorizations))
 	e.lp.magnitudeRefacts.Add(uint64(stats.MagnitudeRefactors))
-	e.lp.presolveRows.Add(uint64(stats.PresolveRows))
-	e.lp.presolveCols.Add(uint64(stats.PresolveCols))
 	if stats.TiedOptima {
 		e.lp.tiedOptima.Add(1)
 	}

@@ -65,16 +65,18 @@ func (g *flightGroup) do(ctx context.Context, key string, fn func(context.Contex
 
 	go func() {
 		c.val, c.err = fn(solveCtx)
-		close(c.done)
 		cancel()
+		// Retire the call before releasing its waiters: a waiter that
+		// returns and asks for the key again must start afresh, not
+		// join this finished call. The call may already have been
+		// retired by the last waiter detaching (and a fresh call
+		// registered since); only remove our own entry.
 		g.mu.Lock()
-		// The call may already have been retired by the last waiter
-		// detaching (and a fresh call registered since); only remove
-		// our own entry.
 		if g.calls[key] == c {
 			delete(g.calls, key)
 		}
 		g.mu.Unlock()
+		close(c.done)
 	}()
 	return g.wait(ctx, key, c, true)
 }

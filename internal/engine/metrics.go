@@ -98,7 +98,7 @@ type ArtifactStats struct {
 // optimum to the canonical one); a fallback means the full exact
 // two-phase simplex ran from scratch because the float solve failed
 // (see lp.SolveStats). TiedOptima counts solves whose optimum was not
-// unique, on either strategy.
+// unique.
 // Solves counts LP solver invocations (successful or not) across the
 // engine's lifetime; a warm boot that answers every request from the
 // disk store reports Solves == 0, which is exactly what the restart
@@ -135,10 +135,11 @@ type LPSolveStats struct {
 	Refactorizations   uint64 `json:"refactorizations"`
 	MagnitudeRefactors uint64 `json:"magnitude_refactors"`
 
-	// Presolve reductions applied before solves: constraint rows and
-	// variables eliminated exactly (lp/presolve.go).
+	// PresolveRows is always 0: the exact presolve whose eliminated
+	// rows it counted is gone. It stays on the wire because
+	// perfbench/counters.go reads it (lp.presolve_rows_removed);
+	// remove the two together.
 	PresolveRows uint64 `json:"presolve_rows_removed"`
-	PresolveCols uint64 `json:"presolve_cols_removed"`
 
 	TiedOptima uint64 `json:"tied_optima"`
 }
@@ -158,8 +159,6 @@ type lpCounters struct {
 	bigFallbacks     atomic.Uint64
 	refactorizations atomic.Uint64
 	magnitudeRefacts atomic.Uint64
-	presolveRows     atomic.Uint64
-	presolveCols     atomic.Uint64
 	tiedOptima       atomic.Uint64
 }
 
@@ -178,8 +177,6 @@ func (c *lpCounters) snapshot() LPSolveStats {
 		BigFallbacks:       c.bigFallbacks.Load(),
 		Refactorizations:   c.refactorizations.Load(),
 		MagnitudeRefactors: c.magnitudeRefacts.Load(),
-		PresolveRows:       c.presolveRows.Load(),
-		PresolveCols:       c.presolveCols.Load(),
 		TiedOptima:         c.tiedOptima.Load(),
 	}
 }

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"math/big"
 	"testing"
 	"time"
@@ -11,17 +12,19 @@ import (
 )
 
 // TestWarmStartColdPathGate compares a default (warm-started) engine
-// against an ExactLPOnly engine on the serving-size tailored LP from
-// the benchmarks (absolute loss, n=8, α=1/2). It pins down three
-// things: the warm path actually engages (nonzero warm-start hits and
-// zero exact pivots), both engines return byte-identical artifacts,
-// and the warm path is faster by a comfortable margin. A tied key
-// (zero-one loss, n=6, α=1/2) must likewise match the exact-only
-// engine, lex-refined without the cold fallback. The speed
-// assertion is deliberately loose (≥2×, versus ~15× measured on idle
-// hardware) so scheduler noise and -race overhead cannot flake it;
-// the precise factor is logged for humans reading the test output.
+// against the cold two-phase solve (lp.StrategyExact) on the
+// serving-size tailored LP from the benchmarks (absolute loss, n=8,
+// α=1/2). It pins down three things: the warm path actually engages
+// (nonzero warm-start hits and zero exact pivots), both return
+// byte-identical artifacts, and the warm path is faster by a
+// comfortable margin. A tied key (zero-one loss, n=6, α=1/2) must
+// likewise match the cold solve, lex-refined without the cold
+// fallback. The speed assertion is deliberately loose (≥2×, versus
+// ~15× measured on idle hardware) so scheduler noise and -race
+// overhead cannot flake it; the precise factor is logged for humans
+// reading the test output.
 func TestWarmStartColdPathGate(t *testing.T) {
+	ctx := context.Background()
 	c := &consumer.Consumer{Loss: loss.Absolute{}}
 	n, alpha := 8, big.NewRat(1, 2)
 
@@ -46,26 +49,25 @@ func TestWarmStartColdPathGate(t *testing.T) {
 		t.Error("warm-start hit reports zero Small fast-path ops; the hybrid LU kernels should dominate certification")
 	}
 
-	exact := New(Config{ExactLPOnly: true})
+	var se lp.SolveStats
 	start = time.Now()
-	te, err := exact.TailoredMechanism(c, n, alpha)
+	te, err := consumer.OptimalMechanismOpts(ctx, c, n, alpha, lp.SolveOpts{Strategy: lp.StrategyExact, Stats: &se})
 	exactDur := time.Since(start)
 	if err != nil {
 		t.Fatal(err)
 	}
-	me := exact.Metrics().LP
-	if me.WarmStartHits != 0 || me.CrossoverResumes != 0 || me.Fallbacks != 0 {
-		t.Fatalf("ExactLPOnly engine LP stats = %+v, want all path counters zero", me)
+	if se.WarmStartHit || se.CrossoverResumed || se.Fallback {
+		t.Fatalf("exact solve stats = %+v, want all path flags unset", se)
 	}
-	if me.ExactPivots == 0 {
-		t.Error("ExactLPOnly engine reports zero exact pivots")
+	if se.ExactPivots == 0 {
+		t.Error("exact solve reports zero exact pivots")
 	}
 
 	if tw.Loss.Cmp(te.Loss) != 0 {
 		t.Fatalf("loss differs: warm %s, exact %s", tw.Loss.RatString(), te.Loss.RatString())
 	}
 	if !tw.Mechanism.Equal(te.Mechanism) {
-		t.Fatal("warm-started and exact-only engines produced different mechanisms")
+		t.Fatal("warm-started engine and exact solve produced different mechanisms")
 	}
 
 	factor := float64(exactDur) / float64(warmDur)
@@ -78,7 +80,7 @@ func TestWarmStartColdPathGate(t *testing.T) {
 
 	// A tied key (zero-one loss, n=6, α=1/2): the optimum is not
 	// unique, so the warm engine must lex-refine on the revised simplex
-	// — no cold fallback — and still match the exact-only engine.
+	// — no cold fallback — and still match the exact solve.
 	tc := &consumer.Consumer{Loss: loss.ZeroOne{}}
 	tie := big.NewRat(1, 2)
 	tieWarm := New(Config{})
@@ -89,16 +91,16 @@ func TestWarmStartColdPathGate(t *testing.T) {
 	if m := tieWarm.Metrics().LP; m.Fallbacks != 0 || m.TiedOptima != 1 || m.CrossoverResumes != 1 {
 		t.Fatalf("tied key LP stats = %+v, want one lex-refined resume and no fallback", m)
 	}
-	tieExact := New(Config{ExactLPOnly: true})
-	exactTie, err := tieExact.TailoredMechanism(tc, 6, tie)
+	var st lp.SolveStats
+	exactTie, err := consumer.OptimalMechanismOpts(ctx, tc, 6, tie, lp.SolveOpts{Strategy: lp.StrategyExact, Stats: &st})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m := tieExact.Metrics().LP; m.TiedOptima != 1 {
-		t.Errorf("ExactLPOnly tied key TiedOptima = %d, want 1", m.TiedOptima)
+	if !st.TiedOptima {
+		t.Errorf("exact solve of the tied key: TiedOptima unset (stats %+v)", st)
 	}
 	if !warmTie.Mechanism.Equal(exactTie.Mechanism) || warmTie.Loss.Cmp(exactTie.Loss) != 0 {
-		t.Fatal("tied key: warm-started and exact-only engines produced different mechanisms")
+		t.Fatal("tied key: warm-started engine and exact solve produced different mechanisms")
 	}
 }
 
@@ -106,8 +108,8 @@ func TestWarmStartColdPathGate(t *testing.T) {
 // with every field set and reads the full set back through the JSON
 // metrics surface: a counter added to lp.SolveStats but not plumbed
 // into lpCounters/snapshot would silently report zero forever. The
-// wire-only ParallelPivots field has no source counter and must read
-// back as 0.
+// wire-only ParallelPivots and PresolveRows fields have no source
+// counter and must read back as 0.
 func TestRecordLPFoldsAllCounters(t *testing.T) {
 	e := New(Config{})
 	e.recordLP(e.tailored, "synthetic", &lp.SolveStats{
@@ -120,8 +122,6 @@ func TestRecordLPFoldsAllCounters(t *testing.T) {
 		BigFallbacks:       13,
 		Refactorizations:   29,
 		MagnitudeRefactors: 31,
-		PresolveRows:       17,
-		PresolveCols:       19,
 		Fallback:           true,
 		TiedOptima:         true,
 	})
@@ -131,7 +131,6 @@ func TestRecordLPFoldsAllCounters(t *testing.T) {
 		FloatPivots: 3, FloatNanos: 37, ExactPivots: 5, RevisedPivots: 7,
 		SmallOps: 11, WideOps: 23, BigFallbacks: 13,
 		Refactorizations: 29, MagnitudeRefactors: 31,
-		PresolveRows: 17, PresolveCols: 19,
 		TiedOptima: 1,
 	}
 	if m != want {

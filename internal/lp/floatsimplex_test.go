@@ -28,7 +28,7 @@ const floatLocateGolden = "testdata/float_locate.golden"
 // TestFloatLocatePinned records: the tailored LPs of four losses ×
 // n ∈ {4,6,8,12} × full/interval side (the interval side drops both
 // domain endpoints) × four α, and every seed and committed corpus
-// entry of FuzzWarmStartMatchesExact and FuzzPresolveMatchesDense.
+// entry of FuzzWarmStartMatchesExact and FuzzSparseMatchesDense.
 func floatLocateCases(t *testing.T) (names []string, probs []*Problem) {
 	t.Helper()
 	losses := []loss.Function{loss.Absolute{}, loss.Squared{}, loss.ZeroOne{}, loss.Deadband{Width: 1}}
@@ -55,7 +55,7 @@ func floatLocateCases(t *testing.T) (names []string, probs []*Problem) {
 		decode func([]byte) *Problem
 	}{
 		{"FuzzWarmStartMatchesExact", warmStartSeeds, fuzzProblem},
-		{"FuzzPresolveMatchesDense", presolveSeeds, fuzzSparseProblem},
+		{"FuzzSparseMatchesDense", sparseSeeds, fuzzSparseProblem},
 	} {
 		corpus, inputs := fuzzCorpus(t, fz.target, fz.seeds)
 		for k, data := range inputs {

@@ -18,7 +18,7 @@ import (
 )
 
 // denseRaw runs the dense oracle's bare two-phase solve on p — no
-// presolve, no warm start, no canonical refinement — and returns its
+// warm start, no canonical refinement — and returns its
 // vertex together with whether the final tableau certified it unique.
 func denseRaw(t *testing.T, p *Problem) (*Solution, bool) {
 	t.Helper()
@@ -88,7 +88,7 @@ func lexOracle(t *testing.T, p *Problem) *Solution {
 			x[i].Sub(x[i], last.X[ps[1]])
 		}
 	}
-	return p.optimalSolution(x)
+	return newStandardForm(p).solution(x)
 }
 
 // tailoredLP builds the §2.5 tailored-mechanism LP for loss l over the

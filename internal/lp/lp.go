@@ -202,30 +202,28 @@ func (p *Problem) Solve() (*Solution, error) {
 	return p.SolveCtx(context.Background())
 }
 
-// SolveCtx runs the exact solver with default options
-// (presolve, float-guided warm start) under ctx. The pivot
-// loop checks ctx between pivots, so a canceled or deadline-expired
-// context aborts the solve within one pivot's worth of work and
-// returns ctx.Err(). The paper's LPs cost seconds-to-minutes of pure
-// rational arithmetic at serving sizes; this checkpoint is what makes
-// them deadline-bounded behind a serving surface.
+// SolveCtx runs the exact solver with default options (float-guided
+// warm start) under ctx. The pivot loop checks ctx between pivots, so a
+// canceled or deadline-expired context aborts the solve within one
+// pivot's worth of work and returns ctx.Err(). The paper's LPs cost
+// seconds-to-minutes of pure rational arithmetic at serving sizes;
+// this checkpoint is what makes them deadline-bounded behind a serving
+// surface.
 func (p *Problem) SolveCtx(ctx context.Context) (*Solution, error) {
 	return p.SolveWithOpts(ctx, SolveOpts{})
 }
 
 // SolveWithOpts runs the exact solver under ctx with explicit
-// options. The zero SolveOpts is the production default: an exact
-// presolve (presolve.go) strips rows and columns resolvable by
-// inspection, the float-guided warm start locates a candidate basis
-// for what remains, an exact crossover certifies it (warmstart.go),
-// a tied optimum is refined to the canonical one on the sparse LU
-// (lex.go), and the cold two-phase revised simplex runs only when
-// the float solve fails. StrategyExact forces the cold two-phase solve
-// on the untouched problem (the ablation baseline), finished by the
-// same refinement. Whatever the strategy, the returned Solution is
-// certified by exact arithmetic, and an Optimal one is the
-// lexicographically smallest optimal point, so both strategies return
-// the same bytes.
+// options. The zero SolveOpts is the production default: the
+// float-guided warm start locates a candidate basis, an exact
+// crossover certifies it (warmstart.go), a tied optimum is refined to
+// the canonical one on the sparse LU (lex.go), and the cold two-phase
+// revised simplex runs only when the float solve fails.
+// StrategyExact forces the cold two-phase solve (the ablation
+// baseline), finished by the same refinement. Whatever the strategy,
+// the returned Solution is certified by exact arithmetic, and an
+// Optimal one is the lexicographically smallest optimal point, so both
+// strategies return the same bytes.
 func (p *Problem) SolveWithOpts(ctx context.Context, opts SolveOpts) (*Solution, error) {
 	if len(p.vars) == 0 {
 		return nil, errors.New("lp: no variables")
@@ -233,37 +231,17 @@ func (p *Problem) SolveWithOpts(ctx context.Context, opts SolveOpts) (*Solution,
 	if opts.Stats != nil {
 		*opts.Stats = SolveStats{}
 	}
-	if opts.Strategy == StrategyWarmStart && !opts.NoPresolve {
-		sol, done, err := p.solvePresolved(ctx, &opts)
-		if err != nil {
-			return nil, err
-		}
-		if done {
-			return sol, nil
-		}
-		// Presolve either fired nothing or could not certify a unique
-		// optimum through the reductions: solve the original problem.
-	}
-	sol, _, err := newStandardForm(p).solve(ctx, &opts)
-	return sol, err
-}
-
-// solve runs opts' strategy on the standard form and reports whether
-// an Optimal result is the unique optimum. The warm start is tried
-// first under StrategyWarmStart; the cold two-phase solve runs under
-// StrategyExact or when the warm start demotes (a float failure). Both
-// finish on the canonical optimum (lex.go).
-func (s *standardForm) solve(ctx context.Context, opts *SolveOpts) (*Solution, bool, error) {
+	s := newStandardForm(p)
 	if opts.Strategy == StrategyWarmStart {
-		sol, unique, done, err := s.solveWarmStart(ctx, opts)
+		sol, done, err := s.solveWarmStart(ctx, &opts)
 		if err != nil || done {
-			return sol, unique, err
+			return sol, err
 		}
 		if opts.Stats != nil {
 			opts.Stats.Fallback = true
 		}
 	}
-	return s.solveCold(ctx, opts)
+	return s.solveCold(ctx, &opts)
 }
 
 // solveCold is the two-phase revised simplex on the sparse LU of
@@ -284,7 +262,7 @@ func (s *standardForm) solve(ctx context.Context, opts *SolveOpts) (*Solution, b
 // Artificial columns never enter. Every pivot, the lex step's
 // included, counts in SolveStats.ExactPivots; RevisedPivots stays a
 // warm-path count.
-func (s *standardForm) solveCold(ctx context.Context, opts *SolveOpts) (*Solution, bool, error) {
+func (s *standardForm) solveCold(ctx context.Context, opts *SolveOpts) (*Solution, error) {
 	if opts.Stats != nil {
 		warm := opts.Stats.RevisedPivots
 		defer func() {
@@ -307,24 +285,24 @@ func (s *standardForm) solveCold(ctx context.Context, opts *SolveOpts) (*Solutio
 	}
 	lu, ok := s.factorizeSparse(basis, &h)
 	if !ok {
-		return nil, false, errInvariant
+		return nil, errInvariant
 	}
 	xB := lu.solve(s.b)
 	if art > s.ncols {
-		sol, _, err := s.solveRevised(ctx, basis, xB, lu, &h, opts, phase1, false)
+		sol, err := s.solveRevised(ctx, basis, xB, lu, &h, opts, phase1, false)
 		if err != nil {
-			return nil, false, err
+			return nil, err
 		}
 		if sol != nil {
-			return nil, false, errInvariant // phase 1 is bounded below by 0
+			return nil, errInvariant // phase 1 is bounded below by 0
 		}
 		for k, j := range basis {
 			if j >= s.ncols && !xB[k].IsZero() {
-				return &Solution{Status: Infeasible}, false, nil
+				return &Solution{Status: Infeasible}, nil
 			}
 		}
 		if err := s.driveOutArtificials(basis, xB, lu, &h, opts); err != nil {
-			return nil, false, err
+			return nil, err
 		}
 	}
 	return s.solveRevised(ctx, basis, xB, lu, &h, opts, s.hcost(), true)
@@ -392,15 +370,9 @@ func (s *standardForm) hcost() []hval {
 // solution wraps an original-variable assignment as an Optimal
 // Solution, computing the objective in the problem's own sense.
 func (s *standardForm) solution(x []*big.Rat) *Solution {
-	return s.p.optimalSolution(x)
-}
-
-// optimalSolution wraps x as an Optimal Solution with the objective
-// evaluated over p's own coefficients and sense.
-func (p *Problem) optimalSolution(x []*big.Rat) *Solution {
 	obj := rational.Zero()
 	tmp := rational.Zero()
-	for i, c := range p.objective {
+	for i, c := range s.p.objective {
 		tmp.Mul(c, x[i])
 		obj.Add(obj, tmp)
 	}

@@ -31,7 +31,7 @@
 // basis that passes the strict (uniqueness) dual certificate is the
 // only optimum, and a tied one is refined on the same factorization to
 // the canonical lexicographically smallest optimal point (lex.go). The
-// fuzz targets FuzzPresolveMatchesDense and FuzzWarmStartMatchesExact
+// fuzz targets FuzzSparseMatchesDense and FuzzWarmStartMatchesExact
 // check both strategies against an independent dense-tableau oracle
 // that lives in the tests.
 package lp
@@ -786,16 +786,15 @@ func (s *standardForm) solveDualRepair(ctx context.Context, basis []int, xB []hv
 // smaller basis index. basis, xB and lu are advanced in place.
 //
 // With lex set, cost is the LP's own and the optimum is final: one
-// certified strictly dual non-degenerate is unique and returned as is
-// (unique=true); a tied one is refined on the same factorization to
-// the canonical optimum (lexRefine), so the pivot path never shows in
-// the result. Without lex (the cold solve's phase 1) an optimum
+// certified strictly dual non-degenerate is unique and returned as is;
+// a tied one is refined on the same factorization to the canonical
+// optimum (lexRefine), so the pivot path never shows in the result. Without lex (the cold solve's phase 1) an optimum
 // returns a nil Solution and leaves basis, xB and lu at the optimal
 // vertex.
 //
 // An Unbounded verdict is trustworthy: it is reached from an
 // exactly-feasible vertex by exact pivoting.
-func (s *standardForm) solveRevised(ctx context.Context, basis []int, xB []hval, lu *sparseLU, h *hstats, opts *SolveOpts, cost []hval, lex bool) (sol *Solution, unique bool, err error) {
+func (s *standardForm) solveRevised(ctx context.Context, basis []int, xB []hval, lu *sparseLU, h *hstats, opts *SolveOpts, cost []hval, lex bool) (*Solution, error) {
 	const stallLimit = 12 // degenerate pivots tolerated before engaging Bland
 	m := s.nrows
 	cB := make([]hval, m)
@@ -829,7 +828,7 @@ func (s *standardForm) solveRevised(ctx context.Context, basis []int, xB []hval,
 	priceStart := 0
 	for {
 		if err := ctx.Err(); err != nil {
-			return nil, false, err
+			return nil, err
 		}
 		y := lu.solveTranspose(cB)
 		useBland := stalled >= stallLimit
@@ -892,12 +891,11 @@ func (s *standardForm) solveRevised(ctx context.Context, basis []int, xB []hval,
 		if enter < 0 {
 			switch {
 			case !lex:
-				return nil, false, nil
+				return nil, nil
 			case tied:
-				sol, err := s.lexRefine(ctx, basis, xB, lu, h, opts)
-				return sol, false, err
+				return s.lexRefine(ctx, basis, xB, lu, h, opts)
 			}
-			return s.basicSolution(basis, xB), true, nil
+			return s.basicSolution(basis, xB), nil
 		}
 		w := lu.ftran(s.hcol(enter))
 		leave := -1
@@ -914,7 +912,7 @@ func (s *standardForm) solveRevised(ctx context.Context, basis []int, xB []hval,
 			}
 		}
 		if leave < 0 {
-			return &Solution{Status: Unbounded}, false, nil
+			return &Solution{Status: Unbounded}, nil
 		}
 		theta := bestRatio
 		degenerate := theta.IsZero()
@@ -931,7 +929,7 @@ func (s *standardForm) solveRevised(ctx context.Context, basis []int, xB []hval,
 		inBasis[enter] = true
 		cB[leave] = cost[enter]
 		if err := s.commitPivot(basis, xB, lu, leave, enter, w, h, opts); err != nil {
-			return nil, false, err
+			return nil, err
 		}
 		if degenerate {
 			stalled++

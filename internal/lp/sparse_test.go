@@ -8,18 +8,19 @@ import (
 	"minimaxdp/internal/rational"
 )
 
-// presolveCase is one hand-built LP exercising a specific reduction.
-type presolveCase struct {
-	name  string
-	build func() *Problem
-	// minimum reductions the presolver must report
-	minRows, minCols int
-	wantStatus       Status
-	wantTied         bool // tied optimum: lex-refined, never the float-failure fallback
+// reducibleCase is one hand-built LP with structure an exact presolve
+// would resolve by inspection: an empty or non-binding row, a forcing
+// row, a row or column singleton, a free variable an equation
+// determines, an implied slack, or an empty column.
+type reducibleCase struct {
+	name       string
+	build      func() *Problem
+	wantStatus Status
+	wantTied   bool // tied optimum: lex-refined, never the float-failure fallback
 }
 
-func presolveCases() []presolveCase {
-	return []presolveCase{
+func reducibleCases() []reducibleCase {
+	return []reducibleCase{
 		{
 			name: "empty-row-drops",
 			build: func() *Problem {
@@ -30,7 +31,7 @@ func presolveCases() []presolveCase {
 				p.AddConstraint([]Term{TInt(x, 1)}, GE, rational.Int(2))
 				return p
 			},
-			minRows: 2, wantStatus: Optimal, // empty row + shifted bound row
+			wantStatus: Optimal,
 		},
 		{
 			name: "empty-row-infeasible",
@@ -54,7 +55,7 @@ func presolveCases() []presolveCase {
 				p.AddConstraint([]Term{TInt(x, 1), TInt(y, 1)}, GE, rational.Int(4))
 				return p
 			},
-			minRows: 1, wantStatus: Optimal,
+			wantStatus: Optimal,
 		},
 		{
 			name: "forcing-row-fixes-all",
@@ -68,7 +69,7 @@ func presolveCases() []presolveCase {
 				p.AddConstraint([]Term{TInt(z, 1)}, LE, rational.Int(5))
 				return p
 			},
-			minRows: 1, minCols: 2, wantStatus: Optimal,
+			wantStatus: Optimal,
 		},
 		{
 			name: "singleton-eq-fixes",
@@ -81,7 +82,7 @@ func presolveCases() []presolveCase {
 				p.AddConstraint([]Term{TInt(x, 1), TInt(y, 1)}, GE, rational.Int(3))
 				return p
 			},
-			minRows: 1, minCols: 1, wantStatus: Optimal,
+			wantStatus: Optimal,
 		},
 		{
 			name: "singleton-eq-negative-infeasible",
@@ -105,7 +106,7 @@ func presolveCases() []presolveCase {
 				p.AddConstraint([]Term{TInt(x, 1), TInt(y, 1)}, GE, rational.Int(5))
 				return p
 			},
-			minRows: 1, wantStatus: Optimal,
+			wantStatus: Optimal,
 		},
 		{
 			name: "singleton-le-zero-fixes",
@@ -118,7 +119,7 @@ func presolveCases() []presolveCase {
 				p.AddConstraint([]Term{TInt(y, 1)}, GE, rational.One())
 				return p
 			},
-			minRows: 1, minCols: 1, wantStatus: Optimal,
+			wantStatus: Optimal,
 		},
 		{
 			name: "singleton-le-negative-infeasible",
@@ -141,7 +142,7 @@ func presolveCases() []presolveCase {
 				p.AddConstraint([]Term{TInt(x, 1)}, GE, rational.Int(2))
 				return p
 			},
-			minCols: 1, wantStatus: Optimal,
+			wantStatus: Optimal,
 		},
 		{
 			name: "empty-column-unbounded",
@@ -179,7 +180,7 @@ func presolveCases() []presolveCase {
 				p.AddConstraint([]Term{TInt(x, 1)}, LE, rational.Int(3))
 				return p
 			},
-			minRows: 1, minCols: 1, wantStatus: Optimal,
+			wantStatus: Optimal,
 		},
 		{
 			name: "implied-slack-relaxes-equation",
@@ -192,7 +193,7 @@ func presolveCases() []presolveCase {
 				p.AddConstraint([]Term{TInt(x, 1), TInt(y, 1), TInt(s, 1)}, EQ, rational.Int(4))
 				return p
 			},
-			minCols: 1, wantStatus: Optimal,
+			wantStatus: Optimal,
 		},
 		{
 			name: "tied-optimum-lex-refined",
@@ -205,29 +206,29 @@ func presolveCases() []presolveCase {
 				p.AddConstraint([]Term{TInt(x, 1), TInt(y, 1), TInt(s, 1)}, EQ, rational.Int(4))
 				return p
 			},
-			minCols: 1, wantStatus: Optimal, wantTied: true,
+			wantStatus: Optimal, wantTied: true,
 		},
 	}
 }
 
-// TestPresolveReductions runs every reduction case through both
-// strategies, demanding byte-identical results, the expected status,
-// and that the presolver actually performed (at least) the advertised
-// reductions.
+// TestPresolveReductions runs every presolve-reducible case through
+// both strategies against the dense oracle (assertMatchesOracle),
+// demanding the expected status, and that a tied optimum is
+// lex-refined on the warm path rather than demoted to the cold
+// fallback. The solver has no presolve: these shapes reach the simplex
+// as modelled.
 func TestPresolveReductions(t *testing.T) {
-	for _, tc := range presolveCases() {
+	for _, tc := range reducibleCases() {
 		t.Run(tc.name, func(t *testing.T) {
+			p := tc.build()
+			assertMatchesOracle(t, p)
 			var stats SolveStats
-			exact, warm := solveBoth(t, tc.build(), &stats)
-			assertIdentical(t, exact, warm)
-			if warm.Status != tc.wantStatus {
-				t.Fatalf("status = %v, want %v", warm.Status, tc.wantStatus)
+			sol, err := p.SolveWithOpts(context.Background(), SolveOpts{Stats: &stats})
+			if err != nil {
+				t.Fatal(err)
 			}
-			if stats.PresolveRows < tc.minRows {
-				t.Errorf("PresolveRows = %d, want ≥ %d", stats.PresolveRows, tc.minRows)
-			}
-			if stats.PresolveCols < tc.minCols {
-				t.Errorf("PresolveCols = %d, want ≥ %d", stats.PresolveCols, tc.minCols)
+			if sol.Status != tc.wantStatus {
+				t.Fatalf("status = %v, want %v", sol.Status, tc.wantStatus)
 			}
 			if tc.wantTied && (!stats.TiedOptima || stats.Fallback) {
 				t.Errorf("tied optimum should be lex-refined without the cold fallback, got %+v", stats)
@@ -236,41 +237,10 @@ func TestPresolveReductions(t *testing.T) {
 	}
 }
 
-// TestPresolveNoPresolveKnob asserts the opt-out really skips the
-// reductions and still produces the identical answer.
-func TestPresolveNoPresolveKnob(t *testing.T) {
-	build := func() *Problem {
-		p := NewProblem(Minimize)
-		x := p.NewVariable("x")
-		y := p.NewVariable("y")
-		p.SetObjective(TInt(x, 1), TInt(y, 3))
-		p.AddConstraint([]Term{TInt(x, 2)}, EQ, rational.Int(4))
-		p.AddConstraint([]Term{TInt(x, 1), TInt(y, 1)}, GE, rational.Int(3))
-		return p
-	}
-	var on, off SolveStats
-	with, err := build().SolveWithOpts(context.Background(), SolveOpts{Stats: &on})
-	if err != nil {
-		t.Fatal(err)
-	}
-	without, err := build().SolveWithOpts(context.Background(), SolveOpts{NoPresolve: true, Stats: &off})
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertIdentical(t, with, without)
-	if on.PresolveRows == 0 && on.PresolveCols == 0 {
-		t.Error("presolve fired nothing on a reducible problem")
-	}
-	if off.PresolveRows != 0 || off.PresolveCols != 0 {
-		t.Errorf("NoPresolve still reduced: %+v", off)
-	}
-}
-
-// TestPresolvePostsolveStrongDuality is the property test required of
-// the postsolve: the reconstructed solution must satisfy the original
-// problem exactly (Verify) and its objective must equal the optimum
-// of the original problem's dual — the strong-duality certificate,
-// computed entirely on the *unreduced* LP.
+// TestPresolvePostsolveStrongDuality checks presolve-reducible LPs
+// and a tailored LP against strong duality: the solution must satisfy
+// the problem exactly (Verify) and its objective must equal the
+// optimum of the problem's dual.
 func TestPresolvePostsolveStrongDuality(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -318,7 +288,7 @@ func TestPresolvePostsolveStrongDuality(t *testing.T) {
 				t.Fatalf("status = %v", sol.Status)
 			}
 			if err := sol.Verify(p); err != nil {
-				t.Fatalf("postsolved solution fails Verify on the original LP: %v", err)
+				t.Fatalf("solution fails Verify: %v", err)
 			}
 			dual, err := p.Dual()
 			if err != nil {
@@ -339,8 +309,10 @@ func TestPresolvePostsolveStrongDuality(t *testing.T) {
 	}
 }
 
-// TestPresolveAllVariablesEliminated covers the path where presolve
-// alone determines every variable and no reduced solve runs.
+// TestPresolveAllVariablesEliminated covers an LP whose equations
+// determine every variable by substitution, so a presolve would
+// eliminate them all: the simplex must land on the single feasible
+// point, and both strategies must match the dense oracle.
 func TestPresolveAllVariablesEliminated(t *testing.T) {
 	p := NewProblem(Minimize)
 	x := p.NewVariable("x")
@@ -348,8 +320,8 @@ func TestPresolveAllVariablesEliminated(t *testing.T) {
 	p.SetObjective(TInt(x, 3), TInt(y, -2))
 	p.AddConstraint([]Term{TInt(x, 2)}, EQ, rational.Int(6))
 	p.AddConstraint([]Term{TInt(x, 1), TInt(y, 1)}, EQ, rational.Int(3)) // after x=3: y=0
-	var stats SolveStats
-	sol, err := p.SolveWithOpts(context.Background(), SolveOpts{Stats: &stats})
+	assertMatchesOracle(t, p)
+	sol, err := p.Solve()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,25 +337,19 @@ func TestPresolveAllVariablesEliminated(t *testing.T) {
 	if sol.Objective.Cmp(rational.Int(9)) != 0 {
 		t.Errorf("objective = %s, want 9", sol.Objective.RatString())
 	}
-	if stats.PresolveCols != 2 {
-		t.Errorf("PresolveCols = %d, want 2", stats.PresolveCols)
-	}
-	if stats.FloatPivots != 0 || stats.ExactPivots != 0 || stats.RevisedPivots != 0 {
-		t.Errorf("fully-presolved LP still ran the solver: %+v", stats)
-	}
 	if err := sol.Verify(p); err != nil {
 		t.Errorf("Verify: %v", err)
 	}
 }
 
-// FuzzPresolveMatchesDense decodes deliberately sparse LPs — rows with
+// FuzzSparseMatchesDense decodes deliberately sparse LPs — rows with
 // few nonzeros, so empty rows, singletons, and empty columns abound —
-// and asserts the presolve+revised pipeline and StrategyExact are both
+// and asserts the warm-start pipeline and StrategyExact are both
 // byte-identical to the dense oracle (lexOracle), and that Optimal
-// solutions verify against the original problem. The committed corpus under
+// solutions verify against the problem. The committed corpus under
 // testdata/fuzz includes tied-optimum and degenerate seeds.
-func FuzzPresolveMatchesDense(f *testing.F) {
-	for _, seed := range presolveSeeds {
+func FuzzSparseMatchesDense(f *testing.F) {
+	for _, seed := range sparseSeeds {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -395,10 +361,10 @@ func FuzzPresolveMatchesDense(f *testing.F) {
 	})
 }
 
-// presolveSeeds are FuzzPresolveMatchesDense's seed inputs: nv, nc,
+// sparseSeeds are FuzzSparseMatchesDense's seed inputs: nv, nc,
 // then per constraint a sparse coefficient nibble per var, an
 // operator, an rhs. A spread of shapes incl. ties/degeneracy.
-var presolveSeeds = [][]byte{
+var sparseSeeds = [][]byte{
 	{2, 1, 9, 9, 0, 4, 251, 251},       // x+y ≤ 4, max x+y: tied edge
 	{3, 2, 9, 0, 0, 2, 0, 9, 9, 0, 4},  // singleton + pair
 	{1, 1, 0, 1, 3, 5},                 // empty row

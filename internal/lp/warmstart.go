@@ -48,13 +48,9 @@ const (
 )
 
 // SolveOpts configures SolveWithOpts. The zero value is the
-// production default: presolve and warm start on.
+// production default: the warm start on.
 type SolveOpts struct {
 	Strategy Strategy
-	// NoPresolve skips the exact presolve reductions (presolve.go),
-	// solving the problem as modelled. StrategyExact never presolves
-	// regardless, so this knob only affects the warm-start strategy.
-	NoPresolve bool
 	// Stats, when non-nil, is reset at the start of the solve and
 	// filled with counters describing what the solver actually did.
 	Stats *SolveStats
@@ -66,7 +62,7 @@ type SolveOpts struct {
 // StrategyExact solve sets none of them.
 type SolveStats struct {
 	FloatPivots   int   // pivots of the float64 basis-locating solve
-	FloatNanos    int64 // wall time of the float64 basis-locating solve in ns, summed when presolve demotes to a second one
+	FloatNanos    int64 // wall time of the float64 basis-locating solve in ns
 	ExactPivots   int   // pivots of the cold two-phase solve (StrategyExact or fallback), lex step included
 	RevisedPivots int   // warm-path exact pivots (crossover resume, dual repair, lex refinement)
 
@@ -86,10 +82,6 @@ type SolveStats struct {
 	Refactorizations   int
 	MagnitudeRefactors int
 
-	// Presolve reductions applied before the solve (presolve.go).
-	PresolveRows int // constraint rows eliminated
-	PresolveCols int // variables eliminated
-
 	WarmStartHit     bool // float basis certified optimal and unique; zero exact pivots
 	CrossoverResumed bool // exact pivoting resumed (primal resume, dual repair or lex refinement)
 	Fallback         bool // cold two-phase exact solve ran: the float solve failed
@@ -102,26 +94,25 @@ type SolveStats struct {
 
 // solveWarmStart attempts the float-guided path. done=false (with nil
 // error) means the caller must run the cold two-phase fallback; when
-// done=true, sol is the certified result and unique reports whether an
-// Optimal sol is the only optimum.
-func (s *standardForm) solveWarmStart(ctx context.Context, opts *SolveOpts) (sol *Solution, unique, done bool, err error) {
+// done=true, sol is the certified result.
+func (s *standardForm) solveWarmStart(ctx context.Context, opts *SolveOpts) (sol *Solution, done bool, err error) {
 	if err := ctx.Err(); err != nil {
-		return nil, false, false, err
+		return nil, false, err
 	}
 	start := time.Now()
 	basis, floatPivots, ok := s.floatCandidateBasis()
 	if opts.Stats != nil {
 		opts.Stats.FloatPivots = floatPivots
-		opts.Stats.FloatNanos += time.Since(start).Nanoseconds()
+		opts.Stats.FloatNanos = time.Since(start).Nanoseconds()
 	}
 	if !ok {
-		return nil, false, false, nil
+		return nil, false, nil
 	}
 	var h hstats
 	defer func() { h.fold(opts.Stats) }()
 	lu, ok := s.factorizeSparse(basis, &h)
 	if !ok {
-		return nil, false, false, nil // singular basis: the float path lost the plot
+		return nil, false, nil // singular basis: the float path lost the plot
 	}
 	xB := lu.solve(s.b)
 	repaired := false
@@ -145,11 +136,11 @@ func (s *standardForm) solveWarmStart(ctx context.Context, opts *SolveOpts) (sol
 		// then fall through to the usual certification below. Any
 		// other shape of infeasibility still takes the cold fallback.
 		if s.dualCertificate(basis, lu, &h) != dualStrict {
-			return nil, false, false, nil // not repairable: certificate failed
+			return nil, false, nil // not repairable: certificate failed
 		}
 		lu, xB, ok, err = s.solveDualRepair(ctx, basis, xB, lu, &h, opts)
 		if err != nil || !ok {
-			return nil, false, false, err
+			return nil, false, err
 		}
 		repaired = true
 	}
@@ -166,7 +157,7 @@ func (s *standardForm) solveWarmStart(ctx context.Context, opts *SolveOpts) (sol
 				opts.Stats.WarmStartHit = true
 			}
 		}
-		return s.basicSolution(basis, xB), true, true, nil
+		return s.basicSolution(basis, xB), true, nil
 	case dualDegenerate:
 		// Optimal but not unique: refine to the canonical optimum.
 		sol, err = s.lexRefine(ctx, basis, xB, lu, &h, opts)
@@ -174,15 +165,15 @@ func (s *standardForm) solveWarmStart(ctx context.Context, opts *SolveOpts) (sol
 		// Feasible but not optimal: resume exact revised-simplex
 		// pivoting from this vertex against the factorization,
 		// skipping phase 1 entirely (revised.go).
-		sol, unique, err = s.solveRevised(ctx, basis, xB, lu, &h, opts, s.hcost(), true)
+		sol, err = s.solveRevised(ctx, basis, xB, lu, &h, opts, s.hcost(), true)
 	}
 	if err != nil {
-		return nil, false, false, err
+		return nil, false, err
 	}
 	if opts.Stats != nil {
 		opts.Stats.CrossoverResumed = true
 	}
-	return sol, unique, true, nil
+	return sol, true, nil
 }
 
 // dualVerdict classifies the reduced costs of the nonbasic columns.
@@ -220,14 +211,4 @@ func (s *standardForm) dualCertificate(basis []int, lu *sparseLU, h *hstats) dua
 		}
 	}
 	return verdict
-}
-
-// solveCertified solves p through the warm-start pipeline and
-// additionally reports whether an Optimal result is certified
-// *unique* (strict dual non-degeneracy). The presolve driver requires
-// uniqueness before mapping a reduced solution back to the original
-// problem: the canonical optimum of the reduced problem need not map
-// to the canonical optimum of the original, but a unique one does.
-func (p *Problem) solveCertified(ctx context.Context, opts *SolveOpts) (*Solution, bool, error) {
-	return newStandardForm(p).solve(ctx, opts)
 }
