@@ -10,7 +10,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/big"
-	"math/rand"
 	"testing"
 
 	"minimaxdp/internal/consumer"
@@ -476,53 +475,6 @@ func BenchmarkSimplexWarmStart(b *testing.B) {
 	}
 	b.Run("exact", run(lp.StrategyExact))
 	b.Run("warmstart", run(lp.StrategyWarmStart))
-}
-
-// --- Ablation: sampler strategies ------------------------------------------
-
-func BenchmarkSamplerStrategies(b *testing.B) {
-	alpha := MustRat("1/2")
-	g, err := mechanism.Geometric(20, alpha)
-	if err != nil {
-		b.Fatal(err)
-	}
-	weights := make([]float64, 21)
-	for r := 0; r <= 20; r++ {
-		weights[r] = rational.Float(g.Prob(10, r))
-	}
-	rng := rand.New(rand.NewSource(1))
-	b.Run("closed-form-geometric", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			_ = sample.GeometricMechanismSample(10, 20, 0.5, rng)
-		}
-	})
-	b.Run("inverse-cdf", func(b *testing.B) {
-		s, err := sample.NewInverseCDF(weights)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			_ = s.Sample(rng)
-		}
-	})
-	b.Run("alias", func(b *testing.B) {
-		s, err := sample.NewAlias(weights)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			_ = s.Sample(rng)
-		}
-	})
-	b.Run("mechanism-row-walk", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			_ = g.Sample(10, rng)
-		}
-	})
 }
 
 // --- Ablation: interaction LP vs direct factorization ----------------------

@@ -39,6 +39,9 @@ var DefaultScope = []string{
 	"minimaxdp/internal/derive",
 	"minimaxdp/internal/consumer",
 	"minimaxdp/internal/matrix",
+	// Mechanisms hold the sampling kernel: every draw from an exact
+	// row goes through its certified dyadic alias tables (AliasRow).
+	"minimaxdp/internal/mechanism",
 	// The serving engine caches exact artifacts (mechanisms,
 	// transitions, LP optima) and must stay exact everywhere —
 	// including its samplers: the dyadic alias tables (sampler.go,

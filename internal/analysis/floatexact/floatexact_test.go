@@ -31,16 +31,19 @@ func TestOutOfScope(t *testing.T) {
 }
 
 // TestScopeHandoff pins the division of labor with floatflow. The
-// engine package (home of sampler.go and shard.go) stays inside
-// floatexact's blunt fence, so the zero-findings repo gate
-// (registry.TestRepoTreeClean) actively proves the hot sampling path
+// engine package (home of sampler.go and shard.go) and the mechanism
+// package (home of the per-row alias tables) stay inside floatexact's
+// blunt fence, so the zero-findings repo gate
+// (registry.TestRepoTreeClean) actively proves the sampling path
 // float-free. internal/lp, by contrast, must stay OUT: it hosts the
 // sanctioned float64 shadow simplex and is guarded flow-sensitively
 // by floatflow. Re-adding lp here would double-report its every float
 // and defeat the taint model; dropping engine would open a hole.
 func TestScopeHandoff(t *testing.T) {
-	if !analysis.PathMatches("minimaxdp/internal/engine", floatexact.DefaultScope) {
-		t.Fatal("minimaxdp/internal/engine missing from floatexact.DefaultScope")
+	for _, p := range []string{"minimaxdp/internal/engine", "minimaxdp/internal/mechanism"} {
+		if !analysis.PathMatches(p, floatexact.DefaultScope) {
+			t.Fatalf("%s missing from floatexact.DefaultScope", p)
+		}
 	}
 	if analysis.PathMatches("minimaxdp/internal/lp", floatexact.DefaultScope) {
 		t.Fatal("minimaxdp/internal/lp is back in floatexact.DefaultScope; it belongs to floatflow (DESIGN.md §12)")

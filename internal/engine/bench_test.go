@@ -16,7 +16,6 @@ import (
 	"minimaxdp/internal/loss"
 	"minimaxdp/internal/lp"
 	"minimaxdp/internal/rational"
-	"minimaxdp/internal/sample"
 )
 
 func BenchmarkEngineTailoredCached(b *testing.B) {
@@ -212,35 +211,6 @@ func BenchmarkEngineSamplerBatchParallel(b *testing.B) {
 		dst := make([]int, 1024)
 		for pb.Next() {
 			s.SampleInto(32, dst)
-		}
-	})
-}
-
-// BenchmarkEngineSamplerVsCDF quantifies the dyadic alias win over
-// the exact inverse-CDF walk used by mechanism.Sample (O(1) integer
-// compare vs O(n) rational walk per draw).
-func BenchmarkEngineSamplerVsCDF(b *testing.B) {
-	e := New(Config{})
-	a := rational.MustParse("1/2")
-	s, err := e.Sampler(context.Background(), SamplerSpec{N: 64, Alpha: a})
-	if err != nil {
-		b.Fatal(err)
-	}
-	g, err := e.Geometric(64, a)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("alias-dyadic", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			_ = s.Sample(32)
-		}
-	})
-	b.Run("exact-cdf", func(b *testing.B) {
-		rng := sample.NewRand(1)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			_ = g.Sample(32, rng)
 		}
 	})
 }

@@ -58,13 +58,12 @@ func newSamplerFromTables(e *Engine, key string, n int, rows []sample.AliasTable
 }
 
 // Sampler draws from a fixed mechanism in O(1) per draw: one
-// certified dyadic alias table per mechanism row, precompiled at
+// certified dyadic alias table per mechanism row, gathered at
 // construction. Unlike mechanism.Sample (which takes a caller-owned
-// *rand.Rand and walks the exact CDF in O(n)), Sampler methods are
-// safe for concurrent use: randomness comes from the engine's
-// GOMAXPROCS-sized shard array, each shard owning a lock-free
-// splitmix64 stream, so concurrent draws touch no shared mutable
-// state beyond one per-shard atomic.
+// *rand.Rand), Sampler methods are safe for concurrent use:
+// randomness comes from the engine's GOMAXPROCS-sized shard array,
+// each shard owning a lock-free splitmix64 stream, so concurrent
+// draws touch no shared mutable state beyond one per-shard atomic.
 type Sampler struct {
 	n      int
 	rows   []*sample.DyadicAlias
@@ -74,15 +73,14 @@ type Sampler struct {
 	key    string    // cache key (or "adhoc") for trace events
 }
 
-func newSampler(m *mechanism.Mechanism, e *Engine, key string) (*Sampler, error) {
+// newSampler wraps the mechanism's own per-row alias tables
+// (Mechanism.AliasRow), so the sampler and Mechanism.Sample draw from
+// the same certified tables.
+func newSampler(m *mechanism.Mechanism, e *Engine, key string) *Sampler {
 	n := m.N()
 	rows := make([]*sample.DyadicAlias, n+1)
-	for i := 0; i <= n; i++ {
-		a, err := sample.NewDyadicAlias(m.Row(i))
-		if err != nil {
-			return nil, fmt.Errorf("engine: sampler row %d: %w", i, err)
-		}
-		rows[i] = a
+	for i := range rows {
+		rows[i] = m.AliasRow(i)
 	}
 	return &Sampler{
 		n:      n,
@@ -91,7 +89,7 @@ func newSampler(m *mechanism.Mechanism, e *Engine, key string) (*Sampler, error)
 		hist:   &e.batchSizes,
 		trace:  e.trace,
 		key:    key,
-	}, nil
+	}
 }
 
 // N returns the mechanism's domain bound (results lie in {0..n}).
@@ -187,7 +185,7 @@ func (e *Engine) Sampler(ctx context.Context, spec SamplerSpec) (*Sampler, error
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		return newSampler(spec.Mechanism, e, "adhoc")
+		return newSampler(spec.Mechanism, e, "adhoc"), nil
 	}
 	if err := checkRat("alpha", spec.Alpha); err != nil {
 		return nil, err
@@ -201,6 +199,6 @@ func (e *Engine) Sampler(ctx context.Context, spec SamplerSpec) (*Sampler, error
 		if err != nil {
 			return nil, err
 		}
-		return newSampler(g, e, key)
+		return newSampler(g, e, key), nil
 	})
 }

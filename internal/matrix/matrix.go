@@ -165,22 +165,13 @@ func (m *Matrix) Equal(o *Matrix) bool {
 	return true
 }
 
-// Mul returns the product m·o.
+// Mul returns the product m·o. The dot products run on the
+// rational.Hval ladder (Small → Wide → big.Rat), so mostly-tiny
+// operands — the common case for mechanism transition products — stay
+// in machine words.
 func (m *Matrix) Mul(o *Matrix) (*Matrix, error) {
-	out, _, err := m.MulStats(o)
-	return out, err
-}
-
-// MulStats returns the product m·o together with the hybrid tier
-// counters of this call. The dot products run on the rational.Hval
-// ladder (Small → Wide → big.Rat), so mostly-tiny operands — the
-// common case for mechanism transition products — stay in machine
-// words; the returned stats report the per-call hit rate of each
-// tier.
-func (m *Matrix) MulStats(o *Matrix) (*Matrix, rational.HybridStats, error) {
-	var h rational.HybridStats
 	if m.cols != o.rows {
-		return nil, h, fmt.Errorf("matrix: cannot multiply %dx%d by %dx%d", m.rows, m.cols, o.rows, o.cols)
+		return nil, fmt.Errorf("matrix: cannot multiply %dx%d by %dx%d", m.rows, m.cols, o.rows, o.cols)
 	}
 	// Lift both operands onto the ladder once; big-tier entries are
 	// aliased, never copied, and Hval ops never mutate operands.
@@ -193,6 +184,7 @@ func (m *Matrix) MulStats(o *Matrix) (*Matrix, rational.HybridStats, error) {
 		right[i] = rational.HvalFromRat(v)
 	}
 	acc := make([]rational.Hval, m.rows*o.cols)
+	var h rational.HybridStats
 	var zero rational.Hval
 	// ikj loop order with a zero-skip on the left factor: products with
 	// sparse left operands (e.g. the tridiagonal closed-form inverse of
@@ -224,7 +216,7 @@ func (m *Matrix) MulStats(o *Matrix) (*Matrix, rational.HybridStats, error) {
 		}
 		out.a[idx] = rational.Clone(v.Rat())
 	}
-	return out, h, nil
+	return out, nil
 }
 
 // MulVec returns the product m·v for a column vector v.
@@ -388,25 +380,16 @@ func (m *Matrix) Solve(b []*big.Rat) ([]*big.Rat, error) {
 // Det returns det(m) using fraction-free Bareiss elimination, which
 // keeps intermediate values as exact integers of the common
 // denominator and is much faster than cofactor expansion for n ≳ 5.
+// The elimination runs on the rational.Hval ladder (Small → Wide →
+// big.Rat): pivots, row factors, and the fused update
+// w[r][j] −= factor·w[col][j] stay in machine words while entries fit.
 func (m *Matrix) Det() (*big.Rat, error) {
-	det, _, err := m.DetStats()
-	return det, err
-}
-
-// DetStats returns det(m) together with the hybrid tier counters of
-// this call. The elimination runs on the rational.Hval ladder
-// (Small → Wide → big.Rat): pivots, row factors, and the fused
-// update w[r][j] −= factor·w[col][j] stay in machine words while
-// entries fit, and the stats report the per-call hit rate of each
-// tier.
-func (m *Matrix) DetStats() (*big.Rat, rational.HybridStats, error) {
-	var h rational.HybridStats
 	if m.rows != m.cols {
-		return nil, h, fmt.Errorf("matrix: determinant of non-square %dx%d", m.rows, m.cols)
+		return nil, fmt.Errorf("matrix: determinant of non-square %dx%d", m.rows, m.cols)
 	}
 	n := m.rows
 	if n == 1 {
-		return rational.Clone(m.At(0, 0)), h, nil
+		return rational.Clone(m.At(0, 0)), nil
 	}
 	// Work on a lifted copy; fraction elimination over Hval is exact
 	// and the ladder is a representation detail. Track sign from row
@@ -418,6 +401,7 @@ func (m *Matrix) DetStats() (*big.Rat, rational.HybridStats, error) {
 			w[i][j] = rational.HvalFromRat(m.a[i*n+j])
 		}
 	}
+	var h rational.HybridStats
 	sign := 1
 	det := rational.HvalFromRat(rational.One())
 	for col := 0; col < n; col++ {
@@ -429,7 +413,7 @@ func (m *Matrix) DetStats() (*big.Rat, rational.HybridStats, error) {
 			}
 		}
 		if pivot < 0 {
-			return rational.Zero(), h, nil
+			return rational.Zero(), nil
 		}
 		if pivot != col {
 			w[col], w[pivot] = w[pivot], w[col]
@@ -455,7 +439,7 @@ func (m *Matrix) DetStats() (*big.Rat, rational.HybridStats, error) {
 	if sign < 0 {
 		out.Neg(out)
 	}
-	return out, h, nil
+	return out, nil
 }
 
 // DetCofactor returns det(m) by recursive cofactor expansion along the

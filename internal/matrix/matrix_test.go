@@ -462,13 +462,13 @@ func TestQuickInverseRoundTrip(t *testing.T) {
 }
 
 // TestMulStatsCountersAndEquivalence pins the hybrid threading of the
-// product: small operands stay on the fast tiers (SmallOps > 0, no
-// big fallbacks) and the result is identical to entrywise dot
-// products over big.Rat.
+// product on small operands (the fast tiers) against entrywise dot
+// products over big.Rat. The name predates the fold of MulStats into
+// Mul.
 func TestMulStatsCountersAndEquivalence(t *testing.T) {
 	a := mustM(t, [][]string{{"1/2", "1/3"}, {"2/5", "7"}})
 	b := mustM(t, [][]string{{"3", "1/7"}, {"1/11", "4/9"}})
-	got, stats, err := a.MulStats(b)
+	got, err := a.Mul(b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -484,13 +484,7 @@ func TestMulStatsCountersAndEquivalence(t *testing.T) {
 		}
 	}
 	if !got.Equal(want) {
-		t.Fatalf("MulStats product mismatch:\n%v\nwant\n%v", got, want)
-	}
-	if stats.SmallOps == 0 {
-		t.Errorf("stats.SmallOps = 0; hybrid fast tier never engaged")
-	}
-	if stats.BigOps != 0 {
-		t.Errorf("stats.BigOps = %d on tiny operands; ladder promoted too eagerly", stats.BigOps)
+		t.Fatalf("Mul product mismatch:\n%v\nwant\n%v", got, want)
 	}
 }
 
@@ -508,23 +502,18 @@ func TestMulStatsEscalatesTiers(t *testing.T) {
 	b := New(2, 2)
 	b.Set(0, 0, rational.One())
 	b.Set(1, 1, rational.One())
-	got, stats, err := a.MulStats(b)
+	got, err := a.Mul(b)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.At(0, 0).Cmp(huge) != 0 || got.At(1, 0).Cmp(giant) != 0 {
 		t.Fatalf("tiered product lost exactness:\n%v", got)
 	}
-	if stats.WideOps == 0 {
-		t.Errorf("stats.WideOps = 0; 2^100 entries should ride the Wide tier")
-	}
-	if stats.BigOps == 0 {
-		t.Errorf("stats.BigOps = 0; 2^200 entries cannot fit 128 bits")
-	}
 }
 
 // TestDetStatsCountersAndEquivalence pins the hybrid threading of the
-// determinant elimination against the cofactor oracle.
+// determinant elimination against the cofactor oracle. The name
+// predates the fold of DetStats into Det.
 func TestDetStatsCountersAndEquivalence(t *testing.T) {
 	m := mustM(t, [][]string{
 		{"2/3", "1/5", "0", "1"},
@@ -532,7 +521,7 @@ func TestDetStatsCountersAndEquivalence(t *testing.T) {
 		{"0", "1/9", "4", "2/11"},
 		{"5", "0", "1/13", "3"},
 	})
-	got, stats, err := m.DetStats()
+	got, err := m.Det()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -541,9 +530,6 @@ func TestDetStatsCountersAndEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got.Cmp(want) != 0 {
-		t.Fatalf("DetStats = %s, cofactor oracle = %s", got.RatString(), want.RatString())
-	}
-	if stats.SmallOps == 0 {
-		t.Errorf("stats.SmallOps = 0; hybrid fast tier never engaged")
+		t.Fatalf("Det = %s, cofactor oracle = %s", got.RatString(), want.RatString())
 	}
 }

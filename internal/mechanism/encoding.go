@@ -52,7 +52,8 @@ func (mc *Mechanism) UnmarshalJSON(data []byte) error {
 	if err != nil {
 		return err
 	}
-	mc.m = decoded.m
+	// The alias tables describe the old matrix: replace them with it.
+	mc.m, mc.alias = decoded.m, decoded.alias
 	return nil
 }
 
@@ -122,7 +123,7 @@ var _ json.Unmarshaler = (*Mechanism)(nil)
 
 // Clone returns an independent copy of the mechanism.
 func (mc *Mechanism) Clone() *Mechanism {
-	return &Mechanism{m: mc.m.Clone()}
+	return wrap(mc.m.Clone())
 }
 
 // TotalVariationRow returns the total-variation distance between the

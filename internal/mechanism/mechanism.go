@@ -1,13 +1,15 @@
 // Package mechanism implements oblivious privacy mechanisms for count
 // queries as row-stochastic matrices on {0..n}, the α-differential
-// privacy check of Definition 2, and the paper's geometric mechanism
-// in both forms: the range-restricted matrix G_{n,α} of Definition 4
-// and the unrestricted two-sided geometric noise of Definition 1.
+// privacy check of Definition 2, and the paper's range-restricted
+// geometric mechanism G_{n,α} of Definition 4. (The unrestricted
+// two-sided geometric noise of Definition 1 has no finite matrix; it
+// lives in internal/sample.)
 //
 // An oblivious mechanism x is stored as an (n+1)×(n+1) matrix with
 // x[i][r] = Pr[output r | true query result i]; rows index true
 // results and columns index released results, matching the paper's
-// notation throughout.
+// notation throughout. Every draw from a row goes through that row's
+// certified dyadic alias table (AliasRow).
 package mechanism
 
 import (
@@ -15,10 +17,11 @@ import (
 	"fmt"
 	"math/big"
 	"math/rand"
-	"sync"
+	"sync/atomic"
 
 	"minimaxdp/internal/matrix"
 	"minimaxdp/internal/rational"
+	"minimaxdp/internal/sample"
 )
 
 // Mechanism is an oblivious privacy mechanism for a count query with
@@ -26,11 +29,16 @@ import (
 type Mechanism struct {
 	m *matrix.Matrix
 
-	// cdf holds the exact row CDFs, built lazily on first Sample (the
-	// only consumer) and immutable afterwards; cdf[i][r] = Σ_{z≤r}
-	// m[i][z]. Safe for concurrent Sample calls via cdfOnce.
-	cdfOnce sync.Once
-	cdf     [][]*big.Rat
+	// alias holds one alias table per row, published by AliasRow on
+	// the row's first draw and immutable afterwards. It belongs to m:
+	// whatever replaces m replaces alias too (see wrap).
+	alias []atomic.Pointer[sample.DyadicAlias]
+}
+
+// wrap makes a Mechanism around a validated matrix, with no row's
+// alias table built yet.
+func wrap(m *matrix.Matrix) *Mechanism {
+	return &Mechanism{m: m, alias: make([]atomic.Pointer[sample.DyadicAlias], m.Rows())}
 }
 
 // ErrNotStochastic is returned when a candidate matrix has a negative
@@ -46,7 +54,7 @@ func New(m *matrix.Matrix) (*Mechanism, error) {
 	if !m.IsStochastic() {
 		return nil, ErrNotStochastic
 	}
-	return &Mechanism{m: m.Clone()}, nil
+	return wrap(m.Clone()), nil
 }
 
 // FromStrings builds a mechanism from rational string entries; a
@@ -153,95 +161,56 @@ func (mc *Mechanism) BestAlpha() *big.Rat {
 
 // PostProcess applies a consumer interaction T (a row-stochastic
 // (n+1)×(n+1) matrix of reinterpretation probabilities, Definition 3)
-// and returns the induced mechanism x = y·T.
+// and returns the induced mechanism x = y·T. Probability entries are
+// mostly tiny rationals, so the product runs on the Small/Wide fast
+// tiers of matrix.Mul.
 func (mc *Mechanism) PostProcess(t *matrix.Matrix) (*Mechanism, error) {
-	out, _, err := mc.PostProcessStats(t)
-	return out, err
-}
-
-// PostProcessStats is PostProcess exposing the hybrid tier counters
-// of the transition product y·T: probability entries are mostly tiny
-// rationals, so the product runs on the Small/Wide fast tiers and the
-// stats report the per-call hit rate.
-func (mc *Mechanism) PostProcessStats(t *matrix.Matrix) (*Mechanism, rational.HybridStats, error) {
-	var h rational.HybridStats
 	if !t.IsStochastic() {
-		return nil, h, fmt.Errorf("mechanism: post-processing matrix: %w", ErrNotStochastic)
+		return nil, fmt.Errorf("mechanism: post-processing matrix: %w", ErrNotStochastic)
 	}
-	prod, h, err := mc.m.MulStats(t)
+	prod, err := mc.m.Mul(t)
 	if err != nil {
-		return nil, h, err
+		return nil, err
 	}
-	out, err := New(prod)
-	return out, h, err
+	return New(prod)
 }
 
-// cdfScratch holds the two pooled big.Int operands of the exact
-// CDF comparison. Their storage grows to working capacity on the
-// first few draws and is reused thereafter, so the steady-state
-// sampling path allocates nothing.
-type cdfScratch struct {
-	lhs, rhs big.Int
+// AliasRow returns the certified dyadic alias table of row i (see
+// sample.DyadicAlias): its induced law is within 2^−(64−k) of the
+// exact row per outcome, where 2^k ≥ n+1 is the table length, and
+// zero-probability outputs are never drawn. The table is built on the
+// row's first use and shared by every later caller. Concurrent first
+// calls may each build one; the first to publish wins and all of them
+// return it.
+func (mc *Mechanism) AliasRow(i int) *sample.DyadicAlias {
+	if i < 0 || i > mc.N() {
+		panic(fmt.Sprintf("mechanism: input %d out of range [0,%d]", i, mc.N()))
+	}
+	slot := &mc.alias[i]
+	if a := slot.Load(); a != nil {
+		return a
+	}
+	a, err := sample.NewDyadicAlias(mc.m.Row(i))
+	if err != nil {
+		// Unreachable for a validated row: a non-negative vector
+		// summing to 1 always yields a certified table.
+		panic(fmt.Sprintf("mechanism: alias table for row %d: %v", i, err))
+	}
+	if !slot.CompareAndSwap(nil, a) {
+		return slot.Load()
+	}
+	return a
 }
 
-var cdfPool = sync.Pool{New: func() any { return new(cdfScratch) }}
-
-// cdfRow returns the exact CDF of row i, building every row's CDF
-// the first time any row is sampled. The build cost (O(n²) rational
-// additions) amortizes over all subsequent draws from the mechanism.
-func (mc *Mechanism) cdfRow(i int) []*big.Rat {
-	mc.cdfOnce.Do(func() {
-		n := mc.N()
-		cdf := make([][]*big.Rat, n+1)
-		for r := 0; r <= n; r++ {
-			row := make([]*big.Rat, n+1)
-			acc := new(big.Rat)
-			for z := 0; z <= n; z++ {
-				acc.Add(acc, mc.m.At(r, z))
-				row[z] = rational.Clone(acc)
-			}
-			cdf[r] = row
-		}
-		mc.cdf = cdf
-	})
-	return mc.cdf[i]
-}
-
-// Sample draws one released result for true input i using rng. It
-// inverts the exact rational CDF of row i against a dyadic uniform
-// draw u = k/2⁵³: a binary search for the smallest r with u < CDF(r),
-// each comparison done by integer cross-multiplication
-// (k·denom < num·2⁵³) on pooled scratch. The sampled law is the
-// mechanism's exact row up to the 2⁻⁵³ resolution of the uniform
-// variate — no float arithmetic anywhere on the path — and the
-// steady-state cost is O(log n) comparisons with zero allocations.
+// Sample draws one released result for true input i from one word of
+// rng, through row i's alias table (AliasRow): one index and one
+// integer compare, no float arithmetic and no allocation once the
+// table exists.
 //
 // rng is caller-owned and not synchronized; for a concurrency-safe
 // high-throughput path use the engine's precompiled samplers.
 func (mc *Mechanism) Sample(i int, rng *rand.Rand) int {
-	if i < 0 || i > mc.N() {
-		panic(fmt.Sprintf("mechanism: input %d out of range [0,%d]", i, mc.N()))
-	}
-	k := rng.Uint64() >> 11 // 53-bit dyadic uniform: u = k/2⁵³
-	cdf := mc.cdfRow(i)
-	s := cdfPool.Get().(*cdfScratch)
-	// Invariant: u < cdf[hi] (row sums to exactly 1 and u < 1, so the
-	// final cell always satisfies the target predicate).
-	lo, hi := 0, mc.N()
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		// u < cdf[mid]  ⟺  k·Denom < Num·2⁵³ (Denom > 0).
-		s.lhs.SetUint64(k)
-		s.lhs.Mul(&s.lhs, cdf[mid].Denom())
-		s.rhs.Lsh(cdf[mid].Num(), 53)
-		if s.lhs.Cmp(&s.rhs) < 0 {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	cdfPool.Put(s)
-	return lo
+	return mc.AliasRow(i).Sample(rng)
 }
 
 // --- the geometric mechanism ---------------------------------------------
@@ -396,24 +365,17 @@ func RandomizedResponse(n int, p *big.Rat) (*Mechanism, error) {
 // except that the two corner diagonal entries are 1 instead of 1+α².
 // Construction is O(dim²) rational operations (dominated by writing
 // the output); the matrix itself has only O(dim) nonzero entries.
+// Every band coefficient and per-entry product runs on the
+// rational.Hval ladder, so moderate α denominators stay in machine
+// words.
 func GeometricInverse(n int, alpha *big.Rat) (*matrix.Matrix, error) {
-	out, _, err := GeometricInverseStats(n, alpha)
-	return out, err
-}
-
-// GeometricInverseStats is GeometricInverse exposing the hybrid tier
-// counters of the construction: every band coefficient and per-entry
-// product runs on the rational.Hval ladder, so moderate α
-// denominators stay in machine words and the stats report the
-// per-call hit rate.
-func GeometricInverseStats(n int, alpha *big.Rat) (*matrix.Matrix, rational.HybridStats, error) {
-	var h rational.HybridStats
 	if n < 1 {
-		return nil, h, fmt.Errorf("mechanism: n must be ≥ 1, got %d", n)
+		return nil, fmt.Errorf("mechanism: n must be ≥ 1, got %d", n)
 	}
 	if alpha.Sign() <= 0 || alpha.Cmp(rational.One()) >= 0 {
-		return nil, h, fmt.Errorf("mechanism: geometric needs α ∈ (0,1), got %s", alpha.RatString())
+		return nil, fmt.Errorf("mechanism: geometric needs α ∈ (0,1), got %s", alpha.RatString())
 	}
+	var h rational.HybridStats
 	var zero rational.Hval
 	one := rational.HvalFromRat(rational.One())
 	al := rational.HvalFromRat(alpha)
@@ -446,5 +408,5 @@ func GeometricInverseStats(n int, alpha *big.Rat) (*matrix.Matrix, rational.Hybr
 			out.Set(i, i+1, h.Mul(scale, off).Rat())
 		}
 	}
-	return out, h, nil
+	return out, nil
 }

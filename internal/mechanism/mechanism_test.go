@@ -2,13 +2,16 @@ package mechanism
 
 import (
 	"errors"
+	"fmt"
 	"math/big"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 
 	"minimaxdp/internal/matrix"
 	"minimaxdp/internal/rational"
+	"minimaxdp/internal/sample"
 )
 
 func r(s string) *big.Rat { return rational.MustParse(s) }
@@ -364,6 +367,87 @@ func TestSampleOutOfRangePanics(t *testing.T) {
 	g.Sample(5, rand.New(rand.NewSource(1)))
 }
 
+// requireAliasLaw asserts that every row's published alias table
+// samples exactly the law of a table built afresh from the row.
+func requireAliasLaw(t *testing.T, mc *Mechanism) {
+	t.Helper()
+	for i := 0; i <= mc.N(); i++ {
+		want, err := sample.NewDyadicAlias(mc.Row(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := mc.AliasRow(i).InducedPMF(mc.Size())
+		for j, p := range want.InducedPMF(mc.Size()) {
+			if got[j].Cmp(p) != 0 {
+				t.Fatalf("row %d: alias table gives Pr[%d] = %s, want %s", i, j, got[j].RatString(), p.RatString())
+			}
+		}
+	}
+}
+
+// The alias tables belong to the matrix: decoding a new matrix into a
+// mechanism that has already been sampled must not keep serving the
+// old rows, whether the size changes or not.
+func TestUnmarshalJSONResetsAliasTables(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	m := mustGeometric(t, 2, "1/2")
+	m.Sample(0, rng)
+	bigger, err := mustGeometric(t, 4, "1/2").MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.UnmarshalJSON(bigger); err != nil {
+		t.Fatal(err)
+	}
+	if r := m.Sample(4, rng); r < 0 || r > 4 {
+		t.Fatalf("draw %d outside [0,4]", r)
+	}
+	requireAliasLaw(t, m)
+
+	same, err := mustGeometric(t, 4, "1/3").MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.UnmarshalJSON(same); err != nil {
+		t.Fatal(err)
+	}
+	requireAliasLaw(t, m)
+	requireAliasLaw(t, m.Clone())
+}
+
+// Concurrent first draws race to publish each row's alias table; run
+// under -race. Every draw must be in range and every published table
+// must sample the row's law.
+func TestConcurrentFirstDraws(t *testing.T) {
+	const n, workers = 12, 16
+	m := mustGeometric(t, n, "1/3")
+	var wg sync.WaitGroup
+	start := make(chan struct{}) // released at once, so first draws overlap
+	errs := make(chan string, workers)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			<-start
+			rng := rand.New(rand.NewSource(int64(w)))
+			for k := 0; k <= n; k++ {
+				i := (k + w) % (n + 1)
+				if r := m.Sample(i, rng); r < 0 || r > n {
+					errs <- fmt.Sprintf("worker %d: draw %d for input %d outside [0,%d]", w, r, i, n)
+					return
+				}
+			}
+		}(w)
+	}
+	close(start)
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
+	}
+	requireAliasLaw(t, m)
+}
+
 func TestFromStrings(t *testing.T) {
 	mc, err := FromStrings([][]string{{"1/2", "1/2"}, {"1/2", "1/2"}})
 	if err != nil {
@@ -511,9 +595,10 @@ func TestGeometricInverseLargeRoundTrip(t *testing.T) {
 }
 
 // TestPostProcessStatsHybridEngages pins the hybrid threading of the
-// transition product: geometric probability entries are small
-// rationals, so the product must run on the fast tiers and match the
-// plain PostProcess result exactly.
+// transition product against naive big.Rat dot products: geometric
+// probability entries are small rationals, so the product runs on
+// the fast tiers. The name predates the fold of PostProcessStats
+// into PostProcess.
 func TestPostProcessStatsHybridEngages(t *testing.T) {
 	g := mustGeometric(t, 3, "1/4")
 	tMat := matrix.MustFromStrings([][]string{
@@ -522,32 +607,33 @@ func TestPostProcessStatsHybridEngages(t *testing.T) {
 		{"0", "0", "1", "0"},
 		{"0", "0", "2/11", "9/11"},
 	})
-	want, err := g.PostProcess(tMat)
+	got, err := g.PostProcess(tMat)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, stats, err := g.PostProcessStats(tMat)
-	if err != nil {
-		t.Fatal(err)
+	want := matrix.New(4, 4)
+	for i := 0; i < 4; i++ {
+		for j := 0; j < 4; j++ {
+			acc := rational.Zero()
+			for k := 0; k < 4; k++ {
+				acc.Add(acc, rational.Mul(g.Prob(i, k), tMat.At(k, j)))
+			}
+			want.Set(i, j, acc)
+		}
 	}
-	if !got.Equal(want) {
-		t.Fatal("PostProcessStats disagrees with PostProcess")
-	}
-	if stats.SmallOps == 0 {
-		t.Errorf("stats.SmallOps = 0; transition product never hit the fast tier")
-	}
-	if stats.BigOps != 0 {
-		t.Errorf("stats.BigOps = %d on Table 1 entries; ladder promoted too eagerly", stats.BigOps)
+	if !got.Matrix().Equal(want) {
+		t.Fatalf("PostProcess disagrees with big.Rat dot products:\n%v\nwant\n%v", got, want)
 	}
 }
 
 // TestGeometricInverseStatsHybridEngages pins the hybrid threading of
-// the closed-form inverse construction and its agreement with the
-// Gauss–Jordan oracle.
+// the closed-form inverse construction against the Gauss–Jordan
+// oracle. The name predates the fold of GeometricInverseStats into
+// GeometricInverse.
 func TestGeometricInverseStatsHybridEngages(t *testing.T) {
 	n := 6
 	alpha := r("2/3")
-	inv, stats, err := GeometricInverseStats(n, alpha)
+	inv, err := GeometricInverse(n, alpha)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -560,12 +646,6 @@ func TestGeometricInverseStatsHybridEngages(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !inv.Equal(oracle) {
-		t.Fatal("GeometricInverseStats disagrees with Gauss–Jordan inverse")
-	}
-	if stats.SmallOps == 0 {
-		t.Errorf("stats.SmallOps = 0; band coefficients never hit the fast tier")
-	}
-	if stats.BigOps != 0 {
-		t.Errorf("stats.BigOps = %d for α=2/3; ladder promoted too eagerly", stats.BigOps)
+		t.Fatal("GeometricInverse disagrees with Gauss–Jordan inverse")
 	}
 }

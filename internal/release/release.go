@@ -35,7 +35,7 @@ type Plan struct {
 	n           int
 	alphas      []*big.Rat
 	first       *mechanism.Mechanism
-	transitions []*matrix.Matrix       // transitions[i]: level i → level i+1
+	transitions []*mechanism.Mechanism // transitions[i]: level i → level i+1
 	marginals   []*mechanism.Mechanism // G_{n,αᵢ} for each level
 }
 
@@ -85,9 +85,13 @@ func NewPlan(n int, alphas []*big.Rat) (*Plan, error) {
 	}
 	p.marginals = append(p.marginals, p.first)
 	for i := 0; i+1 < len(alphas); i++ {
-		tr, err := derive.Transition(n, alphas[i], alphas[i+1])
+		tm, err := derive.Transition(n, alphas[i], alphas[i+1])
 		if err != nil {
 			return nil, fmt.Errorf("release: building T_{α%d,α%d}: %w", i+1, i+2, err)
+		}
+		tr, err := mechanism.New(tm)
+		if err != nil {
+			return nil, fmt.Errorf("release: T_{α%d,α%d}: %w", i+1, i+2, err)
 		}
 		p.transitions = append(p.transitions, tr)
 		g, err := mechanism.Geometric(n, alphas[i+1])
@@ -123,14 +127,15 @@ func PlanFromParts(n int, alphas []*big.Rat, transitions []*matrix.Matrix) (*Pla
 	for _, a := range alphas {
 		p.alphas = append(p.alphas, rational.Clone(a))
 	}
-	for i, tr := range transitions {
-		if tr == nil || tr.Rows() != n+1 || tr.Cols() != n+1 {
+	for i, tm := range transitions {
+		if tm == nil || tm.Rows() != n+1 {
 			return nil, fmt.Errorf("release: transition %d is not (n+1)×(n+1)", i+1)
 		}
-		if !tr.IsStochastic() {
-			return nil, fmt.Errorf("release: transition %d is not row-stochastic", i+1)
+		tr, err := mechanism.New(tm)
+		if err != nil {
+			return nil, fmt.Errorf("release: transition %d: %w", i+1, err)
 		}
-		p.transitions = append(p.transitions, tr.Clone())
+		p.transitions = append(p.transitions, tr)
 	}
 	for i, a := range p.alphas {
 		g, err := mechanism.Geometric(n, a)
@@ -173,7 +178,7 @@ func (p *Plan) Transition(level int) (*matrix.Matrix, error) {
 	if level < 1 || level > len(p.transitions) {
 		return nil, fmt.Errorf("release: transition %d out of range 1..%d", level, len(p.transitions))
 	}
-	return p.transitions[level-1].Clone(), nil
+	return p.transitions[level-1].Matrix(), nil
 }
 
 // Release runs Algorithm 1: it returns one result per privacy level,
@@ -187,7 +192,7 @@ func (p *Plan) Release(trueResult int, rng *rand.Rand) ([]int, error) {
 	out := make([]int, len(p.alphas))
 	out[0] = p.first.Sample(trueResult, rng)
 	for i, tr := range p.transitions {
-		out[i+1] = sampleRow(tr, out[i], rng)
+		out[i+1] = tr.Sample(out[i], rng)
 	}
 	return out, nil
 }
@@ -205,19 +210,6 @@ func (p *Plan) NaiveRelease(trueResult int, rng *rand.Rand) ([]int, error) {
 		out[i] = g.Sample(trueResult, rng)
 	}
 	return out, nil
-}
-
-func sampleRow(m *matrix.Matrix, row int, rng *rand.Rand) int {
-	u := rng.Float64()
-	acc := 0.0
-	last := m.Cols() - 1
-	for j := 0; j <= last; j++ {
-		acc += rational.Float(m.At(row, j))
-		if u < acc {
-			return j
-		}
-	}
-	return last
 }
 
 // CollusionAlpha implements Lemma 4's guarantee: a coalition holding

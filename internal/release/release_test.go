@@ -2,8 +2,10 @@ package release
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/big"
+	"sync"
 	"testing"
 
 	"minimaxdp/internal/consumer"
@@ -136,6 +138,48 @@ func TestReleaseShapesAndRanges(t *testing.T) {
 	}
 	if _, err := p.NaiveRelease(9, rng); err == nil {
 		t.Error("out-of-range truth accepted by naive")
+	}
+}
+
+// Concurrent releases from a fresh plan race to publish the alias
+// tables of the first level and of every transition; run under -race.
+// TestConcurrentFirstDraws checks the published tables' law.
+func TestConcurrentFirstReleases(t *testing.T) {
+	const n, workers = 10, 16
+	p, err := NewPlan(n, levels("1/4", "1/3", "1/2"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	start := make(chan struct{}) // released at once, so first draws overlap
+	errs := make(chan string, workers)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			<-start
+			rng := sample.NewRand(int64(w))
+			for k := 0; k <= n; k++ {
+				truth := (k + w) % (n + 1)
+				out, err := p.Release(truth, rng)
+				if err != nil {
+					errs <- err.Error()
+					return
+				}
+				for _, v := range out {
+					if v < 0 || v > n {
+						errs <- fmt.Sprintf("worker %d: result %d outside [0,%d]", w, v, n)
+						return
+					}
+				}
+			}
+		}(w)
+	}
+	close(start)
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
 	}
 }
 

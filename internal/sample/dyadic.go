@@ -1,15 +1,15 @@
-// Dyadic alias kernel: the production sampling fast path.
+// Dyadic alias kernel: the one sampler of an exact mechanism row.
 //
-// The float alias tables in sample.go are fine for ablation studies,
-// but the serving hot path (internal/engine, /v1/sample) wants three
-// properties the float tables cannot give at once: (1) a draw that is
-// one PRNG word, one index, one compare — no float math, no division,
-// no allocation; (2) tables derived *exactly* from the mechanism's
-// rational PMF, so the sampled law is certified against the paper's
-// exact artifacts rather than against a float64 projection of them;
-// (3) a per-outcome error bound that is a theorem of the
-// construction, checked at build time, not a tolerance that happens
-// to hold.
+// Every draw from a rational row — mechanism.Sample, the release
+// cascade of Algorithm 1, the engine's /v1/sample path — goes through
+// a DyadicAlias, which gives three properties at once: (1) a draw
+// that is one PRNG word, one index, one compare — no float math, no
+// division, no allocation; (2) tables derived *exactly* from the
+// mechanism's rational PMF, so the sampled law is certified against
+// the paper's exact artifacts rather than against a float64
+// projection of them; (3) a per-outcome error bound that is a theorem
+// of the construction, checked at build time, not a tolerance that
+// happens to hold.
 //
 // DyadicAlias delivers all three. Construction runs Walker's alias
 // algorithm in exact big.Rat arithmetic (so the intermediate "scaled
@@ -30,11 +30,16 @@
 package sample
 
 import (
+	"errors"
 	"fmt"
 	"math/big"
 	"math/bits"
 	"sync/atomic"
 )
+
+// ErrBadWeights is returned when a sampler is built from an empty,
+// negative, or all-zero weight vector.
+var ErrBadWeights = errors.New("sample: weights must be non-negative with positive sum")
 
 // splitmixGamma is the Weyl increment of the splitmix64 generator
 // (Steele, Lea & Flood 2014): the odd constant closest to 2^64/φ.
@@ -363,9 +368,9 @@ func (d *DyadicAlias) SampleWord(w uint64) int {
 	return int(d.alias[s])
 }
 
-// Sample draws one outcome from rng; the convenience form of
-// SampleWord for callers holding a *rand.Rand (ablation benchmarks,
-// tests). Hot paths should feed SampleWord from an AtomicSplitmix
+// Sample draws one outcome from one word of rng; the form of
+// SampleWord for callers holding a *rand.Rand (mechanism.Sample).
+// Concurrent hot paths should feed SampleWord from an AtomicSplitmix
 // block instead.
 func (d *DyadicAlias) Sample(rng interface{ Uint64() uint64 }) int {
 	return d.SampleWord(rng.Uint64())

@@ -1,12 +1,11 @@
-// Package sample provides the randomness substrate for the library's
-// Monte-Carlo experiments: reproducible RNG streams, exact samplers
-// for the two-sided geometric distribution of Definition 1, and two
-// generic discrete samplers (inverse-CDF and Walker alias method) used
-// by the sampler-strategy ablation benchmark.
+// Package sample provides the library's randomness substrate:
+// reproducible RNG streams, samplers for the unrestricted two-sided
+// geometric noise of Definition 1, and the certified dyadic alias
+// kernel (dyadic.go) through which every draw from an exact mechanism
+// row goes.
 package sample
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -46,158 +45,6 @@ func Geometric(alpha float64, rng *rand.Rand) int {
 // this two-sided law.
 func TwoSidedGeometric(alpha float64, rng *rand.Rand) int {
 	return Geometric(alpha, rng) - Geometric(alpha, rng)
-}
-
-// TwoSidedGeometricInverse draws Z by direct CDF inversion: it picks
-// the magnitude from the folded distribution and then a fair sign.
-// Functionally identical to TwoSidedGeometric; kept for the sampler
-// ablation benchmark.
-func TwoSidedGeometricInverse(alpha float64, rng *rand.Rand) int {
-	if alpha <= 0 || alpha >= 1 {
-		panic(fmt.Sprintf("sample: needs α in (0,1), got %v", alpha))
-	}
-	// Pr[|Z| = 0] = (1−α)/(1+α); Pr[|Z| = k] = 2(1−α)/(1+α)·α^k.
-	u := rng.Float64()
-	p0 := (1 - alpha) / (1 + alpha)
-	if u < p0 {
-		return 0
-	}
-	// Conditioned on |Z| ≥ 1, |Z|−1 is geometric with ratio α.
-	mag := 1 + Geometric(alpha, rng)
-	if rng.Intn(2) == 0 {
-		return mag
-	}
-	return -mag
-}
-
-// GeometricMechanismSample applies Definition 1 + range restriction:
-// true result k plus two-sided geometric noise, clamped into [0, n].
-// Clamping is exactly the range-restricted mechanism of Definition 4
-// (the tail mass collapses onto the endpoints).
-func GeometricMechanismSample(k, n int, alpha float64, rng *rand.Rand) int {
-	z := k + TwoSidedGeometric(alpha, rng)
-	if z < 0 {
-		return 0
-	}
-	if z > n {
-		return n
-	}
-	return z
-}
-
-// --- generic discrete samplers -------------------------------------------
-
-// ErrBadWeights is returned when a sampler is built from an empty,
-// negative, or all-zero weight vector.
-var ErrBadWeights = errors.New("sample: weights must be non-negative with positive sum")
-
-// InverseCDF samples from a fixed discrete distribution by linear CDF
-// walk. Construction is O(n), sampling O(n) worst case; fine for the
-// small supports in this library.
-type InverseCDF struct {
-	cdf []float64
-}
-
-// NewInverseCDF builds the sampler from non-negative weights
-// (normalization is internal).
-func NewInverseCDF(weights []float64) (*InverseCDF, error) {
-	total := 0.0
-	for _, w := range weights {
-		if w < 0 || math.IsNaN(w) || math.IsInf(w, 0) {
-			return nil, ErrBadWeights
-		}
-		total += w
-	}
-	if len(weights) == 0 || total <= 0 {
-		return nil, ErrBadWeights
-	}
-	cdf := make([]float64, len(weights))
-	acc := 0.0
-	for i, w := range weights {
-		acc += w / total
-		cdf[i] = acc
-	}
-	cdf[len(cdf)-1] = 1 // absorb rounding
-	return &InverseCDF{cdf: cdf}, nil
-}
-
-// Sample draws one index.
-func (s *InverseCDF) Sample(rng *rand.Rand) int {
-	u := rng.Float64()
-	for i, c := range s.cdf {
-		if u < c {
-			return i
-		}
-	}
-	return len(s.cdf) - 1
-}
-
-// Alias samples from a fixed discrete distribution in O(1) per draw
-// using Walker's alias method; construction is O(n).
-type Alias struct {
-	prob  []float64
-	alias []int
-}
-
-// NewAlias builds the alias tables from non-negative weights.
-func NewAlias(weights []float64) (*Alias, error) {
-	total := 0.0
-	for _, w := range weights {
-		if w < 0 || math.IsNaN(w) || math.IsInf(w, 0) {
-			return nil, ErrBadWeights
-		}
-		total += w
-	}
-	n := len(weights)
-	if n == 0 || total <= 0 {
-		return nil, ErrBadWeights
-	}
-	scaled := make([]float64, n)
-	for i, w := range weights {
-		scaled[i] = w / total * float64(n)
-	}
-	a := &Alias{prob: make([]float64, n), alias: make([]int, n)}
-	small := make([]int, 0, n)
-	large := make([]int, 0, n)
-	for i, p := range scaled {
-		if p < 1 {
-			small = append(small, i)
-		} else {
-			large = append(large, i)
-		}
-	}
-	for len(small) > 0 && len(large) > 0 {
-		s := small[len(small)-1]
-		small = small[:len(small)-1]
-		l := large[len(large)-1]
-		large = large[:len(large)-1]
-		a.prob[s] = scaled[s]
-		a.alias[s] = l
-		scaled[l] -= 1 - scaled[s]
-		if scaled[l] < 1 {
-			small = append(small, l)
-		} else {
-			large = append(large, l)
-		}
-	}
-	for _, i := range large {
-		a.prob[i] = 1
-		a.alias[i] = i
-	}
-	for _, i := range small {
-		a.prob[i] = 1
-		a.alias[i] = i
-	}
-	return a, nil
-}
-
-// Sample draws one index in O(1).
-func (a *Alias) Sample(rng *rand.Rand) int {
-	i := rng.Intn(len(a.prob))
-	if rng.Float64() < a.prob[i] {
-		return i
-	}
-	return a.alias[i]
 }
 
 // EmpiricalPMF converts draw counts into an empirical probability

@@ -1,7 +1,6 @@
 package sample
 
 import (
-	"errors"
 	"math"
 	"testing"
 )
@@ -48,127 +47,6 @@ func TestTwoSidedGeometricLaw(t *testing.T) {
 		got := float64(counts[z]) / trials
 		if math.Abs(got-want) > 0.01 {
 			t.Errorf("Pr[Z=%d] = %.4f, want %.4f", z, got, want)
-		}
-	}
-}
-
-// The two samplers implement the same law (Definition 1); compare
-// their empirical PMFs.
-func TestTwoSidedSamplersAgree(t *testing.T) {
-	rng := NewRand(11)
-	const alpha = 0.3
-	const trials = 200000
-	a := make(map[int]int)
-	b := make(map[int]int)
-	for i := 0; i < trials; i++ {
-		a[TwoSidedGeometric(alpha, rng)]++
-		b[TwoSidedGeometricInverse(alpha, rng)]++
-	}
-	for z := -6; z <= 6; z++ {
-		pa := float64(a[z]) / trials
-		pb := float64(b[z]) / trials
-		if math.Abs(pa-pb) > 0.01 {
-			t.Errorf("samplers disagree at z=%d: %.4f vs %.4f", z, pa, pb)
-		}
-	}
-}
-
-func TestTwoSidedInversePanicsOnBadAlpha(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("α=1 did not panic")
-		}
-	}()
-	TwoSidedGeometricInverse(1, NewRand(1))
-}
-
-// Clamped sampling matches the range-restricted mechanism's boundary
-// masses: Pr[output 0 | k] = α^k/(1+α).
-func TestGeometricMechanismSampleBoundary(t *testing.T) {
-	rng := NewRand(3)
-	const alpha = 0.5
-	const n = 5
-	const k = 2
-	const trials = 300000
-	zeros := 0
-	for i := 0; i < trials; i++ {
-		v := GeometricMechanismSample(k, n, alpha, rng)
-		if v < 0 || v > n {
-			t.Fatalf("sample %d outside [0,%d]", v, n)
-		}
-		if v == 0 {
-			zeros++
-		}
-	}
-	want := math.Pow(alpha, k) / (1 + alpha)
-	got := float64(zeros) / trials
-	if math.Abs(got-want) > 0.01 {
-		t.Errorf("Pr[0] = %.4f, want %.4f", got, want)
-	}
-}
-
-func TestInverseCDF(t *testing.T) {
-	s, err := NewInverseCDF([]float64{1, 2, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := NewRand(5)
-	counts := CountSamples(100000, 3, func() int { return s.Sample(rng) })
-	pmf := EmpiricalPMF(counts)
-	want := []float64{0.25, 0.5, 0.25}
-	for i := range want {
-		if math.Abs(pmf[i]-want[i]) > 0.01 {
-			t.Errorf("inverse-CDF pmf[%d] = %.4f, want %.2f", i, pmf[i], want[i])
-		}
-	}
-}
-
-func TestAliasMatchesInverseCDF(t *testing.T) {
-	weights := []float64{0.1, 0.4, 0.05, 0.25, 0.2}
-	inv, err := NewInverseCDF(weights)
-	if err != nil {
-		t.Fatal(err)
-	}
-	al, err := NewAlias(weights)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := NewRand(9)
-	const trials = 300000
-	ci := CountSamples(trials, len(weights), func() int { return inv.Sample(rng) })
-	ca := CountSamples(trials, len(weights), func() int { return al.Sample(rng) })
-	pi, pa := EmpiricalPMF(ci), EmpiricalPMF(ca)
-	for i := range weights {
-		if math.Abs(pi[i]-weights[i]) > 0.01 {
-			t.Errorf("inverse pmf[%d] = %.4f, want %.2f", i, pi[i], weights[i])
-		}
-		if math.Abs(pa[i]-weights[i]) > 0.01 {
-			t.Errorf("alias pmf[%d] = %.4f, want %.2f", i, pa[i], weights[i])
-		}
-	}
-}
-
-func TestSamplerConstructionErrors(t *testing.T) {
-	bad := [][]float64{nil, {}, {0, 0}, {-1, 2}, {math.NaN()}, {math.Inf(1)}}
-	for _, w := range bad {
-		if _, err := NewInverseCDF(w); !errors.Is(err, ErrBadWeights) {
-			t.Errorf("NewInverseCDF(%v) err = %v", w, err)
-		}
-		if _, err := NewAlias(w); !errors.Is(err, ErrBadWeights) {
-			t.Errorf("NewAlias(%v) err = %v", w, err)
-		}
-	}
-}
-
-func TestAliasSingleton(t *testing.T) {
-	al, err := NewAlias([]float64{3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := NewRand(1)
-	for i := 0; i < 100; i++ {
-		if al.Sample(rng) != 0 {
-			t.Fatal("singleton alias sampled nonzero index")
 		}
 	}
 }

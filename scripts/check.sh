@@ -46,6 +46,20 @@ fi
 echo "==> go test -race ./..."
 go test -race ./...
 
+echo "==> experiments output (fresh default run vs committed experiments_output.txt)"
+# The report prints float summaries of seeded Monte-Carlo runs, so it
+# is pinned on amd64 only: other architectures may fuse multiply-adds
+# (the same reason TestFloatLocatePinned skips them).
+if [ "$(go env GOARCH)" = "amd64" ]; then
+    if ! go run ./cmd/experiments | diff -u experiments_output.txt -; then
+        echo "experiments_output.txt is stale: regenerate it with" >&2
+        echo "  go run ./cmd/experiments -o experiments_output.txt" >&2
+        exit 1
+    fi
+else
+    echo "skipped on $(go env GOARCH): the committed report is recorded on amd64"
+fi
+
 echo "==> bench regression gate (fresh run vs committed BENCH_lp.json / BENCH_sample.json)"
 ./scripts/bench_regression.sh
 
