@@ -56,10 +56,4 @@ bench-regression:
 
 ## fuzz-smoke: short run of every fuzz target (FUZZTIME=10s default)
 fuzz-smoke:
-	go test -run='^$$' -fuzz='^FuzzParse$$' -fuzztime=$${FUZZTIME:-10s} ./internal/rational
-	go test -run='^$$' -fuzz='^FuzzPow$$' -fuzztime=$${FUZZTIME:-10s} ./internal/rational
-	go test -run='^$$' -fuzz='^FuzzUnmarshalJSON$$' -fuzztime=$${FUZZTIME:-10s} ./internal/mechanism
-	go test -run='^$$' -fuzz='^FuzzParseLevels$$' -fuzztime=$${FUZZTIME:-10s} ./cmd/dpserver
-	go test -run='^$$' -fuzz='^FuzzWarmStartMatchesExact$$' -fuzztime=$${FUZZTIME:-10s} ./internal/lp
-	go test -run='^$$' -fuzz='^FuzzSparseMatchesDense$$' -fuzztime=$${FUZZTIME:-10s} ./internal/lp
-	go test -run='^$$' -fuzz='^FuzzDyadicAlias$$' -fuzztime=$${FUZZTIME:-10s} ./internal/sample
+	./scripts/fuzz_smoke.sh

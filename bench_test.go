@@ -321,91 +321,6 @@ func BenchmarkObliviousReduction(b *testing.B) {
 	}
 }
 
-// --- Ablation: exact rational simplex vs float64 simplex -------------------
-
-func BenchmarkSimplexRationalVsFloat(b *testing.B) {
-	build := func() *lp.Problem {
-		// The Table 1 tailored-mechanism LP at n=4: a representative
-		// mid-size exact LP.
-		p := lp.NewProblem(lp.Minimize)
-		n := 4
-		d := p.NewVariable("d")
-		xv := make([][]lp.Var, n+1)
-		lf := loss.Absolute{}
-		for i := 0; i <= n; i++ {
-			xv[i] = make([]lp.Var, n+1)
-			for r := 0; r <= n; r++ {
-				xv[i][r] = p.NewVariable("x")
-			}
-		}
-		p.SetObjective(lp.TInt(d, 1))
-		for i := 0; i <= n; i++ {
-			terms := []lp.Term{lp.TInt(d, 1)}
-			for r := 0; r <= n; r++ {
-				if lf.Loss(i, r).Sign() != 0 {
-					terms = append(terms, lp.T(xv[i][r], rational.Neg(lf.Loss(i, r))))
-				}
-			}
-			p.AddConstraint(terms, lp.GE, rational.Zero())
-		}
-		alpha := rational.New(1, 2)
-		negAlpha := rational.Neg(alpha)
-		for i := 0; i < n; i++ {
-			for r := 0; r <= n; r++ {
-				p.AddConstraint([]lp.Term{lp.TInt(xv[i][r], 1), lp.T(xv[i+1][r], negAlpha)}, lp.GE, rational.Zero())
-				p.AddConstraint([]lp.Term{lp.TInt(xv[i+1][r], 1), lp.T(xv[i][r], negAlpha)}, lp.GE, rational.Zero())
-			}
-		}
-		for i := 0; i <= n; i++ {
-			terms := make([]lp.Term, 0, n+1)
-			for r := 0; r <= n; r++ {
-				terms = append(terms, lp.TInt(xv[i][r], 1))
-			}
-			p.AddConstraint(terms, lp.EQ, rational.One())
-		}
-		return p
-	}
-	b.Run("rational", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			p := build()
-			sol, err := p.Solve()
-			if err != nil || sol.Status != lp.Optimal {
-				b.Fatalf("%v %v", sol, err)
-			}
-		}
-	})
-	b.Run("float64", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			p := build()
-			sol, err := p.SolveFloat()
-			if err != nil || sol.Status != lp.Optimal {
-				b.Fatalf("%v %v", sol, err)
-			}
-		}
-	})
-}
-
-// BenchmarkSimplexFloatLocate times the float64 simplex alone — the
-// layer that locates the basis every warm-started tailored solve
-// certifies — on the tailored absolute-loss LP at α = 1/2.
-func BenchmarkSimplexFloatLocate(b *testing.B) {
-	for _, n := range []int{8, 16} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			p := buildTailoredLP(n, MustRat("1/2"))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				sol, err := p.SolveFloat()
-				if err != nil || sol.Status != lp.Optimal {
-					b.Fatalf("%v %v", sol, err)
-				}
-			}
-		})
-	}
-}
-
 // --- Ablation: float-guided warm start vs cold exact solve -----------------
 
 // buildTailoredLP constructs the §2.5 tailored-mechanism LP for the
@@ -543,15 +458,6 @@ func BenchmarkLemma5(b *testing.B) {
 // --- ELap: Laplace baseline --------------------------------------------------
 
 func BenchmarkLaplace(b *testing.B) {
-	rng := sample.NewRand(1)
-	b.Run("sample", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := laplace.MechanismSample(10, 20, 0.5, rng); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 	b.Run("rounded-pmf", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {

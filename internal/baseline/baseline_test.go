@@ -116,8 +116,10 @@ func TestTruncatedLaplaceNotAlphaDP(t *testing.T) {
 	}
 }
 
-func TestParseSpecRoundTrip(t *testing.T) {
-	cases := []struct {
+// parseSpecCases and badSpecs are the wire names TestParseSpecRoundTrip
+// checks; FuzzBaselineParseSpec seeds from both.
+var (
+	parseSpecCases = []struct {
 		in   string
 		want Spec
 	}{
@@ -126,7 +128,11 @@ func TestParseSpecRoundTrip(t *testing.T) {
 		{"staircase", Spec{Kind: KindStaircase}},
 		{"staircase:3", Spec{Kind: KindStaircase, Width: 3}},
 	}
-	for _, c := range cases {
+	badSpecs = []string{"gauss", "staircase:0", "staircase:-1", "staircase:x", "geometric:2", "laplace:1", ""}
+)
+
+func TestParseSpecRoundTrip(t *testing.T) {
+	for _, c := range parseSpecCases {
 		got, err := ParseSpec(c.in)
 		if err != nil {
 			t.Fatalf("ParseSpec(%q): %v", c.in, err)
@@ -144,11 +150,42 @@ func TestParseSpecRoundTrip(t *testing.T) {
 			t.Fatalf("spec %q does not round-trip: %+v vs %+v", c.in, n1, n2)
 		}
 	}
-	for _, bad := range []string{"gauss", "staircase:0", "staircase:-1", "staircase:x", "geometric:2", "laplace:1", ""} {
+	for _, bad := range badSpecs {
 		if _, err := ParseSpec(bad); err == nil {
 			t.Fatalf("ParseSpec(%q) unexpectedly succeeded", bad)
 		}
 	}
+}
+
+// FuzzBaselineParseSpec checks that ParseSpec, which reads the
+// baselines of a POST /v1/compare body, never panics, and that every
+// spec it accepts is valid and re-parses from its String() form to the
+// same normalized spec.
+func FuzzBaselineParseSpec(f *testing.F) {
+	for _, c := range parseSpecCases {
+		f.Add(c.in)
+	}
+	for _, bad := range badSpecs {
+		f.Add(bad)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		spec, err := ParseSpec(s)
+		if err != nil {
+			return
+		}
+		n1, err := spec.normalize()
+		if err != nil {
+			t.Fatalf("ParseSpec(%q) accepted %+v, which does not normalize: %v", s, spec, err)
+		}
+		back, err := ParseSpec(spec.String())
+		if err != nil {
+			t.Fatalf("canonical form %q of %q does not re-parse: %v", spec.String(), s, err)
+		}
+		n2, err := back.normalize()
+		if err != nil || n1 != n2 {
+			t.Fatalf("%q does not round-trip: %+v vs %+v (%v)", s, n1, n2, err)
+		}
+	})
 }
 
 func TestCanonicalize(t *testing.T) {

@@ -3,11 +3,10 @@
 // consumer, release) and every serving surface (cmd/dpserver, CLIs,
 // library users) and makes the expensive artifacts compute-once.
 //
-// Every artifact this module produces — the geometric mechanism
-// G_{n,α} and its inverse (Lemmas 1–2), the cascade transition
-// matrices T_{α,β} (Lemma 3), multi-level release plans
-// (Algorithm 1), and the LP optima of §2.4.3/§2.5 — is a
-// deterministic, total function of its parameters. Exact rational
+// Every artifact this module serves — the geometric mechanism G_{n,α}
+// (Theorem 1), multi-level release plans (Algorithm 1, each carrying
+// its own Lemma 3 transitions), and the LP optima of §2.4.3/§2.5 — is
+// a deterministic, total function of its parameters. Exact rational
 // arithmetic has no rounding modes and no environment dependence, so
 // the parameters form a sound cache key: two computations with equal
 // keys yield equal artifacts, always. The engine exploits this with
@@ -42,10 +41,9 @@
 // rejection. Cache hits and coalesced joins are never shed.
 //
 // Cached artifacts are shared between callers and must be treated as
-// read-only. Immutable types (*mechanism.Mechanism, *release.Plan,
-// the solved LP results) are returned directly; raw *matrix.Matrix
-// artifacts, which expose a Set method, are returned as clones so no
-// caller can corrupt the cache.
+// read-only: every class caches an immutable type
+// (*mechanism.Mechanism, *release.Plan, the solved LP results), which
+// is returned directly.
 //
 // Cache keys for LP solves include the consumer's loss function via
 // loss.Function.Name(). The built-in losses embed their parameters in
@@ -63,21 +61,21 @@ import (
 
 	"minimaxdp/internal/baseline"
 	"minimaxdp/internal/consumer"
-	"minimaxdp/internal/derive"
 	"minimaxdp/internal/lp"
-	"minimaxdp/internal/matrix"
 	"minimaxdp/internal/mechanism"
 	"minimaxdp/internal/release"
 	diskstore "minimaxdp/internal/store"
 )
 
-// Default cache capacities (entries, not bytes — artifacts are
-// O((n+1)²) rationals, so a few hundred entries of moderate n fit
-// comfortably in memory).
+// Cache capacities (entries, not bytes — artifacts are O((n+1)²)
+// rationals, so a few hundred entries of moderate n fit comfortably in
+// memory). matrixCacheSize bounds the mechanism and release-plan
+// caches, lpCacheSize the tailored, interaction and compare caches
+// (LP solutions; the most expensive artifacts).
 const (
-	DefaultMatrixCacheSize  = 64
-	DefaultLPCacheSize      = 256
-	DefaultSamplerCacheSize = 64
+	matrixCacheSize  = 64
+	lpCacheSize      = 256
+	samplerCacheSize = 64
 )
 
 // DefaultMaxInFlightSolves bounds concurrent LP solves when
@@ -106,18 +104,10 @@ const DefaultMaxLPDomainN = 32
 // succeed without reconfiguring the engine.
 var ErrDomainTooLarge = errors.New("engine: LP domain size exceeds cap")
 
-// Config tunes an Engine. The zero value is ready to use: every
-// capacity defaults to the package constants and the sampler pool
-// seeds from Seed (default 1).
+// Config tunes an Engine. The zero value is ready to use: every bound
+// defaults to the package constants and the sampler pool seeds from
+// Seed (default 1).
 type Config struct {
-	// MatrixCacheSize bounds each of the mechanism, inverse,
-	// transition, and release-plan caches.
-	MatrixCacheSize int
-	// LPCacheSize bounds the tailored-mechanism and interaction
-	// caches (LP solutions; the most expensive artifacts).
-	LPCacheSize int
-	// SamplerCacheSize bounds the precompiled sampler cache.
-	SamplerCacheSize int
 	// MaxInFlightSolves bounds concurrently running LP solves across
 	// the tailored and interaction classes combined. Zero means
 	// DefaultMaxInFlightSolves; negative disables shedding entirely.
@@ -137,8 +127,8 @@ type Config struct {
 	// miss, coalesced join, solve start/finish, and shed rejection.
 	// See TraceFunc for the contract.
 	Trace TraceFunc
-	// Store, when non-nil, backs the mechanisms, transitions, plans,
-	// tailored, and samplers classes with the content-addressed disk
+	// Store, when non-nil, backs the mechanisms, plans, tailored,
+	// compares, and samplers classes with the content-addressed disk
 	// store: in-memory misses probe the store before computing, and
 	// successful computations are written back, so a fresh engine
 	// pointed at a populated store directory warm-boots every
@@ -150,15 +140,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.MatrixCacheSize <= 0 {
-		c.MatrixCacheSize = DefaultMatrixCacheSize
-	}
-	if c.LPCacheSize <= 0 {
-		c.LPCacheSize = DefaultLPCacheSize
-	}
-	if c.SamplerCacheSize <= 0 {
-		c.SamplerCacheSize = DefaultSamplerCacheSize
-	}
 	if c.MaxLPDomainN == 0 {
 		c.MaxLPDomainN = DefaultMaxLPDomainN
 	}
@@ -173,8 +154,6 @@ func (c Config) withDefaults() Config {
 // Engine per process (or per tenant) and share it.
 type Engine struct {
 	mechanisms   *store
-	inverses     *store
-	transitions  *store
 	plans        *store
 	tailored     *store
 	interactions *store
@@ -194,14 +173,12 @@ type Engine struct {
 func New(cfg Config) *Engine {
 	cfg = cfg.withDefaults()
 	e := &Engine{
-		mechanisms:   newStore("mechanisms", cfg.MatrixCacheSize),
-		inverses:     newStore("inverses", cfg.MatrixCacheSize),
-		transitions:  newStore("transitions", cfg.MatrixCacheSize),
-		plans:        newStore("plans", cfg.MatrixCacheSize),
-		tailored:     newStore("tailored", cfg.LPCacheSize),
-		interactions: newStore("interactions", cfg.LPCacheSize),
-		compares:     newStore("compares", cfg.LPCacheSize),
-		samplers:     newStore("samplers", cfg.SamplerCacheSize),
+		mechanisms:   newStore("mechanisms", matrixCacheSize),
+		plans:        newStore("plans", matrixCacheSize),
+		tailored:     newStore("tailored", lpCacheSize),
+		interactions: newStore("interactions", lpCacheSize),
+		compares:     newStore("compares", lpCacheSize),
+		samplers:     newStore("samplers", samplerCacheSize),
 		shards:       newShardSet(cfg.Seed),
 		trace:        cfg.Trace,
 		maxLPN:       cfg.MaxLPDomainN,
@@ -222,8 +199,7 @@ func New(cfg Config) *Engine {
 		e.interactions.sem = e.solves
 	}
 	for _, s := range []*store{
-		e.mechanisms, e.inverses, e.transitions, e.plans,
-		e.tailored, e.interactions, e.compares, e.samplers,
+		e.mechanisms, e.plans, e.tailored, e.interactions, e.compares, e.samplers,
 	} {
 		s.trace = cfg.Trace
 	}
@@ -278,15 +254,10 @@ func checkRat(name string, a *big.Rat) error {
 // (orphans are never loaded; the store re-fills under the new keys)
 // but worth knowing before renaming a field.
 
-// geometricKey keys G_{n,α} and everything 1:1 with it (inverses,
-// compiled samplers).
+// geometricKey keys G_{n,α} and everything 1:1 with it (compiled
+// samplers).
 func geometricKey(n int, alpha *big.Rat) string {
 	return fmt.Sprintf("n=%d|a=%s", n, ratKey(alpha))
-}
-
-// transitionKey keys the Lemma 3 matrix T_{α,β} on {0..n}.
-func transitionKey(n int, alpha, beta *big.Rat) string {
-	return fmt.Sprintf("n=%d|a=%s|b=%s", n, ratKey(alpha), ratKey(beta))
 }
 
 // planKey keys an Algorithm 1 release plan by its full α-ladder.
@@ -377,66 +348,6 @@ func (e *Engine) GeometricCtx(ctx context.Context, n int, alpha *big.Rat) (*mech
 	return getTyped(ctx, e.mechanisms, key, func(context.Context) (*mechanism.Mechanism, error) {
 		return mechanism.Geometric(n, alpha)
 	})
-}
-
-// GeometricInverse returns the Lemma 1/2 inverse of G_{n,α} as a
-// fresh clone of the cached matrix (matrices are mutable, so callers
-// never see the cache's copy). It is
-// GeometricInverseCtx(context.Background(), ...).
-func (e *Engine) GeometricInverse(n int, alpha *big.Rat) (*matrix.Matrix, error) {
-	return e.GeometricInverseCtx(context.Background(), n, alpha)
-}
-
-// GeometricInverseCtx is GeometricInverse under a context.
-func (e *Engine) GeometricInverseCtx(ctx context.Context, n int, alpha *big.Rat) (*matrix.Matrix, error) {
-	if err := checkRat("alpha", alpha); err != nil {
-		return nil, err
-	}
-	key := geometricKey(n, alpha)
-	m, ok, err := getCached[*matrix.Matrix](ctx, e.inverses, key)
-	if err != nil {
-		return nil, err
-	}
-	if !ok {
-		m, err = getTyped(ctx, e.inverses, key, func(context.Context) (*matrix.Matrix, error) {
-			return mechanism.GeometricInverse(n, alpha)
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-	return m.Clone(), nil
-}
-
-// Transition returns the Lemma 3 stochastic matrix T_{α,β} with
-// G_{n,β} = G_{n,α}·T_{α,β} as a fresh clone of the cached matrix.
-// It is TransitionCtx(context.Background(), ...).
-func (e *Engine) Transition(n int, alpha, beta *big.Rat) (*matrix.Matrix, error) {
-	return e.TransitionCtx(context.Background(), n, alpha, beta)
-}
-
-// TransitionCtx is Transition under a context.
-func (e *Engine) TransitionCtx(ctx context.Context, n int, alpha, beta *big.Rat) (*matrix.Matrix, error) {
-	if err := checkRat("alpha", alpha); err != nil {
-		return nil, err
-	}
-	if err := checkRat("beta", beta); err != nil {
-		return nil, err
-	}
-	key := transitionKey(n, alpha, beta)
-	m, ok, err := getCached[*matrix.Matrix](ctx, e.transitions, key)
-	if err != nil {
-		return nil, err
-	}
-	if !ok {
-		m, err = getTyped(ctx, e.transitions, key, func(context.Context) (*matrix.Matrix, error) {
-			return derive.Transition(n, alpha, beta)
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-	return m.Clone(), nil
 }
 
 // ReleasePlan returns the (shared) Algorithm 1 release plan for the
@@ -533,8 +444,6 @@ func (e *Engine) InteractionCtx(ctx context.Context, m consumer.Model, n int, al
 func (e *Engine) Metrics() Metrics {
 	return Metrics{
 		Mechanisms:        e.mechanisms.stats(),
-		Inverses:          e.inverses.stats(),
-		Transitions:       e.transitions.stats(),
 		Plans:             e.plans.stats(),
 		Tailored:          e.tailored.stats(),
 		Interactions:      e.interactions.stats(),

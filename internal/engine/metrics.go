@@ -188,8 +188,6 @@ func (c *lpCounters) snapshot() LPSolveStats {
 // is read atomically, the struct is not a transaction).
 type Metrics struct {
 	Mechanisms   ArtifactStats `json:"mechanisms"`
-	Inverses     ArtifactStats `json:"inverses"`
-	Transitions  ArtifactStats `json:"transitions"`
 	Plans        ArtifactStats `json:"plans"`
 	Tailored     ArtifactStats `json:"tailored"`
 	Interactions ArtifactStats `json:"interactions"`

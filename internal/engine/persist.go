@@ -8,12 +8,11 @@
 // populated store directory serves every previously computed artifact
 // — including the LP-backed tailored solutions — with zero solves.
 //
-// Persisted classes: mechanisms, transitions, plans, tailored,
-// compares, samplers — the classes whose keys are pure value
-// parameters (n, α ladder, loss name, side set, prior, baseline set).
-// Inverses are cheap closed forms served as clones, and interactions
-// are recoverable from the tailored optimum (Theorem 1), so neither
-// earns disk space.
+// Persisted classes: mechanisms, plans, tailored, compares, samplers —
+// the classes whose keys are pure value parameters (n, α ladder, loss
+// name, side set, prior, baseline set). A plan persists its own
+// Lemma 3 transitions. Interactions are recoverable from the tailored
+// optimum (Theorem 1), so they do not earn disk space.
 //
 // Failure policy mirrors the disk store's: a binding that cannot
 // load, decode, or save an artifact counts a StoreError, emits
@@ -28,7 +27,6 @@ package engine
 import (
 	"minimaxdp/internal/baseline"
 	"minimaxdp/internal/consumer"
-	"minimaxdp/internal/matrix"
 	"minimaxdp/internal/mechanism"
 	"minimaxdp/internal/release"
 	diskstore "minimaxdp/internal/store"
@@ -91,15 +89,6 @@ func (e *Engine) bindDisk(db *diskstore.Store) {
 		},
 		dec: func(_ string, payload []byte) (any, error) {
 			return diskstore.DecodeMechanism(payload)
-		},
-	}
-	e.transitions.disk = &diskBinding{
-		db: db,
-		enc: func(v any) ([]byte, error) {
-			return diskstore.EncodeMatrix(v.(*matrix.Matrix)), nil
-		},
-		dec: func(_ string, payload []byte) (any, error) {
-			return diskstore.DecodeMatrix(payload)
 		},
 	}
 	e.plans.disk = &diskBinding{

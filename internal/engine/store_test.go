@@ -48,11 +48,11 @@ func driveArtifacts(t testing.TB, e *Engine) warmed {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := e.Transition(6, a, b)
+	p, err := e.ReleasePlan(6, []*big.Rat{a, b})
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := e.ReleasePlan(6, []*big.Rat{a, b})
+	tr, err := p.Transition(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,8 +97,8 @@ func TestEngineWarmBoot(t *testing.T) {
 	if cm.LP.Solves == 0 {
 		t.Fatal("cold boot did no LP solves — test premise broken")
 	}
-	writes := cm.Mechanisms.StoreWrites + cm.Transitions.StoreWrites +
-		cm.Plans.StoreWrites + cm.Tailored.StoreWrites + cm.Samplers.StoreWrites
+	writes := cm.Mechanisms.StoreWrites + cm.Plans.StoreWrites +
+		cm.Tailored.StoreWrites + cm.Samplers.StoreWrites
 	if writes == 0 {
 		t.Fatal("cold boot wrote nothing to the store")
 	}
@@ -112,8 +112,8 @@ func TestEngineWarmBoot(t *testing.T) {
 	if wm.LP.Solves != 0 {
 		t.Errorf("warm boot did %d LP solves, want 0", wm.LP.Solves)
 	}
-	hits := wm.Mechanisms.StoreHits + wm.Transitions.StoreHits +
-		wm.Plans.StoreHits + wm.Tailored.StoreHits + wm.Samplers.StoreHits
+	hits := wm.Mechanisms.StoreHits + wm.Plans.StoreHits +
+		wm.Tailored.StoreHits + wm.Samplers.StoreHits
 	if hits == 0 {
 		t.Error("warm boot hit the store zero times")
 	}

@@ -8,7 +8,8 @@
 // conventionally rounded to the nearest integer and clamped to [0, n];
 // RoundedPMF gives that discretized mechanism's exact-within-float64
 // output distribution via CDF differences, so its differential privacy
-// and utility can be measured against the geometric mechanism.
+// and utility can be measured against the geometric mechanism. The
+// package computes distributions only; nothing here draws noise.
 //
 // The headline comparison (experiment ELap): at matched privacy
 // α = e^{−ε}, the geometric mechanism's expected absolute error is
@@ -22,28 +23,10 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 )
 
 // ErrBadScale is returned for non-positive noise scales.
 var ErrBadScale = errors.New("laplace: scale must be positive")
-
-// Sample draws Lap(0, b): density (1/2b)·e^{−|x|/b}.
-func Sample(b float64, rng *rand.Rand) (float64, error) {
-	if b <= 0 || math.IsNaN(b) || math.IsInf(b, 0) {
-		return 0, fmt.Errorf("%w: %v", ErrBadScale, b)
-	}
-	u := rng.Float64() - 0.5
-	// Inverse CDF: −b·sgn(u)·ln(1−2|u|).
-	return -b * sign(u) * math.Log(1-2*math.Abs(u)), nil
-}
-
-func sign(x float64) float64 {
-	if x < 0 {
-		return -1
-	}
-	return 1
-}
 
 // CDF returns the Lap(0,b) cumulative distribution function at x.
 func CDF(x, b float64) float64 {
@@ -51,26 +34,6 @@ func CDF(x, b float64) float64 {
 		return 0.5 * math.Exp(x/b)
 	}
 	return 1 - 0.5*math.Exp(-x/b)
-}
-
-// MechanismSample releases a count: truth + Lap(0, 1/ε), rounded to
-// the nearest integer and clamped into [0, n].
-func MechanismSample(truth, n int, epsilon float64, rng *rand.Rand) (int, error) {
-	if epsilon <= 0 {
-		return 0, fmt.Errorf("%w: ε = %v", ErrBadScale, epsilon)
-	}
-	z, err := Sample(1/epsilon, rng)
-	if err != nil {
-		return 0, err
-	}
-	r := int(math.Round(float64(truth) + z))
-	if r < 0 {
-		r = 0
-	}
-	if r > n {
-		r = n
-	}
-	return r, nil
 }
 
 // RoundedPMF returns the output distribution of the rounded-and-

@@ -7,38 +7,7 @@ import (
 
 	"minimaxdp/internal/privacy"
 	"minimaxdp/internal/rational"
-	"minimaxdp/internal/sample"
 )
-
-func TestSampleMoments(t *testing.T) {
-	rng := sample.NewRand(11)
-	const b = 2.0
-	const trials = 400000
-	sum, sumAbs := 0.0, 0.0
-	for i := 0; i < trials; i++ {
-		z, err := Sample(b, rng)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sum += z
-		sumAbs += math.Abs(z)
-	}
-	if mean := sum / trials; math.Abs(mean) > 0.02 {
-		t.Errorf("mean = %v, want ≈ 0", mean)
-	}
-	if eAbs := sumAbs / trials; math.Abs(eAbs-b) > 0.02 {
-		t.Errorf("E|Z| = %v, want %v", eAbs, b)
-	}
-}
-
-func TestSampleValidation(t *testing.T) {
-	rng := sample.NewRand(1)
-	for _, b := range []float64{0, -1, math.NaN(), math.Inf(1)} {
-		if _, err := Sample(b, rng); !errors.Is(err, ErrBadScale) {
-			t.Errorf("Sample(%v) err = %v", b, err)
-		}
-	}
-}
 
 func TestCDF(t *testing.T) {
 	if got := CDF(0, 1); got != 0.5 {
@@ -82,34 +51,6 @@ func TestRoundedPMFIsDistribution(t *testing.T) {
 	}
 	if _, err := RoundedPMF(9, 6, 1); err == nil {
 		t.Error("truth out of range accepted")
-	}
-}
-
-func TestMechanismSampleMatchesPMF(t *testing.T) {
-	rng := sample.NewRand(21)
-	const n, truth = 8, 3
-	const eps = 0.8
-	pmf, err := RoundedPMF(truth, n, eps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const trials = 300000
-	counts := make([]int, n+1)
-	for i := 0; i < trials; i++ {
-		r, err := MechanismSample(truth, n, eps, rng)
-		if err != nil {
-			t.Fatal(err)
-		}
-		counts[r]++
-	}
-	for r := 0; r <= n; r++ {
-		got := float64(counts[r]) / trials
-		if math.Abs(got-pmf[r]) > 0.01 {
-			t.Errorf("Pr[%d]: empirical %v, CDF-difference %v", r, got, pmf[r])
-		}
-	}
-	if _, err := MechanismSample(3, 8, 0, rng); !errors.Is(err, ErrBadScale) {
-		t.Error("ε=0 accepted")
 	}
 }
 

@@ -33,24 +33,27 @@ func TestRegistryNoDuplicateWireNames(t *testing.T) {
 	}
 }
 
+// parseSpecCases are the (name, width) pairs TestParseSpec resolves;
+// FuzzLossParseSpec seeds from them.
+var parseSpecCases = []struct {
+	name, width string
+	wantName    string
+}{
+	{"", "", "absolute"},
+	{"abs", "", "absolute"},
+	{"absolute", "", "absolute"},
+	{"sq", "", "squared"},
+	{"squared", "", "squared"},
+	{"zeroone", "", "zero-one"},
+	{"01", "", "zero-one"},
+	{"zero-one", "", "zero-one"},
+	{"deadband", "", "deadband(1)"},
+	{"deadband", "3", "deadband(3)"},
+	{"deadband", "0", "deadband(0)"},
+}
+
 func TestParseSpec(t *testing.T) {
-	cases := []struct {
-		name, width string
-		wantName    string
-	}{
-		{"", "", "absolute"},
-		{"abs", "", "absolute"},
-		{"absolute", "", "absolute"},
-		{"sq", "", "squared"},
-		{"squared", "", "squared"},
-		{"zeroone", "", "zero-one"},
-		{"01", "", "zero-one"},
-		{"zero-one", "", "zero-one"},
-		{"deadband", "", "deadband(1)"},
-		{"deadband", "3", "deadband(3)"},
-		{"deadband", "0", "deadband(0)"},
-	}
-	for _, c := range cases {
+	for _, c := range parseSpecCases {
 		fn, err := ParseSpec(c.name, c.width)
 		if err != nil {
 			t.Fatalf("ParseSpec(%q, %q): %v", c.name, c.width, err)
@@ -88,6 +91,43 @@ func TestParseSpecErrors(t *testing.T) {
 			t.Fatalf("ParseSpec(deadband, %q) unexpectedly succeeded", w)
 		}
 	}
+}
+
+// FuzzLossParseSpec checks that ParseSpec, which reads the loss of
+// every query route and compare body, never panics, and that it
+// accepts a name exactly when CanonicalName does, apart from width
+// errors: a known name always parses with the default width, and an
+// alias builds the same function as its canonical name.
+func FuzzLossParseSpec(f *testing.F) {
+	for _, c := range parseSpecCases {
+		f.Add(c.name, c.width)
+	}
+	for _, seed := range [][2]string{{"huber", ""}, {"absolute", "2"}, {"01", "2"}, {"deadband", "x"}, {"deadband", "-1"}, {"deadband", "1.5"}} {
+		f.Add(seed[0], seed[1])
+	}
+	f.Fuzz(func(t *testing.T, name, width string) {
+		fn, err := ParseSpec(name, width)
+		canon, cerr := CanonicalName(name)
+		if cerr != nil {
+			if err == nil {
+				t.Fatalf("ParseSpec(%q, %q) accepted a name CanonicalName rejects", name, width)
+			}
+			return
+		}
+		if _, derr := ParseSpec(name, ""); derr != nil {
+			t.Fatalf("ParseSpec(%q, \"\") rejected a known name: %v", name, derr)
+		}
+		if err != nil {
+			return // a width error
+		}
+		want, err := ParseSpec(canon, width)
+		if err != nil {
+			t.Fatalf("ParseSpec(%q, %q) accepted, but canonical %q rejected: %v", name, width, canon, err)
+		}
+		if fn.Name() != want.Name() {
+			t.Fatalf("ParseSpec(%q, %q) = %s, canonical %q gives %s", name, width, fn.Name(), canon, want.Name())
+		}
+	})
 }
 
 func TestCanonicalName(t *testing.T) {

@@ -1,34 +1,24 @@
 package lp
 
 import (
-	"errors"
 	"math"
 
 	"minimaxdp/internal/rational"
 )
 
-// FloatSolution is the result of SolveFloat.
-type FloatSolution struct {
-	Status    Status
-	Objective float64
-	X         []float64
-}
-
 const floatEps = 1e-9
 
 // perturbScale sets the anti-degeneracy right-hand-side perturbation
-// used by the warm-start candidate solve (floatCandidateBasis): row r
-// is shifted by perturbScale·(r+1)/nrows, giving every row a distinct
-// positive offset so ratio-test ties — the fuel of degenerate
-// stalling, which at tailored n ≳ 20 burned six-figure pivot counts
-// before hitting the cap — become strict comparisons. The offsets sit
-// far above floatEps (so they actually break ties) and far below the
-// problem data (so the located basis is a lexicographic-style basis
-// of the true LP). Nothing numeric escapes: the basis is re-certified
-// in exact arithmetic against the UNperturbed problem, and a basis
-// the perturbation steered wrong simply fails certification and falls
-// back. SolveFloat stays unperturbed — its objective values are
-// compared against the exact solver at 1e-9 in the ablation tests.
+// of the float solve: row r is shifted by perturbScale·(r+1)/nrows,
+// giving every row a distinct positive offset so ratio-test ties — the
+// fuel of degenerate stalling, which at tailored n ≳ 20 burned
+// six-figure pivot counts before hitting the cap — become strict
+// comparisons. The offsets sit far above floatEps (so they actually
+// break ties) and far below the problem data (so the located basis is
+// a lexicographic-style basis of the true LP). Nothing numeric
+// escapes: the basis is re-certified in exact arithmetic against the
+// UNperturbed problem, and a basis the perturbation steered wrong
+// simply fails certification and falls back.
 const perturbScale = 1e-5
 
 // floatOutcome classifies a float simplex run. Unlike the exact
@@ -57,7 +47,13 @@ const (
 // updates each touched column with one sequential axpy (see pivot).
 type floatTab struct {
 	// cols[j] for j < total is column j; cols[total] is the right-hand
-	// side, and with delta set cols[total+1] is the delta column.
+	// side and cols[total+1] the delta column: the image of the
+	// anti-degeneracy RHS perturbation under the pivots so far. B⁻¹b
+	// for the TRUE b is then cols[total] − cols[total+1], which is what
+	// the post-optimal dual cleanup (dualCleanup) prices — without it
+	// the candidate basis is optimal for the perturbed RHS but primal
+	// infeasible for the real one, and every infeasible position costs
+	// the crossover an exact dual-simplex pivot at big-rational prices.
 	cols   [][]float64
 	basis  []int
 	z      []float64
@@ -66,22 +62,13 @@ type floatTab struct {
 	ncols  int // columns excl. artificials (== standardForm.ncols)
 	pivots int
 	f      []float64 // pivot-column scratch, reused across pivots
-	// delta reports that the tableau carries one extra trailing column
-	// (cols[total+1]) holding the image of the anti-degeneracy RHS
-	// perturbation under the pivots so far. B⁻¹b for the TRUE b is then
-	// cols[total] − cols[total+1], which is what the post-optimal dual
-	// cleanup (dualCleanup) prices — without it the candidate basis is
-	// optimal for the perturbed RHS but primal infeasible for the real
-	// one, and every infeasible position costs the crossover an exact
-	// dual-simplex pivot at big-rational prices.
-	delta bool
 }
 
 // newFloatTab builds the phase-1 float tableau, seeding the basis
 // from slack columns where initialBasis offers one and adding
-// artificials elsewhere. With perturb set, each right-hand side gets
-// its anti-degeneracy offset (see perturbScale).
-func (s *standardForm) newFloatTab(perturb bool) *floatTab {
+// artificials elsewhere. Each right-hand side gets its
+// anti-degeneracy offset (see perturbScale).
+func (s *standardForm) newFloatTab() *floatTab {
 	basisFromSlack := s.initialBasis()
 	nart := 0
 	for r := 0; r < s.nrows; r++ {
@@ -94,14 +81,10 @@ func (s *standardForm) newFloatTab(perturb bool) *floatTab {
 		ncols: s.ncols,
 		basis: make([]int, s.nrows),
 		f:     make([]float64, s.nrows),
-		delta: perturb,
 	}
-	// One flat slab for all columns, the right-hand side and (when
-	// perturbed) the delta column (floatTab.delta) included.
-	width := ft.total + 1
-	if perturb {
-		width++
-	}
+	// One flat slab for all columns, the right-hand side and the delta
+	// column included.
+	width := ft.total + 2
 	m := s.nrows
 	slab := make([]float64, width*m)
 	ft.cols = make([][]float64, width)
@@ -114,12 +97,9 @@ func (s *standardForm) newFloatTab(perturb bool) *floatTab {
 		for _, e := range s.rows[r] {
 			ft.cols[e.idx][r] = rational.Float(e.v)
 		}
-		rhs[r] = rational.Float(s.b[r])
-		if perturb {
-			off := perturbScale * float64(r+1) / float64(m)
-			rhs[r] += off
-			ft.cols[ft.total+1][r] = off
-		}
+		off := perturbScale * float64(r+1) / float64(m)
+		rhs[r] = rational.Float(s.b[r]) + off
+		ft.cols[ft.total+1][r] = off
 		if basisFromSlack[r] >= 0 {
 			ft.basis[r] = basisFromSlack[r]
 		} else {
@@ -139,12 +119,13 @@ func (ft *floatTab) maxPivots() int {
 	return 5000 + 50*(len(ft.basis)+ft.total)
 }
 
-// floatSolve runs the two-phase dense float64 simplex on s. ok is
-// false when the iteration cap was hit (the solve is then
+// floatSolve runs the two-phase dense float64 simplex on s's
+// perturbed right-hand side, then the dual cleanup back to the true
+// one. ok is false when the iteration cap was hit (the solve is then
 // inconclusive); otherwise st is the float solver's verdict and ft
 // holds the final tableau.
-func (s *standardForm) floatSolve(perturb bool) (st Status, ft *floatTab, ok bool) {
-	ft = s.newFloatTab(perturb)
+func (s *standardForm) floatSolve() (st Status, ft *floatTab, ok bool) {
+	ft = s.newFloatTab()
 	pivotCap := ft.maxPivots()
 
 	// Phase 1: minimize the artificial sum.
@@ -214,7 +195,7 @@ func (s *standardForm) floatSolve(perturb bool) (st Status, ft *floatTab, ok boo
 	case floatUnbounded:
 		return Unbounded, ft, true
 	}
-	if perturb && !floatSkipDualCleanup {
+	if !floatSkipDualCleanup {
 		// The basis is optimal for the PERTURBED right-hand side; walk
 		// it to one primal feasible for the true RHS with float dual
 		// pivots, so the exact crossover doesn't have to do the same
@@ -256,7 +237,7 @@ func (ft *floatTab) price(cost []float64) {
 var floatSkipDualCleanup = false
 
 // dualCleanup runs dual-simplex pivots against the de-perturbed
-// right-hand side (cols[total] − cols[total+1], see floatTab.delta)
+// right-hand side (cols[total] − cols[total+1], see floatTab.cols)
 // until it is nonnegative within tolerance: leaving row most negative,
 // entering column by the dual ratio test min z_j/(−a_rj) over
 // a_rj < 0, ties toward the smaller column index — the float mirror
@@ -264,9 +245,6 @@ var floatSkipDualCleanup = false
 // Returns false when a row cannot be repaired (left for the exact side
 // to adjudicate) or the pivot cap is hit.
 func (ft *floatTab) dualCleanup(banned []bool, maxPivots int) bool {
-	if !ft.delta {
-		return true
-	}
 	for ft.pivots < maxPivots {
 		rhs, delta := ft.cols[ft.total], ft.cols[ft.total+1]
 		leave := -1
@@ -312,7 +290,7 @@ func (ft *floatTab) dualCleanup(banned []bool, maxPivots int) bool {
 // trusted — tolerance could fabricate either — so those also report
 // ok=false and the caller falls back to the exact two-phase solve.
 func (s *standardForm) floatCandidateBasis() (basis []int, pivots int, ok bool) {
-	st, ft, ok := s.floatSolve(true)
+	st, ft, ok := s.floatSolve()
 	pivots = ft.pivots
 	if !ok || st != Optimal {
 		return nil, pivots, false
@@ -323,39 +301,6 @@ func (s *standardForm) floatCandidateBasis() (basis []int, pivots int, ok bool) 
 		}
 	}
 	return ft.basis, pivots, true
-}
-
-// SolveFloat solves the same problem with a dense float64 two-phase
-// simplex. It exists for the exact-vs-float ablation benchmark
-// (DESIGN.md §5) and as the basis oracle for the warm-start crossover;
-// production call sites use Solve. Results can differ from Solve on
-// degenerate problems because of the ±1e-9 tolerance.
-func (p *Problem) SolveFloat() (*FloatSolution, error) {
-	if len(p.vars) == 0 {
-		return nil, errors.New("lp: no variables")
-	}
-	s := newStandardForm(p)
-	st, ft, ok := s.floatSolve(false)
-	if !ok {
-		return nil, errors.New("lp: float simplex hit its iteration cap")
-	}
-	if st != Optimal {
-		return &FloatSolution{Status: st}, nil
-	}
-	colVal := make([]float64, ft.total)
-	for r, bi := range ft.basis {
-		colVal[bi] = ft.cols[ft.total][r]
-	}
-	x := make([]float64, len(p.vars))
-	objective := 0.0
-	for i := range p.vars {
-		x[i] = colVal[s.colPos[i]]
-		if s.colNeg[i] >= 0 {
-			x[i] -= colVal[s.colNeg[i]]
-		}
-		objective += rational.Float(p.objective[i]) * x[i]
-	}
-	return &FloatSolution{Status: Optimal, Objective: objective, X: x}, nil
 }
 
 // iterate pivots until optimal, unbounded or capped: Dantzig entering

@@ -69,9 +69,9 @@ func floatLocateCases(t *testing.T) (names []string, probs []*Problem) {
 }
 
 // TestFloatLocatePinned pins the float simplex's pivot path: for every
-// floatLocateCases LP, unperturbed (SolveFloat's run) and perturbed
-// (floatCandidateBasis's run, dual cleanup included), the status, ok,
-// pivot count and final basis must equal the committed golden. A
+// floatLocateCases LP, the status, ok, pivot count and final basis of
+// floatCandidateBasis's run (perturbed, dual cleanup included) must
+// equal the committed golden. A
 // change to the float tableau's storage or elimination order that is
 // meant to compute the same values must leave every line unchanged.
 // Regenerate with `go test ./internal/lp -run TestFloatLocatePinned
@@ -86,23 +86,20 @@ func TestFloatLocatePinned(t *testing.T) {
 	if raceEnabled {
 		// The float kernel runs on one goroutine, so the race detector
 		// has nothing to find here, and its instrumentation stretches
-		// the stalled unperturbed n=12 runs (47 300 pivots each) from
-		// ≈40 s to many minutes.
+		// the test from about 2 s to about 20 s.
 		t.Skip("single-goroutine float arithmetic; pinned by the non-race run")
 	}
 	names, probs := floatLocateCases(t)
 	var got bytes.Buffer
 	for k, p := range probs {
 		s := newStandardForm(p)
-		for _, perturb := range []bool{false, true} {
-			st, ft, ok := s.floatSolve(perturb)
-			basis := make([]string, len(ft.basis))
-			for r, bi := range ft.basis {
-				basis[r] = strconv.Itoa(bi)
-			}
-			fmt.Fprintf(&got, "%s perturb=%t status=%v ok=%t pivots=%d basis=%s\n",
-				names[k], perturb, st, ok, ft.pivots, strings.Join(basis, ","))
+		st, ft, ok := s.floatSolve()
+		basis := make([]string, len(ft.basis))
+		for r, bi := range ft.basis {
+			basis[r] = strconv.Itoa(bi)
 		}
+		fmt.Fprintf(&got, "%s perturb=true status=%v ok=%t pivots=%d basis=%s\n",
+			names[k], st, ok, ft.pivots, strings.Join(basis, ","))
 	}
 	path := filepath.FromSlash(floatLocateGolden)
 	if *update {
@@ -128,5 +125,25 @@ func TestFloatLocatePinned(t *testing.T) {
 		if g != w {
 			t.Fatalf("%s line %d:\n got  %.300s\n want %.300s", floatLocateGolden, i+1, g, w)
 		}
+	}
+}
+
+// BenchmarkSimplexFloatLocate times the float locate that every
+// warm-started solve runs (floatCandidateBasis: the perturbed two-phase
+// float simplex plus its dual cleanup, the span SolveStats.FloatNanos
+// measures) on the tailored absolute-loss LP at α = 1/2. The standard
+// form is built once, outside the timed loop.
+func BenchmarkSimplexFloatLocate(b *testing.B) {
+	for _, n := range []int{8, 16} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			s := newStandardForm(tailoredTestLP(n, rational.New(1, 2)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, _, ok := s.floatCandidateBasis(); !ok {
+					b.Fatal("float locate found no candidate basis")
+				}
+			}
+		})
 	}
 }

@@ -1,9 +1,7 @@
 package lp
 
 import (
-	"math"
 	"math/big"
-	"math/rand"
 	"testing"
 
 	"minimaxdp/internal/rational"
@@ -228,9 +226,6 @@ func TestNoVariablesErrors(t *testing.T) {
 	if _, err := NewProblem(Minimize).Solve(); err == nil {
 		t.Error("expected error for empty problem")
 	}
-	if _, err := NewProblem(Minimize).SolveFloat(); err == nil {
-		t.Error("expected error for empty float problem")
-	}
 }
 
 func TestAccumulatedTerms(t *testing.T) {
@@ -246,60 +241,6 @@ func TestAccumulatedTerms(t *testing.T) {
 	}
 	if sol.X[0].RatString() != "2" {
 		t.Errorf("x = %s, want 2", sol.X[0].RatString())
-	}
-}
-
-func TestSolveFloatMatchesExactOnRandomLPs(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 40; trial++ {
-		nv := 2 + rng.Intn(3)
-		nc := 1 + rng.Intn(4)
-		p := NewProblem(Minimize)
-		vars := make([]Var, nv)
-		for i := range vars {
-			vars[i] = p.NewVariable("v")
-			p.SetObjectiveCoeff(vars[i], rational.Int(int64(rng.Intn(9)+1)))
-		}
-		for c := 0; c < nc; c++ {
-			terms := make([]Term, nv)
-			for i := range vars {
-				terms[i] = TInt(vars[i], int64(rng.Intn(5)))
-			}
-			p.AddConstraint(terms, GE, rational.Int(int64(rng.Intn(10))))
-		}
-		exact, err := p.Solve()
-		if err != nil {
-			t.Fatal(err)
-		}
-		fl, err := p.SolveFloat()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if exact.Status != fl.Status {
-			// All-zero constraint rows with positive RHS can be judged
-			// differently only through tolerances; statuses should
-			// still agree on this family.
-			t.Fatalf("trial %d: exact status %v, float status %v", trial, exact.Status, fl.Status)
-		}
-		if exact.Status == Optimal {
-			want := rational.Float(exact.Objective)
-			if math.Abs(fl.Objective-want) > 1e-6*(1+math.Abs(want)) {
-				t.Fatalf("trial %d: exact obj %v, float obj %v", trial, want, fl.Objective)
-			}
-		}
-	}
-}
-
-func TestSolveFloatClassic(t *testing.T) {
-	fl, err := buildClassic().SolveFloat()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fl.Status != Optimal {
-		t.Fatalf("status = %v", fl.Status)
-	}
-	if math.Abs(fl.Objective-36) > 1e-9 {
-		t.Errorf("objective = %v, want 36", fl.Objective)
 	}
 }
 

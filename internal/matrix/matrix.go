@@ -541,19 +541,6 @@ func (m *Matrix) IsNonNegative() bool {
 	return true
 }
 
-// Float64 returns the float64 rendering of m, row-major.
-func (m *Matrix) Float64() [][]float64 {
-	out := make([][]float64, m.rows)
-	for i := 0; i < m.rows; i++ {
-		out[i] = make([]float64, m.cols)
-		for j := 0; j < m.cols; j++ {
-			//dpvet:ignore floatexact Float64 is the one sanctioned float exit of this package: a display/plotting rendering that no exact computation consumes
-			out[i][j] = rational.Float(m.At(i, j))
-		}
-	}
-	return out
-}
-
 // String renders m with exact rational entries, one row per line.
 func (m *Matrix) String() string {
 	var b strings.Builder

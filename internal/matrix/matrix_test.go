@@ -355,14 +355,6 @@ func TestRowSums(t *testing.T) {
 	}
 }
 
-func TestFloat64(t *testing.T) {
-	m := mustM(t, [][]string{{"1/2", "1/4"}})
-	f := m.Float64()
-	if f[0][0] != 0.5 || f[0][1] != 0.25 {
-		t.Errorf("Float64 = %v", f)
-	}
-}
-
 func TestStringRendering(t *testing.T) {
 	m := mustM(t, [][]string{{"1/2", "1"}, {"1", "1/2"}})
 	s := m.String()

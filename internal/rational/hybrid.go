@@ -48,9 +48,6 @@ const (
 // Tier reports the rung currently holding the value.
 func (a Hval) Tier() int { return int(a.tier) }
 
-// HvalFromSmall wraps an int64-tier value.
-func HvalFromSmall(s Small) Hval { return Hval{s: s} }
-
 // HvalFromRat wraps v on the narrowest tier it fits. When v needs the
 // big tier it is aliased, not copied — callers keep the no-mutation
 // contract.

@@ -351,10 +351,6 @@ func (d *DyadicAlias) InducedPMF(n int) []*big.Rat {
 	return out
 }
 
-// Outcomes returns the table length (≥ the weight-vector length it
-// was built from; padding slots carry zero mass).
-func (d *DyadicAlias) Outcomes() int { return len(d.thresh) }
-
 // SampleWord maps one uniform uint64 to an outcome: slot from the low
 // k bits, acceptance compare of the high 64−k bits against the slot's
 // dyadic threshold. Zero allocations, no float math, no divisions.

@@ -121,46 +121,6 @@ func parseCount(s, what string, min, max int) (int, error) {
 // well-checksummed but absurd header cannot drive an allocation bomb.
 const maxDecodeDim = 1 << 16
 
-// --- matrix (T_{α,β} transitions) ----------------------------------------
-
-// EncodeMatrix renders a matrix payload (class "transitions" uses
-// this, but the codec is shape-generic).
-func EncodeMatrix(m *matrix.Matrix) []byte {
-	var b bytes.Buffer
-	fmt.Fprintf(&b, "matrix %d %d\n", m.Rows(), m.Cols())
-	appendRatRows(&b, matrixRows(m))
-	return b.Bytes()
-}
-
-// DecodeMatrix parses EncodeMatrix output. The transition matrices
-// the engine persists are additionally row-stochastic; that invariant
-// is checked by the plan/transition consumers (release.PlanFromParts,
-// mechanism.PostProcess), not here, since raw matrices are not
-// necessarily stochastic.
-func DecodeMatrix(payload []byte) (*matrix.Matrix, error) {
-	r := newLineReader(payload)
-	args, err := r.header("matrix", 2)
-	if err != nil {
-		return nil, err
-	}
-	rows, err := parseCount(args[0], "row count", 1, maxDecodeDim)
-	if err != nil {
-		return nil, err
-	}
-	cols, err := parseCount(args[1], "column count", 1, maxDecodeDim)
-	if err != nil {
-		return nil, err
-	}
-	strs, err := r.ratStrings(rows, cols)
-	if err != nil {
-		return nil, err
-	}
-	if err := r.done(); err != nil {
-		return nil, err
-	}
-	return matrix.FromStrings(strs)
-}
-
 // --- mechanism ------------------------------------------------------------
 
 // EncodeMechanism renders a mechanism payload: the domain bound n and

@@ -1,8 +1,9 @@
 // Package store is the content-addressed, disk-backed artifact store
 // behind the engine's warm-boot path. Every expensive exact artifact
-// the repo produces — geometric mechanisms, Lemma 3 transitions,
-// Algorithm 1 release plans, §2.5 tailored-LP solutions, and the
-// dyadic alias sampler tables — is a deterministic, total function of
+// the repo serves — geometric mechanisms, Algorithm 1 release plans
+// (with their Lemma 3 transitions), §2.5 tailored-LP solutions, the
+// compare workbench's results, and the dyadic alias sampler tables —
+// is a deterministic, total function of
 // its cache key, so a byte-exact copy persisted once is valid forever:
 // a restarted server loads instead of re-solving.
 //

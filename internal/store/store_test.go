@@ -9,7 +9,6 @@ import (
 
 	"minimaxdp/internal/baseline"
 	"minimaxdp/internal/consumer"
-	"minimaxdp/internal/matrix"
 	"minimaxdp/internal/mechanism"
 	"minimaxdp/internal/rational"
 	"minimaxdp/internal/release"
@@ -208,27 +207,6 @@ func TestMovedEntryRejected(t *testing.T) {
 // decode(encode(x)) must equal x exactly AND re-encoding the decoded
 // value must reproduce the identical bytes (so content addresses and
 // checksums are stable across boots).
-
-func TestMatrixCodecRoundTrip(t *testing.T) {
-	m := matrix.MustFromStrings([][]string{
-		{"1/3", "2/3", "0"},
-		{"-7/2", "22/7", "1"},
-	})
-	enc := EncodeMatrix(m)
-	dec, err := DecodeMatrix(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !dec.Equal(m) {
-		t.Fatal("decoded matrix differs")
-	}
-	if !bytes.Equal(EncodeMatrix(dec), enc) {
-		t.Fatal("re-encode not byte-identical")
-	}
-	if _, err := DecodeMatrix([]byte("matrix 2 2\n1/2 1/2\n")); err == nil {
-		t.Error("short matrix accepted")
-	}
-}
 
 func TestMechanismCodecRoundTrip(t *testing.T) {
 	g, err := mechanism.Geometric(6, rational.MustParse("1/3"))

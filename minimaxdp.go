@@ -368,9 +368,9 @@ type CompareSpec = engine.CompareSpec
 // --- the serving engine ---------------------------------------------------
 
 // Engine is the concurrent mechanism-serving layer: a compute-once,
-// concurrency-safe front over every expensive exact artifact
-// (geometric mechanisms and inverses, Lemma 3 transitions, release
-// plans, and the §2.4.3/§2.5 LP optima), with keyed caches,
+// concurrency-safe front over every served exact artifact (geometric
+// mechanisms, release plans with their Lemma 3 transitions, and the
+// §2.4.3/§2.5 LP optima), with keyed caches,
 // singleflight request coalescing, pooled alias-table samplers, and a
 // JSON-ready metrics surface. Construct one per process and share it;
 // see internal/engine for cache-key semantics.
@@ -383,9 +383,9 @@ type CompareSpec = engine.CompareSpec
 // concurrent solves are running.
 type Engine = engine.Engine
 
-// EngineConfig tunes an Engine's cache capacities, sampler-pool seed,
-// in-flight solve bound, and trace hook; the zero value is ready to
-// use.
+// EngineConfig tunes an Engine's in-flight solve bound, LP domain
+// cap, sampler-pool seed, trace hook and disk store; the zero value is
+// ready to use. Cache capacities are fixed by the engine.
 type EngineConfig = engine.Config
 
 // EngineMetrics is the engine's expvar-style counter snapshot
@@ -426,12 +426,13 @@ var ErrEngineSaturated = engine.ErrSaturated
 func NewEngine(cfg EngineConfig) *Engine { return engine.New(cfg) }
 
 // ArtifactStore is the content-addressed disk store for exact
-// artifacts (mechanisms, transitions, release plans, tailored
-// solutions, alias tables). Payloads are deterministic canonical
-// rational encodings — no floats touch disk — and every read is
-// checksum-verified: a corrupt entry is quarantined and reported as a
-// miss, never returned. Install one via EngineConfig.Store and a
-// restarted engine warm-boots from disk with zero LP solves.
+// artifacts (mechanisms, release plans with their transitions,
+// tailored solutions, compare results, alias tables). Payloads are
+// deterministic canonical rational encodings — no floats touch disk —
+// and every read is checksum-verified: a corrupt entry is quarantined
+// and reported as a miss, never returned. Install one via
+// EngineConfig.Store and a restarted engine warm-boots from disk with
+// zero LP solves.
 type ArtifactStore = store.Store
 
 // ArtifactStoreStats is an ArtifactStore's counter snapshot (hits,

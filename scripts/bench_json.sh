@@ -7,8 +7,9 @@
 # uncommitted change names that change's parent).
 #
 #   BENCH_lp.json      LP-solver benchmarks (root package: paper-scale
-#                      simplex, warm-start vs exact) plus the engine's
-#                      cache-path benchmarks.
+#                      simplex, warm-start vs exact; internal/lp: the
+#                      float basis locate) plus the engine's cache-path
+#                      benchmarks.
 #   BENCH_sample.json  the sampling hot path: dyadic alias kernel
 #                      (internal/sample), sharded single/batch/parallel
 #                      draws (internal/engine), and the /v1/sample
@@ -80,6 +81,8 @@ END {
 go test -run='^$' \
     -bench='Table1OptimalLP|Simplex|StrongDualityCertificate|InteractionLPvsFactor' \
     -benchmem -benchtime="${BENCHTIME}" . | tee -a "${raw}"
+go test -run='^$' -bench='SimplexFloatLocate' \
+    -benchmem -benchtime="${BENCHTIME}" ./internal/lp | tee -a "${raw}"
 go test -run='^$' -bench='EngineTailored|EngineGeometric' \
     -benchmem -benchtime="${BENCHTIME}" ./internal/engine | tee -a "${raw}"
 distill "${raw}" "${OUT_LP}"

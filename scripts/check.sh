@@ -64,14 +64,7 @@ echo "==> bench regression gate (fresh run vs committed BENCH_lp.json / BENCH_sa
 ./scripts/bench_regression.sh
 
 echo "==> fuzz smoke (${FUZZTIME} per target)"
-go test -run='^$' -fuzz='^FuzzParse$' -fuzztime="${FUZZTIME}" ./internal/rational
-go test -run='^$' -fuzz='^FuzzPow$' -fuzztime="${FUZZTIME}" ./internal/rational
-go test -run='^$' -fuzz='^FuzzWideMatchesBigRat$' -fuzztime="${FUZZTIME}" ./internal/rational
-go test -run='^$' -fuzz='^FuzzUnmarshalJSON$' -fuzztime="${FUZZTIME}" ./internal/mechanism
-go test -run='^$' -fuzz='^FuzzParseLevels$' -fuzztime="${FUZZTIME}" ./cmd/dpserver
-go test -run='^$' -fuzz='^FuzzWarmStartMatchesExact$' -fuzztime="${FUZZTIME}" ./internal/lp
-go test -run='^$' -fuzz='^FuzzSparseMatchesDense$' -fuzztime="${FUZZTIME}" ./internal/lp
-go test -run='^$' -fuzz='^FuzzDyadicAlias$' -fuzztime="${FUZZTIME}" ./internal/sample
+FUZZTIME="${FUZZTIME}" ./scripts/fuzz_smoke.sh
 
 echo "==> dpserver end-to-end smoke (store-backed run, tenant release, warm-boot restart)"
 smokedir="$(mktemp -d)"
