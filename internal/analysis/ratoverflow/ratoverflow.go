@@ -12,10 +12,9 @@
 //     job is to detect overflow) or in a function that visibly falls
 //     back to big.Rat (calls into math/big or produces a
 //     big.Rat-carrying value), and
-//   - Small and Wide values are built only by the checked
-//     constructors: a non-empty Small{...} or Wide{...} composite
-//     literal anywhere else bypasses sign normalization and gcd
-//     reduction.
+//   - Small values are built only by the checked constructor: a
+//     non-empty Small{...} composite literal anywhere else bypasses
+//     sign normalization and gcd reduction.
 //
 // The scope is matched by import-path suffix, so the golden fixture
 // under testdata/src/ratoverflow/internal/rational exercises exactly
@@ -43,16 +42,11 @@ var DefaultScope = []string{"internal/rational", "internal/lp"}
 var DefaultKernels = []string{
 	"addChecked", "subChecked", "mulChecked", "negChecked",
 	"abs64", "divExact", "gcd64", "mul64To128",
-	// 128-bit limb kernels backing the Wide tier. None of them can
-	// reach the big.Rat fallback themselves (they ARE the bottom of
-	// the ladder), so they must be named here like their 64-bit
-	// siblings.
-	"negAbs64", "shl128", "shr128", "div128by64", "div128",
 }
 
 // DefaultConstructors names the functions allowed to write non-empty
-// Small and Wide composite literals.
-var DefaultConstructors = []string{"MakeSmall", "makeWide", "wideFromParts"}
+// Small composite literals.
+var DefaultConstructors = []string{"MakeSmall"}
 
 // Analyzer is the production instance.
 var Analyzer = New(DefaultScope, DefaultKernels, DefaultConstructors)
@@ -184,9 +178,7 @@ func (a *analyzer) checkLiteral(pass *analysis.Pass, cl *ast.CompositeLit, where
 	if !ok || named.Obj().Pkg() != pass.Pkg {
 		return
 	}
-	switch named.Obj().Name() {
-	case "Small", "Wide":
-	default:
+	if named.Obj().Name() != "Small" {
 		return
 	}
 	pass.Reportf(cl.Pos(),

@@ -48,7 +48,6 @@ func TestKernelAllowlistStaysMinimal(t *testing.T) {
 	wantKernels := map[string]bool{
 		"addChecked": true, "subChecked": true, "mulChecked": true, "negChecked": true,
 		"abs64": true, "divExact": true, "gcd64": true, "mul64To128": true,
-		"negAbs64": true, "shl128": true, "shr128": true, "div128by64": true, "div128": true,
 	}
 	if len(DefaultKernels) != len(wantKernels) {
 		t.Fatalf("DefaultKernels = %v, want exactly %v", DefaultKernels, wantKernels)
@@ -58,7 +57,7 @@ func TestKernelAllowlistStaysMinimal(t *testing.T) {
 			t.Fatalf("unexpected kernel %q in DefaultKernels", k)
 		}
 	}
-	wantCtors := map[string]bool{"MakeSmall": true, "makeWide": true, "wideFromParts": true}
+	wantCtors := map[string]bool{"MakeSmall": true}
 	if len(DefaultConstructors) != len(wantCtors) {
 		t.Fatalf("DefaultConstructors = %v, want exactly %v", DefaultConstructors, wantCtors)
 	}

@@ -94,43 +94,10 @@ func Halve(s Small) Small {
 	return out
 }
 
-// Wide mirrors the production 128-bit rational tier.
-type Wide struct {
-	neg                bool
-	nhi, nlo, dhi, dlo uint64
-}
-
-// wideFromParts is the checked Wide constructor (allowlisted): the
-// only place a non-empty Wide literal is legal.
-func wideFromParts(neg bool, nhi, nlo, dhi, dlo uint64) (Wide, bool) {
-	if dhi == 0 && dlo == 0 {
-		return Wide{}, false
-	}
-	if nhi == 0 && nlo == 0 {
-		return Wide{}, true
-	}
-	return Wide{neg: neg, nhi: nhi, nlo: nlo, dhi: dhi, dlo: dlo}, true
-}
-
-// shl128 is an allowlisted 128-bit limb kernel: raw shifts are its
-// whole job, like the 64-bit checked kernels.
-func shl128(hi, lo uint64, s uint) (uint64, uint64) {
-	if s >= 64 {
-		return lo << (s - 64), 0
-	}
-	return hi<<s | lo>>(64-s), lo << s
-}
-
-// RawWide bypasses the checked Wide constructor, skipping the
-// canonical-zero and reduction invariants.
-func RawWide(nlo, dlo uint64) Wide {
-	return Wide{nlo: nlo, dlo: dlo} // want `bypasses the checked constructors`
-}
-
-// UncheckedWideDouble wraps silently on limb overflow.
-func UncheckedWideDouble(w Wide) Wide {
-	out, _ := wideFromParts(w.neg, w.nhi*2, w.nlo*2, w.dhi, w.dlo) // want `unchecked fixed-width arithmetic`
-	return out
+// DenWords doubles an unsigned magnitude: uint64 arithmetic is
+// fixed-width too and wraps just as silently.
+func DenWords(s Small) uint64 {
+	return uint64(s.den) * 2 // want `unchecked fixed-width arithmetic`
 }
 
 func negChecked(a int64) (int64, bool) {

@@ -96,12 +96,12 @@ func BenchmarkEngineTailoredUncachedN16(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineTailoredUncachedN24 is the entry-growth wall the
-// three-tier rational ladder (Small → Wide → big.Rat), Markowitz
-// refactorization, and the float-side dual cleanup broke: before
-// them, this cold solve spent ~20s in big.Rat allocation (≈2.1M big
-// fallbacks); now it rides the machine-word tiers end to end.
-// BENCH_lp.json pins it so the large-n regime stays honest.
+// BenchmarkEngineTailoredUncachedN24 is the entry-growth wall that
+// Markowitz refactorization and the float-side dual cleanup broke:
+// before them, this cold solve spent ~20s in big.Rat allocation (≈2.1M
+// big fallbacks); now about 1 200 of its 10 900 kernel ops leave the
+// int64 Small tier (DESIGN.md §16). BENCH_lp.json pins it so the
+// large-n regime stays honest.
 func BenchmarkEngineTailoredUncachedN24(b *testing.B) {
 	a := rational.MustParse("1/2")
 	c := &consumer.Consumer{Loss: loss.Absolute{}}
@@ -114,8 +114,8 @@ func BenchmarkEngineTailoredUncachedN24(b *testing.B) {
 }
 
 // BenchmarkEngineTailoredUncachedN32 probes the next scale step.
-// Opt-in: minutes-scale before the Wide tier, so it stays out of the
-// default suites and the regression gate.
+// Opt-in: about 12 s per solve, with most kernel ops on big.Rat, so
+// it stays out of the default suites and the regression gate.
 //
 //	BENCH_N32=1 go test -run='^$' -bench=UncachedN32 -benchtime=1x \
 //	    -timeout=30m ./internal/engine

@@ -305,7 +305,6 @@ func (e *Engine) recordLP(s *store, key string, stats *lp.SolveStats) {
 	e.lp.exactPivots.Add(uint64(stats.ExactPivots))
 	e.lp.revisedPivots.Add(uint64(stats.RevisedPivots))
 	e.lp.smallOps.Add(uint64(stats.SmallOps))
-	e.lp.wideOps.Add(uint64(stats.WideOps))
 	e.lp.bigFallbacks.Add(uint64(stats.BigFallbacks))
 	e.lp.refactorizations.Add(uint64(stats.Refactorizations))
 	e.lp.magnitudeRefacts.Add(uint64(stats.MagnitudeRefactors))

@@ -122,10 +122,13 @@ type LPSolveStats struct {
 
 	// Hybrid-kernel tier split for the sparse LU / revised-simplex
 	// path: exact rational operations served by the int64
-	// rational.Small fast path, by the 128-bit rational.Wide tier, and
-	// demoted all the way to big.Rat. (SmallOps+WideOps)/(SmallOps+
-	// WideOps+BigFallbacks) is the fleet-wide allocation-free hit rate.
-	SmallOps     uint64 `json:"small_ops"`
+	// rational.Small fast path and those demoted to big.Rat.
+	// SmallOps/(SmallOps+BigFallbacks) is the fleet-wide
+	// allocation-free hit rate.
+	SmallOps uint64 `json:"small_ops"`
+	// WideOps is always 0: the 128-bit rational tier it counted is
+	// gone. It stays on the wire because perfbench/counters.go reads
+	// it (rational.wide_ops); remove the two together.
 	WideOps      uint64 `json:"wide_ops"`
 	BigFallbacks uint64 `json:"big_fallbacks"`
 
@@ -155,7 +158,6 @@ type lpCounters struct {
 	exactPivots      atomic.Uint64
 	revisedPivots    atomic.Uint64
 	smallOps         atomic.Uint64
-	wideOps          atomic.Uint64
 	bigFallbacks     atomic.Uint64
 	refactorizations atomic.Uint64
 	magnitudeRefacts atomic.Uint64
@@ -173,7 +175,6 @@ func (c *lpCounters) snapshot() LPSolveStats {
 		ExactPivots:        c.exactPivots.Load(),
 		RevisedPivots:      c.revisedPivots.Load(),
 		SmallOps:           c.smallOps.Load(),
-		WideOps:            c.wideOps.Load(),
 		BigFallbacks:       c.bigFallbacks.Load(),
 		Refactorizations:   c.refactorizations.Load(),
 		MagnitudeRefactors: c.magnitudeRefacts.Load(),

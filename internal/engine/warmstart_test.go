@@ -108,8 +108,8 @@ func TestWarmStartColdPathGate(t *testing.T) {
 // with every field set and reads the full set back through the JSON
 // metrics surface: a counter added to lp.SolveStats but not plumbed
 // into lpCounters/snapshot would silently report zero forever. The
-// wire-only ParallelPivots and PresolveRows fields have no source
-// counter and must read back as 0.
+// wire-only ParallelPivots, PresolveRows and WideOps fields have no
+// source counter and must read back as 0.
 func TestRecordLPFoldsAllCounters(t *testing.T) {
 	e := New(Config{})
 	e.recordLP(e.tailored, "synthetic", &lp.SolveStats{
@@ -118,7 +118,6 @@ func TestRecordLPFoldsAllCounters(t *testing.T) {
 		ExactPivots:        5,
 		RevisedPivots:      7,
 		SmallOps:           11,
-		WideOps:            23,
 		BigFallbacks:       13,
 		Refactorizations:   29,
 		MagnitudeRefactors: 31,
@@ -129,7 +128,7 @@ func TestRecordLPFoldsAllCounters(t *testing.T) {
 	want := LPSolveStats{
 		Solves: 1, Fallbacks: 1,
 		FloatPivots: 3, FloatNanos: 37, ExactPivots: 5, RevisedPivots: 7,
-		SmallOps: 11, WideOps: 23, BigFallbacks: 13,
+		SmallOps: 11, BigFallbacks: 13,
 		Refactorizations: 29, MagnitudeRefactors: 31,
 		TiedOptima: 1,
 	}

@@ -14,15 +14,14 @@
 //     solve's slack/artificial basis (solveCold) — using BTRAN/FTRAN
 //     against the factorization plus product-form eta updates.
 //
-// Every scalar is an hval (= rational.Hval): the three-tier ladder
-// Small → Wide → big.Rat of overflow-*checked* fixed-width rationals.
-// Arithmetic runs on the int64 Small tier while operands fit — on the
-// paper's LPs the basis entries start tiny — climbs to the two-word
-// Wide tier when eta-chain entry growth outruns int64 (the dominant
-// regime of the large-n dual-repair pivots), and only values past 128
-// bits pay big.Rat allocation, re-entering the fast tiers as soon as
-// a result fits again. The fallback is exact, never approximate: the
-// ladder changes the representation of a value, never the value. All
+// Every scalar is an hval (= rational.Hval): the two-tier ladder
+// Small → big.Rat of an overflow-*checked* int64 rational over the
+// exact fallback. Arithmetic runs on the int64 Small tier while
+// operands fit — on the paper's LPs the basis entries start tiny —
+// and only values past int64 pay big.Rat allocation, re-entering the
+// Small tier as soon as a result fits again. The fallback is exact,
+// never approximate: the ladder changes the representation of a
+// value, never the value. All
 // raw fixed-width arithmetic stays inside internal/rational's checked
 // kernels; the ratoverflow analyzer's scope covers this package to
 // keep it that way.
@@ -44,14 +43,14 @@ import (
 )
 
 // hval is the hybrid exact rational scalar of the revised-simplex
-// kernels: rational.Hval, the three-tier Small → Wide → big.Rat
-// ladder (see internal/rational/hybrid.go — it moved there so the
+// kernels: rational.Hval, the two-tier Small → big.Rat ladder (see
+// internal/rational/hybrid.go — it moved there so the
 // matrix and mechanism hot loops share it). hvals are immutable;
 // aliasing a shared *big.Rat (e.g. a standardForm matrix entry) into
 // the big tier is safe.
 type hval = rational.Hval
 
-// hvRat wraps v on the narrowest tier it fits.
+// hvRat wraps v on the Small tier when it fits.
 func hvRat(v *big.Rat) hval { return rational.HvalFromRat(v) }
 
 // hstats accumulates the per-solve tier counters; fold maps them into
@@ -64,8 +63,6 @@ func (h *hstats) fold(stats *SolveStats) {
 	if stats != nil {
 		//dpvet:ignore ratoverflow telemetry counter, not rational arithmetic; wraparound would skew stats, never results
 		stats.SmallOps += int64(h.SmallOps)
-		//dpvet:ignore ratoverflow telemetry counter, as above
-		stats.WideOps += int64(h.WideOps)
 		//dpvet:ignore ratoverflow telemetry counter, as above
 		stats.BigFallbacks += int64(h.BigOps)
 	}
@@ -596,7 +593,7 @@ func recordRefactor(opts *SolveOpts, magnitude bool) {
 // image is w, and counts the pivot. Once needsRefactor asks for it the
 // eta chain collapses into a fresh factorization, in place, and xB is
 // recomputed from scratch: exact values, so this is a representation
-// refresh, not a numeric repair, and it sheds the wide representations
+// refresh, not a numeric repair, and it sheds the big-tier values
 // the eta chain accumulated, which is half the point of refactorizing.
 // A singular refactorization cannot happen in exact arithmetic and
 // reports errInvariant.

@@ -9,22 +9,22 @@ import (
 )
 
 // TestHvalDemotion pins the hybrid scalar's representation invariant:
-// values that fit int64 live on the Small tier, values past int64 but
-// within 128 bits on the Wide tier, only wider ones on big.Rat, and
-// results demote back down whenever they re-fit. Every observable
-// (Rat, Sign, Cmp) agrees with the big.Rat view regardless of tier.
+// values that fit int64 live on the Small tier, only wider ones on
+// big.Rat, and results demote back down whenever they re-fit. Every
+// observable (Rat, Sign, Cmp) agrees with the big.Rat view regardless
+// of tier.
 func TestHvalDemotion(t *testing.T) {
 	small := hvRat(rational.New(22, 7))
 	if small.Tier() != rational.TierSmall {
 		t.Error("22/7 should sit on the Small tier")
 	}
-	wideR := new(big.Rat).SetFrac(new(big.Int).Lsh(big.NewInt(1), 90), big.NewInt(3))
-	widev := hvRat(wideR)
-	if widev.Tier() != rational.TierWide {
-		t.Error("2^90/3 should sit on the Wide tier")
+	midR := new(big.Rat).SetFrac(new(big.Int).Lsh(big.NewInt(1), 90), big.NewInt(3))
+	midv := hvRat(midR)
+	if midv.Tier() != rational.TierBig {
+		t.Error("2^90/3 should sit on the big tier")
 	}
-	if widev.Rat().Cmp(wideR) != 0 {
-		t.Errorf("Rat() = %v, want %v", widev.Rat(), wideR)
+	if midv.Rat().Cmp(midR) != 0 {
+		t.Errorf("Rat() = %v, want %v", midv.Rat(), midR)
 	}
 	hugeR := new(big.Rat).SetFrac(new(big.Int).Lsh(big.NewInt(1), 200), big.NewInt(3))
 	bigv := hvRat(hugeR)
@@ -32,40 +32,45 @@ func TestHvalDemotion(t *testing.T) {
 		t.Error("2^200/3 should sit on the big tier")
 	}
 	var h hstats
-	// (2^90/3) − (2^90/3)·1 == 0: a Wide-tier op whose result re-fits.
-	z := h.fms(widev, widev, hvRat(rational.One()))
+	// (2^90/3) − (2^90/3)·1 == 0: a big-tier op whose result re-fits.
+	z := h.fms(midv, midv, hvRat(rational.One()))
 	if z.Tier() != rational.TierSmall {
 		t.Error("zero result should demote to the Small tier")
 	}
 	if !z.IsZero() || z.Sign() != 0 {
 		t.Errorf("fms(x, x, 1) = %v, want 0", z.Rat())
 	}
-	if h.WideOps == 0 {
-		t.Error("Wide-tier operation not counted")
-	}
-	// A big-tier op whose result re-fits 128 bits must land on Wide.
-	z2 := h.fms(bigv, bigv, hvRat(rational.One()))
-	if !z2.IsZero() {
-		t.Errorf("fms(big, big, 1) = %v, want 0", z2.Rat())
-	}
 	if h.BigOps == 0 {
 		t.Error("big-path operation not counted")
 	}
-	if small.Cmp(widev) >= 0 || widev.Cmp(small) <= 0 || widev.Cmp(bigv) >= 0 {
+	// A big-tier op whose nonzero result fits int64 must land on Small.
+	q := h.quo(bigv, midv)
+	wantQ := new(big.Rat).Quo(hugeR, midR)
+	if q.Rat().Cmp(wantQ) != 0 {
+		t.Errorf("quo(2^200/3, 2^90/3) = %v, want %v", q.Rat(), wantQ)
+	}
+	if q.Tier() != rational.TierBig {
+		t.Error("2^110 should stay on the big tier")
+	}
+	r := h.quo(midv, hvRat(new(big.Rat).SetFrac(new(big.Int).Lsh(big.NewInt(1), 88), big.NewInt(1))))
+	if r.Tier() != rational.TierSmall || r.Rat().Cmp(big.NewRat(4, 3)) != 0 {
+		t.Errorf("quo(2^90/3, 2^88) = %v on tier %d, want 4/3 on the Small tier", r.Rat(), r.Tier())
+	}
+	if small.Cmp(midv) >= 0 || midv.Cmp(small) <= 0 || midv.Cmp(bigv) >= 0 {
 		t.Error("Cmp ordering across representations is wrong")
 	}
 }
 
-// TestHstatsKernelOracle drives fms and quo across both overflow
-// boundaries (int64 → Wide and Wide → big.Rat) and cross-checks every
-// result against big.Rat, asserting all three tier counters move.
+// TestHstatsKernelOracle drives fms and quo across the int64 → big.Rat
+// overflow boundary and cross-checks every result against big.Rat,
+// asserting both tier counters move.
 func TestHstatsKernelOracle(t *testing.T) {
 	mk := func(n, d int64) hval { return hvRat(rational.New(n, d)) }
-	wide1 := hvRat(new(big.Rat).SetFrac(new(big.Int).Lsh(big.NewInt(1), 70), big.NewInt(7)))
+	mid1 := hvRat(new(big.Rat).SetFrac(new(big.Int).Lsh(big.NewInt(1), 70), big.NewInt(7)))
 	big1 := hvRat(new(big.Rat).SetFrac(new(big.Int).Lsh(big.NewInt(1), 140), big.NewInt(11)))
 	cases := []hval{
 		mk(0, 1), mk(1, 1), mk(-3, 7), mk(5, 2),
-		mk(1<<40, 3), mk(-(1 << 40), 9), wide1, big1,
+		mk(1<<40, 3), mk(-(1 << 40), 9), mid1, big1,
 	}
 	var h hstats
 	ref := func(v hval) *big.Rat { return new(big.Rat).Set(v.Rat()) }
@@ -90,9 +95,8 @@ func TestHstatsKernelOracle(t *testing.T) {
 			}
 		}
 	}
-	if h.SmallOps == 0 || h.WideOps == 0 || h.BigOps == 0 {
-		t.Fatalf("kernel grid missed a tier: small=%d wide=%d big=%d",
-			h.SmallOps, h.WideOps, h.BigOps)
+	if h.SmallOps == 0 || h.BigOps == 0 {
+		t.Fatalf("kernel grid missed a tier: small=%d big=%d", h.SmallOps, h.BigOps)
 	}
 }
 

@@ -68,11 +68,9 @@ type SolveStats struct {
 
 	// Hybrid-kernel tier counters for the sparse LU / revised path:
 	// how many exact rational operations ran on the int64
-	// rational.Small fast path, how many on the 128-bit rational.Wide
-	// tier, and how many fell all the way back to big.Rat (see
+	// rational.Small fast path and how many fell back to big.Rat (see
 	// revised.go and internal/rational/hybrid.go).
 	SmallOps     int64
-	WideOps      int64
 	BigFallbacks int64
 
 	// Basis refactorizations during revised pivoting (primal resume +

@@ -166,7 +166,7 @@ func (m *Matrix) Equal(o *Matrix) bool {
 }
 
 // Mul returns the product m·o. The dot products run on the
-// rational.Hval ladder (Small → Wide → big.Rat), so mostly-tiny
+// rational.Hval ladder (Small → big.Rat), so mostly-tiny
 // operands — the common case for mechanism transition products — stay
 // in machine words.
 func (m *Matrix) Mul(o *Matrix) (*Matrix, error) {
@@ -380,8 +380,8 @@ func (m *Matrix) Solve(b []*big.Rat) ([]*big.Rat, error) {
 // Det returns det(m) using fraction-free Bareiss elimination, which
 // keeps intermediate values as exact integers of the common
 // denominator and is much faster than cofactor expansion for n ≳ 5.
-// The elimination runs on the rational.Hval ladder (Small → Wide →
-// big.Rat): pivots, row factors, and the fused update
+// The elimination runs on the rational.Hval ladder (Small → big.Rat):
+// pivots, row factors, and the fused update
 // w[r][j] −= factor·w[col][j] stay in machine words while entries fit.
 func (m *Matrix) Det() (*big.Rat, error) {
 	if m.rows != m.cols {

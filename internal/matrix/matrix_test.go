@@ -480,12 +480,12 @@ func TestMulStatsCountersAndEquivalence(t *testing.T) {
 	}
 }
 
-// TestMulStatsEscalatesTiers drives the product across both overflow
-// boundaries: entries past int64 engage the Wide tier and entries
-// past 128 bits pay the big fallback, with the value always exact.
+// TestMulStatsEscalatesTiers drives the product across the int64
+// overflow boundary: entries past int64, at 100 and at 200 bits, pay
+// the big fallback, with the value always exact.
 func TestMulStatsEscalatesTiers(t *testing.T) {
-	huge := new(big.Rat).SetInt(new(big.Int).Lsh(big.NewInt(1), 100))  // 2^100: Wide-sized
-	giant := new(big.Rat).SetInt(new(big.Int).Lsh(big.NewInt(1), 200)) // 2^200: big-only
+	huge := new(big.Rat).SetInt(new(big.Int).Lsh(big.NewInt(1), 100))
+	giant := new(big.Rat).SetInt(new(big.Int).Lsh(big.NewInt(1), 200))
 	a := New(2, 2)
 	a.Set(0, 0, huge)
 	a.Set(0, 1, rational.One())

@@ -162,8 +162,8 @@ func (mc *Mechanism) BestAlpha() *big.Rat {
 // PostProcess applies a consumer interaction T (a row-stochastic
 // (n+1)×(n+1) matrix of reinterpretation probabilities, Definition 3)
 // and returns the induced mechanism x = y·T. Probability entries are
-// mostly tiny rationals, so the product runs on the Small/Wide fast
-// tiers of matrix.Mul.
+// mostly tiny rationals, so the product runs on the int64 Small tier
+// of matrix.Mul.
 func (mc *Mechanism) PostProcess(t *matrix.Matrix) (*Mechanism, error) {
 	if !t.IsStochastic() {
 		return nil, fmt.Errorf("mechanism: post-processing matrix: %w", ErrNotStochastic)

@@ -5,14 +5,13 @@ import (
 	"math/bits"
 )
 
-// Hval is a hybrid exact rational scalar: a three-tier ladder
-// Small → Wide → big.Rat. Arithmetic runs on the narrowest tier the
-// operands fit — int64 words while values are tiny, two 64-bit words
-// when they outgrow that, and only values past 128 bits pay big.Rat
-// allocation. Every fallback is exact, never approximate: the ladder
-// changes the representation of a value, never the value, and results
-// demote back down as soon as they fit (a big-path result that
-// reduces to fit 64 or 128 bits re-enters the fast tiers).
+// Hval is a hybrid exact rational scalar: a two-tier ladder
+// Small → big.Rat. Arithmetic runs on int64 words while the operands
+// fit, and only values past int64 pay big.Rat allocation. Every
+// fallback is exact, never approximate: the ladder changes the
+// representation of a value, never the value, and results demote back
+// down as soon as they fit (a big-path result whose lowest terms fit
+// int64 re-enters the Small tier).
 //
 // Hvals are immutable — operations return fresh values and never
 // mutate operands, so aliasing a shared *big.Rat (e.g. a standardForm
@@ -24,14 +23,12 @@ import (
 // loops share the ladder without an import cycle.
 type Hval struct {
 	s    Small
-	w    Wide
 	r    *big.Rat // non-nil iff tier == tierBig
 	tier uint8
 }
 
 const (
 	tierSmall = iota // value in s (the zero value's tier)
-	tierWide         // value in w
 	tierBig          // value in r
 )
 
@@ -41,113 +38,70 @@ const (
 // and telemetry reports the mix.
 const (
 	TierSmall = tierSmall
-	TierWide  = tierWide
 	TierBig   = tierBig
 )
 
 // Tier reports the rung currently holding the value.
 func (a Hval) Tier() int { return int(a.tier) }
 
-// HvalFromRat wraps v on the narrowest tier it fits. When v needs the
+// HvalFromRat wraps v on the Small tier when it fits. When v needs the
 // big tier it is aliased, not copied — callers keep the no-mutation
 // contract.
 func HvalFromRat(v *big.Rat) Hval {
 	if s, ok := SmallFromRat(v); ok {
 		return Hval{s: s}
 	}
-	if w, ok := WideFromRat(v); ok {
-		return Hval{w: w, tier: tierWide}
-	}
 	return Hval{r: v, tier: tierBig}
-}
-
-// hvalFromWide wraps a Wide result, demoting to the Small tier when
-// both components fit one word.
-func hvalFromWide(w Wide) Hval {
-	if s, ok := w.Small(); ok {
-		return Hval{s: s}
-	}
-	return Hval{w: w, tier: tierWide}
-}
-
-// wide returns the value as a Wide; the caller guarantees
-// tier != tierBig (a Small always widens exactly).
-func (a Hval) wide() Wide {
-	if a.tier == tierWide {
-		return a.w
-	}
-	return WideFromSmall(a.s)
 }
 
 // Rat returns the exact value as a *big.Rat. The result aliases the
 // big-tier value and must not be mutated by the caller.
 func (a Hval) Rat() *big.Rat {
-	switch a.tier {
-	case tierBig:
+	if a.tier == tierBig {
 		//dpvet:ignore ratmutate documented borrow: Rat is the hot exit of the hybrid kernels (every big-path FMS/Quo calls it); Hvals are immutable by contract and every escaping consumer (extractFromCols, solution, matrix clones) copies on write
 		return a.r
-	case tierWide:
-		return a.w.Rat()
 	}
 	return a.s.Rat()
 }
 
 // IsZero reports whether a == 0.
 func (a Hval) IsZero() bool {
-	switch a.tier {
-	case tierBig:
+	if a.tier == tierBig {
 		return a.r.Sign() == 0
-	case tierWide:
-		return a.w.IsZero()
 	}
 	return a.s.IsZero()
 }
 
 // Sign returns -1, 0, or +1.
 func (a Hval) Sign() int {
-	switch a.tier {
-	case tierBig:
+	if a.tier == tierBig {
 		return a.r.Sign()
-	case tierWide:
-		return a.w.Sign()
 	}
 	return a.s.Sign()
 }
 
-// Cmp compares two Hvals exactly. Up through the Wide tier it uses
-// fixed-width cross products and allocates nothing.
+// Cmp compares two Hvals exactly. Two Small operands compare by
+// 128-bit cross products and allocate nothing.
 func (a Hval) Cmp(b Hval) int {
 	if a.tier == tierSmall && b.tier == tierSmall {
 		return a.s.Cmp(b.s)
-	}
-	if a.tier != tierBig && b.tier != tierBig {
-		return a.wide().Cmp(b.wide())
 	}
 	return a.Rat().Cmp(b.Rat())
 }
 
 // Bits returns the bit length of the wider component of a — the
 // entry-growth measure the refactorization trigger integrates over
-// eta chains (≤ 63 on the Small tier, ≤ 128 on Wide).
+// eta chains (≤ 63 on the Small tier).
 func (a Hval) Bits() int {
-	switch a.tier {
-	case tierBig:
+	if a.tier == tierBig {
 		nb := a.r.Num().BitLen()
 		if db := a.r.Denom().BitLen(); db > nb {
 			return db
 		}
 		return nb
-	case tierWide:
-		return a.w.Bits()
 	}
-	num := a.s.Num()
-	var un uint64
-	if num < 0 {
-		un = negAbs64(num)
-	} else {
-		un = uint64(num)
-	}
-	nb := bits.Len64(un)
+	// A Small numerator is never math.MinInt64 (MakeSmall rejects it).
+	nb := bits.Len64(uint64(abs64(a.s.Num())))
 	if db := bits.Len64(uint64(a.s.Den())); db > nb {
 		return db
 	}
@@ -155,22 +109,13 @@ func (a Hval) Bits() int {
 }
 
 // intsInto loads a's numerator and denominator as big.Ints without
-// any normalization work: the Small and Wide tiers materialize into
-// the caller-provided scratch slots n and d, while the big tier
-// aliases the Rat's own components (read-only — callers must not
-// mutate the returned Ints). The denominator is always positive.
+// any normalization work: the Small tier materializes into the
+// caller-provided scratch slots n and d, while the big tier aliases
+// the Rat's own components (read-only — callers must not mutate the
+// returned Ints). The denominator is always positive.
 func (a Hval) intsInto(n, d *big.Int) (num, den *big.Int) {
-	switch a.tier {
-	case tierBig:
+	if a.tier == tierBig {
 		return a.r.Num(), a.r.Denom()
-	case tierWide:
-		setU128(n, a.w.nhi, a.w.nlo)
-		if a.w.neg {
-			n.Neg(n)
-		}
-		dhi, dlo := a.w.den()
-		setU128(d, dhi, dlo)
-		return n, d
 	}
 	n.SetInt64(a.s.Num())
 	d.SetInt64(a.s.Den())
@@ -190,23 +135,22 @@ func hvalFromBigParts(num, den *big.Int) Hval {
 
 // bigScratch holds the reusable big.Int temporaries behind the fused
 // big-tier kernels, so a hot fms/quo chain allocates only for results
-// that genuinely stay past 128 bits.
+// that genuinely stay past int64.
 type bigScratch struct {
 	x [6]big.Int // operand extraction slots
 	t [3]big.Int // product/accumulator temporaries
 }
 
 // HybridStats counts hybrid-kernel operations by the tier that served
-// them: SmallOps the int64 fast-path hits, WideOps the 128-bit tier,
-// BigOps the exact big.Rat fallbacks (including operations with an
-// operand already in big form). The tier mix is the ladder hit rate
-// exported through lp.SolveStats and the matrix/mechanism counters.
-// The counter fields are plain ints: telemetry, not rational
-// arithmetic. A HybridStats also carries the lazily-built scratch
-// space for the fused big-tier kernels, so it must not be shared
-// across goroutines.
+// them: SmallOps the int64 fast-path hits, BigOps the exact big.Rat
+// fallbacks (including operations with an operand already in big
+// form). The tier mix is the ladder hit rate exported through
+// lp.SolveStats. The counter fields are plain ints: telemetry, not
+// rational arithmetic. A HybridStats also carries the lazily-built
+// scratch space for the fused big-tier kernels, so it must not be
+// shared across goroutines.
 type HybridStats struct {
-	SmallOps, WideOps, BigOps int
+	SmallOps, BigOps int
 
 	scr *bigScratch
 }
@@ -220,33 +164,18 @@ func (h *HybridStats) scratch() *bigScratch {
 	return h.scr
 }
 
-// Add accumulates o into h (for folding per-call stats into
-// longer-lived counters).
-func (h *HybridStats) Add(o HybridStats) {
-	h.SmallOps += o.SmallOps
-	h.WideOps += o.WideOps
-	h.BigOps += o.BigOps
-}
-
 // FMS returns a − b·c.
 //
 // The big path is fused: it assembles the result as one numerator and
 // one denominator over big.Int products and normalizes exactly once,
 // rather than paying a big.Rat normalization GCD per intermediate
-// (plus one per Wide→Rat operand conversion). On the entry-growth
-// profiles that motivated the Wide tier this is the difference
-// between one Lehmer GCD per kernel call and up to five.
+// (plus one per Small→Rat operand conversion): one Lehmer GCD per
+// kernel call instead of up to five.
 func (h *HybridStats) FMS(a, b, c Hval) Hval {
 	if a.tier == tierSmall && b.tier == tierSmall && c.tier == tierSmall {
 		if v, ok := a.s.FMS(b.s, c.s); ok {
 			h.SmallOps++
 			return Hval{s: v}
-		}
-	}
-	if a.tier != tierBig && b.tier != tierBig && c.tier != tierBig {
-		if v, ok := a.wide().FMS(b.wide(), c.wide()); ok {
-			h.WideOps++
-			return hvalFromWide(v)
 		}
 	}
 	h.BigOps++
@@ -272,12 +201,6 @@ func (h *HybridStats) Quo(a, b Hval) Hval {
 			return Hval{s: v}
 		}
 	}
-	if a.tier != tierBig && b.tier != tierBig {
-		if v, ok := a.wide().Quo(b.wide()); ok {
-			h.WideOps++
-			return hvalFromWide(v)
-		}
-	}
 	h.BigOps++
 	s := h.scratch()
 	an, ad := a.intsInto(&s.x[0], &s.x[1])
@@ -300,12 +223,6 @@ func (h *HybridStats) Mul(a, b Hval) Hval {
 			return Hval{s: v}
 		}
 	}
-	if a.tier != tierBig && b.tier != tierBig {
-		if v, ok := a.wide().Mul(b.wide()); ok {
-			h.WideOps++
-			return hvalFromWide(v)
-		}
-	}
 	h.BigOps++
 	s := h.scratch()
 	an, ad := a.intsInto(&s.x[0], &s.x[1])
@@ -315,18 +232,12 @@ func (h *HybridStats) Mul(a, b Hval) Hval {
 	return hvalFromBigParts(&s.t[0], &s.t[1])
 }
 
-// AddH returns a+b (named to keep the accumulator method Add free).
+// AddH returns a+b.
 func (h *HybridStats) AddH(a, b Hval) Hval {
 	if a.tier == tierSmall && b.tier == tierSmall {
 		if v, ok := a.s.Add(b.s); ok {
 			h.SmallOps++
 			return Hval{s: v}
-		}
-	}
-	if a.tier != tierBig && b.tier != tierBig {
-		if v, ok := a.wide().Add(b.wide()); ok {
-			h.WideOps++
-			return hvalFromWide(v)
 		}
 	}
 	h.BigOps++
@@ -347,12 +258,6 @@ func (h *HybridStats) SubH(a, b Hval) Hval {
 		if v, ok := a.s.Sub(b.s); ok {
 			h.SmallOps++
 			return Hval{s: v}
-		}
-	}
-	if a.tier != tierBig && b.tier != tierBig {
-		if v, ok := a.wide().Sub(b.wide()); ok {
-			h.WideOps++
-			return hvalFromWide(v)
 		}
 	}
 	h.BigOps++
@@ -377,14 +282,6 @@ func (h *HybridStats) CmpMul(a, b, c, d Hval) int {
 		if p1, ok1 := a.s.Mul(b.s); ok1 {
 			if p2, ok2 := c.s.Mul(d.s); ok2 {
 				h.SmallOps++
-				return p1.Cmp(p2)
-			}
-		}
-	}
-	if a.tier != tierBig && b.tier != tierBig && c.tier != tierBig && d.tier != tierBig {
-		if p1, ok1 := a.wide().Mul(b.wide()); ok1 {
-			if p2, ok2 := c.wide().Mul(d.wide()); ok2 {
-				h.WideOps++
 				return p1.Cmp(p2)
 			}
 		}

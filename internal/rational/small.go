@@ -14,7 +14,7 @@ import (
 // Small are the checked constructors and the checked arithmetic
 // methods, each of which reports overflow instead of wrapping, and
 // every caller must either handle the failure or fall back to the
-// exact big.Rat path (AddRat and friends). The dpvet ratoverflow
+// exact big.Rat path, as Hval's fused ops do. The dpvet ratoverflow
 // analyzer polices this boundary: raw int64 arithmetic in this
 // package is confined to the named checked kernels below.
 type Small struct {
@@ -210,26 +210,6 @@ func (s Small) Cmp(t Small) int {
 		cmp = -cmp
 	}
 	return cmp
-}
-
-// AddRat is the exact fallback for Add: it never fails, returning the
-// big.Rat sum.
-func AddRat(s, t Small) *big.Rat { return new(big.Rat).Add(s.Rat(), t.Rat()) }
-
-// SubRat is the exact fallback for Sub.
-func SubRat(s, t Small) *big.Rat { return new(big.Rat).Sub(s.Rat(), t.Rat()) }
-
-// MulRat is the exact fallback for Mul.
-func MulRat(s, t Small) *big.Rat { return new(big.Rat).Mul(s.Rat(), t.Rat()) }
-
-// QuoRat is the exact fallback for Quo. It panics if t == 0, matching
-// Div.
-func QuoRat(s, t Small) *big.Rat { return Div(s.Rat(), t.Rat()) }
-
-// FMSRat is the exact fallback for FMS.
-func FMSRat(s, b, c Small) *big.Rat {
-	p := new(big.Rat).Mul(b.Rat(), c.Rat())
-	return p.Sub(s.Rat(), p)
 }
 
 // ---- checked kernels ----

@@ -402,8 +402,10 @@ func TestStoredArtifactFullCycle(t *testing.T) {
 	}
 }
 
-func TestCompareCodecRoundTrip(t *testing.T) {
-	c := &baseline.Comparison{
+// testComparison is the scorecard the compare codec tests (and the
+// decoder fuzzer's seed corpus) round-trip.
+func testComparison() *baseline.Comparison {
+	return &baseline.Comparison{
 		N:            3,
 		Alpha:        rational.MustParse("1/4"),
 		Model:        "minimax",
@@ -425,6 +427,10 @@ func TestCompareCodecRoundTrip(t *testing.T) {
 			},
 		},
 	}
+}
+
+func TestCompareCodecRoundTrip(t *testing.T) {
+	c := testComparison()
 	enc := EncodeCompare(c)
 	dec, err := DecodeCompare(enc)
 	if err != nil {

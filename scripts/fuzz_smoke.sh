@@ -13,7 +13,7 @@ FUZZTIME="${FUZZTIME:-10s}"
 targets="
 FuzzParse ./internal/rational
 FuzzPow ./internal/rational
-FuzzWideMatchesBigRat ./internal/rational
+FuzzHvalMatchesBigRat ./internal/rational
 FuzzUnmarshalJSON ./internal/mechanism
 FuzzParseLevels ./cmd/dpserver
 FuzzBaselineParseSpec ./internal/baseline
@@ -21,6 +21,7 @@ FuzzLossParseSpec ./internal/loss
 FuzzWarmStartMatchesExact ./internal/lp
 FuzzSparseMatchesDense ./internal/lp
 FuzzDyadicAlias ./internal/sample
+FuzzStoreDecode ./internal/store
 "
 
 while read -r target pkg; do
