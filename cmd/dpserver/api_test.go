@@ -74,6 +74,53 @@ func TestV1ErrorEnvelopes(t *testing.T) {
 	}
 }
 
+// TestWireRationalsBounded: exponent forms and rationals over
+// maxWireRatLen bytes are a 400 on every route that reads a rational,
+// before any G or LP is built. Before the bound, a tailored solve at
+// alpha=1e-999 took seconds and a tenant with level 1e-99999 took
+// about a minute to register.
+func TestWireRationalsBounded(t *testing.T) {
+	// A small survey: the rejections under test never reach its levels.
+	s, err := newServer(serverConfig{N: 8, City: "San Diego", FluRate: 0.1, Levels: "1/2,2/3", Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mux := s.handler()
+	long := "1/" + strings.Repeat("7", maxWireRatLen)
+	cases := []struct {
+		method, path, body string
+	}{
+		{http.MethodGet, "/v1/tailored?alpha=1e-9999&n=4", ""},
+		{http.MethodGet, "/v1/tailored?alpha=" + long + "&n=4", ""},
+		{http.MethodGet, "/v1/tailored?model=bayesian&n=1&prior=1e-99999,1", ""},
+		{http.MethodPost, "/v1/compare", `{"n":3,"alpha":"1e-9999","consumer":{}}`},
+		{http.MethodPost, "/v1/compare", `{"n":3,"alpha":"` + long + `","consumer":{}}`},
+		{http.MethodPost, "/v1/compare", `{"n":1,"consumer":{"model":"bayesian","prior":["1e-99999","1"]}}`},
+		{http.MethodPost, "/v1/tenants", `{"id":"bomb","n":8,"truth":3,"levels":["1e-99999","1/2"]}`},
+		{http.MethodPost, "/v1/tenants", `{"id":"bomb","n":8,"truth":3,"levels":["1/4","` + long + `"]}`},
+		{http.MethodPost, "/v1/tenants", `{"id":"bomb","n":8,"truth":3,"levels":["1/4","1/2"],"min_alpha":"1e-99999"}`},
+	}
+	for _, tc := range cases {
+		req := httptest.NewRequest(tc.method, tc.path, strings.NewReader(tc.body))
+		rec := httptest.NewRecorder()
+		start := time.Now()
+		mux.ServeHTTP(rec, req)
+		// A rejection is a string scan; a second leaves room for a
+		// loaded race-enabled run and still fails the seconds-long
+		// expansion the bound exists to stop.
+		if took := time.Since(start); took > time.Second {
+			t.Errorf("%s %s: took %v", tc.method, tc.path, took)
+		}
+		if rec.Code != http.StatusBadRequest {
+			t.Errorf("%s %s %s: status %d, want 400 (%s)", tc.method, tc.path, tc.body, rec.Code, rec.Body.String())
+			continue
+		}
+		if code := decodeEnvelope(t, rec); code != "invalid_argument" {
+			t.Errorf("%s %s %s: code %q", tc.method, tc.path, tc.body, code)
+		}
+	}
+}
+
 // TestV1RoutesServe sanity-checks that every /v1 success path works
 // and that the versioned responses carry no deprecation marker.
 func TestV1RoutesServe(t *testing.T) {

@@ -28,7 +28,6 @@ import (
 	"minimaxdp/internal/consumer"
 	"minimaxdp/internal/engine"
 	"minimaxdp/internal/loss"
-	"minimaxdp/internal/rational"
 )
 
 // maxCompareBody bounds one POST /v1/compare body. Specs are a few
@@ -96,7 +95,7 @@ func (sp consumerSpec) build(n int) (consumer.Model, loss.Function, error) {
 		if len(sp.Prior) > 0 {
 			prior = make([]*big.Rat, len(sp.Prior))
 			for i, ps := range sp.Prior {
-				prior[i], err = rational.Parse(ps)
+				prior[i], err = parseWireRat(ps)
 				if err != nil {
 					return nil, nil, fmt.Errorf("prior[%d]: %w", i, err)
 				}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 
@@ -53,7 +54,8 @@ func TestParseLevels(t *testing.T) {
 	if len(alphas) != 3 || alphas[2].RatString() != "4/5" {
 		t.Errorf("alphas = %v", alphas)
 	}
-	for _, bad := range []string{"", ",", "1/2,", "0,1/2", "1,1/2", "1/2,1/2", "2/3,1/2", "-1/2", "3/2"} {
+	long := "1/" + strings.Repeat("9", maxWireRatLen)
+	for _, bad := range []string{"", ",", "1/2,", "0,1/2", "1,1/2", "1/2,1/2", "2/3,1/2", "-1/2", "3/2", "1e-99999,1/2", long} {
 		if _, err := parseLevels(bad); err == nil {
 			t.Errorf("parseLevels(%q) accepted", bad)
 		}

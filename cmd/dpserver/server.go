@@ -81,9 +81,9 @@ type serverConfig struct {
 	// Trace, when non-nil, receives the engine's span events.
 	Trace engine.TraceFunc
 	// StoreDir, when non-empty, roots the disk-backed artifact store:
-	// every mechanism, transition, plan, tailored solution, and sampler
-	// table the engine derives is persisted there, so a restart against
-	// the same directory warm-boots with zero LP solves.
+	// the engine persists its release plans, tailored solutions and
+	// compare scorecards there, so a restart against the same
+	// directory warm-boots with zero LP solves.
 	StoreDir string
 	// TenantsConfig, when non-empty, is a JSON file of tenant specs
 	// ({"tenants": [...]}) registered at startup — the declarative
@@ -136,6 +136,22 @@ type server struct {
 	store    *diskstore.Store
 }
 
+// maxWireRatLen bounds the byte length of a rational read from a
+// request or the command line. rational.Parse keeps a value's size
+// linear in its length; this bound keeps the length small, so the
+// numbers a request hands to G_{n,α} or an LP stay within a few
+// hundred bits. 64 bytes holds any α a deployment would choose.
+const maxWireRatLen = 64
+
+// parseWireRat parses one wire rational: at most maxWireRatLen bytes,
+// in a form rational.Parse accepts.
+func parseWireRat(s string) (*big.Rat, error) {
+	if len(s) > maxWireRatLen {
+		return nil, fmt.Errorf("rational of %d bytes exceeds the %d-byte limit", len(s), maxWireRatLen)
+	}
+	return rational.Parse(s)
+}
+
 // parseLevels parses the -levels flag: comma-separated rationals that
 // must be strictly increasing within (0,1). It owns the full
 // validation so the fuzz target FuzzParseLevels can exercise parser
@@ -144,7 +160,7 @@ func parseLevels(s string) ([]*big.Rat, error) {
 	one := rational.One()
 	var out []*big.Rat
 	for i, part := range strings.Split(s, ",") {
-		a, err := rational.Parse(part)
+		a, err := parseWireRat(part)
 		if err != nil {
 			return nil, fmt.Errorf("level %d: %w", i+1, err)
 		}
@@ -621,7 +637,7 @@ func (s *server) solveContext(r *http.Request) (context.Context, context.CancelF
 // body surfaces share the exact validation.
 func (s *server) resolveAlpha(alphaStr, levelStr string) (*big.Rat, error) {
 	if alphaStr != "" {
-		a, err := rational.Parse(alphaStr)
+		a, err := parseWireRat(alphaStr)
 		if err != nil {
 			return nil, fmt.Errorf("bad alpha: %w", err)
 		}

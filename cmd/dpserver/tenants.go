@@ -26,7 +26,6 @@ import (
 
 	"minimaxdp/internal/consumer"
 	"minimaxdp/internal/engine"
-	"minimaxdp/internal/rational"
 	"minimaxdp/internal/release"
 	"minimaxdp/internal/tenant"
 )
@@ -71,7 +70,7 @@ func (sp *tenantSpec) toConfig() (tenant.Config, error) {
 	}
 	alphas := make([]*big.Rat, len(sp.Levels))
 	for i, ls := range sp.Levels {
-		a, err := rational.Parse(ls)
+		a, err := parseWireRat(ls)
 		if err != nil {
 			return cfg, fmt.Errorf("tenant %q: level %d: %w", sp.ID, i+1, err)
 		}
@@ -88,7 +87,7 @@ func (sp *tenantSpec) toConfig() (tenant.Config, error) {
 	}
 	var minAlpha *big.Rat
 	if sp.MinAlpha != "" {
-		minAlpha, err = rational.Parse(sp.MinAlpha)
+		minAlpha, err = parseWireRat(sp.MinAlpha)
 		if err != nil {
 			return cfg, fmt.Errorf("tenant %q: min_alpha: %w", sp.ID, err)
 		}

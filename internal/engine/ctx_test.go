@@ -416,16 +416,19 @@ func TestSamplerSpecGeometricCached(t *testing.T) {
 	if s1.N() != 16 {
 		t.Fatalf("N = %d, want 16", s1.N())
 	}
-	// A second spec with equal parameters must hit the same cache entry.
-	s2, err := e.Sampler(context.Background(), SamplerSpec{N: 16, Alpha: big.NewRat(1, 2)})
+	// A second spec with equal parameters must view the same cached G:
+	// equal α in another representation shares its tables.
+	s2, err := e.Sampler(context.Background(), SamplerSpec{N: 16, Alpha: big.NewRat(2, 4)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s1 != s2 {
-		t.Error("equal SamplerSpec did not share the cache entry")
+	for i := range s1.rows {
+		if s1.rows[i] != s2.rows[i] {
+			t.Fatalf("row %d: equal SamplerSpecs built separate tables", i)
+		}
 	}
-	if hits := e.Metrics().Samplers.Cache.Hits; hits != 1 {
-		t.Errorf("sampler cache hits = %d, want 1", hits)
+	if m := e.Metrics().Mechanisms.Cache; m.Misses != 1 || m.Hits != 1 {
+		t.Errorf("mechanisms cache = %+v, want one miss and one hit", m)
 	}
 }
 

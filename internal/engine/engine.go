@@ -18,10 +18,11 @@
 //     for the same not-yet-cached artifact run the computation once
 //     and share the result (critical for the LP solves, which cost
 //     milliseconds to minutes while a cache hit costs nanoseconds);
-//   - precompiled dyadic alias samplers over a GOMAXPROCS-sized
-//     array of sampler shards, each shard owning a lock-free
-//     splitmix64 stream and its own counters, so concurrent draws
-//     never contend on a shared PRNG or a shared cache line.
+//   - dyadic alias samplers that view a cached mechanism's rows and
+//     draw over a GOMAXPROCS-sized array of sampler shards, each shard
+//     owning a lock-free splitmix64 stream and its own counters, so
+//     concurrent draws never contend on a shared PRNG or a shared
+//     cache line.
 //
 // # Cancellation and admission control
 //
@@ -73,9 +74,8 @@ import (
 // caches, lpCacheSize the tailored, interaction and compare caches
 // (LP solutions; the most expensive artifacts).
 const (
-	matrixCacheSize  = 64
-	lpCacheSize      = 256
-	samplerCacheSize = 64
+	matrixCacheSize = 64
+	lpCacheSize     = 256
 )
 
 // DefaultMaxInFlightSolves bounds concurrent LP solves when
@@ -127,15 +127,17 @@ type Config struct {
 	// miss, coalesced join, solve start/finish, and shed rejection.
 	// See TraceFunc for the contract.
 	Trace TraceFunc
-	// Store, when non-nil, backs the mechanisms, plans, tailored,
-	// compares, and samplers classes with the content-addressed disk
-	// store: in-memory misses probe the store before computing, and
-	// successful computations are written back, so a fresh engine
-	// pointed at a populated store directory warm-boots every
-	// previously computed artifact — including LP solutions — with
-	// zero solves. The store is strictly an accelerator: any load,
-	// verify, or write failure degrades to normal computation (see
-	// internal/store and the per-class Store* counters).
+	// Store, when non-nil, backs the plans, tailored and compares
+	// classes with the content-addressed disk store: in-memory misses
+	// probe the store before computing, and successful computations
+	// are written back, so a fresh engine pointed at a populated store
+	// directory warm-boots every LP solution and release plan with
+	// zero solves. Mechanisms and samplers are not persisted: decoding
+	// G_{n,α} is no faster than building it, and a loaded alias table
+	// could not be re-certified (see persist.go). The store is
+	// strictly an accelerator: any load, verify, or write failure
+	// degrades to normal computation (see internal/store and the
+	// per-class Store* counters).
 	Store *diskstore.Store
 }
 
@@ -158,7 +160,6 @@ type Engine struct {
 	tailored     *store
 	interactions *store
 	compares     *store
-	samplers     *store
 
 	solves     *solveSem // nil when shedding is disabled
 	shards     *shardSet
@@ -178,7 +179,6 @@ func New(cfg Config) *Engine {
 		tailored:     newStore("tailored", lpCacheSize),
 		interactions: newStore("interactions", lpCacheSize),
 		compares:     newStore("compares", lpCacheSize),
-		samplers:     newStore("samplers", samplerCacheSize),
 		shards:       newShardSet(cfg.Seed),
 		trace:        cfg.Trace,
 		maxLPN:       cfg.MaxLPDomainN,
@@ -199,7 +199,7 @@ func New(cfg Config) *Engine {
 		e.interactions.sem = e.solves
 	}
 	for _, s := range []*store{
-		e.mechanisms, e.plans, e.tailored, e.interactions, e.compares, e.samplers,
+		e.mechanisms, e.plans, e.tailored, e.interactions, e.compares,
 	} {
 		s.trace = cfg.Trace
 	}
@@ -254,8 +254,8 @@ func checkRat(name string, a *big.Rat) error {
 // (orphans are never loaded; the store re-fills under the new keys)
 // but worth knowing before renaming a field.
 
-// geometricKey keys G_{n,α} and everything 1:1 with it (compiled
-// samplers).
+// geometricKey keys G_{n,α}; samplers over G carry it in their trace
+// events.
 func geometricKey(n int, alpha *big.Rat) string {
 	return fmt.Sprintf("n=%d|a=%s", n, ratKey(alpha))
 }
@@ -447,7 +447,6 @@ func (e *Engine) Metrics() Metrics {
 		Tailored:          e.tailored.stats(),
 		Interactions:      e.interactions.stats(),
 		Compares:          e.compares.stats(),
-		Samplers:          e.samplers.stats(),
 		SamplerDraws:      e.shards.drawCount(),
 		SamplerBatches:    e.shards.batchCount(),
 		SamplerBatchSizes: e.batchSizes.snapshot(),

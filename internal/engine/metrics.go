@@ -193,9 +193,8 @@ type Metrics struct {
 	Tailored     ArtifactStats `json:"tailored"`
 	Interactions ArtifactStats `json:"interactions"`
 	Compares     ArtifactStats `json:"compares"`
-	Samplers     ArtifactStats `json:"samplers"`
 	// SamplerDraws counts individual draws across every sampler the
-	// engine compiled; SamplerBatches counts batch-API calls
+	// engine built; SamplerBatches counts batch-API calls
 	// (SampleInto/SampleN), and SamplerBatchSizes is the distribution
 	// of draws per batch call. Both are summed over the sampler shards.
 	SamplerDraws      uint64             `json:"sampler_draws"`

@@ -5,21 +5,32 @@
 // holding its codec pair; the generic miss path in store.compute
 // probes the binding after an in-memory miss and writes back after a
 // successful computation, so warm-booting a process against a
-// populated store directory serves every previously computed artifact
-// — including the LP-backed tailored solutions — with zero solves.
+// populated store directory serves every persisted artifact —
+// including the LP-backed tailored solutions — with zero solves.
 //
-// Persisted classes: mechanisms, plans, tailored, compares, samplers —
-// the classes whose keys are pure value parameters (n, α ladder, loss
-// name, side set, prior, baseline set). A plan persists its own
-// Lemma 3 transitions. Interactions are recoverable from the tailored
-// optimum (Theorem 1), so they do not earn disk space.
+// Persisted classes: plans, tailored, compares — the classes whose
+// keys are pure value parameters (n, α ladder, loss name, side set,
+// prior, baseline set), whose load beats recomputation, and whose
+// decode re-validates the artifact. A plan persists its own Lemma 3
+// transitions. The rest stay in memory only:
+//
+//   - mechanisms: decoding G_{n,α} is no faster than building it from
+//     the closed form (at n=64, 6–18 ms to build against 9–23 ms to
+//     decode; DESIGN §13.4), and the compare baselines the class also
+//     holds are only needed to build a scorecard, which is persisted;
+//   - samplers are not a class at all: a sampler is a view of the
+//     cached G's rows (sampler.go), so every table it draws from is
+//     built from, and certified against, an exact rational row in
+//     this process;
+//   - interactions are recoverable from the tailored optimum
+//     (Theorem 1), so they do not earn disk space.
 //
 // Failure policy mirrors the disk store's: a binding that cannot
 // load, decode, or save an artifact counts a StoreError, emits
 // TraceStoreError, and lets the request proceed as if no store were
 // configured. Decode goes through the same validating constructors as
 // fresh computation (mechanism.FromStrings, release.PlanFromParts,
-// sample.DyadicAliasFromTables), so a checksum-valid but semantically
+// baseline.Comparison.Validate), so a checksum-valid but semantically
 // broken entry is rejected, not served.
 
 package engine
@@ -27,19 +38,16 @@ package engine
 import (
 	"minimaxdp/internal/baseline"
 	"minimaxdp/internal/consumer"
-	"minimaxdp/internal/mechanism"
 	"minimaxdp/internal/release"
 	diskstore "minimaxdp/internal/store"
 )
 
 // diskBinding couples one artifact class to its disk codec. enc must
-// accept exactly the concrete type the class caches; dec receives the
-// cache key so artifacts that embed engine state (samplers) can be
-// recompiled under their identity.
+// accept exactly the concrete type the class caches.
 type diskBinding struct {
 	db  *diskstore.Store
 	enc func(v any) ([]byte, error)
-	dec func(key string, payload []byte) (any, error)
+	dec func(payload []byte) (any, error)
 }
 
 // diskLoad probes the class's disk binding for key. A verified,
@@ -51,7 +59,7 @@ func (s *store) diskLoad(key string) (any, bool) {
 	if !ok {
 		return nil, false
 	}
-	v, err := s.disk.dec(key, payload)
+	v, err := s.disk.dec(payload)
 	if err != nil {
 		s.storeErrors.Add(1)
 		s.emit(TraceStoreError, key)
@@ -82,21 +90,12 @@ func (s *store) diskSave(key string, v any) {
 // bindDisk attaches the disk store to the engine's persisted classes.
 // Called once from New; db is non-nil.
 func (e *Engine) bindDisk(db *diskstore.Store) {
-	e.mechanisms.disk = &diskBinding{
-		db: db,
-		enc: func(v any) ([]byte, error) {
-			return diskstore.EncodeMechanism(v.(*mechanism.Mechanism)), nil
-		},
-		dec: func(_ string, payload []byte) (any, error) {
-			return diskstore.DecodeMechanism(payload)
-		},
-	}
 	e.plans.disk = &diskBinding{
 		db: db,
 		enc: func(v any) ([]byte, error) {
 			return diskstore.EncodePlan(v.(*release.Plan))
 		},
-		dec: func(_ string, payload []byte) (any, error) {
+		dec: func(payload []byte) (any, error) {
 			return diskstore.DecodePlan(payload)
 		},
 	}
@@ -105,7 +104,7 @@ func (e *Engine) bindDisk(db *diskstore.Store) {
 		enc: func(v any) ([]byte, error) {
 			return diskstore.EncodeTailored(v.(*consumer.Tailored)), nil
 		},
-		dec: func(_ string, payload []byte) (any, error) {
+		dec: func(payload []byte) (any, error) {
 			return diskstore.DecodeTailored(payload)
 		},
 	}
@@ -114,22 +113,8 @@ func (e *Engine) bindDisk(db *diskstore.Store) {
 		enc: func(v any) ([]byte, error) {
 			return diskstore.EncodeCompare(v.(*baseline.Comparison)), nil
 		},
-		dec: func(_ string, payload []byte) (any, error) {
+		dec: func(payload []byte) (any, error) {
 			return diskstore.DecodeCompare(payload)
-		},
-	}
-	e.samplers.disk = &diskBinding{
-		db: db,
-		enc: func(v any) ([]byte, error) {
-			sp := v.(*Sampler)
-			return diskstore.EncodeAliasTables(sp.n, sp.aliasTables())
-		},
-		dec: func(key string, payload []byte) (any, error) {
-			n, rows, err := diskstore.DecodeAliasTables(payload)
-			if err != nil {
-				return nil, err
-			}
-			return newSamplerFromTables(e, key, n, rows)
 		},
 	}
 }

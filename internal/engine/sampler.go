@@ -20,43 +20,6 @@ import (
 	"minimaxdp/internal/sample"
 )
 
-// aliasTables exports the per-row integer tables for persistence
-// (engine/persist.go).
-func (s *Sampler) aliasTables() []sample.AliasTables {
-	out := make([]sample.AliasTables, len(s.rows))
-	for i, r := range s.rows {
-		out[i] = r.Tables()
-	}
-	return out
-}
-
-// newSamplerFromTables recompiles a persisted sampler: the integer
-// alias tables are validated and re-wrapped around the engine's live
-// shard set under the original cache key. The mechanism itself is not
-// needed — the tables were certified against its rational rows when
-// first built, and they round-trip exactly.
-func newSamplerFromTables(e *Engine, key string, n int, rows []sample.AliasTables) (*Sampler, error) {
-	if len(rows) != n+1 {
-		return nil, fmt.Errorf("engine: %d sampler rows for n=%d", len(rows), n)
-	}
-	compiled := make([]*sample.DyadicAlias, len(rows))
-	for i := range rows {
-		d, err := sample.DyadicAliasFromTables(rows[i])
-		if err != nil {
-			return nil, fmt.Errorf("engine: sampler row %d: %w", i, err)
-		}
-		compiled[i] = d
-	}
-	return &Sampler{
-		n:      n,
-		rows:   compiled,
-		shards: e.shards,
-		hist:   &e.batchSizes,
-		trace:  e.trace,
-		key:    key,
-	}, nil
-}
-
 // Sampler draws from a fixed mechanism in O(1) per draw: one
 // certified dyadic alias table per mechanism row, gathered at
 // construction. Unlike mechanism.Sample (which takes a caller-owned
@@ -157,14 +120,14 @@ func (s *Sampler) check(i int) {
 	}
 }
 
-// SamplerSpec selects which mechanism Engine.Sampler compiles. Set
+// SamplerSpec selects which mechanism Engine.Sampler wraps. Set
 // exactly one of:
 //
-//   - N and Alpha: the geometric mechanism G_{n,α}. The compiled
-//     sampler is cached and shared (the engine can key it).
-//   - Mechanism: an arbitrary mechanism. The compiled sampler is NOT
-//     cached (arbitrary mechanisms have no sound cache key); retain
-//     the returned Sampler for reuse.
+//   - N and Alpha: the geometric mechanism G_{n,α}. The sampler is a
+//     view of the engine's cached G (GeometricCtx): its rows are G's
+//     own alias tables, so every sampler for one (n, α) shares them.
+//   - Mechanism: an arbitrary mechanism. The sampler wraps that
+//     mechanism's alias tables; retain the returned Sampler for reuse.
 //
 // Setting both (or neither) is an error.
 type SamplerSpec struct {
@@ -173,10 +136,12 @@ type SamplerSpec struct {
 	Mechanism *mechanism.Mechanism
 }
 
-// Sampler returns a concurrency-safe precompiled dyadic alias sampler
-// for the mechanism selected by spec (see SamplerSpec for the
-// caching contract). Compilation is cheap relative to LP solves but
-// ctx is still honored at entry and across coalesced waits.
+// Sampler returns a concurrency-safe dyadic alias sampler over the
+// mechanism selected by spec (see SamplerSpec). A sampler owns no
+// tables: it is a view of the mechanism's certified per-row tables
+// (Mechanism.AliasRow), which the mechanism builds once and shares
+// with Mechanism.Sample and every other sampler over it. ctx is
+// honored at entry and across a coalesced wait for G.
 func (e *Engine) Sampler(ctx context.Context, spec SamplerSpec) (*Sampler, error) {
 	if spec.Mechanism != nil {
 		if spec.Alpha != nil {
@@ -187,18 +152,9 @@ func (e *Engine) Sampler(ctx context.Context, spec SamplerSpec) (*Sampler, error
 		}
 		return newSampler(spec.Mechanism, e, "adhoc"), nil
 	}
-	if err := checkRat("alpha", spec.Alpha); err != nil {
+	g, err := e.GeometricCtx(ctx, spec.N, spec.Alpha)
+	if err != nil {
 		return nil, err
 	}
-	key := geometricKey(spec.N, spec.Alpha)
-	if s, ok, err := getCached[*Sampler](ctx, e.samplers, key); ok || err != nil {
-		return s, err
-	}
-	return getTyped(ctx, e.samplers, key, func(solveCtx context.Context) (*Sampler, error) {
-		g, err := e.GeometricCtx(solveCtx, spec.N, spec.Alpha)
-		if err != nil {
-			return nil, err
-		}
-		return newSampler(g, e, key), nil
-	})
+	return newSampler(g, e, geometricKey(spec.N, spec.Alpha)), nil
 }

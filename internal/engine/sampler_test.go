@@ -41,6 +41,9 @@ func TestGeometricSamplerDistribution(t *testing.T) {
 	}
 }
 
+// TestSamplerCachedPerKey: a geometric sampler is a view of the cached
+// G_{n,α}. Two samplers for one (n, α) draw from G's own alias tables,
+// pointer for pointer, and G is computed once.
 func TestSamplerCachedPerKey(t *testing.T) {
 	e := New(Config{})
 	a := rational.MustParse("1/3")
@@ -52,12 +55,17 @@ func TestSamplerCachedPerKey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s1 != s2 {
-		t.Error("sampler not cached")
+	g, err := e.Geometric(6, a)
+	if err != nil {
+		t.Fatal(err)
 	}
-	m := e.Metrics()
-	if m.Samplers.Cache.Misses != 1 || m.Samplers.Cache.Hits != 1 {
-		t.Errorf("sampler stats = %+v", m.Samplers)
+	for i := 0; i <= 6; i++ {
+		if s1.rows[i] != g.AliasRow(i) || s2.rows[i] != g.AliasRow(i) {
+			t.Fatalf("row %d: sampler table is not the cached G's AliasRow", i)
+		}
+	}
+	if m := e.Metrics().Mechanisms.Cache; m.Misses != 1 || m.Hits != 2 {
+		t.Errorf("mechanisms cache = %+v, want G computed once and hit twice", m)
 	}
 }
 

@@ -44,7 +44,8 @@ const (
 )
 
 // TraceEvent is one span event. Events carry the artifact class
-// ("tailored", "mechanisms", ...), the cache key, and — for
+// ("tailored", "mechanisms", ...; "samplers" on TraceSampleBatch,
+// which names the emitter, not a cache class), the cache key, and — for
 // TraceSolveDone — the compute duration and the error (nil on
 // success; context.Canceled when the solve was abandoned by every
 // waiter).

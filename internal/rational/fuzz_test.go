@@ -6,16 +6,24 @@ import (
 	"testing"
 )
 
-// FuzzParse checks that Parse never panics and that every accepted
-// string round-trips through RatString.
+// FuzzParse checks that Parse never panics, that the size of every
+// accepted value is linear in the input length (no exponent form can
+// expand a short string), and that every accepted string round-trips
+// through RatString.
 func FuzzParse(f *testing.F) {
-	for _, seed := range []string{"1/2", "-3/7", "0", "42", "0.125", "", "x", "1/0", " 5/17 ", "999999999999999999/7"} {
+	for _, seed := range []string{"1/2", "-3/7", "0", "42", "0.125", "", "x", "1/0", " 5/17 ", "999999999999999999/7", "1e-9999", "0x1p-99999", "0.000001"} {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, s string) {
 		r, err := Parse(s)
 		if err != nil {
 			return
+		}
+		// A decimal digit carries log2(10) < 4 bits, and neither the
+		// numerator nor the denominator has more digits than s.
+		if limit := 4*len(s) + 1; r.Num().BitLen() > limit || r.Denom().BitLen() > limit {
+			t.Fatalf("Parse(%q) has %d/%d-bit numerator/denominator, over %d for %d input bytes",
+				s, r.Num().BitLen(), r.Denom().BitLen(), limit, len(s))
 		}
 		back, err := Parse(r.RatString())
 		if err != nil {

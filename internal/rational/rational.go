@@ -36,9 +36,22 @@ func One() *big.Rat { return big.NewRat(1, 1) }
 func Clone(x *big.Rat) *big.Rat { return new(big.Rat).Set(x) }
 
 // Parse converts a string such as "3/4", "-1/98", "2", or "0.25" into
-// a rational. It returns an error for malformed input.
+// a rational. It accepts only decimal integers, fractions a/b and
+// plain decimals, and returns an error for anything else: for
+// malformed input, and also for the exponent and base-prefix forms
+// big.Rat.SetString would take ("1e-9999", "0x1p-99999"). Those let a
+// few bytes expand into a number with millions of digits; without
+// them the numerator and denominator each have at most about 3.4 bits
+// per input byte, so an untrusted string costs no more than its
+// length.
 func Parse(s string) (*big.Rat, error) {
-	r, ok := new(big.Rat).SetString(strings.TrimSpace(s))
+	s = strings.TrimSpace(s)
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; (c < '0' || c > '9') && c != '/' && c != '.' && c != '-' && c != '+' {
+			return nil, fmt.Errorf("rational: cannot parse %q: want an integer, a/b or a plain decimal", s)
+		}
+	}
+	r, ok := new(big.Rat).SetString(s)
 	if !ok {
 		return nil, fmt.Errorf("rational: cannot parse %q", s)
 	}

@@ -39,6 +39,19 @@ func TestParse(t *testing.T) {
 		{"", "", false},
 		{"x/y", "", false},
 		{"1/0", "", false},
+		{"-7", "-7", true},
+		{"+3/9", "1/3", true},
+		{"0.0625", "1/16", true},
+		// Exponent and base-prefix forms are rejected: each expands
+		// a few bytes into a huge number.
+		{"1e-9999", "", false},
+		{"1E3", "", false},
+		{"2.5e1", "", false},
+		{"0x1p-99999", "", false},
+		{"1P3", "", false},
+		{"0x10", "", false},
+		{"0b101", "", false},
+		{"1_000", "", false},
 	}
 	for _, c := range cases {
 		got, err := Parse(c.in)

@@ -4,10 +4,10 @@
 // encode identically), integers in decimal, rows newline-separated,
 // entries space-separated. Decoders re-validate the mathematical
 // invariants the in-memory constructors enforce (stochastic rows,
-// ladder ordering, table geometry), so a decoded artifact is exactly
-// as trustworthy as a freshly computed one — the envelope checksum
-// rules out bit rot, the constructors rule out structurally invalid
-// data that was checksummed correctly.
+// ladder ordering, the scorecard's gap identity), so a decoded
+// artifact is exactly as trustworthy as a freshly computed one — the
+// envelope checksum rules out bit rot, the constructors rule out
+// structurally invalid data that was checksummed correctly.
 
 package store
 
@@ -24,7 +24,6 @@ import (
 	"minimaxdp/internal/mechanism"
 	"minimaxdp/internal/rational"
 	"minimaxdp/internal/release"
-	"minimaxdp/internal/sample"
 )
 
 // appendRatRows appends one line per row, entries as RatStrings.
@@ -120,43 +119,6 @@ func parseCount(s, what string, min, max int) (int, error) {
 // maxDecodeDim bounds decoded matrix/mechanism dimensions, so a
 // well-checksummed but absurd header cannot drive an allocation bomb.
 const maxDecodeDim = 1 << 16
-
-// --- mechanism ------------------------------------------------------------
-
-// EncodeMechanism renders a mechanism payload: the domain bound n and
-// the (n+1)×(n+1) stochastic matrix.
-func EncodeMechanism(mc *mechanism.Mechanism) []byte {
-	var b bytes.Buffer
-	fmt.Fprintf(&b, "mechanism %d\n", mc.N())
-	rows := make([][]*big.Rat, mc.Size())
-	for i := range rows {
-		rows[i] = mc.Row(i)
-	}
-	appendRatRows(&b, rows)
-	return b.Bytes()
-}
-
-// DecodeMechanism parses EncodeMechanism output; row-stochasticity is
-// re-checked by mechanism.FromStrings.
-func DecodeMechanism(payload []byte) (*mechanism.Mechanism, error) {
-	r := newLineReader(payload)
-	args, err := r.header("mechanism", 1)
-	if err != nil {
-		return nil, err
-	}
-	n, err := parseCount(args[0], "domain bound", 0, maxDecodeDim)
-	if err != nil {
-		return nil, err
-	}
-	strs, err := r.ratStrings(n+1, n+1)
-	if err != nil {
-		return nil, err
-	}
-	if err := r.done(); err != nil {
-		return nil, err
-	}
-	return mechanism.FromStrings(strs)
-}
 
 // --- tailored LP solutions ------------------------------------------------
 
@@ -389,135 +351,4 @@ func DecodePlan(payload []byte) (*release.Plan, error) {
 		return nil, err
 	}
 	return release.PlanFromParts(n, alphas, transitions)
-}
-
-// --- dyadic alias sampler tables ------------------------------------------
-
-// EncodeAliasTables renders the precompiled sampler tables for a
-// mechanism on {0..n}: one certified integer alias kernel per input
-// row. Pure integer data — the exactness of the tables was certified
-// against the rational rows at construction and survives untouched.
-func EncodeAliasTables(n int, rows []sample.AliasTables) ([]byte, error) {
-	if len(rows) != n+1 {
-		return nil, fmt.Errorf("store: %d alias rows for n=%d (want %d)", len(rows), n, n+1)
-	}
-	var b bytes.Buffer
-	fmt.Fprintf(&b, "sampler %d\n", n)
-	for i := range rows {
-		t := &rows[i]
-		fmt.Fprintf(&b, "row %d\n", t.K)
-		appendUint64Line(&b, "thresh", t.Thresh)
-		appendInt32Line(&b, "outcome", t.Outcome)
-		appendInt32Line(&b, "alias", t.Alias)
-	}
-	return b.Bytes(), nil
-}
-
-func appendUint64Line(b *bytes.Buffer, name string, vs []uint64) {
-	b.WriteString(name)
-	for _, v := range vs {
-		b.WriteByte(' ')
-		b.WriteString(strconv.FormatUint(v, 10))
-	}
-	b.WriteByte('\n')
-}
-
-func appendInt32Line(b *bytes.Buffer, name string, vs []int32) {
-	b.WriteString(name)
-	for _, v := range vs {
-		b.WriteByte(' ')
-		b.WriteString(strconv.FormatInt(int64(v), 10))
-	}
-	b.WriteByte('\n')
-}
-
-// DecodeAliasTables parses EncodeAliasTables output. Structural
-// validation of each table (geometry, threshold scale, index ranges)
-// happens in sample.DyadicAliasFromTables when the caller compiles
-// the kernel.
-func DecodeAliasTables(payload []byte) (n int, rows []sample.AliasTables, err error) {
-	r := newLineReader(payload)
-	args, err := r.header("sampler", 1)
-	if err != nil {
-		return 0, nil, err
-	}
-	n, err = parseCount(args[0], "domain bound", 0, maxDecodeDim)
-	if err != nil {
-		return 0, nil, err
-	}
-	rows = make([]sample.AliasTables, n+1)
-	for i := 0; i <= n; i++ {
-		rowArgs, err := r.header("row", 1)
-		if err != nil {
-			return 0, nil, err
-		}
-		// Bound matches sample.MaxDyadicOutcomes = 2^24: larger
-		// exponents are impossible for certified tables and 1<<k must
-		// not overflow.
-		k, err := parseCount(rowArgs[0], "table exponent", 0, 24)
-		if err != nil {
-			return 0, nil, err
-		}
-		slots := 1 << uint(k)
-		thresh, err := r.uint64Line("thresh", slots)
-		if err != nil {
-			return 0, nil, err
-		}
-		outcome, err := r.int32Line("outcome", slots)
-		if err != nil {
-			return 0, nil, err
-		}
-		alias, err := r.int32Line("alias", slots)
-		if err != nil {
-			return 0, nil, err
-		}
-		rows[i] = sample.AliasTables{K: uint(k), Thresh: thresh, Outcome: outcome, Alias: alias}
-	}
-	if err := r.done(); err != nil {
-		return 0, nil, err
-	}
-	return n, rows, nil
-}
-
-func (r *lineReader) uint64Line(name string, count int) ([]uint64, error) {
-	fields, err := r.namedFields(name, count)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]uint64, count)
-	for i, f := range fields {
-		out[i], err = strconv.ParseUint(f, 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("store: bad %s entry %q", name, f)
-		}
-	}
-	return out, nil
-}
-
-func (r *lineReader) int32Line(name string, count int) ([]int32, error) {
-	fields, err := r.namedFields(name, count)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]int32, count)
-	for i, f := range fields {
-		v, err := strconv.ParseInt(f, 10, 32)
-		if err != nil {
-			return nil, fmt.Errorf("store: bad %s entry %q", name, f)
-		}
-		out[i] = int32(v)
-	}
-	return out, nil
-}
-
-func (r *lineReader) namedFields(name string, count int) ([]string, error) {
-	l, err := r.line()
-	if err != nil {
-		return nil, err
-	}
-	fields := strings.Fields(l)
-	if len(fields) != count+1 || fields[0] != name {
-		return nil, fmt.Errorf("store: expected %q line with %d entries, got %d fields", name, count, len(fields))
-	}
-	return fields[1:], nil
 }

@@ -6,10 +6,8 @@ import (
 	"testing"
 
 	"minimaxdp/internal/consumer"
-	"minimaxdp/internal/mechanism"
 	"minimaxdp/internal/rational"
 	"minimaxdp/internal/release"
-	"minimaxdp/internal/sample"
 )
 
 // recoders pairs every payload decoder with its encoder: each entry
@@ -19,13 +17,6 @@ var recoders = []struct {
 	name   string
 	recode func([]byte) ([]byte, error)
 }{
-	{"mechanism", func(p []byte) ([]byte, error) {
-		mc, err := DecodeMechanism(p)
-		if err != nil {
-			return nil, err
-		}
-		return EncodeMechanism(mc), nil
-	}},
 	{"tailored", func(p []byte) ([]byte, error) {
 		tl, err := DecodeTailored(p)
 		if err != nil {
@@ -47,13 +38,6 @@ var recoders = []struct {
 		}
 		return EncodePlan(pl)
 	}},
-	{"sampler", func(p []byte) ([]byte, error) {
-		n, rows, err := DecodeAliasTables(p)
-		if err != nil {
-			return nil, err
-		}
-		return EncodeAliasTables(n, rows)
-	}},
 }
 
 // FuzzStoreDecode feeds arbitrary payloads to every store decoder. A
@@ -64,11 +48,6 @@ var recoders = []struct {
 // are the artifacts of the codec round-trip tests plus their
 // rejected payloads.
 func FuzzStoreDecode(f *testing.F) {
-	g, err := mechanism.Geometric(6, rational.MustParse("1/3"))
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(EncodeMechanism(g))
 	tl, err := consumer.OptimalMechanism(&consumer.Consumer{Loss: lossAbs{}}, 3, rational.MustParse("1/2"))
 	if err != nil {
 		f.Fatal(err)
@@ -84,29 +63,16 @@ func FuzzStoreDecode(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(enc)
-	g5, err := mechanism.Geometric(5, rational.MustParse("1/2"))
-	if err != nil {
-		f.Fatal(err)
-	}
-	rows := make([]sample.AliasTables, g5.Size())
-	for i := range rows {
-		d, err := sample.NewDyadicAlias(g5.Row(i))
-		if err != nil {
-			f.Fatal(err)
-		}
-		rows[i] = d.Tables()
-	}
-	enc, err = EncodeAliasTables(5, rows)
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(enc)
 	for _, bad := range []string{
-		"mechanism 1\n1/2 1/3\n1/2 1/2\n",
+		"tailored 1\nloss 0\n1/2 1/3\n1/2 1/2\n",
 		"tailored 0\nloss -1\n1\n",
 		"compare 3 minimax 1/4 1\ntailored 5/7\nentry geometric 6/7 5/7 1/100 1/4\n",
 		"compare 3 minimax 1/4 0\ntailored 5/7\n",
 		"",
+		// Exponent forms: a few bytes that big.Rat.SetString would
+		// expand into a million-digit integer.
+		"tailored 1\nloss 1e999999\n1 0\n0 1\n",
+		"compare 3 minimax 1e-9999 1\ntailored 5/7\nentry geometric 6/7 5/7 0 1/4\n",
 	} {
 		f.Add([]byte(bad))
 	}

@@ -1,11 +1,11 @@
 // Package store is the content-addressed, disk-backed artifact store
-// behind the engine's warm-boot path. Every expensive exact artifact
-// the repo serves — geometric mechanisms, Algorithm 1 release plans
-// (with their Lemma 3 transitions), §2.5 tailored-LP solutions, the
-// compare workbench's results, and the dyadic alias sampler tables —
-// is a deterministic, total function of
-// its cache key, so a byte-exact copy persisted once is valid forever:
-// a restarted server loads instead of re-solving.
+// behind the engine's warm-boot path. The artifacts it holds —
+// Algorithm 1 release plans (with their Lemma 3 transitions), §2.5
+// tailored-LP solutions and the compare workbench's results — are
+// the ones whose load beats recomputation, and each is a
+// deterministic, total function of its cache key, so a byte-exact
+// copy persisted once is valid forever: a restarted server loads
+// instead of re-solving.
 //
 // Layout: an entry for (class, key) lives at
 //
@@ -122,7 +122,7 @@ func (s *Store) Stats() Stats {
 
 // checkClass rejects class names that would not map to a safe
 // directory name. Classes are producer-controlled constants
-// ("mechanisms", "tailored", ...), so this is a guard against
+// ("plans", "tailored", ...), so this is a guard against
 // programming errors, not an input sanitizer.
 func checkClass(class string) error {
 	if class == "" || class == quarantineDir {

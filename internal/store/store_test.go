@@ -9,10 +9,8 @@ import (
 
 	"minimaxdp/internal/baseline"
 	"minimaxdp/internal/consumer"
-	"minimaxdp/internal/mechanism"
 	"minimaxdp/internal/rational"
 	"minimaxdp/internal/release"
-	"minimaxdp/internal/sample"
 )
 
 func openTemp(t *testing.T) *Store {
@@ -208,28 +206,6 @@ func TestMovedEntryRejected(t *testing.T) {
 // value must reproduce the identical bytes (so content addresses and
 // checksums are stable across boots).
 
-func TestMechanismCodecRoundTrip(t *testing.T) {
-	g, err := mechanism.Geometric(6, rational.MustParse("1/3"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	enc := EncodeMechanism(g)
-	dec, err := DecodeMechanism(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !dec.Equal(g) {
-		t.Fatal("decoded mechanism differs")
-	}
-	if !bytes.Equal(EncodeMechanism(dec), enc) {
-		t.Fatal("re-encode not byte-identical")
-	}
-	// Validation runs on decode: a non-stochastic payload is rejected.
-	if _, err := DecodeMechanism([]byte("mechanism 1\n1/2 1/3\n1/2 1/2\n")); err == nil {
-		t.Error("non-stochastic mechanism accepted")
-	}
-}
-
 func TestTailoredCodecRoundTrip(t *testing.T) {
 	tl, err := consumer.OptimalMechanism(&consumer.Consumer{Loss: lossAbs{}}, 3, rational.MustParse("1/2"))
 	if err != nil {
@@ -248,6 +224,10 @@ func TestTailoredCodecRoundTrip(t *testing.T) {
 	}
 	if _, err := DecodeTailored([]byte("tailored 0\nloss -1\n1\n")); err == nil {
 		t.Error("negative loss accepted")
+	}
+	// Validation runs on decode: a non-stochastic payload is rejected.
+	if _, err := DecodeTailored([]byte("tailored 1\nloss 0\n1/2 1/3\n1/2 1/2\n")); err == nil {
+		t.Error("non-stochastic tailored mechanism accepted")
 	}
 }
 
@@ -327,78 +307,53 @@ func TestPlanCodecRoundTrip(t *testing.T) {
 	}
 }
 
-func TestAliasTablesCodecRoundTrip(t *testing.T) {
-	g, err := mechanism.Geometric(5, rational.MustParse("1/2"))
+// TestStoredArtifactFullCycle drives codec + envelope + disk together
+// for a tailored LP solution, as the engine does.
+func TestStoredArtifactFullCycle(t *testing.T) {
+	s := openTemp(t)
+	tl, err := consumer.OptimalMechanism(&consumer.Consumer{Loss: lossAbs{}}, 4, rational.MustParse("2/5"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows := make([]sample.AliasTables, g.Size())
-	for i := range rows {
-		d, err := sample.NewDyadicAlias(g.Row(i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		rows[i] = d.Tables()
+	const key = "n=4|a=2/5|loss=absolute|side=full"
+	if err := s.Put("tailored", key, EncodeTailored(tl)); err != nil {
+		t.Fatal(err)
 	}
-	enc, err := EncodeAliasTables(5, rows)
+	payload, ok := s.Get("tailored", key)
+	if !ok {
+		t.Fatal("stored tailored solution missing")
+	}
+	dec, err := DecodeTailored(payload)
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, decRows, err := DecodeAliasTables(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 5 || len(decRows) != 6 {
-		t.Fatalf("decoded n=%d rows=%d", n, len(decRows))
-	}
-	for i, r := range decRows {
-		// Compiling the decoded tables must reproduce the exact same
-		// sampler: same induced dyadic PMF as the original row.
-		d, err := sample.DyadicAliasFromTables(r)
-		if err != nil {
-			t.Fatalf("row %d: %v", i, err)
-		}
-		orig, err := sample.NewDyadicAlias(g.Row(i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		op, dp := orig.InducedPMF(6), d.InducedPMF(6)
-		for j := range op {
-			if op[j].Cmp(dp[j]) != 0 {
-				t.Fatalf("row %d outcome %d PMF %s != %s", i, j, dp[j].RatString(), op[j].RatString())
-			}
-		}
-	}
-	reenc, err := EncodeAliasTables(n, decRows)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(reenc, enc) {
-		t.Fatal("re-encode not byte-identical")
+	if dec.Loss.Cmp(tl.Loss) != 0 || !dec.Mechanism.Equal(tl.Mechanism) {
+		t.Fatal("tailored solution changed through the store")
 	}
 }
 
-// TestStoredArtifactFullCycle drives codec + envelope + disk together
-// for a mechanism, as the engine does.
-func TestStoredArtifactFullCycle(t *testing.T) {
+// TestDecodeRejectsExponentRationals: a checksum-valid entry whose
+// rationals use exponent form is rejected by the decoders, not
+// expanded. "1e999999" is 8 bytes; big.Rat.SetString would turn it
+// into a million-digit integer before any invariant check ran.
+func TestDecodeRejectsExponentRationals(t *testing.T) {
 	s := openTemp(t)
-	g, err := mechanism.Geometric(8, rational.MustParse("2/5"))
-	if err != nil {
+	const key = "n=1|a=1/2|loss=absolute|side=full"
+	if err := s.Put("tailored", key, []byte("tailored 1\nloss 1e999999\n1 0\n0 1\n")); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Put("mechanisms", "n=8|a=2/5", EncodeMechanism(g)); err != nil {
-		t.Fatal(err)
-	}
-	payload, ok := s.Get("mechanisms", "n=8|a=2/5")
+	payload, ok := s.Get("tailored", key)
 	if !ok {
-		t.Fatal("stored mechanism missing")
+		t.Fatal("checksum-valid entry not served by Get")
 	}
-	dec, err := DecodeMechanism(payload)
-	if err != nil {
-		t.Fatal(err)
+	if _, err := DecodeTailored(payload); err == nil {
+		t.Error("tailored payload with an exponent-form loss accepted")
 	}
-	if !dec.Equal(g) {
-		t.Fatal("mechanism changed through the store")
+	if _, err := DecodeCompare([]byte("compare 3 minimax 1e-9999 1\ntailored 5/7\nentry geometric 6/7 5/7 0 1/4\n")); err == nil {
+		t.Error("compare payload with an exponent-form alpha accepted")
+	}
+	if _, err := DecodePlan([]byte("plan 2 2\nalphas 1e-99999 1/2\ntransition 1\n1 0 0\n0 1 0\n0 0 1\n")); err == nil {
+		t.Error("plan payload with an exponent-form alpha accepted")
 	}
 }
 

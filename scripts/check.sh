@@ -117,9 +117,9 @@ curl -fsS "http://${base}/v1/tailored?loss=absolute&n=6&level=1" | grep -q minim
 # The tailored solve above must have gone through the float-guided
 # warm-start path: the engine metrics report at least one hit.
 curl -fsS "http://${base}/v1/metrics" | grep -q '"warm_start_hits":[1-9]'
-# Large-n cold solve: n=16 exercises the warm start's dual-repair path
-# on the revised simplex end to end (about 0.1 s; it used to be
-# minutes).
+# Large-n cold solve: n=16 runs the float-located warm start on the
+# revised simplex end to end (about 0.1 s; it used to be minutes). The
+# exact dual repair does not run here: it first runs at n=20.
 curl -fsS "http://${base}/v1/tailored?loss=absolute&n=16&level=1" | grep -q minimax_loss
 # The revised path must report its hybrid tier counters: the n=16
 # solve runs enough exact ops that the int64 fast tier is non-empty,
@@ -143,7 +143,7 @@ curl -fsS -X POST -d "${compare_spec}" "http://${base}/v1/compare" \
     | grep -q '"baseline":"geometric","loss":"[0-9/]*","interaction_loss":"[0-9/]*","gap":"0"'
 curl -fsS -X POST -d "${compare_spec}" "http://${base}/v1/compare" >/dev/null
 curl -fsS "http://${base}/v1/metrics" \
-    | sed -n 's/.*"compares":\(.*\)"samplers".*/\1/p' | grep -q '"hits":[1-9]'
+    | sed -n 's/.*"compares":\(.*\)"sampler_draws".*/\1/p' | grep -q '"hits":[1-9]'
 # The interval-side consumer's LPs have tied optima: they must be
 # lex-refined on the revised simplex (counted as tied_optima), never
 # demoted to the dense fallback.
