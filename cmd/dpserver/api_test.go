@@ -206,7 +206,7 @@ func TestTailoredClientDisconnect(t *testing.T) {
 // maps to 504/deadline_exceeded.
 func TestTailoredSolveTimeout(t *testing.T) {
 	s, err := newServer(serverConfig{
-		N: 200, City: "San Diego", FluRate: 0.1, Levels: "1/2,2/3", Seed: 42,
+		N: testN, City: "San Diego", FluRate: 0.1, Levels: "1/2,2/3", Seed: 42,
 		SolveTimeout: time.Nanosecond, // expires before the solve can start
 	})
 	if err != nil {
@@ -224,12 +224,13 @@ func TestTailoredSolveTimeout(t *testing.T) {
 }
 
 // TestTailoredShedsUnderLoad: with a single solve slot occupied by a
-// long-running solve, a /v1/tailored request for a different key is
-// rejected fast with 429/shed and the shed shows up in /v1/metrics.
+// long-running solve, a /v1/tailored request for a different key and
+// a tenant registration that needs a plan build are rejected fast
+// with 429/shed, and the shed shows up in /v1/metrics.
 func TestTailoredShedsUnderLoad(t *testing.T) {
 	solveStarted := make(chan struct{}, 1)
 	s, err := newServer(serverConfig{
-		N: 200, City: "San Diego", FluRate: 0.1, Levels: "1/2,2/3", Seed: 42,
+		N: testN, City: "San Diego", FluRate: 0.1, Levels: "1/2,2/3", Seed: 42,
 		MaxInFlightSolves: 1,
 		Trace: func(ev engine.TraceEvent) {
 			if ev.Kind == engine.TraceSolveStart && ev.Artifact == "tailored" {
@@ -277,6 +278,21 @@ func TestTailoredShedsUnderLoad(t *testing.T) {
 	}
 	if elapsed := time.Since(begin); elapsed > 5*time.Second {
 		t.Errorf("shed response took %v, want fast-fail", elapsed)
+	}
+
+	// A registration's plan build takes a solve slot too: it is shed
+	// with the same envelope, and nothing is registered.
+	rec = httptest.NewRecorder()
+	mux.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/tenants",
+		strings.NewReader(`{"id":"busy","n":5,"truth":1,"levels":["1/5","2/5"]}`)))
+	if rec.Code != http.StatusTooManyRequests {
+		t.Fatalf("registration while saturated: status %d, want 429 (%s)", rec.Code, rec.Body.String())
+	}
+	if code := decodeEnvelope(t, rec); code != "shed" {
+		t.Errorf("registration while saturated: code %q, want shed", code)
+	}
+	if s.registry.Len() != 0 {
+		t.Errorf("shed registration left %d tenants registered", s.registry.Len())
 	}
 
 	// The shed is visible through /v1/metrics.

@@ -16,7 +16,6 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"math/big"
 	"net/http"
@@ -82,7 +81,7 @@ func (sp consumerSpec) build(n int) (consumer.Model, loss.Function, error) {
 		if len(sp.Prior) > 0 {
 			return nil, nil, fmt.Errorf("prior applies only to model=bayesian")
 		}
-		side, err := parseSide(sp.Side)
+		side, err := parseSide(sp.Side, n)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -142,17 +141,11 @@ type compareEntryWire struct {
 // context, solve timeout, and load-shedding bound as /v1/tailored.
 func (s *server) handleCompare(w http.ResponseWriter, r *http.Request) {
 	var req compareRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxCompareBody))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	if err := decodeStrict(http.MaxBytesReader(w, r.Body, maxCompareBody), &req); err != nil {
 		writeAPIError(w, http.StatusBadRequest, "invalid_argument", "bad compare body: %v", err)
 		return
 	}
-	if dec.More() {
-		writeAPIError(w, http.StatusBadRequest, "invalid_argument", "bad compare body: trailing data")
-		return
-	}
-	n := s.plan.N()
+	n := s.survey.N()
 	if n > s.maxTailoredN {
 		n = s.maxTailoredN
 	}

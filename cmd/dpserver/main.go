@@ -4,13 +4,18 @@
 // internal/engine compute-once layer.
 //
 // On startup it generates a synthetic survey database, evaluates the
-// flu count query, and prepares an Algorithm 1 release plan via the
-// engine's artifact cache. Each request to /v1/result?level=K returns
-// the level-K released value for the *current epoch*; all levels
-// within an epoch come from one correlated cascade draw, so colluding
-// readers cannot cancel the noise (Lemma 4). POST /v1/epoch advances
-// to a fresh draw. Handlers are lock-free: the epoch lives behind an
-// atomic snapshot and exact artifacts come from the engine's caches.
+// flu count query, and holds the result as the survey: a
+// *tenant.Tenant like every registered tenant (one principal type),
+// with the -levels ladder, no budget, and an Algorithm 1 release plan
+// from the engine pinned for the /v1/sample hot path. Each request to
+// /v1/result?level=K returns the level-K released value for the
+// *current epoch*; all levels within an epoch come from one correlated
+// cascade draw, so colluding readers cannot cancel the noise (Lemma
+// 4). POST /v1/epoch advances to a fresh draw. Handlers are lock-free:
+// the epoch lives behind an atomic snapshot and exact artifacts come
+// from the engine's caches. The survey's cascade has its own PRNG
+// stream, seeded from -seed but apart from the one that draws the
+// database.
 //
 // The versioned surface (see README "Serving & operations" for the
 // full contract):
@@ -29,7 +34,13 @@
 // process, each tenant with its own n, α-ladder, loss,
 // side-information, epoch state, and exact privacy accounting
 // (one epoch draw spends α₁ — Lemma 4 plus sequential composition —
-// and a configured min_alpha floor refuses draws past the budget):
+// and a configured min_alpha floor refuses draws past the budget).
+// Release, epoch and sample share their handlers with the survey
+// routes. A tenant pins no compiled state: its plan comes from the
+// engine's plans cache on each use, and it is listed only once its
+// first epoch is drawn. Tenant n and ladder length are capped
+// (maxTenantN, maxTenantLevels), and POST bodies and -tenants-config
+// share one strict decoder:
 //
 //	GET|POST   /v1/tenants                 list / register tenants
 //	GET|DELETE /v1/tenants/{id}            describe / retire one tenant
@@ -57,7 +68,8 @@
 // LP-backed requests run under the request context: a client
 // disconnect cancels the solve at its next pivot, -solve-timeout
 // bounds any single solve (504 on expiry), and -max-inflight-solves
-// sheds excess concurrent solves with a fast 429.
+// sheds excess concurrent solves, tenant plan builds included, with a
+// fast 429.
 //
 // The process runs a configured http.Server (header/read/write
 // timeouts) and drains connections gracefully on SIGINT/SIGTERM,
@@ -92,7 +104,7 @@ func main() {
 	solveTimeout := flag.Duration("solve-timeout", 15*time.Second,
 		"server-side cap on one LP solve (0 disables; exceeding it returns 504)")
 	maxInFlight := flag.Int("max-inflight-solves", 0,
-		"bound on concurrent LP solves (0 = engine default, negative = unlimited; excess sheds with 429)")
+		"bound on concurrent LP solves and release-plan builds (0 = engine default, negative = unlimited; excess sheds with 429)")
 	traceEngine := flag.Bool("trace-engine", false,
 		"log engine span events (solve-start/solve-done/shed) to stderr")
 	debugAddr := flag.String("debug-addr", "",
@@ -103,8 +115,6 @@ func main() {
 		"directory for the disk-backed artifact store (empty = in-memory only; reuse across restarts for zero-solve warm boots)")
 	tenantsConfig := flag.String("tenants-config", "",
 		"JSON file of tenant specs to register at startup ({\"tenants\": [...]})")
-	maxTenantRuntimes := flag.Int("max-tenant-runtimes", 0,
-		"bound on cached compiled tenant runtimes across all tenants (0 = default; excess evicts LRU)")
 	flag.Parse()
 
 	cfg := serverConfig{
@@ -118,7 +128,6 @@ func main() {
 		SolveTimeout:      *solveTimeout,
 		StoreDir:          *storeDir,
 		TenantsConfig:     *tenantsConfig,
-		MaxTenantRuntimes: *maxTenantRuntimes,
 	}
 	if *traceEngine {
 		cfg.Trace = func(ev engine.TraceEvent) {

@@ -14,9 +14,13 @@ import (
 	"minimaxdp/internal/rational"
 )
 
+// testN is the survey population of the test servers: small, so a
+// server builds in milliseconds even under the race detector.
+const testN = 24
+
 func newTestServer(t *testing.T) *server {
 	t.Helper()
-	s, err := newServer(serverConfig{N: 200, City: "San Diego", FluRate: 0.1, Levels: "1/2,2/3", Seed: 42})
+	s, err := newServer(serverConfig{N: testN, City: "San Diego", FluRate: 0.1, Levels: "1/2,2/3", Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,15 +93,27 @@ func TestParseLossAndSide(t *testing.T) {
 	if _, _, err := (consumerSpec{Loss: "absolute", Width: "2"}).build(8); err == nil {
 		t.Error("width on absolute accepted")
 	}
-	side, err := parseSide("3-6")
+	side, err := parseSide("3-6", 8)
 	if err != nil || len(side) != 4 || side[0] != 3 {
 		t.Errorf("parseSide(3-6) = %v, %v", side, err)
 	}
-	if s, err := parseSide(""); err != nil || s != nil {
+	if s, err := parseSide("", 8); err != nil || s != nil {
 		t.Errorf("empty side = %v, %v", s, err)
 	}
+	// Points above n are built only up to the first one (n+1), so a
+	// huge hi costs nothing; a lo above n stays a single point.
+	for s, want := range map[string][]int{
+		"7-2000000000":    {7, 8, 9},
+		"50-2000000000":   {50},
+		"9-9":             {9},
+		"0-9223372036854": {0, 1, 2, 3, 4, 5, 6, 7, 8, 9},
+	} {
+		if got, err := parseSide(s, 8); err != nil || fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("parseSide(%q, 8) = %v, %v; want %v", s, got, err, want)
+		}
+	}
 	for _, bad := range []string{"6-3", "x-3", "3-x", "-1-3", "3"} {
-		if _, err := parseSide(bad); err == nil {
+		if _, err := parseSide(bad, 8); err == nil {
 			t.Errorf("parseSide(%q) accepted", bad)
 		}
 	}
@@ -141,8 +157,8 @@ func TestResultEndpoint(t *testing.T) {
 		t.Errorf("alpha = %v", body["alpha"])
 	}
 	result := int(body["result"].(float64))
-	if result < 0 || result > 200 {
-		t.Errorf("result %d outside [0,200]", result)
+	if result < 0 || result > testN {
+		t.Errorf("result %d outside [0,%d]", result, testN)
 	}
 	// Default level is 1.
 	_, body = get(t, mux, "/v1/result")
@@ -224,7 +240,7 @@ func TestMechanismEndpoint(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
 		t.Fatal(err)
 	}
-	if body.N != 200 || len(body.Rows) != 201 {
+	if body.N != testN || len(body.Rows) != testN+1 {
 		t.Errorf("mechanism shape n=%d rows=%d", body.N, len(body.Rows))
 	}
 	// Bad levels rejected.
@@ -265,6 +281,12 @@ func TestTailoredEndpoint(t *testing.T) {
 	if rec.Code != http.StatusOK || body["side"] != "2-5" || body["alpha"] != "1/3" {
 		t.Errorf("tailored with side: %d %v", rec.Code, body)
 	}
+	// A side reaching past n is clipped to {0..n}, without building the
+	// points beyond it.
+	rec, body = get(t, mux, "/v1/tailored?loss=squared&n=6&alpha=1/3&side=2-2000000000")
+	if rec.Code != http.StatusOK || body["side"] != "2-2000000000" {
+		t.Errorf("tailored with a side past n: %d %v", rec.Code, body)
+	}
 	// mech=1 includes the mechanism matrix.
 	_, body = get(t, mux, "/v1/tailored?loss=absolute&n=4&level=1&mech=1")
 	if body["mechanism"] == nil {
@@ -289,7 +311,7 @@ func TestTailoredEndpoint(t *testing.T) {
 func TestSampleEndpoint(t *testing.T) {
 	s := newTestServer(t)
 	mux := s.handler()
-	rec, body := get(t, mux, "/v1/sample?level=1&input=100&count=50")
+	rec, body := get(t, mux, fmt.Sprintf("/v1/sample?level=1&input=%d&count=50", testN/2))
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
 	}
@@ -298,12 +320,12 @@ func TestSampleEndpoint(t *testing.T) {
 		t.Fatalf("draws = %d, want 50", len(draws))
 	}
 	for _, d := range draws {
-		if v := int(d.(float64)); v < 0 || v > 200 {
-			t.Errorf("draw %d outside [0,200]", v)
+		if v := int(d.(float64)); v < 0 || v > testN {
+			t.Errorf("draw %d outside [0,%d]", v, testN)
 		}
 	}
 	for _, q := range []string{
-		"/v1/sample?input=-1", "/v1/sample?input=201", "/v1/sample?count=0",
+		"/v1/sample?input=-1", fmt.Sprintf("/v1/sample?input=%d", testN+1), "/v1/sample?count=0",
 		fmt.Sprintf("/v1/sample?count=%d", maxSampleCount+1), "/v1/sample?level=0",
 	} {
 		rec, _ := get(t, mux, q)
@@ -322,7 +344,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Fatalf("status %d", rec.Code)
 	}
 	srv := body["server"].(map[string]interface{})
-	if srv["epoch"].(float64) != 1 || srv["n"].(float64) != 200 {
+	if srv["epoch"].(float64) != 1 || srv["n"].(float64) != testN {
 		t.Errorf("server metrics = %v", srv)
 	}
 	routes := srv["routes"].(map[string]interface{})

@@ -4,13 +4,14 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log"
 	"math/big"
-	"math/rand"
 	"net/http"
 	"os"
 	"strconv"
@@ -45,16 +46,6 @@ const defaultMaxTailoredN = 32
 // maxSampleCount caps one /v1/sample batch.
 const maxSampleCount = 4096
 
-// epochState is one epoch's correlated release: every level's result
-// comes from a single Algorithm 1 cascade draw, so colluding readers
-// cannot average away the noise (Lemma 4). The struct is immutable
-// once published; handlers read it through an atomic pointer and
-// never lock.
-type epochState struct {
-	epoch   int
-	results []int
-}
-
 // routeStat accumulates per-route serving counters.
 type routeStat struct {
 	count  atomic.Uint64
@@ -71,8 +62,9 @@ type serverConfig struct {
 	Levels       string  // increasing privacy levels, comma-separated
 	Seed         int64   // PRNG seed
 	MaxTailoredN int     // largest n accepted by /v1/tailored (0 = default)
-	// MaxInFlightSolves bounds concurrent LP solves (engine semantics:
-	// 0 = engine default, negative = unlimited).
+	// MaxInFlightSolves bounds concurrent LP solves and release-plan
+	// builds (engine semantics: 0 = engine default, negative =
+	// unlimited).
 	MaxInFlightSolves int
 	// SolveTimeout caps one LP-backed request's solve time; exceeding
 	// it returns 504. Zero disables the server-side deadline (client
@@ -89,32 +81,28 @@ type serverConfig struct {
 	// ({"tenants": [...]}) registered at startup — the declarative
 	// sibling of POST /v1/tenants.
 	TenantsConfig string
-	// MaxTenantRuntimes bounds the compiled-runtime LRU shared across
-	// tenants (0 = default). Tenant identity and accounting are never
-	// evicted; only the rebuildable plan+sampler state is.
-	MaxTenantRuntimes int
 }
 
-// server wires the engine, the release plan, and the epoch state.
-// Request handling is lock-free: the current epoch lives behind an
-// atomic snapshot pointer, exact artifacts come from the engine's
-// caches, and the only mutex guards the PRNG used by the rare epoch
-// advance.
+// server wires the engine and the release principals: the built-in
+// survey and the registered tenants, each a *tenant.Tenant (secret
+// count, α-ladder, one correlated cascade per epoch behind an atomic
+// pointer). Request handling is lock-free except for the rare epoch
+// advance, which locks only its own principal's PRNG.
 type server struct {
 	eng          *engine.Engine
-	plan         *release.Plan
-	truth        int
 	city         string
-	alphas       []*big.Rat
 	maxTailoredN int
 	solveTimeout time.Duration
 	logRequests  bool
 	start        time.Time
 
-	// Sampling hot path, precompiled at startup: the level-K sampler
-	// and its rendered α string live at index K−1, so /v1/sample never
-	// touches the engine's cache-lookup machinery or re-renders a
-	// rational per request.
+	// The survey: not in the registry, so /v1/tenants never lists it.
+	// Its release plan and per-level samplers are pinned at startup —
+	// the level-K sampler and its rendered α string at index K−1 — so
+	// /v1/sample never touches the engine's cache-lookup machinery or
+	// re-renders a rational per request.
+	survey        *tenant.Tenant
+	plan          *release.Plan
 	levelSamplers []*engine.Sampler
 	alphaStrs     []string
 
@@ -122,17 +110,12 @@ type server struct {
 	// load balancers stop routing before in-flight requests finish.
 	ready atomic.Bool
 
-	mu  sync.Mutex // guards rng (sample.NewRand PRNGs are not goroutine-safe)
-	rng *rand.Rand
-
-	state  atomic.Pointer[epochState]
 	routes map[string]*routeStat
 
-	// Multi-tenant surface: identity + accounting in the registry,
-	// rebuildable compiled state in the bounded runtime cache, exact
-	// artifacts on disk (nil when -store-dir is unset).
+	// Registered tenants pin nothing: their plans and samplers come
+	// from the engine's caches on each use. store is nil when
+	// -store-dir is unset.
 	registry *tenant.Registry
-	runtimes *runtimeCache
 	store    *diskstore.Store
 }
 
@@ -191,9 +174,12 @@ func lossFromConfig(name string, width int) (loss.Function, error) {
 	return loss.ParseSpec(name, ws)
 }
 
-// parseSide resolves a "lo-hi" side-information interval; empty means
-// no side information (the full domain).
-func parseSide(s string) ([]int, error) {
+// parseSide resolves a "lo-hi" side-information interval on {0..n};
+// empty means no side information (the full domain). Points above n
+// carry no information — consumers clip the set to {0..n} and tenants
+// reject it — so the interval is built only up to the first of them:
+// an untrusted hi cannot make it allocate more than n+2 points.
+func parseSide(s string, n int) ([]int, error) {
 	if s == "" {
 		return nil, nil
 	}
@@ -211,6 +197,9 @@ func parseSide(s string) ([]int, error) {
 	}
 	if l < 0 || h < l {
 		return nil, fmt.Errorf("side %q: need 0 ≤ lo ≤ hi", s)
+	}
+	if h > n+1 {
+		h = max(l, n+1)
 	}
 	return consumer.Interval(l, h), nil
 }
@@ -240,9 +229,19 @@ func newServer(cfg serverConfig) (*server, error) {
 		Trace:        cfg.Trace,
 		Store:        artifacts,
 	})
-	rng := sample.NewRand(cfg.Seed)
-	db := database.Synthetic(cfg.N, cfg.City, cfg.FluRate, rng)
-	truth := database.FluQuery(cfg.City).Eval(db)
+	db := database.Synthetic(cfg.N, cfg.City, cfg.FluRate, sample.NewRand(cfg.Seed))
+	// The survey's cascade draws from its own stream, not from the
+	// one that drew the database.
+	survey, err := tenant.New(tenant.Config{
+		ID:     "survey",
+		N:      cfg.N,
+		Truth:  database.FluQuery(cfg.City).Eval(db),
+		Alphas: alphas,
+		Seed:   int64(sample.Mix64(uint64(cfg.Seed))),
+	})
+	if err != nil {
+		return nil, err
+	}
 	plan, err := eng.ReleasePlan(cfg.N, alphas)
 	if err != nil {
 		return nil, err
@@ -250,8 +249,11 @@ func newServer(cfg serverConfig) (*server, error) {
 	samplers := make([]*engine.Sampler, len(alphas))
 	alphaStrs := make([]string, len(alphas))
 	for i, a := range alphas {
-		samplers[i], err = eng.Sampler(context.Background(),
-			engine.SamplerSpec{N: plan.N(), Alpha: a})
+		m, err := plan.Marginal(i + 1)
+		if err != nil {
+			return nil, err
+		}
+		samplers[i], err = eng.Sampler(context.Background(), engine.SamplerSpec{Mechanism: m})
 		if err != nil {
 			return nil, fmt.Errorf("compiling level %d sampler: %w", i+1, err)
 		}
@@ -259,23 +261,19 @@ func newServer(cfg serverConfig) (*server, error) {
 	}
 	s := &server{
 		eng:           eng,
-		plan:          plan,
-		truth:         truth,
 		city:          cfg.City,
-		alphas:        alphas,
 		maxTailoredN:  maxN,
 		solveTimeout:  cfg.SolveTimeout,
 		start:         time.Now(),
-		rng:           rng,
-		routes:        make(map[string]*routeStat),
+		survey:        survey,
+		plan:          plan,
 		levelSamplers: samplers,
 		alphaStrs:     alphaStrs,
+		routes:        make(map[string]*routeStat),
 		registry:      tenant.NewRegistry(),
-		runtimes:      newRuntimeCache(cfg.MaxTenantRuntimes),
 		store:         artifacts,
 	}
-	s.state.Store(&epochState{})
-	if _, err := s.advance(); err != nil {
+	if _, err := s.nextEpoch(context.Background(), survey); err != nil {
 		return nil, err
 	}
 	if cfg.TenantsConfig != "" {
@@ -296,29 +294,86 @@ func (s *server) loadTenantsConfig(path string) error {
 		return fmt.Errorf("tenants config: %w", err)
 	}
 	var file tenantConfigFile
-	if err := json.Unmarshal(data, &file); err != nil {
+	if err := decodeStrict(bytes.NewReader(data), &file); err != nil {
 		return fmt.Errorf("tenants config %s: %w", path, err)
 	}
 	for i := range file.Tenants {
-		if _, err := s.registerTenant(&file.Tenants[i]); err != nil {
+		if _, err := s.registerTenant(context.Background(), &file.Tenants[i]); err != nil {
 			return fmt.Errorf("tenants config %s: %w", path, err)
 		}
 	}
 	return nil
 }
 
-// advance draws a fresh correlated cascade and publishes it as the
-// next epoch's snapshot.
-func (s *server) advance() (int, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out, err := s.plan.Release(s.truth, s.rng)
-	if err != nil {
-		return 0, err
+// decodeStrict decodes exactly one JSON value from r into v. Unknown
+// fields and trailing data are errors, so a misspelled field (say
+// "min_alpa") fails the request or the config load instead of being
+// dropped. Every JSON body and config file the server reads goes
+// through here.
+func decodeStrict(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
 	}
-	next := &epochState{epoch: s.state.Load().epoch + 1, results: out}
-	s.state.Store(next)
-	return next.epoch, nil
+	if dec.More() {
+		return errors.New("trailing data")
+	}
+	return nil
+}
+
+// planOf returns principal t's release plan. The survey's is pinned
+// at startup; a tenant's comes from the engine's plans cache on every
+// use, so the engine's LRU is the one bound on compiled state. A plan
+// build cannot stop early (release.NewPlan takes no context), so the
+// fetch ignores the requester's cancellation: a build whose client
+// hung up still finishes and is cached, and a retry joins or reuses
+// it instead of starting a second copy. The engine's in-flight solve
+// bound caps how many builds run at once.
+func (s *server) planOf(ctx context.Context, t *tenant.Tenant) (*release.Plan, error) {
+	if t == s.survey {
+		return s.plan, nil
+	}
+	return s.eng.ReleasePlanCtx(context.WithoutCancel(ctx), t.N(), t.Alphas())
+}
+
+// nextEpoch draws a fresh correlated cascade for principal t and
+// publishes it as t's next epoch (spending α₁ of a metered tenant's
+// budget).
+func (s *server) nextEpoch(ctx context.Context, t *tenant.Tenant) (*tenant.Epoch, error) {
+	plan, err := s.planOf(ctx, t)
+	if err != nil {
+		return nil, err
+	}
+	return t.Advance(plan)
+}
+
+// levelSampler returns a sampler over principal t's level-lvl
+// marginal G_{n,α} and the level's rendered α. The survey's are
+// pinned, so /v1/sample allocates nothing here; a tenant's sampler is
+// a view of its plan's marginal, so the tenant's G exists once. It
+// takes the request, not its context: inlined into handleSample,
+// r.Context() reports a heap escape (of the zero-size background
+// context) that the hotpath gate would flag.
+func (s *server) levelSampler(r *http.Request, t *tenant.Tenant, lvl int) (*engine.Sampler, string, error) {
+	if t == s.survey {
+		return s.levelSamplers[lvl-1], s.alphaStrs[lvl-1], nil
+	}
+	ctx := r.Context()
+	plan, err := s.planOf(ctx, t)
+	if err != nil {
+		return nil, "", err
+	}
+	m, err := plan.Marginal(lvl)
+	if err != nil {
+		return nil, "", err
+	}
+	a, err := plan.Alpha(lvl)
+	if err != nil {
+		return nil, "", err
+	}
+	sm, err := s.eng.Sampler(ctx, engine.SamplerSpec{Mechanism: m})
+	return sm, a.RatString(), err
 }
 
 // --- error envelope -------------------------------------------------------
@@ -384,6 +439,32 @@ func writeSolveError(w http.ResponseWriter, err error) {
 	}
 }
 
+// writePrincipalError maps a failure on a principal's release path —
+// registering it, fetching its plan, advancing its epoch — to its /v1
+// status: a duplicate id conflicts (409), a budget floor refuses the
+// draw (403), a saturated engine shed the plan build (429, retry
+// after backoff), and a client gone before its request was served
+// (say, a registration not yet published) gets 503. Anything else
+// takes the caller's fallback: 400 for a registration spec, 500 on a
+// principal that already serves.
+func writePrincipalError(w http.ResponseWriter, err error, fallback int) {
+	switch {
+	case errors.Is(err, tenant.ErrDuplicateID):
+		writeAPIError(w, http.StatusConflict, "conflict", "%v", err)
+	case errors.Is(err, tenant.ErrBudgetExhausted):
+		writeAPIError(w, http.StatusForbidden, "budget_exhausted", "%v", err)
+	case errors.Is(err, engine.ErrSaturated):
+		writeAPIError(w, http.StatusTooManyRequests, "shed", "%v", err)
+	case errors.Is(err, context.Canceled):
+		writeAPIError(w, http.StatusServiceUnavailable, "canceled",
+			"request canceled before it was served")
+	case fallback == http.StatusBadRequest:
+		writeAPIError(w, http.StatusBadRequest, "invalid_argument", "%v", err)
+	default:
+		writeAPIError(w, http.StatusInternalServerError, "internal", "%v", err)
+	}
+}
+
 // --- routing --------------------------------------------------------------
 
 // handler builds the instrumented route table: the versioned /v1
@@ -397,7 +478,7 @@ func (s *server) handler() http.Handler {
 		method string
 		h      http.HandlerFunc
 	}{
-		{"/v1/result", http.MethodGet, s.handleResult},
+		{"/v1/result", http.MethodGet, s.handleRelease},
 		{"/v1/levels", http.MethodGet, s.handleLevels},
 		{"/v1/epoch", http.MethodPost, s.handleEpoch},
 		{"/v1/mechanism", http.MethodGet, s.handleMechanism},
@@ -424,9 +505,9 @@ func (s *server) handler() http.Handler {
 	}{
 		{"/v1/tenants", "", s.handleTenants},
 		{"/v1/tenants/{id}", "", s.handleTenantByID},
-		{"/v1/tenants/{id}/release", http.MethodGet, s.handleTenantRelease},
-		{"/v1/tenants/{id}/epoch", http.MethodPost, s.handleTenantEpoch},
-		{"/v1/tenants/{id}/sample", http.MethodGet, s.handleTenantSample},
+		{"/v1/tenants/{id}/release", http.MethodGet, s.handleRelease},
+		{"/v1/tenants/{id}/epoch", http.MethodPost, s.handleEpoch},
+		{"/v1/tenants/{id}/sample", http.MethodGet, s.handleSample},
 		{"/v1/tenants/{id}/accounting", http.MethodGet, s.handleTenantAccounting},
 		{"/v1/tenants/{id}/tailored", http.MethodGet, s.handleTenantTailored},
 	} {
@@ -518,8 +599,8 @@ func (s *server) handleRoot(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]interface{}{
 		"service": "minimaxdp multi-level count release (Algorithm 1)",
 		"query":   fmt.Sprintf("adults in %s with flu", s.city),
-		"levels":  len(s.alphas),
-		"epoch":   s.state.Load().epoch,
+		"levels":  s.survey.Levels(),
+		"epoch":   s.survey.Epoch().Epoch,
 		"endpoints": map[string]string{
 			"GET /v1/result?level=K":                 "released result at privacy level K (1 = least private)",
 			"GET /v1/levels":                         "privacy levels and their α values",
@@ -556,42 +637,96 @@ func (s *server) handleLevels(w http.ResponseWriter, _ *http.Request) {
 		Level int    `json:"level"`
 		Alpha string `json:"alpha"`
 	}
-	out := make([]level, len(s.alphas))
-	for i, a := range s.alphas {
-		out[i] = level{Level: i + 1, Alpha: a.RatString()}
+	out := make([]level, len(s.alphaStrs))
+	for i, a := range s.alphaStrs {
+		out[i] = level{Level: i + 1, Alpha: a}
 	}
 	writeJSON(w, http.StatusOK, out)
 }
 
-// parseLevel reads a 1-based level query parameter (default 1).
-func (s *server) parseLevel(r *http.Request) (int, error) {
-	lvlStr := r.URL.Query().Get("level")
-	if lvlStr == "" {
-		lvlStr = "1"
+// parseLevel reads a 1-based ladder level from its wire string
+// (empty = level 1) against a ladder of the given length. Every route
+// that takes ?level=K (or a "level" body field) parses it here.
+func parseLevel(s string, levels int) (int, error) {
+	if s == "" {
+		return 1, nil
 	}
-	lvl, err := strconv.Atoi(lvlStr)
+	lvl, err := strconv.Atoi(s)
 	if err != nil || lvl < 1 {
 		return 0, fmt.Errorf("level must be a positive integer")
 	}
-	if lvl > len(s.alphas) {
-		return 0, fmt.Errorf("level %d out of range 1..%d", lvl, len(s.alphas))
+	if lvl > levels {
+		return 0, fmt.Errorf("level %d out of range 1..%d", lvl, levels)
 	}
 	return lvl, nil
 }
 
-func (s *server) handleResult(w http.ResponseWriter, r *http.Request) {
-	lvl, err := s.parseLevel(r)
+// principal resolves the release principal a request addresses: the
+// tenant named by the {id} path segment, or the survey on the routes
+// without one. An unknown id gets the 404 envelope and ok = false.
+func (s *server) principal(w http.ResponseWriter, r *http.Request) (t *tenant.Tenant, id string, ok bool) {
+	id = r.PathValue("id")
+	if id == "" {
+		return s.survey, "", true
+	}
+	if t, ok = s.registry.Get(id); !ok {
+		writeAPIError(w, http.StatusNotFound, "not_found", "no tenant %q", id)
+	}
+	return t, id, ok
+}
+
+// handleRelease serves the principal's current-epoch released value
+// at ?level=K: GET /v1/result for the survey and GET
+// /v1/tenants/{id}/release, whose body adds a "tenant" field.
+func (s *server) handleRelease(w http.ResponseWriter, r *http.Request) {
+	t, id, ok := s.principal(w, r)
+	if !ok {
+		return
+	}
+	lvl, err := parseLevel(r.URL.Query().Get("level"), t.Levels())
 	if err != nil {
 		writeAPIError(w, http.StatusBadRequest, "invalid_argument", "%v", err)
 		return
 	}
-	st := s.state.Load()
-	writeJSON(w, http.StatusOK, map[string]interface{}{
-		"epoch":  st.epoch,
+	a, err := t.Alpha(lvl)
+	if err != nil {
+		writeAPIError(w, http.StatusBadRequest, "invalid_argument", "%v", err)
+		return
+	}
+	e := t.Epoch()
+	body := map[string]interface{}{
+		"epoch":  e.Epoch,
 		"level":  lvl,
-		"alpha":  s.alphas[lvl-1].RatString(),
-		"result": st.results[lvl-1],
-	})
+		"alpha":  a.RatString(),
+		"result": e.Results[lvl-1],
+	}
+	if id != "" {
+		body["tenant"] = id
+	}
+	writeJSON(w, http.StatusOK, body)
+}
+
+// handleEpoch advances the principal to a fresh correlated draw:
+// POST /v1/epoch for the survey and POST /v1/tenants/{id}/epoch,
+// whose body adds the tenant id and its accounting. A tenant's draw
+// spends α₁ of its budget (Lemma 4 + sequential composition); past
+// the budget it is refused with 403.
+func (s *server) handleEpoch(w http.ResponseWriter, r *http.Request) {
+	t, id, ok := s.principal(w, r)
+	if !ok {
+		return
+	}
+	e, err := s.nextEpoch(r.Context(), t)
+	if err != nil {
+		writePrincipalError(w, err, http.StatusInternalServerError)
+		return
+	}
+	body := map[string]interface{}{"epoch": e.Epoch}
+	if id != "" {
+		body["tenant"] = id
+		body["accounting"] = accountingBody(t)
+	}
+	writeJSON(w, http.StatusOK, body)
 }
 
 // handleMechanism serves the exact marginal mechanism of a level as
@@ -599,7 +734,7 @@ func (s *server) handleResult(w http.ResponseWriter, r *http.Request) {
 // (the mechanism matrix is public knowledge; only the database is
 // secret).
 func (s *server) handleMechanism(w http.ResponseWriter, r *http.Request) {
-	lvl, err := s.parseLevel(r)
+	lvl, err := parseLevel(r.URL.Query().Get("level"), s.survey.Levels())
 	if err != nil {
 		writeAPIError(w, http.StatusBadRequest, "invalid_argument", "%v", err)
 		return
@@ -610,15 +745,6 @@ func (s *server) handleMechanism(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, m)
-}
-
-func (s *server) handleEpoch(w http.ResponseWriter, _ *http.Request) {
-	epoch, err := s.advance()
-	if err != nil {
-		writeAPIError(w, http.StatusInternalServerError, "internal", "%v", err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]int{"epoch": epoch})
 }
 
 // solveContext derives the context for one LP-backed request: the
@@ -632,7 +758,7 @@ func (s *server) solveContext(r *http.Request) (context.Context, context.CancelF
 }
 
 // resolveAlpha picks the privacy level for an LP-backed request: an
-// explicit rational alpha wins, otherwise the 1-based ladder level
+// explicit rational alpha wins, otherwise the survey's ladder level
 // (default 1). Both arrive as wire strings so the GET query and POST
 // body surfaces share the exact validation.
 func (s *server) resolveAlpha(alphaStr, levelStr string) (*big.Rat, error) {
@@ -643,17 +769,11 @@ func (s *server) resolveAlpha(alphaStr, levelStr string) (*big.Rat, error) {
 		}
 		return a, nil
 	}
-	if levelStr == "" {
-		levelStr = "1"
+	lvl, err := parseLevel(levelStr, s.survey.Levels())
+	if err != nil {
+		return nil, err
 	}
-	lvl, err := strconv.Atoi(levelStr)
-	if err != nil || lvl < 1 {
-		return nil, fmt.Errorf("level must be a positive integer")
-	}
-	if lvl > len(s.alphas) {
-		return nil, fmt.Errorf("level %d out of range 1..%d", lvl, len(s.alphas))
-	}
-	return rational.Clone(s.alphas[lvl-1]), nil
+	return s.survey.Alpha(lvl)
 }
 
 // handleTailored answers "what is the optimal α-DP mechanism for this
@@ -669,7 +789,7 @@ func (s *server) resolveAlpha(alphaStr, levelStr string) (*big.Rat, error) {
 // bound sheds excess load (429).
 func (s *server) handleTailored(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
-	n := s.plan.N()
+	n := s.survey.N()
 	if n > s.maxTailoredN {
 		n = s.maxTailoredN
 	}
@@ -725,14 +845,14 @@ func (s *server) handleTailored(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// Pooled buffers for the sampling hot path: one draw buffer sized to
-// the batch cap, one append-built JSON response buffer. Both reach
-// steady-state capacity after the first few requests, after which
-// handleSample allocates nothing of its own.
 // jsonContentType is the canonical Content-Type value, shared so the
 // hot path can assign it without allocating (see handleSample).
 var jsonContentType = []string{"application/json"}
 
+// Pooled buffers for the sampling hot path: one draw buffer sized to
+// the batch cap, one append-built JSON response buffer. Both reach
+// steady-state capacity after the first few requests, after which
+// handleSample allocates nothing of its own.
 var (
 	drawBufPool = sync.Pool{New: func() any {
 		b := make([]int, maxSampleCount)
@@ -744,13 +864,14 @@ var (
 	}}
 )
 
-// parseSampleQuery extracts level/input/count from the request
-// without materializing url.Values (which allocates a map plus one
-// slice per key). The raw query of a well-formed /v1/sample request
-// contains no escapes, so the fast path is a plain byte scan; '%' or
-// '+' falls back to the stdlib parser for correctness on exotic but
-// legal encodings.
-func (s *server) parseSampleQuery(r *http.Request) (lvl, input, count int, err error) {
+// parseSampleQuery extracts level/input/count from the request and
+// validates them against a principal's geometry (ladder length,
+// domain bound n), without materializing url.Values (which allocates
+// a map plus one slice per key). The raw query of a well-formed
+// sample request contains no escapes, so the fast path is a plain
+// byte scan; '%' or '+' falls back to the stdlib parser for
+// correctness on exotic but legal encodings.
+func parseSampleQuery(r *http.Request, levels, n int) (lvl, input, count int, err error) {
 	var lvlS, inS, cntS string
 	if raw := r.URL.RawQuery; !strings.ContainsAny(raw, "%+") {
 		for len(raw) > 0 {
@@ -774,20 +895,14 @@ func (s *server) parseSampleQuery(r *http.Request) (lvl, input, count int, err e
 		q := r.URL.Query()
 		lvlS, inS, cntS = q.Get("level"), q.Get("input"), q.Get("count")
 	}
-	lvl, input, count = 1, 0, 1
-	if lvlS != "" {
-		lvl, err = strconv.Atoi(lvlS)
-		if err != nil || lvl < 1 {
-			return 0, 0, 0, fmt.Errorf("level must be a positive integer")
-		}
-		if lvl > len(s.alphas) {
-			return 0, 0, 0, fmt.Errorf("level %d out of range 1..%d", lvl, len(s.alphas))
-		}
+	if lvl, err = parseLevel(lvlS, levels); err != nil {
+		return 0, 0, 0, err
 	}
+	input, count = 0, 1
 	if inS != "" {
 		input, err = strconv.Atoi(inS)
-		if err != nil || input < 0 || input > s.plan.N() {
-			return 0, 0, 0, fmt.Errorf("input must lie in [0,%d]", s.plan.N())
+		if err != nil || input < 0 || input > n {
+			return 0, 0, 0, fmt.Errorf("input must lie in [0,%d]", n)
 		}
 	}
 	if cntS != "" {
@@ -799,39 +914,55 @@ func (s *server) parseSampleQuery(r *http.Request) (lvl, input, count int, err e
 	return lvl, input, count, nil
 }
 
-// handleSample draws from the *public* mechanism of a level at a
-// caller-claimed input, via the per-level samplers precompiled at
-// startup. This never touches the secret query result — fresh draws
-// of the truth would let readers average the noise away, which is
-// exactly what the epoch snapshot exists to prevent.
+// handleSample draws from the principal's *public* level mechanism at
+// a caller-claimed input: GET /v1/sample for the survey and GET
+// /v1/tenants/{id}/sample, whose body leads with a "tenant" field.
+// This never touches the secret query result — fresh draws of the
+// truth would let readers average the noise away, which is exactly
+// what the epoch snapshot exists to prevent.
 //
 // This is the server's hot path and is engineered allocation-free at
-// steady state: query parsing scans the raw query, draws land in a
-// pooled buffer via Sampler.SampleInto (one PRNG block, one counter
-// update for the whole batch), and the response is append-built JSON
-// on a pooled buffer — no encoding/json reflection anywhere. The
-// hotpath annotation makes dpvet hold that line against the
-// compiler's escape analysis.
+// steady state for the survey: query parsing scans the raw query, the
+// survey's samplers are pinned, draws land in a pooled buffer via
+// Sampler.SampleInto (one PRNG block, one counter update for the
+// whole batch), and the response is append-built JSON on a pooled
+// buffer — no encoding/json reflection anywhere. The hotpath
+// annotation makes dpvet hold that line against the compiler's escape
+// analysis.
 //
 //dpvet:hotpath
 func (s *server) handleSample(w http.ResponseWriter, r *http.Request) {
-	lvl, input, count, err := s.parseSampleQuery(r)
+	t, id, ok := s.principal(w, r)
+	if !ok {
+		return
+	}
+	lvl, input, count, err := parseSampleQuery(r, t.Levels(), t.N())
 	if err != nil {
 		writeAPIError(w, http.StatusBadRequest, "invalid_argument", "%v", err)
 		return
 	}
+	sm, alpha, err := s.levelSampler(r, t, lvl)
+	if err != nil {
+		writePrincipalError(w, err, http.StatusInternalServerError)
+		return
+	}
 	dbp := drawBufPool.Get().(*[]int)
 	draws := (*dbp)[:count]
-	s.levelSamplers[lvl-1].SampleInto(input, draws)
+	sm.SampleInto(input, draws)
 
 	jbp := jsonBufPool.Get().(*[]byte)
-	b := (*jbp)[:0]
-	b = append(b, `{"level":`...)
+	b := append((*jbp)[:0], '{')
+	// Tenant ids ([a-z0-9-_]) and α strings (big.Rat.RatString of a
+	// validated level: digits and '/') embed in JSON without escaping.
+	if id != "" {
+		b = append(b, `"tenant":"`...)
+		b = append(b, id...)
+		b = append(b, `",`...)
+	}
+	b = append(b, `"level":`...)
 	b = strconv.AppendInt(b, int64(lvl), 10)
-	// α strings are digit/slash only (big.Rat.RatString of a validated
-	// level), so they embed in JSON without escaping.
 	b = append(b, `,"alpha":"`...)
-	b = append(b, s.alphaStrs[lvl-1]...)
+	b = append(b, alpha...)
 	b = append(b, `","input":`...)
 	b = strconv.AppendInt(b, int64(input), 10)
 	b = append(b, `,"count":`...)
@@ -872,20 +1003,15 @@ func (s *server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	}
 	body := map[string]interface{}{
 		"server": map[string]interface{}{
-			"epoch":          s.state.Load().epoch,
-			"levels":         len(s.alphas),
-			"n":              s.plan.N(),
+			"epoch":          s.survey.Epoch().Epoch,
+			"levels":         s.survey.Levels(),
+			"n":              s.survey.N(),
 			"uptime_seconds": time.Since(s.start).Seconds(),
 			"ready":          s.ready.Load(),
 			"routes":         routes,
 		},
-		"engine": s.eng.Metrics(),
-		"tenants": map[string]interface{}{
-			"count":             s.registry.Len(),
-			"cached_runtimes":   s.runtimes.len(),
-			"runtime_builds":    s.runtimes.builds.Load(),
-			"runtime_evictions": s.runtimes.evictions.Load(),
-		},
+		"engine":  s.eng.Metrics(),
+		"tenants": map[string]interface{}{"count": s.registry.Len()},
 	}
 	if s.store != nil {
 		body["store"] = s.store.Stats()

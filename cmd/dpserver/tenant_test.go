@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"math/big"
@@ -15,9 +16,12 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"minimaxdp/internal/consumer"
+	"minimaxdp/internal/engine"
 	"minimaxdp/internal/loss"
 	"minimaxdp/internal/rational"
 )
@@ -86,6 +90,7 @@ func TestTenantLifecycle(t *testing.T) {
 		`{"id":"x","n":12,"truth":5,"levels":["1/2"],"loss":"nope"}`,
 		`{"id":"x","n":12,"truth":5,"levels":["1/2"],"min_alpha":"zzz"}`,
 		`{"id":"x","n":12,"truth":5,"levels":["1/2"],"bogus_field":1}`,
+		`{"id":"x","n":12,"truth":5,"levels":["1/2"],"side":"3-2000000000"}`, // side beyond n
 	} {
 		rec, _ := postJSON(t, mux, "/v1/tenants", bad)
 		if rec.Code != http.StatusBadRequest {
@@ -272,7 +277,7 @@ func TestTenantTailoredEndpoint(t *testing.T) {
 	}
 
 	// A tenant beyond the LP cap is refused cleanly.
-	mustRegister(t, mux, `{"id":"big","n":100,"truth":50,"levels":["1/2"]}`)
+	mustRegister(t, mux, `{"id":"big","n":40,"truth":20,"levels":["1/2"]}`)
 	rec, _ = get(t, mux, "/v1/tenants/big/tailored")
 	if rec.Code != http.StatusBadRequest {
 		t.Errorf("oversized tailored: %d, want 400", rec.Code)
@@ -342,16 +347,15 @@ func TestServerWarmBootZeroSolves(t *testing.T) {
 
 // TestTenantIsolationConcurrentHTTP is the isolation acceptance test:
 // three tenants with different domains and ladders served
-// concurrently (run under -race in CI) through a runtime cache capped
-// BELOW the tenant count, so runtimes are evicted and rebuilt across
-// tenants mid-flight. Afterwards each tenant's accounting must equal
-// its own α₁^epochs exactly and every observed draw must lie in its
-// own domain — any cross-tenant leakage of plans, samplers, PRNGs, or
-// accounting shows up in one of those two invariants.
+// concurrently (run under -race in CI), each request fetching the
+// tenant's plan from the shared engine cache. Afterwards each
+// tenant's accounting must equal its own α₁^epochs exactly and every
+// observed draw must lie in its own domain — any cross-tenant leakage
+// of plans, samplers, PRNGs, or accounting shows up in one of those
+// two invariants.
 func TestTenantIsolationConcurrentHTTP(t *testing.T) {
 	s, err := newServer(serverConfig{
 		N: 60, City: "San Diego", FluRate: 0.1, Levels: "1/2", Seed: 1,
-		MaxTenantRuntimes: 2, // 3 tenants → forced cross-tenant eviction
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -430,11 +434,236 @@ func TestTenantIsolationConcurrentHTTP(t *testing.T) {
 				tn.id, body["spent_alpha"], want.RatString())
 		}
 	}
-	// The cap was honored and forced real cross-tenant evictions.
-	if got := s.runtimes.len(); got > 2 {
-		t.Errorf("runtime cache holds %d entries, cap 2", got)
+}
+
+// TestTenantRegistrationUnpublishedUntilFirstEpoch blocks a
+// registration inside its plan build — the engine's plans
+// solve-start trace event for the new tenant's key — and probes the
+// server meanwhile. The tenant must not be visible yet (404 on its
+// release, absent from the list), and another tenant's /sample and
+// /epoch must answer: the build holds no lock they need.
+func TestTenantRegistrationUnpublishedUntilFirstEpoch(t *testing.T) {
+	const lateKey = "n=5|a=1/5,2/5" // the engine's plan key of "late"
+	entered := make(chan struct{})
+	unblock := make(chan struct{})
+	var once sync.Once
+	s, err := newServer(serverConfig{
+		N: testN, City: "San Diego", FluRate: 0.1, Levels: "1/2,2/3", Seed: 42,
+		Trace: func(ev engine.TraceEvent) {
+			if ev.Artifact == "plans" && ev.Kind == engine.TraceSolveStart && ev.Key == lateKey {
+				once.Do(func() { close(entered) })
+				<-unblock
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if ev := s.runtimes.evictions.Load(); ev == 0 {
-		t.Error("no runtime evictions despite cap < tenant count")
+	mux := s.handler()
+	mustRegister(t, mux, `{"id":"ready","n":4,"truth":2,"levels":["1/3","1/2"],"seed":1}`)
+
+	// serve runs one request in the background; the channel yields
+	// its recorder once it completes.
+	serve := func(method, path, body string) <-chan *httptest.ResponseRecorder {
+		done := make(chan *httptest.ResponseRecorder, 1)
+		go func() {
+			rec := httptest.NewRecorder()
+			mux.ServeHTTP(rec, httptest.NewRequest(method, path, strings.NewReader(body)))
+			done <- rec
+		}()
+		return done
+	}
+	// await fails the test, instead of hanging it, when a request is
+	// stuck behind the blocked build.
+	await := func(what string, done <-chan *httptest.ResponseRecorder) *httptest.ResponseRecorder {
+		t.Helper()
+		select {
+		case rec := <-done:
+			return rec
+		case <-time.After(5 * time.Second):
+			t.Errorf("%s did not answer while a registration was building its plan", what)
+			return nil
+		}
+	}
+
+	registered := serve(http.MethodPost, "/v1/tenants",
+		`{"id":"late","n":5,"truth":1,"levels":["1/5","2/5"],"seed":2}`)
+	select {
+	case <-entered:
+	case <-time.After(30 * time.Second):
+		close(unblock)
+		t.Fatal("the registration never started its plan build")
+	}
+	func() {
+		defer close(unblock)
+		if rec := await("GET /v1/tenants/late/release", serve(http.MethodGet, "/v1/tenants/late/release", "")); rec != nil && rec.Code != http.StatusNotFound {
+			t.Errorf("release of a tenant still registering: %d, want 404 (%s)", rec.Code, rec.Body.String())
+		}
+		if rec := await("GET /v1/tenants", serve(http.MethodGet, "/v1/tenants", "")); rec != nil && strings.Contains(rec.Body.String(), `"late"`) {
+			t.Errorf("tenant listed before its first epoch: %s", rec.Body.String())
+		}
+		if rec := await("GET /v1/tenants/ready/sample", serve(http.MethodGet, "/v1/tenants/ready/sample?count=4", "")); rec != nil && rec.Code != http.StatusOK {
+			t.Errorf("other tenant's sample: %d (%s)", rec.Code, rec.Body.String())
+		}
+		if rec := await("POST /v1/tenants/ready/epoch", serve(http.MethodPost, "/v1/tenants/ready/epoch", "")); rec != nil && rec.Code != http.StatusOK {
+			t.Errorf("other tenant's epoch: %d (%s)", rec.Code, rec.Body.String())
+		}
+	}()
+
+	// Unblocked, the registration completes and publishes epoch 1.
+	rec := <-registered
+	if rec.Code != http.StatusCreated {
+		t.Fatalf("registration: %d (%s)", rec.Code, rec.Body.String())
+	}
+	if rec, body := get(t, mux, "/v1/tenants/late/release"); rec.Code != http.StatusOK || body["epoch"].(float64) != 1 {
+		t.Errorf("release after registration: %d %v", rec.Code, body)
+	}
+}
+
+// TestTenantRegistrationRetryAfterHangupBuildsOnce: a client that
+// hangs up while its registration's plan build runs does not throw
+// the build away. The build finishes and is cached, the abandoned
+// registration is not published, and the client's retry, sent while
+// the build is still blocked, registers the tenant on that one build.
+// A duplicate id is then refused before the plans cache is asked.
+func TestTenantRegistrationRetryAfterHangupBuildsOnce(t *testing.T) {
+	const key = "n=6|a=1/5,2/5" // the engine's plan key of the spec
+	const spec = `{"id":"retry","n":6,"truth":2,"levels":["1/5","2/5"],"seed":3}`
+	entered := make(chan struct{})
+	unblock := make(chan struct{})
+	var builds atomic.Int32
+	s, err := newServer(serverConfig{
+		N: testN, City: "San Diego", FluRate: 0.1, Levels: "1/2,2/3", Seed: 42,
+		Trace: func(ev engine.TraceEvent) {
+			if ev.Artifact == "plans" && ev.Kind == engine.TraceSolveStart && ev.Key == key {
+				if builds.Add(1) == 1 {
+					close(entered)
+					<-unblock
+				}
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mux := s.handler()
+	register := func(ctx context.Context) <-chan *httptest.ResponseRecorder {
+		done := make(chan *httptest.ResponseRecorder, 1)
+		go func() {
+			rec := httptest.NewRecorder()
+			req := httptest.NewRequest(http.MethodPost, "/v1/tenants", strings.NewReader(spec))
+			mux.ServeHTTP(rec, req.WithContext(ctx))
+			done <- rec
+		}()
+		return done
+	}
+
+	hungUpCtx, hangUp := context.WithCancel(context.Background())
+	defer hangUp()
+	first := register(hungUpCtx)
+	select {
+	case <-entered:
+	case <-time.After(30 * time.Second):
+		close(unblock)
+		t.Fatal("the registration never started its plan build")
+	}
+	plansBefore := s.eng.Metrics().Plans.Requests
+	hangUp()
+	// Give the hung-up request time to abandon the build, were it
+	// able to, before the retry arrives.
+	var firstRec *httptest.ResponseRecorder
+	select {
+	case firstRec = <-first:
+	case <-time.After(100 * time.Millisecond):
+	}
+	retry := register(context.Background())
+	// Release the build only once the retry has asked the plans cache
+	// for the key, so the retry arrives while the build still runs.
+	for deadline := time.Now().Add(10 * time.Second); s.eng.Metrics().Plans.Requests == plansBefore; {
+		if time.Now().After(deadline) {
+			close(unblock)
+			t.Fatal("the retry never reached the plans cache")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(unblock)
+
+	if rec := <-retry; rec.Code != http.StatusCreated {
+		t.Fatalf("retry: status %d, want 201 (%s)", rec.Code, rec.Body.String())
+	}
+	if firstRec == nil {
+		firstRec = <-first
+	}
+	if firstRec.Code != http.StatusServiceUnavailable {
+		t.Errorf("hung-up registration: status %d, want 503 (%s)", firstRec.Code, firstRec.Body.String())
+	}
+	if n := builds.Load(); n != 1 {
+		t.Errorf("the plan was built %d times, want 1", n)
+	}
+	if rec, body := get(t, mux, "/v1/tenants/retry/release"); rec.Code != http.StatusOK || body["epoch"].(float64) != 1 {
+		t.Errorf("release after the retry: %d %v", rec.Code, body)
+	}
+
+	plansBefore = s.eng.Metrics().Plans.Requests
+	if rec, _ := postJSON(t, mux, "/v1/tenants", spec); rec.Code != http.StatusConflict {
+		t.Errorf("duplicate id: status %d, want 409 (%s)", rec.Code, rec.Body.String())
+	}
+	if got := s.eng.Metrics().Plans.Requests; got != plansBefore {
+		t.Errorf("a duplicate id made %d plan requests, want 0", got-plansBefore)
+	}
+}
+
+// TestTenantsConfigRejectsUnknownFields: the config file is decoded
+// like a POST body, so a misspelled field fails startup instead of
+// registering a tenant without the setting it meant to carry — here
+// an unmetered tenant instead of one with a budget floor.
+func TestTenantsConfigRejectsUnknownFields(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "tenants.json")
+	if err := os.WriteFile(path, []byte(
+		`{"tenants":[{"id":"acme","n":8,"truth":3,"levels":["1/2"],"min_alpa":"1/4"}]}`,
+	), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := newServer(serverConfig{
+		N: testN, City: "San Diego", FluRate: 0.1, Levels: "1/2", Seed: 1, TenantsConfig: path,
+	})
+	if err == nil || !strings.Contains(err.Error(), "min_alpa") {
+		t.Errorf("config with an unknown field: err = %v, want an error naming min_alpa", err)
+	}
+}
+
+// TestTenantGeometryCaps: a spec over the n or ladder-length cap is a
+// 400 before any plan is built, on both registration surfaces.
+func TestTenantGeometryCaps(t *testing.T) {
+	s := newTestServer(t)
+	mux := s.handler()
+	levels := make([]string, maxTenantLevels+1)
+	for i := range levels {
+		levels[i] = fmt.Sprintf(`"%d/%d"`, i+1, maxTenantLevels+2)
+	}
+	plansBefore := s.eng.Metrics().Plans.Requests
+	for _, spec := range []string{
+		fmt.Sprintf(`{"id":"wide","n":%d,"truth":1,"levels":["1/2"]}`, maxTenantN+1),
+		fmt.Sprintf(`{"id":"tall","n":4,"truth":1,"levels":[%s]}`, strings.Join(levels, ",")),
+	} {
+		rec, _ := postJSON(t, mux, "/v1/tenants", spec)
+		if rec.Code != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400 (%s)", spec, rec.Code, rec.Body.String())
+			continue
+		}
+		if code := decodeEnvelope(t, rec); code != "invalid_argument" {
+			t.Errorf("%s: code %q", spec, code)
+		}
+		path := filepath.Join(t.TempDir(), "tenants.json")
+		if err := os.WriteFile(path, []byte(`{"tenants":[`+spec+`]}`), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.loadTenantsConfig(path); err == nil || !strings.Contains(err.Error(), "cap") {
+			t.Errorf("config %s: err = %v, want the cap error", spec, err)
+		}
+	}
+	if got := s.eng.Metrics().Plans.Requests; got != plansBefore {
+		t.Errorf("over-cap specs made %d plan requests, want 0", got-plansBefore)
 	}
 }

@@ -265,8 +265,9 @@ func TestPreCanceledCtxShortCircuits(t *testing.T) {
 // --- load shedding --------------------------------------------------------
 
 // TestEngineShedsWhenSaturated: with a single solve slot occupied, a
-// second solve for a different key fails fast with ErrSaturated and
-// is counted, while the occupant is undisturbed.
+// second solve for a different key, or a release-plan build, fails
+// fast with ErrSaturated and is counted, while the occupant is
+// undisturbed.
 func TestEngineShedsWhenSaturated(t *testing.T) {
 	solveStarted := make(chan struct{}, 1)
 	e := New(Config{
@@ -305,9 +306,14 @@ func TestEngineShedsWhenSaturated(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Errorf("shed took %v, want fast-fail", elapsed)
 	}
+	// A release-plan build takes a slot too, so it is shed the same way.
+	if _, err := e.ReleasePlan(6, []*big.Rat{big.NewRat(1, 3), big.NewRat(1, 2)}); !errors.Is(err, ErrSaturated) {
+		occCancel()
+		t.Fatalf("saturated ReleasePlan err = %v, want ErrSaturated", err)
+	}
 	m := e.Metrics()
-	if m.Tailored.Shed != 1 {
-		t.Errorf("shed count = %d, want 1", m.Tailored.Shed)
+	if m.Tailored.Shed != 1 || m.Plans.Shed != 1 {
+		t.Errorf("shed counts: tailored %d, plans %d, want 1 each", m.Tailored.Shed, m.Plans.Shed)
 	}
 	if m.InFlightSolves != 1 {
 		t.Errorf("in-flight solves = %d, want 1", m.InFlightSolves)

@@ -34,8 +34,9 @@
 // canceled only once every waiter has gone. Canceled or errored
 // computations never enter a cache.
 //
-// The LP-backed classes (tailored, interactions) additionally pass
-// through a bounded in-flight-solve semaphore
+// The expensive classes (release plans and the LP-backed tailored and
+// interactions) additionally pass through a bounded in-flight-solve
+// semaphore
 // (Config.MaxInFlightSolves). Admission is non-blocking: when the
 // bound is reached, new solves fail immediately with ErrSaturated
 // rather than queueing, so overload surfaces as a fast, retryable
@@ -78,16 +79,18 @@ const (
 	lpCacheSize     = 256
 )
 
-// DefaultMaxInFlightSolves bounds concurrent LP solves when
-// Config.MaxInFlightSolves is zero. LP solves are single-threaded and
-// CPU-bound, so a bound in the low tens keeps a loaded server
-// responsive without starving throughput on typical hardware.
+// DefaultMaxInFlightSolves bounds concurrent solves (LP solves and
+// release-plan builds) when Config.MaxInFlightSolves is zero. Both are
+// single-threaded and CPU-bound, so a bound in the low tens keeps a
+// loaded server responsive without starving throughput on typical
+// hardware.
 const DefaultMaxInFlightSolves = 16
 
 // ErrSaturated is returned (wrapped) by the LP-backed artifact methods
-// when the engine's in-flight solve bound is reached. The request was
-// rejected before any work started; it is safe to retry after backoff.
-var ErrSaturated = errors.New("engine: too many LP solves in flight")
+// and by ReleasePlanCtx when the engine's in-flight solve bound is
+// reached. The request was rejected before any work started; it is
+// safe to retry after backoff.
+var ErrSaturated = errors.New("engine: too many solves in flight")
 
 // DefaultMaxLPDomainN bounds the domain size n of LP-backed artifacts
 // when Config.MaxLPDomainN is zero. Even on the float-guided
@@ -108,8 +111,8 @@ var ErrDomainTooLarge = errors.New("engine: LP domain size exceeds cap")
 // defaults to the package constants and the sampler pool seeds from
 // Seed (default 1).
 type Config struct {
-	// MaxInFlightSolves bounds concurrently running LP solves across
-	// the tailored and interaction classes combined. Zero means
+	// MaxInFlightSolves bounds concurrently running solves across the
+	// plans, tailored and interaction classes combined. Zero means
 	// DefaultMaxInFlightSolves; negative disables shedding entirely.
 	MaxInFlightSolves int
 	// MaxLPDomainN bounds the domain size n accepted by the LP-backed
@@ -189,12 +192,15 @@ func New(cfg Config) *Engine {
 			bound = DefaultMaxInFlightSolves
 		}
 		e.solves = newSolveSem(bound)
-		// Only the LP-backed classes are expensive enough to shed;
-		// matrix artifacts compute in microseconds. The compares class
+		// Only the LP-backed classes and the release plans are
+		// expensive enough to shed: a plan build runs one exact Lemma 3
+		// transition per adjacent level pair and takes seconds at
+		// moderate n, while G_{n,α} computes in microseconds. The compares class
 		// carries no semaphore of its own: its nested tailored and
 		// interaction solves pass through those classes' sheddable
 		// stores, and double-counting slots for the composite would
 		// deadlock a saturated engine against itself.
+		e.plans.sem = e.solves
 		e.tailored.sem = e.solves
 		e.interactions.sem = e.solves
 	}
@@ -362,8 +368,8 @@ func (e *Engine) ReleasePlan(n int, alphas []*big.Rat) (*release.Plan, error) {
 func (e *Engine) ReleasePlanCtx(ctx context.Context, n int, alphas []*big.Rat) (*release.Plan, error) {
 	parts := make([]string, len(alphas))
 	for i, a := range alphas {
-		if err := checkRat(fmt.Sprintf("level %d", i+1), a); err != nil {
-			return nil, err
+		if a == nil {
+			return nil, fmt.Errorf("engine: nil level %d", i+1)
 		}
 		parts[i] = ratKey(a)
 	}

@@ -17,8 +17,13 @@
 // weaker privacy (α = e^{−ε}), "below the floor" is "more privacy
 // consumed than allowed".
 //
-// Isolation is structural: a Tenant owns its PRNG, its spent-α
-// accumulator, and its epoch snapshots; nothing in this package is
+// The spend is never accumulated: after m epochs it is exactly α₁^m,
+// so it is computed from the epoch count when it is read (Accounting)
+// or checked against a floor. An unmetered tenant therefore does the
+// same work on every advance, however many epochs it has drawn.
+//
+// Isolation is structural: a Tenant owns its PRNG and its epoch
+// snapshots; nothing in this package is
 // shared between tenants except the immutable exact artifacts they
 // read through the engine, which are safe by construction.
 package tenant
@@ -116,8 +121,8 @@ func (e *Epoch) Result(level int) (int, error) { return e.result(level) }
 
 // Tenant is one isolated serving principal. The configuration is
 // immutable after New; the mutable state is the epoch snapshot
-// (atomic pointer, lock-free reads) and the PRNG + accounting
-// accumulator (mutex, touched only by the rare Advance).
+// (atomic pointer, lock-free reads) and the PRNG (mutex, touched only
+// by the rare Advance).
 type Tenant struct {
 	id        string
 	n         int
@@ -130,9 +135,8 @@ type Tenant struct {
 
 	state atomic.Pointer[Epoch]
 
-	mu    sync.Mutex // guards rng and spent
-	rng   *rand.Rand
-	spent *big.Rat // cumulative guarantee: Π α₁ over published epochs; 1 before the first
+	mu  sync.Mutex // guards rng and serializes epoch advances
+	rng *rand.Rand
 }
 
 // New validates cfg and builds a tenant with zero published epochs
@@ -176,7 +180,6 @@ func New(cfg Config) (*Tenant, error) {
 		lossWidth: cfg.LossWidth,
 		side:      append([]int(nil), cfg.Side...),
 		rng:       sample.NewRand(cfg.Seed),
-		spent:     rational.One(),
 	}
 	for _, a := range cfg.Alphas {
 		t.alphas = append(t.alphas, rational.Clone(a))
@@ -246,26 +249,30 @@ func (t *Tenant) Advance(plan *release.Plan) (*Epoch, error) {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	epoch := t.epochs() + 1
 	// Lemma 4: the full-ladder coalition of this draw is protected at
 	// α₁; sequential composition across epochs multiplies.
-	next := rational.Mul(t.spent, t.alphas[0])
-	if t.minAlpha != nil && next.Cmp(t.minAlpha) < 0 {
-		return nil, fmt.Errorf("%w: spending α₁=%s again would take the cumulative guarantee to %s, below the floor %s",
-			ErrBudgetExhausted, t.alphas[0].RatString(), next.RatString(), t.minAlpha.RatString())
+	if t.minAlpha != nil {
+		if next := rational.Pow(t.alphas[0], epoch); next.Cmp(t.minAlpha) < 0 {
+			return nil, fmt.Errorf("%w: spending α₁=%s again would take the cumulative guarantee to %s, below the floor %s",
+				ErrBudgetExhausted, t.alphas[0].RatString(), next.RatString(), t.minAlpha.RatString())
+		}
 	}
 	out, err := plan.Release(t.truth, t.rng)
 	if err != nil {
 		return nil, err
 	}
-	prev := t.state.Load()
-	epoch := 1
-	if prev != nil {
-		epoch = prev.Epoch + 1
-	}
 	e := &Epoch{Epoch: epoch, Results: out}
-	t.spent = next
 	t.state.Store(e)
 	return e, nil
+}
+
+// epochs counts the published cascade draws.
+func (t *Tenant) epochs() int {
+	if e := t.state.Load(); e != nil {
+		return e.Epoch
+	}
+	return 0
 }
 
 // Accounting is a point-in-time snapshot of a tenant's privacy spend.
@@ -288,18 +295,15 @@ type Accounting struct {
 func (t *Tenant) Accounting() Accounting {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	epochs := 0
-	if e := t.state.Load(); e != nil {
-		epochs = e.Epoch
-	}
+	epochs := t.epochs()
 	a := Accounting{
 		Epochs:          epochs,
-		SpentAlpha:      rational.Clone(t.spent),
+		SpentAlpha:      rational.Pow(t.alphas[0], epochs),
 		NextDrawAllowed: true,
 	}
 	if t.minAlpha != nil {
 		a.BudgetAlpha = rational.Clone(t.minAlpha)
-		if rational.Mul(t.spent, t.alphas[0]).Cmp(t.minAlpha) < 0 {
+		if rational.Mul(a.SpentAlpha, t.alphas[0]).Cmp(t.minAlpha) < 0 {
 			a.NextDrawAllowed = false
 		}
 	}

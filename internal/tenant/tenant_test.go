@@ -134,6 +134,35 @@ func TestAdvanceAndAccounting(t *testing.T) {
 	}
 }
 
+// TestUnmeteredAccountingAfterManyEpochs: the spend is computed from
+// the epoch count, not carried as a running product, so an unmetered
+// tenant advanced many times with a non-unit numerator α₁ still
+// reports exactly α₁^epochs.
+func TestUnmeteredAccountingAfterManyEpochs(t *testing.T) {
+	alphas := ladder("2/3", "3/4")
+	tn, err := New(Config{ID: "long", N: 2, Truth: 1, Alphas: alphas, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := testPlan(t, 2, alphas)
+	const epochs = 500
+	for i := 0; i < epochs; i++ {
+		if _, err := tn.Advance(plan); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := new(big.Rat).SetFrac(
+		new(big.Int).Exp(big.NewInt(2), big.NewInt(epochs), nil),
+		new(big.Int).Exp(big.NewInt(3), big.NewInt(epochs), nil))
+	acc := tn.Accounting()
+	if acc.Epochs != epochs || acc.SpentAlpha.Cmp(want) != 0 {
+		t.Fatalf("after %d epochs: epochs %d, spent %s, want (2/3)^%d", epochs, acc.Epochs, acc.SpentAlpha.RatString(), epochs)
+	}
+	if acc.BudgetAlpha != nil || !acc.NextDrawAllowed {
+		t.Fatalf("unmetered tenant accounting = %+v", acc)
+	}
+}
+
 func TestAdvanceGeometryMismatch(t *testing.T) {
 	tn, err := New(Config{ID: "t1", N: 8, Truth: 3, Alphas: ladder("1/4", "1/2")})
 	if err != nil {

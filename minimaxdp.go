@@ -378,9 +378,9 @@ type CompareSpec = engine.CompareSpec
 // Every artifact method has a context-taking form (Engine.TailoredCtx,
 // Engine.InteractionCtx, Engine.GeometricCtx, ...): cancellation
 // reaches the LP pivot loop, coalesced callers cancel independently,
-// and canceled solves are never cached. The LP-backed methods shed
-// load with ErrEngineSaturated once EngineConfig.MaxInFlightSolves
-// concurrent solves are running.
+// and canceled solves are never cached. The LP-backed methods and
+// release-plan builds shed load with ErrEngineSaturated once
+// EngineConfig.MaxInFlightSolves concurrent solves are running.
 type Engine = engine.Engine
 
 // EngineConfig tunes an Engine's in-flight solve bound, LP domain
@@ -418,7 +418,7 @@ type TraceKind = engine.TraceKind
 type TraceFunc = engine.TraceFunc
 
 // ErrEngineSaturated is returned by the engine's LP-backed methods
-// when the in-flight solve bound is reached: the request was rejected
+// and release-plan builds when the in-flight solve bound is reached: the request was rejected
 // before any work started and is safe to retry after backoff.
 var ErrEngineSaturated = engine.ErrSaturated
 

@@ -134,6 +134,18 @@ curl -sS "http://${base}/v1/tailored?loss=absolute&n=17&level=1" | grep -q "exce
 curl -fsS "http://${base}/v1/tenants" | grep -q '"smoke"'
 curl -fsS "http://${base}/v1/tenants/smoke/release?level=2" | grep -q '"result"'
 curl -fsS "http://${base}/v1/tenants/smoke/accounting" | grep -q '"spent_alpha":"1/3"'
+# The survey and the tenants share one release, epoch and sample
+# handler each: exercise both principals and check the body shapes.
+curl -fsS "http://${base}/v1/result?level=2" \
+    | grep -Eq '^\{"alpha":"2/3","epoch":1,"level":2,"result":[0-9]+\}$'
+curl -fsS -X POST "http://${base}/v1/epoch" | grep -Eq '^\{"epoch":2\}$'
+curl -fsS "http://${base}/v1/result" | grep -q '"epoch":2,"level":1,'
+curl -fsS "http://${base}/v1/sample?count=4" \
+    | grep -Eq '^\{"level":1,"alpha":"1/2","input":0,"count":4,"draws":\[[0-9]+(,[0-9]+){3}\]\}$'
+curl -fsS "http://${base}/v1/tenants/smoke/sample?level=2&input=3&count=4" \
+    | grep -Eq '^\{"tenant":"smoke","level":2,"alpha":"1/2","input":3,"count":4,"draws":\[[0-9]+(,[0-9]+){3}\]\}$'
+curl -fsS -X POST "http://${base}/v1/tenants/smoke/epoch" \
+    | grep -Eq '^\{"accounting":\{"epochs":2,"next_draw_allowed":true,"spent_alpha":"1/9"\},"epoch":2,"tenant":"smoke"\}$'
 # Compare workbench: the minimax geometric gap must be EXACTLY the
 # string "0" (Theorem 1 part 2 — an exact equality, not a tolerance),
 # and the identical second POST must be served from the compares

@@ -16,6 +16,7 @@ FuzzPow ./internal/rational
 FuzzHvalMatchesBigRat ./internal/rational
 FuzzUnmarshalJSON ./internal/mechanism
 FuzzParseLevels ./cmd/dpserver
+FuzzTenantSpec ./cmd/dpserver
 FuzzBaselineParseSpec ./internal/baseline
 FuzzLossParseSpec ./internal/loss
 FuzzWarmStartMatchesExact ./internal/lp
