@@ -7,11 +7,11 @@ package main
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"math/big"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -223,47 +223,94 @@ func TestTailoredSolveTimeout(t *testing.T) {
 	}
 }
 
-// TestTailoredShedsUnderLoad: with a single solve slot occupied by a
-// long-running solve, a /v1/tailored request for a different key and
-// a tenant registration that needs a plan build are rejected fast
-// with 429/shed, and the shed shows up in /v1/metrics.
-func TestTailoredShedsUnderLoad(t *testing.T) {
-	solveStarted := make(chan struct{}, 1)
-	s, err := newServer(serverConfig{
-		N: testN, City: "San Diego", FluRate: 0.1, Levels: "1/2,2/3", Seed: 42,
-		MaxInFlightSolves: 1,
-		Trace: func(ev engine.TraceEvent) {
-			if ev.Kind == engine.TraceSolveStart && ev.Artifact == "tailored" {
-				select {
-				case solveStarted <- struct{}{}:
-				default:
-				}
-			}
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
+// solveHold is an engine trace hook that parks the first solve of
+// one artifact class at solve-start, holding its solve slot, until
+// the test calls free.
+type solveHold struct {
+	artifact string
+	started  chan struct{}
+	release  chan struct{}
+	first    sync.Once
+	freed    sync.Once
+}
+
+// newHeldServer builds a test server whose first engine solve of
+// artifact is held. The hold is freed at cleanup before the engine
+// closes, so a failing test cannot leave Close waiting on it.
+func newHeldServer(t *testing.T, artifact string, cfg serverConfig) (*server, *solveHold) {
+	t.Helper()
+	h := &solveHold{artifact: artifact, started: make(chan struct{}), release: make(chan struct{})}
+	cfg.Trace = h.hook
+	s := newTestServerWith(t, cfg)
+	t.Cleanup(h.free)
+	return s, h
+}
+
+func (h *solveHold) hook(ev engine.TraceEvent) {
+	if ev.Kind != engine.TraceSolveStart || ev.Artifact != h.artifact {
+		return
 	}
+	first := false
+	h.first.Do(func() { first = true; close(h.started) })
+	if first {
+		<-h.release
+	}
+}
+
+func (h *solveHold) free() { h.freed.Do(func() { close(h.release) }) }
+
+// TestTailoredTimeoutKeepsSolveForRetry: a solve that outlives
+// -solve-timeout answers 504, yet runs on and is cached, so the retry
+// is served from it: 200 with one tailored miss and one LP solve.
+func TestTailoredTimeoutKeepsSolveForRetry(t *testing.T) {
+	s, hold := newHeldServer(t, "tailored", serverConfig{SolveTimeout: 20 * time.Millisecond})
+	mux := s.handler()
+	const path = "/v1/tailored?loss=absolute&n=8&level=1"
+
+	rec := httptest.NewRecorder()
+	mux.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+	if rec.Code != http.StatusGatewayTimeout {
+		t.Fatalf("first request: status %d, want 504 (%s)", rec.Code, rec.Body.String())
+	}
+	<-hold.started
+	hold.free()
+	// The solve slot is released after the cache fill.
+	for deadline := time.Now().Add(10 * time.Second); s.eng.Metrics().InFlightSolves != 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("the timed-out solve never finished")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	rec = httptest.NewRecorder()
+	mux.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("retry: status %d, want 200 (%s)", rec.Code, rec.Body.String())
+	}
+	m := s.eng.Metrics()
+	if m.Tailored.Cache.Misses != 1 || m.LP.Solves != 1 {
+		t.Errorf("tailored misses %d, LP solves %d; want 1 and 1", m.Tailored.Cache.Misses, m.LP.Solves)
+	}
+}
+
+// TestTailoredShedsUnderLoad: with the single solve slot held by a
+// running solve, a /v1/tailored request for a different key and a
+// tenant registration that needs a plan build are rejected fast with
+// 429/shed, and the shed shows up in /v1/metrics.
+func TestTailoredShedsUnderLoad(t *testing.T) {
+	s, hold := newHeldServer(t, "tailored", serverConfig{MaxInFlightSolves: 1})
 	mux := s.handler()
 
-	// Occupy the slot with a large solve directly on the engine; abort
-	// it at the end of the test (the pivot checkpoint makes that fast).
-	occCtx, occCancel := context.WithCancel(context.Background())
 	occDone := make(chan error, 1)
 	go func() {
-		_, err := s.eng.TailoredCtx(occCtx, &consumer.Consumer{Loss: loss.Absolute{}}, 14, big.NewRat(1, 2))
+		_, err := s.eng.TailoredCtx(context.Background(), &consumer.Consumer{Loss: loss.Absolute{}}, 6, big.NewRat(1, 2))
 		occDone <- err
 	}()
-	select {
-	case <-solveStarted:
-	case <-time.After(30 * time.Second):
-		occCancel()
-		t.Fatal("occupying solve never started")
-	}
+	<-hold.started
 	defer func() {
-		occCancel()
-		if err := <-occDone; !errors.Is(err, context.Canceled) {
-			t.Errorf("occupying solve err = %v, want context.Canceled", err)
+		hold.free()
+		if err := <-occDone; err != nil {
+			t.Errorf("occupying solve: %v", err)
 		}
 	}()
 

@@ -70,12 +70,15 @@ func consumerSpecFromQuery(q url.Values) consumerSpec {
 
 // build validates the spec into a consumer model on {0..n}. The loss
 // function is returned alongside the model for response rendering
-// (the Model interface deliberately hides it).
+// (the Model interface deliberately hides it). A spec is accepted
+// only once the model's Key renders: Key is where a prior is checked
+// to be a distribution on {0..n} and a side set to meet it.
 func (sp consumerSpec) build(n int) (consumer.Model, loss.Function, error) {
 	lf, err := loss.ParseSpec(sp.Loss, sp.Width)
 	if err != nil {
 		return nil, nil, err
 	}
+	var m consumer.Model
 	switch sp.Model {
 	case "", "minimax":
 		if len(sp.Prior) > 0 {
@@ -85,7 +88,7 @@ func (sp consumerSpec) build(n int) (consumer.Model, loss.Function, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		return &consumer.Consumer{Loss: lf, Side: side}, lf, nil
+		m = &consumer.Consumer{Loss: lf, Side: side}
 	case "bayesian":
 		if sp.Side != "" {
 			return nil, nil, fmt.Errorf("side information applies only to model=minimax")
@@ -100,10 +103,14 @@ func (sp consumerSpec) build(n int) (consumer.Model, loss.Function, error) {
 				}
 			}
 		}
-		return &consumer.Bayesian{Loss: lf, Prior: prior}, lf, nil
+		m = &consumer.Bayesian{Loss: lf, Prior: prior}
 	default:
 		return nil, nil, fmt.Errorf("unknown model %q (want minimax or bayesian)", sp.Model)
 	}
+	if _, err := m.Key(n); err != nil {
+		return nil, nil, err
+	}
+	return m, lf, nil
 }
 
 // compareRequest is the POST /v1/compare body. Numeric privacy
@@ -134,30 +141,21 @@ type compareEntryWire struct {
 	BestAlpha       string `json:"best_alpha"`
 }
 
-// handleCompare serves POST /v1/compare through the engine's compare
-// artifact class: a repeat request for a behaviorally equal spec
-// (aliased α, permuted baseline set, explicit default width) is a
-// cache hit, and the nested LP solves run under the same request
-// context, solve timeout, and load-shedding bound as /v1/tailored.
-func (s *server) handleCompare(w http.ResponseWriter, r *http.Request) {
-	var req compareRequest
-	if err := decodeStrict(http.MaxBytesReader(w, r.Body, maxCompareBody), &req); err != nil {
-		writeAPIError(w, http.StatusBadRequest, "invalid_argument", "bad compare body: %v", err)
-		return
-	}
+// compareSpec validates a decoded POST /v1/compare body into the
+// engine's spec without running a solve: n defaults to the survey n
+// clipped to the LP cap, α resolves as on /v1/tailored, and the
+// consumer and every baseline must parse.
+func (s *server) compareSpec(req *compareRequest) (engine.CompareSpec, error) {
 	n := s.survey.N()
 	if n > s.maxTailoredN {
 		n = s.maxTailoredN
 	}
 	if req.N != 0 {
 		if req.N < 1 {
-			writeAPIError(w, http.StatusBadRequest, "invalid_argument", "n must be a positive integer")
-			return
+			return engine.CompareSpec{}, fmt.Errorf("n must be a positive integer")
 		}
 		if req.N > s.maxTailoredN {
-			writeAPIError(w, http.StatusBadRequest, "invalid_argument",
-				"n %d exceeds the LP cap %d", req.N, s.maxTailoredN)
-			return
+			return engine.CompareSpec{}, fmt.Errorf("n %d exceeds the LP cap %d", req.N, s.maxTailoredN)
 		}
 		n = req.N
 	}
@@ -167,28 +165,42 @@ func (s *server) handleCompare(w http.ResponseWriter, r *http.Request) {
 	}
 	alpha, err := s.resolveAlpha(req.Alpha, levelStr)
 	if err != nil {
-		writeAPIError(w, http.StatusBadRequest, "invalid_argument", "%v", err)
-		return
+		return engine.CompareSpec{}, err
 	}
 	model, _, err := req.Consumer.build(n)
 	if err != nil {
-		writeAPIError(w, http.StatusBadRequest, "invalid_argument", "%v", err)
-		return
+		return engine.CompareSpec{}, err
 	}
 	specs := make([]baseline.Spec, 0, len(req.Baselines))
 	for _, bs := range req.Baselines {
 		spec, err := baseline.ParseSpec(bs)
 		if err != nil {
-			writeAPIError(w, http.StatusBadRequest, "invalid_argument", "%v", err)
-			return
+			return engine.CompareSpec{}, err
 		}
 		specs = append(specs, spec)
 	}
+	return engine.CompareSpec{N: n, Alpha: alpha, Model: model, Baselines: specs}, nil
+}
+
+// handleCompare serves POST /v1/compare through the engine's compare
+// artifact class: a repeat request for a behaviorally equal spec
+// (aliased α, permuted baseline set, explicit default width) is a
+// cache hit, and the nested LP solves run under the same wait bound
+// and load-shedding bound as /v1/tailored.
+func (s *server) handleCompare(w http.ResponseWriter, r *http.Request) {
+	var req compareRequest
+	if err := decodeStrict(http.MaxBytesReader(w, r.Body, maxCompareBody), &req); err != nil {
+		writeAPIError(w, http.StatusBadRequest, "invalid_argument", "bad compare body: %v", err)
+		return
+	}
+	spec, err := s.compareSpec(&req)
+	if err != nil {
+		writeAPIError(w, http.StatusBadRequest, "invalid_argument", "%v", err)
+		return
+	}
 	ctx, cancel := s.solveContext(r)
 	defer cancel()
-	cmp, err := s.eng.CompareCtx(ctx, engine.CompareSpec{
-		N: n, Alpha: alpha, Model: model, Baselines: specs,
-	})
+	cmp, err := s.eng.CompareCtx(ctx, spec)
 	if err != nil {
 		writeSolveError(w, err)
 		return

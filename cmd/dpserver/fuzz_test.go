@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"net/url"
 	"strings"
 	"testing"
 
@@ -132,6 +133,109 @@ func FuzzTenantSpec(f *testing.F) {
 		}
 		if !sameTenantConfig(cfg, cfg2) {
 			t.Fatalf("round-trip through %s changed the config:\n%+v\n%+v", enc, cfg, cfg2)
+		}
+	})
+}
+
+// FuzzConsumerSpec exercises the consumer-spec query codec of
+// /v1/tailored: url.ParseQuery, consumerSpecFromQuery and build at a
+// domain size the route accepts. Invariants on accepted input: the
+// model's Key renders, and the body form of the same spec (its JSON
+// encoding, strictly decoded) builds a model with the same Key.
+func FuzzConsumerSpec(f *testing.F) {
+	for _, seed := range []struct {
+		query string
+		n     int
+	}{
+		{"loss=absolute", 8}, {"loss=deadband&width=2&side=1-5", 12}, {"loss=squared&side=3-2000000000", 8},
+		{"side=30-40", 8}, {"model=bayesian&prior=1/4,1/4,1/2", 2}, {"model=bayesian&prior=1/2,1/2", 2},
+		{"model=bayesian&prior=1/2,,1/2", 2}, {"model=bayesian&side=1-2", 4}, {"prior=1/2,1/2", 1},
+		{"loss=deadband&width=-1", 4}, {"model=nope", 4}, {"%zz", 4}, {"loss=absolute", 33},
+	} {
+		f.Add(seed.query, seed.n)
+	}
+	f.Fuzz(func(t *testing.T, raw string, n int) {
+		if n < 1 || n > defaultMaxTailoredN {
+			return
+		}
+		q, _ := url.ParseQuery(raw) // the server reads r.URL.Query(), which drops malformed pairs too
+		sp := consumerSpecFromQuery(q)
+		m, _, err := sp.build(n)
+		if err != nil {
+			return
+		}
+		key, err := m.Key(n)
+		if err != nil {
+			t.Fatalf("accepted spec %+v has no key: %v", sp, err)
+		}
+		enc, err := json.Marshal(sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var body consumerSpec
+		if err := decodeStrict(bytes.NewReader(enc), &body); err != nil {
+			t.Fatalf("body form %s rejected: %v", enc, err)
+		}
+		mb, _, err := body.build(n)
+		if err != nil {
+			t.Fatalf("body form %s rejected: %v", enc, err)
+		}
+		if kb, _ := mb.Key(n); kb != key {
+			t.Fatalf("query form keys %q, body form %s keys %q", key, enc, kb)
+		}
+	})
+}
+
+// FuzzCompareBody exercises the POST /v1/compare body: strict
+// decoding and compareSpec, which runs no solve. Invariants on
+// accepted input: n lies in [1, maxTailoredN], the model's Key
+// renders, and the query form of the body's consumer builds a model
+// with the same Key.
+func FuzzCompareBody(f *testing.F) {
+	s := newTestServerWith(f, serverConfig{})
+	for _, seed := range []string{
+		`{"n": 6, "alpha": "1/2", "consumer": {"loss": "absolute", "side": "1-4"}, "baselines": ["geometric", "staircase"]}`,
+		`{"n": 4, "level": 2, "consumer": {"model": "bayesian", "loss": "squared", "prior": ["1/5","1/5","1/5","1/5","1/5"]}}`,
+		`{"consumer": {"loss": "deadband", "width": "2"}, "baselines": ["laplace", "staircase:3"]}`,
+		`{"n": 3, "consumer": {"model": "bayesian", "prior": ["1/2","1/2"]}}`,
+		`{"n": 3, "consumer": {"model": "bayesian", "prior": ["1/2,1/2"]}}`,
+		`{"n": 33, "consumer": {}}`, `{"n": -1, "consumer": {}}`, `{"level": 9, "consumer": {}}`,
+		`{"alpha": "3/2", "consumer": {}}`, `{"consumer": {"side": "40-50"}}`, `{"baselines": ["nope"]}`,
+		`{"consumer": {"lossy": "absolute"}}`, `{`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var req compareRequest
+		if decodeStrict(bytes.NewReader(data), &req) != nil {
+			return
+		}
+		spec, err := s.compareSpec(&req)
+		if err != nil {
+			return
+		}
+		if spec.N < 1 || spec.N > s.maxTailoredN {
+			t.Fatalf("accepted n=%d outside [1, %d]", spec.N, s.maxTailoredN)
+		}
+		key, err := spec.Model.Key(spec.N)
+		if err != nil {
+			t.Fatalf("accepted body %s has no key: %v", data, err)
+		}
+		c := req.Consumer
+		q := url.Values{}
+		for k, v := range map[string]string{
+			"model": c.Model, "loss": c.Loss, "width": c.Width, "side": c.Side, "prior": strings.Join(c.Prior, ","),
+		} {
+			if v != "" {
+				q.Set(k, v)
+			}
+		}
+		mq, _, err := consumerSpecFromQuery(q).build(spec.N)
+		if err != nil {
+			t.Fatalf("query form %s of body %s rejected: %v", q.Encode(), data, err)
+		}
+		if kq, _ := mq.Key(spec.N); kq != key {
+			t.Fatalf("body %s keys %q, query form %s keys %q", data, key, q.Encode(), kq)
 		}
 	})
 }

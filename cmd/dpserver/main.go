@@ -65,15 +65,17 @@
 // they return 410 Gone with the typed error envelope and a Link
 // header naming the /v1 successor.
 //
-// LP-backed requests run under the request context: a client
-// disconnect cancels the solve at its next pivot, -solve-timeout
-// bounds any single solve (504 on expiry), and -max-inflight-solves
-// sheds excess concurrent solves, tenant plan builds included, with a
-// fast 429.
+// The request context bounds only how long an LP-backed request
+// waits: a client disconnect (503) or -solve-timeout (504) ends the
+// wait, while the engine runs a started solve to completion and
+// caches it, so a retry joins the solve or hits the cache.
+// -max-inflight-solves sheds excess concurrent solves, tenant plan
+// builds included, with a fast 429.
 //
 // The process runs a configured http.Server (header/read/write
 // timeouts) and drains connections gracefully on SIGINT/SIGTERM,
-// flipping /readyz to 503 for the duration of the drain.
+// flipping /readyz to 503 for the duration of the drain; it then
+// closes the engine, which stops any solve still running.
 package main
 
 import (
@@ -100,11 +102,11 @@ func main() {
 	levelsStr := flag.String("levels", "1/2,2/3,4/5", "increasing privacy levels")
 	seed := flag.Int64("seed", 1, "PRNG seed")
 	maxTailoredN := flag.Int("max-tailored-n", defaultMaxTailoredN,
-		"largest domain size accepted by /v1/tailored (cold LP solves grow steeply: ~0.15s at n=16, ~20s at n=24, minutes at n=32)")
+		"largest domain size accepted by /v1/tailored (cold absolute-loss solves at alpha 1/2-1/3: 0.09-0.13s at n=16, 1.5-3.4s at n=24, 11-37s at n=32)")
 	solveTimeout := flag.Duration("solve-timeout", 15*time.Second,
-		"server-side cap on one LP solve (0 disables; exceeding it returns 504)")
+		"how long one LP-backed request waits for its solve (0 disables; on expiry it answers 504 and the solve runs on, cached for the retry)")
 	maxInFlight := flag.Int("max-inflight-solves", 0,
-		"bound on concurrent LP solves and release-plan builds (0 = engine default, negative = unlimited; excess sheds with 429)")
+		"bound on concurrent LP solves and release-plan builds (0 = engine default; must not be negative; excess sheds with 429)")
 	traceEngine := flag.Bool("trace-engine", false,
 		"log engine span events (solve-start/solve-done/shed) to stderr")
 	debugAddr := flag.String("debug-addr", "",
@@ -116,6 +118,9 @@ func main() {
 	tenantsConfig := flag.String("tenants-config", "",
 		"JSON file of tenant specs to register at startup ({\"tenants\": [...]})")
 	flag.Parse()
+	if *maxInFlight < 0 {
+		log.Fatal("dpserver: -max-inflight-solves must not be negative")
+	}
 
 	cfg := serverConfig{
 		N:                 *n,
@@ -202,5 +207,6 @@ func main() {
 			}
 		}
 	}
+	s.eng.Close()
 	log.Printf("dpserver: stopped")
 }

@@ -20,10 +20,20 @@ const testN = 24
 
 func newTestServer(t *testing.T) *server {
 	t.Helper()
-	s, err := newServer(serverConfig{N: testN, City: "San Diego", FluRate: 0.1, Levels: "1/2,2/3", Seed: 42})
+	return newTestServerWith(t, serverConfig{})
+}
+
+// newTestServerWith builds a server from cfg on the test survey (N,
+// city, flu rate, levels and seed filled in) and closes its engine
+// when the test ends.
+func newTestServerWith(t testing.TB, cfg serverConfig) *server {
+	t.Helper()
+	cfg.N, cfg.City, cfg.FluRate, cfg.Levels, cfg.Seed = testN, "San Diego", 0.1, "1/2,2/3", 42
+	s, err := newServer(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(s.eng.Close)
 	return s
 }
 

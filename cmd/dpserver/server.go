@@ -35,12 +35,12 @@ import (
 // the §2.5 LP has (n+1)²+1 variables and is meant here as an
 // interactive demonstration, not a bulk workload. With the
 // float-guided revised simplex the cap sits at 32: measured uncached
-// absolute-loss solve times on a 2-vCPU amd64 container are ~6 ms at
-// n=8, ~0.1 s at n=16, ~0.5 s at n=20, ~1.5 s at n=24 and ~22 s at
-// n=32 — the last being the most a single interactive request may
-// reasonably pin a solver slot for, and more than the default
-// -solve-timeout (pair a large n with a longer one). Solves beyond the
-// cap return 422 rather than silently queueing.
+// absolute-loss solve times at α ∈ {1/2, 1/3} on a 2-vCPU amd64
+// container are 4–5 ms at n=8, 0.09–0.13 s at n=16, 1.5–3.4 s at n=24
+// and 11–37 s at n=32, the last more than the default -solve-timeout
+// (the solve still finishes and serves the retry; DESIGN §9 has the
+// slower keys). Requests beyond the cap return 400 rather than
+// queueing.
 const defaultMaxTailoredN = 32
 
 // maxSampleCount caps one /v1/sample batch.
@@ -63,12 +63,12 @@ type serverConfig struct {
 	Seed         int64   // PRNG seed
 	MaxTailoredN int     // largest n accepted by /v1/tailored (0 = default)
 	// MaxInFlightSolves bounds concurrent LP solves and release-plan
-	// builds (engine semantics: 0 = engine default, negative =
-	// unlimited).
+	// builds (0 = engine default).
 	MaxInFlightSolves int
-	// SolveTimeout caps one LP-backed request's solve time; exceeding
-	// it returns 504. Zero disables the server-side deadline (client
-	// disconnects still cancel).
+	// SolveTimeout caps how long one LP-backed request waits for its
+	// solve; exceeding it returns 504 while the solve runs on and is
+	// cached. Zero disables the server-side deadline (a client
+	// disconnect still ends the wait).
 	SolveTimeout time.Duration
 	// Trace, when non-nil, receives the engine's span events.
 	Trace engine.TraceFunc
@@ -324,17 +324,12 @@ func decodeStrict(r io.Reader, v any) error {
 
 // planOf returns principal t's release plan. The survey's is pinned
 // at startup; a tenant's comes from the engine's plans cache on every
-// use, so the engine's LRU is the one bound on compiled state. A plan
-// build cannot stop early (release.NewPlan takes no context), so the
-// fetch ignores the requester's cancellation: a build whose client
-// hung up still finishes and is cached, and a retry joins or reuses
-// it instead of starting a second copy. The engine's in-flight solve
-// bound caps how many builds run at once.
+// use, so the engine's LRU is the one bound on compiled state.
 func (s *server) planOf(ctx context.Context, t *tenant.Tenant) (*release.Plan, error) {
 	if t == s.survey {
 		return s.plan, nil
 	}
-	return s.eng.ReleasePlanCtx(context.WithoutCancel(ctx), t.N(), t.Alphas())
+	return s.eng.ReleasePlanCtx(ctx, t.N(), t.Alphas())
 }
 
 // nextEpoch draws a fresh correlated cascade for principal t and
@@ -391,8 +386,8 @@ func (s *server) levelSampler(r *http.Request, t *tenant.Tenant, lvl int) (*engi
 //	conflict           409  tenant id already registered
 //	gone               410  retired legacy unversioned path (Link points at /v1)
 //	shed               429  solve rejected: in-flight solve bound hit
-//	canceled           503  client went away before the solve finished
-//	deadline_exceeded  504  solve exceeded the server's -solve-timeout
+//	canceled           503  client stopped waiting; a started solve runs on and is cached
+//	deadline_exceeded  504  the wait exceeded -solve-timeout; a started solve runs on and is cached
 //	internal           500  unexpected server-side failure
 type apiError struct {
 	Code    string `json:"code"`
@@ -421,16 +416,17 @@ func writeAPIError(w http.ResponseWriter, status int, code, format string, args 
 // writeSolveError maps an engine/context error from an LP-backed
 // handler to its /v1 status: load shedding is retryable-after-backoff
 // (429), a client that hung up gets 503 (nobody is listening, but
-// proxies may log it), and a solve that outlived the server's own
-// deadline is a gateway-style timeout (504). Anything else is a
-// parameter the engine rejected (400).
+// proxies may log it), and a wait that outlived the server's own
+// deadline is a gateway-style timeout (504). In the last two cases a
+// started solve still finishes and is cached, so a retry joins it or
+// hits. Anything else is a parameter the engine rejected (400).
 func writeSolveError(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, engine.ErrSaturated):
 		writeAPIError(w, http.StatusTooManyRequests, "shed", "%v", err)
 	case errors.Is(err, context.DeadlineExceeded):
 		writeAPIError(w, http.StatusGatewayTimeout, "deadline_exceeded",
-			"solve exceeded the server's solve timeout")
+			"solve outlasted the server's solve timeout; it continues, retry later")
 	case errors.Is(err, context.Canceled):
 		writeAPIError(w, http.StatusServiceUnavailable, "canceled",
 			"request canceled before the solve finished")
@@ -747,9 +743,10 @@ func (s *server) handleMechanism(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, m)
 }
 
-// solveContext derives the context for one LP-backed request: the
-// request context (canceled when the client disconnects) bounded by
-// the server's solve timeout, if configured.
+// solveContext derives the context for one LP-backed request's wait:
+// the request context (canceled when the client disconnects) bounded
+// by the server's solve timeout, if configured. It bounds the wait,
+// not the solve, which the engine runs to completion.
 func (s *server) solveContext(r *http.Request) (context.Context, context.CancelFunc) {
 	if s.solveTimeout <= 0 {
 		return r.Context(), func() {}
@@ -783,10 +780,10 @@ func (s *server) resolveAlpha(alphaStr, levelStr string) (*big.Rat, error) {
 // consumerSpec codec — the same one POST /v1/compare reads from its
 // body — and the solve is keyed by (n, α, consumer identity), so
 // repeat queries are cache lookups and concurrent identical
-// first-time queries coalesce into one solve. The solve runs under
-// the request context: client disconnects cancel it (503), the
-// server's solve timeout bounds it (504), and the engine's in-flight
-// bound sheds excess load (429).
+// first-time queries coalesce into one solve. The request context
+// bounds the wait: a client disconnect answers 503 and the server's
+// solve timeout 504, while the solve runs on and is cached for the
+// retry; the engine's in-flight bound sheds excess load (429).
 func (s *server) handleTailored(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	n := s.survey.N()

@@ -118,8 +118,8 @@ func (sp *tenantSpec) toConfig() (tenant.Config, error) {
 // first epoch, and only then adds it to the registry: a listed tenant
 // always has a current cascade. A duplicate id is refused before the
 // plan is fetched. The plan build holds no server lock, so it stalls
-// no other request, and it finishes even if ctx ends (see planOf);
-// a registration whose ctx ended meanwhile is not published, so the
+// no other request. A registration whose ctx ended meanwhile is not
+// published; the build it started finishes in the engine, so the
 // client's retry registers the tenant on the cached plan. On any
 // failure the registry is left unchanged.
 func (s *server) registerTenant(ctx context.Context, sp *tenantSpec) (*tenant.Tenant, error) {

@@ -98,6 +98,7 @@ func gapModels(rng *rand.Rand, n int) []consumer.Model {
 // error: the Theorem 1 oracle has been violated.
 func runGapSweep(w io.Writer, cfg config) error {
 	eng := engine.New(engine.Config{Seed: cfg.seed})
+	defer eng.Close()
 	rng := sample.NewRand(cfg.seed)
 	var certified, rows int
 	for _, n := range gapNs {

@@ -13,7 +13,7 @@ import (
 // geometric baseline's optimality gap is exactly zero — not small,
 // zero — at the paper's Table 1 sizes, across losses and side sets.
 func TestCompareMinimaxGeometricGapExactlyZero(t *testing.T) {
-	e := New(Config{})
+	e := newEngine(t, Config{})
 	alpha := rat(t, "1/4")
 	consumers := []*consumer.Consumer{
 		{Loss: loss.Absolute{}},
@@ -59,7 +59,7 @@ func TestCompareMinimaxGeometricGapExactlyZero(t *testing.T) {
 // never beat the tailored optimum, and the not-actually-α-DP
 // truncated Laplace reports a weaker BestAlpha.
 func TestCompareDefaultScorecard(t *testing.T) {
-	e := New(Config{})
+	e := newEngine(t, Config{})
 	alpha := rat(t, "1/3")
 	c := &consumer.Consumer{Loss: loss.Absolute{}}
 	cmp, err := e.Compare(CompareSpec{N: 4, Alpha: alpha, Model: c})
@@ -97,7 +97,7 @@ func TestCompareDefaultScorecard(t *testing.T) {
 // arithmetically valid, and the Bayes-tailored optimum is the floor
 // for Bayes-interacted α-DP baselines.
 func TestCompareBayesian(t *testing.T) {
-	e := New(Config{})
+	e := newEngine(t, Config{})
 	alpha := rat(t, "1/4")
 	n := 3
 	b := &consumer.Bayesian{Loss: loss.Absolute{}, Prior: consumer.UniformPrior(n)}
@@ -136,7 +136,7 @@ func TestCompareBayesian(t *testing.T) {
 // (aliased α, permuted/duplicated baseline set, explicit default
 // width) share one artifact.
 func TestCompareCachedAndCanonicalized(t *testing.T) {
-	e := New(Config{})
+	e := newEngine(t, Config{})
 	c := &consumer.Consumer{Loss: loss.Absolute{}}
 	first, err := e.Compare(CompareSpec{N: 3, Alpha: rat(t, "1/2"), Model: c})
 	if err != nil {
@@ -168,7 +168,7 @@ func TestCompareCachedAndCanonicalized(t *testing.T) {
 // Compare errors surface before any caching: nil model, bad prior,
 // bad baseline, empty side set.
 func TestCompareInvalidSpecs(t *testing.T) {
-	e := New(Config{})
+	e := newEngine(t, Config{})
 	alpha := rat(t, "1/2")
 	if _, err := e.Compare(CompareSpec{N: 3, Alpha: alpha}); err == nil {
 		t.Error("nil model accepted")
@@ -201,7 +201,7 @@ func TestCompareInvalidSpecs(t *testing.T) {
 // geometric row, and a tailored request after a compare is a pure
 // cache hit.
 func TestCompareSharesNestedArtifacts(t *testing.T) {
-	e := New(Config{})
+	e := newEngine(t, Config{})
 	alpha := rat(t, "1/4")
 	c := &consumer.Consumer{Loss: loss.Absolute{}}
 	ctx := context.Background()

@@ -24,23 +24,22 @@
 //     concurrent draws never contend on a shared PRNG or a shared
 //     cache line.
 //
-// # Cancellation and admission control
+// # Computation lifetime and admission control
 //
 // Every artifact method has a context-taking form (GeometricCtx,
-// TailoredCtx, ...). Cancellation propagates into the LP pivot loop,
-// so abandoning a multi-second solve frees its CPU within one pivot.
-// Coalesced requests cancel independently: a waiter that gives up
-// detaches without disturbing the shared solve, which is itself
-// canceled only once every waiter has gone. Canceled or errored
-// computations never enter a cache.
+// TailoredCtx, ...). The context bounds only the caller's wait: a
+// computation, once started, runs to completion under the engine's
+// root context, keeps its in-flight slot, and is cached (and
+// persisted) whoever still waits, so a retry joins it or hits the
+// cache. Only Close cancels running computations; the root context
+// reaches the LP pivot loop. Errors are never cached.
 //
 // The expensive classes (release plans and the LP-backed tailored and
 // interactions) additionally pass through a bounded in-flight-solve
-// semaphore
-// (Config.MaxInFlightSolves). Admission is non-blocking: when the
-// bound is reached, new solves fail immediately with ErrSaturated
-// rather than queueing, so overload surfaces as a fast, retryable
-// rejection. Cache hits and coalesced joins are never shed.
+// semaphore (Config.MaxInFlightSolves). Admission is non-blocking:
+// when the bound is reached, new solves fail immediately with
+// ErrSaturated rather than queueing, so overload surfaces as a fast,
+// retryable rejection. Cache hits and coalesced joins are never shed.
 //
 // Cached artifacts are shared between callers and must be treated as
 // read-only: every class caches an immutable type
@@ -80,10 +79,10 @@ const (
 )
 
 // DefaultMaxInFlightSolves bounds concurrent solves (LP solves and
-// release-plan builds) when Config.MaxInFlightSolves is zero. Both are
-// single-threaded and CPU-bound, so a bound in the low tens keeps a
-// loaded server responsive without starving throughput on typical
-// hardware.
+// release-plan builds) when Config.MaxInFlightSolves is not positive.
+// Both are single-threaded and CPU-bound, so a bound in the low tens
+// keeps a loaded server responsive without starving throughput on
+// typical hardware.
 const DefaultMaxInFlightSolves = 16
 
 // ErrSaturated is returned (wrapped) by the LP-backed artifact methods
@@ -93,12 +92,13 @@ const DefaultMaxInFlightSolves = 16
 var ErrSaturated = errors.New("engine: too many solves in flight")
 
 // DefaultMaxLPDomainN bounds the domain size n of LP-backed artifacts
-// when Config.MaxLPDomainN is zero. Even on the float-guided
-// revised-simplex path a cold tailored solve scales steeply in n
-// (~6 ms at n=8, ~0.1 s at n=16, ~1.5 s at n=24 and ~22 s at n=32 on a
-// 2-vCPU amd64 container), so an unbounded n from untrusted input
-// could pin a solver slot for far longer. 32 is the largest size whose
-// worst case is still plausibly interactive.
+// when Config.MaxLPDomainN is not positive. Even on the float-guided
+// revised-simplex path a cold tailored solve scales steeply in n (the
+// absolute loss at α ∈ {1/2, 1/3}: 4–5 ms at n=8, 0.09–0.13 s at n=16,
+// 1.5–3.4 s at n=24 and 11–37 s at n=32 on a 2-vCPU amd64 container),
+// so an unbounded n from untrusted input could pin a solver slot for
+// far longer. 32 is the largest size whose common keys are still
+// plausibly interactive; DESIGN §9 lists slower ones.
 const DefaultMaxLPDomainN = 32
 
 // ErrDomainTooLarge is returned (wrapped) by the LP-backed artifact
@@ -112,14 +112,15 @@ var ErrDomainTooLarge = errors.New("engine: LP domain size exceeds cap")
 // Seed (default 1).
 type Config struct {
 	// MaxInFlightSolves bounds concurrently running solves across the
-	// plans, tailored and interaction classes combined. Zero means
-	// DefaultMaxInFlightSolves; negative disables shedding entirely.
+	// plans, tailored and interaction classes combined. Zero or
+	// negative means DefaultMaxInFlightSolves: a solve outlives the
+	// callers that gave up on it, so the bound is never lifted.
 	MaxInFlightSolves int
 	// MaxLPDomainN bounds the domain size n accepted by the LP-backed
 	// artifact methods (TailoredMechanism, OptimalInteraction, Compare
 	// and their Ctx forms): larger n fails fast with ErrDomainTooLarge
-	// before touching cache or solver. Zero means DefaultMaxLPDomainN;
-	// negative disables the guard.
+	// before touching cache or solver. Zero or negative means
+	// DefaultMaxLPDomainN.
 	MaxLPDomainN int
 	// Seed is the base seed for the sampler shards' PRNGs. Shard k
 	// draws from splitmix64 stream (Seed, k), so a fixed seed gives a
@@ -145,7 +146,10 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.MaxLPDomainN == 0 {
+	if c.MaxInFlightSolves <= 0 {
+		c.MaxInFlightSolves = DefaultMaxInFlightSolves
+	}
+	if c.MaxLPDomainN <= 0 {
 		c.MaxLPDomainN = DefaultMaxLPDomainN
 	}
 	if c.Seed == 0 {
@@ -156,7 +160,8 @@ func (c Config) withDefaults() Config {
 
 // Engine is a concurrency-safe, compute-once serving layer over the
 // exact core. All methods are safe for concurrent use; construct one
-// Engine per process (or per tenant) and share it.
+// Engine per process (or per tenant) and share it, and Close it when
+// done to stop its running computations.
 type Engine struct {
 	mechanisms   *store
 	plans        *store
@@ -164,55 +169,68 @@ type Engine struct {
 	interactions *store
 	compares     *store
 
-	solves     *solveSem // nil when shedding is disabled
+	stop       context.CancelFunc // cancels the root every computation runs under
+	solves     *solveSem
 	shards     *shardSet
 	batchSizes batchHist
 	trace      TraceFunc // nil = tracing off
 
 	lp     lpCounters
-	maxLPN int // < 0 = unguarded
+	maxLPN int
 }
 
 // New builds an Engine from cfg (zero value fine; see Config).
 func New(cfg Config) *Engine {
 	cfg = cfg.withDefaults()
+	root, stop := context.WithCancel(context.Background())
 	e := &Engine{
 		mechanisms:   newStore("mechanisms", matrixCacheSize),
 		plans:        newStore("plans", matrixCacheSize),
 		tailored:     newStore("tailored", lpCacheSize),
 		interactions: newStore("interactions", lpCacheSize),
 		compares:     newStore("compares", lpCacheSize),
+		stop:         stop,
+		solves:       newSolveSem(cfg.MaxInFlightSolves),
 		shards:       newShardSet(cfg.Seed),
 		trace:        cfg.Trace,
 		maxLPN:       cfg.MaxLPDomainN,
 	}
-	if cfg.MaxInFlightSolves >= 0 {
-		bound := cfg.MaxInFlightSolves
-		if bound == 0 {
-			bound = DefaultMaxInFlightSolves
-		}
-		e.solves = newSolveSem(bound)
-		// Only the LP-backed classes and the release plans are
-		// expensive enough to shed: a plan build runs one exact Lemma 3
-		// transition per adjacent level pair and takes seconds at
-		// moderate n, while G_{n,α} computes in microseconds. The compares class
-		// carries no semaphore of its own: its nested tailored and
-		// interaction solves pass through those classes' sheddable
-		// stores, and double-counting slots for the composite would
-		// deadlock a saturated engine against itself.
-		e.plans.sem = e.solves
-		e.tailored.sem = e.solves
-		e.interactions.sem = e.solves
-	}
-	for _, s := range []*store{
-		e.mechanisms, e.plans, e.tailored, e.interactions, e.compares,
-	} {
+	// Only the LP-backed classes and the release plans are expensive
+	// enough to shed: a plan build runs one exact Lemma 3 transition
+	// per adjacent level pair and takes seconds at moderate n, while
+	// G_{n,α} computes in microseconds. The compares class carries no
+	// semaphore of its own: its nested tailored and interaction solves
+	// pass through those classes' sheddable stores, and
+	// double-counting slots for the composite would deadlock a
+	// saturated engine against itself.
+	e.plans.sem = e.solves
+	e.tailored.sem = e.solves
+	e.interactions.sem = e.solves
+	for _, s := range e.stores() {
 		s.trace = cfg.Trace
+		s.flight.root = root
 	}
 	if cfg.Store != nil {
 		e.bindDisk(cfg.Store)
 	}
 	return e
+}
+
+func (e *Engine) stores() []*store {
+	return []*store{e.mechanisms, e.plans, e.tailored, e.interactions, e.compares}
+}
+
+// Close cancels every running computation and waits for each to
+// return. An LP solve stops at its next pivot; the float basis locate
+// and a release-plan build have no checkpoint and run to their end
+// (DESIGN §9 has the measured waits). Nothing Close cancels is cached.
+// Afterwards the engine still serves cached artifacts, but a miss
+// fails with context.Canceled. Close is idempotent.
+func (e *Engine) Close() {
+	e.stop()
+	for _, s := range e.stores() {
+		s.flight.closeAndWait()
+	}
 }
 
 // getCached probes s for key on the allocation-free hit path; ok
@@ -387,7 +405,7 @@ func (e *Engine) ReleasePlanCtx(ctx context.Context, n int, alphas []*big.Rat) (
 // probe: a cap change must apply uniformly, not depend on what some
 // earlier, larger-capped engine happened to leave in a shared store.
 func (e *Engine) checkLPDomain(n int) error {
-	if e.maxLPN >= 0 && n > e.maxLPN {
+	if n > e.maxLPN {
 		return fmt.Errorf("engine: n %d exceeds the LP domain cap %d: %w", n, e.maxLPN, ErrDomainTooLarge)
 	}
 	return nil
@@ -403,10 +421,9 @@ func (e *Engine) TailoredMechanism(m consumer.Model, n int, alpha *big.Rat) (*co
 }
 
 // TailoredCtx is TailoredMechanism under a context. The context
-// reaches the LP pivot loop: canceling it aborts the solve at the
-// next pivot (unless other coalesced callers still want the result —
-// then only this caller detaches). A canceled solve is never cached;
-// the next request recomputes from scratch. When the engine's
+// bounds only this caller's wait: when it ends, TailoredCtx returns
+// ctx.Err(), and a solve already started runs on, is cached, and
+// serves the retry (see the package doc). When the engine's
 // in-flight solve bound is hit, the error wraps ErrSaturated.
 func (e *Engine) TailoredCtx(ctx context.Context, m consumer.Model, n int, alpha *big.Rat) (*consumer.Tailored, error) {
 	if err := checkRat("alpha", alpha); err != nil {
@@ -432,7 +449,7 @@ func (e *Engine) OptimalInteraction(m consumer.Model, n int, alpha *big.Rat) (*c
 }
 
 // InteractionCtx is OptimalInteraction under a context, with the same
-// cancellation and load-shedding behavior as TailoredCtx.
+// wait bound and load-shedding behavior as TailoredCtx.
 func (e *Engine) InteractionCtx(ctx context.Context, m consumer.Model, n int, alpha *big.Rat) (*consumer.Interaction, error) {
 	if err := checkRat("alpha", alpha); err != nil {
 		return nil, err

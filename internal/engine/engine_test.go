@@ -18,7 +18,7 @@ func rat(t testing.TB, s string) *big.Rat {
 }
 
 func TestGeometricCachedAndShared(t *testing.T) {
-	e := New(Config{})
+	e := newEngine(t, Config{})
 	a := rat(t, "1/2")
 	g1, err := e.Geometric(8, a)
 	if err != nil {
@@ -53,7 +53,7 @@ func TestGeometricCachedAndShared(t *testing.T) {
 }
 
 func TestTailoredMatchesDirectSolve(t *testing.T) {
-	e := New(Config{})
+	e := newEngine(t, Config{})
 	a := rat(t, "1/3")
 	c := &consumer.Consumer{Loss: loss.Absolute{}, Side: consumer.Interval(0, 6)}
 	got, err := e.TailoredMechanism(c, 6, a)
@@ -79,7 +79,7 @@ func TestTailoredMatchesDirectSolve(t *testing.T) {
 }
 
 func TestConsumerKeyCanonicalization(t *testing.T) {
-	e := New(Config{})
+	e := newEngine(t, Config{})
 	a := rat(t, "1/2")
 	// Side sets that normalize identically must share a cache entry.
 	c1 := &consumer.Consumer{Loss: loss.Absolute{}, Side: []int{3, 1, 2, 1, 99}}
@@ -104,7 +104,7 @@ func TestConsumerKeyCanonicalization(t *testing.T) {
 }
 
 func TestCoalescingCollapsesConcurrentSolves(t *testing.T) {
-	e := New(Config{})
+	e := newEngine(t, Config{})
 	a := rat(t, "1/2")
 	c := &consumer.Consumer{Loss: loss.Squared{}}
 	const workers = 32
@@ -153,7 +153,7 @@ func TestCoalescingCollapsesConcurrentSolves(t *testing.T) {
 }
 
 func TestCacheEvictsLeastRecentlyUsed(t *testing.T) {
-	e := New(Config{})
+	e := newEngine(t, Config{})
 	e.mechanisms = newStore("mechanisms", 2)
 	a1, a2, a3 := rat(t, "1/2"), rat(t, "1/3"), rat(t, "1/4")
 	for _, a := range []*big.Rat{a1, a2, a3} {
@@ -185,7 +185,7 @@ func TestCacheEvictsLeastRecentlyUsed(t *testing.T) {
 }
 
 func TestReleasePlanCached(t *testing.T) {
-	e := New(Config{})
+	e := newEngine(t, Config{})
 	alphas := []*big.Rat{rat(t, "1/2"), rat(t, "2/3")}
 	p1, err := e.ReleasePlan(10, alphas)
 	if err != nil {
@@ -204,7 +204,7 @@ func TestReleasePlanCached(t *testing.T) {
 }
 
 func TestEngineErrorsNotCached(t *testing.T) {
-	e := New(Config{})
+	e := newEngine(t, Config{})
 	if _, err := e.Geometric(0, rat(t, "1/2")); err == nil {
 		t.Fatal("n=0 accepted")
 	}
@@ -229,7 +229,7 @@ func TestEngineErrorsNotCached(t *testing.T) {
 // (nanoseconds vs milliseconds), so 10x leaves enormous slack for
 // noisy CI machines.
 func TestEngineCachedSpeedup(t *testing.T) {
-	e := New(Config{})
+	e := newEngine(t, Config{})
 	a := rat(t, "1/2")
 	c := &consumer.Consumer{Loss: loss.Absolute{}}
 

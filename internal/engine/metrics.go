@@ -204,8 +204,9 @@ type Metrics struct {
 	LP                LPSolveStats       `json:"lp"`
 }
 
-// solveSem is the engine-wide bound on concurrently running LP
-// solves. Admission is non-blocking by design: a request that cannot
+// solveSem is the engine-wide bound on concurrently running solves
+// (LP solves and release-plan builds). A solve holds its slot until
+// it finishes, whether or not anyone still waits for it. Admission is non-blocking by design: a request that cannot
 // get a slot is shed immediately (ErrSaturated) rather than queued,
 // so overload surfaces as fast 429s at the HTTP layer instead of a
 // growing convoy of multi-second solves.
@@ -228,12 +229,7 @@ func (s *solveSem) tryAcquire() bool {
 
 func (s *solveSem) release() { <-s.slots }
 
-func (s *solveSem) inFlight() int {
-	if s == nil {
-		return 0
-	}
-	return len(s.slots)
-}
+func (s *solveSem) inFlight() int { return len(s.slots) }
 
 // store couples one artifact cache with a flight group and its
 // counters. All engine artifact access goes through the lookup
@@ -302,18 +298,17 @@ func (s *store) lookup(ctx context.Context, key string) (any, bool, error) {
 // compute-and-fill under ctx. The caller must have just missed in
 // lookup (which counted the request).
 //
-// Cancellation semantics: a caller whose ctx is canceled gets
-// ctx.Err() back promptly — before any work if already canceled, or
-// by detaching from the in-flight computation otherwise (see
-// flightGroup). The computation itself is canceled only when every
-// caller has detached.
+// Lifetime: ctx bounds only how long this caller waits (see
+// flightGroup). A computation that has started runs to completion
+// under the engine's root context, holding its solve slot, and its
+// result is cached and persisted whoever is still waiting; only
+// Engine.Close cancels it.
 //
-// Nothing canceled or errored ever enters the cache: fn errors
-// (including ctx.Err() from an abandoned solve) skip the cache fill,
-// and a computation that completes after all its waiters left is
-// discarded by the explicit computation-context check. Errors are
-// returned to every coalesced caller (deterministic artifacts mean a
-// parameter error would fail identically on retry anyway).
+// Nothing errored ever enters the cache: fn errors, including the
+// root context's error from a solve that Close canceled, skip the
+// cache fill. Errors are returned to every coalesced caller
+// (deterministic artifacts mean a parameter error would fail
+// identically on retry anyway).
 func (s *store) compute(ctx context.Context, key string, fn func(context.Context) (any, error)) (any, error) {
 	v, started, err := s.flight.do(ctx, key, func(solveCtx context.Context) (any, error) {
 		// Re-check under the flight: a previous computation may have
@@ -347,12 +342,6 @@ func (s *store) compute(ctx context.Context, key string, fn func(context.Context
 		start := time.Now()
 		v, err := fn(solveCtx)
 		elapsed := time.Since(start)
-		if err == nil {
-			// A solve abandoned by every waiter may still race to a
-			// result; the computation context is canceled in that case,
-			// and its result must not enter the cache.
-			err = solveCtx.Err()
-		}
 		s.emitDone(key, elapsed, err)
 		if err != nil {
 			return nil, err

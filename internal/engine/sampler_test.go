@@ -11,7 +11,7 @@ import (
 )
 
 func TestGeometricSamplerDistribution(t *testing.T) {
-	e := New(Config{Seed: 7})
+	e := newEngine(t, Config{Seed: 7})
 	a := rational.MustParse("1/2")
 	s, err := e.Sampler(context.Background(), SamplerSpec{N: 8, Alpha: a})
 	if err != nil {
@@ -45,7 +45,7 @@ func TestGeometricSamplerDistribution(t *testing.T) {
 // G_{n,α}. Two samplers for one (n, α) draw from G's own alias tables,
 // pointer for pointer, and G is computed once.
 func TestSamplerCachedPerKey(t *testing.T) {
-	e := New(Config{})
+	e := newEngine(t, Config{})
 	a := rational.MustParse("1/3")
 	s1, err := e.Sampler(context.Background(), SamplerSpec{N: 6, Alpha: a})
 	if err != nil {
@@ -70,7 +70,7 @@ func TestSamplerCachedPerKey(t *testing.T) {
 }
 
 func TestSamplerConcurrentDraws(t *testing.T) {
-	e := New(Config{Seed: 3})
+	e := newEngine(t, Config{Seed: 3})
 	s, err := e.Sampler(context.Background(), SamplerSpec{N: 10, Alpha: rational.MustParse("2/3")})
 	if err != nil {
 		t.Fatal(err)
@@ -97,7 +97,7 @@ func TestSamplerConcurrentDraws(t *testing.T) {
 }
 
 func TestSamplerBoundsPanics(t *testing.T) {
-	e := New(Config{})
+	e := newEngine(t, Config{})
 	s, err := e.Sampler(context.Background(), SamplerSpec{N: 4, Alpha: rational.MustParse("1/2")})
 	if err != nil {
 		t.Fatal(err)
@@ -123,7 +123,7 @@ func TestSamplerBoundsPanics(t *testing.T) {
 }
 
 func TestMechanismSamplerArbitrary(t *testing.T) {
-	e := New(Config{})
+	e := newEngine(t, Config{})
 	g, err := e.Geometric(5, rational.MustParse("1/4"))
 	if err != nil {
 		t.Fatal(err)
@@ -146,7 +146,7 @@ func TestMechanismSamplerArbitrary(t *testing.T) {
 // the fit would collapse.
 func TestSamplerBatchChiSquare(t *testing.T) {
 	const n, trials = 12, 200000
-	e := New(Config{Seed: 99})
+	e := newEngine(t, Config{Seed: 99})
 	a := rational.MustParse("1/3")
 	s, err := e.Sampler(context.Background(), SamplerSpec{N: n, Alpha: a})
 	if err != nil {
@@ -189,7 +189,7 @@ func TestSamplerBatchChiSquare(t *testing.T) {
 func TestSamplerBatchMetricsAndTrace(t *testing.T) {
 	var mu sync.Mutex
 	var batchEvents []TraceEvent
-	e := New(Config{Trace: func(ev TraceEvent) {
+	e := newEngine(t, Config{Trace: func(ev TraceEvent) {
 		if ev.Kind == TraceSampleBatch {
 			mu.Lock()
 			batchEvents = append(batchEvents, ev)
@@ -248,7 +248,7 @@ func TestSamplerBatchMetricsAndTrace(t *testing.T) {
 // hot path (the acceptance criterion behind the <100ns single-draw
 // target: an allocation would dwarf the draw itself).
 func TestSampleIntoZeroAlloc(t *testing.T) {
-	s, err := New(Config{}).Sampler(context.Background(), SamplerSpec{N: 16, Alpha: rational.MustParse("1/2")})
+	s, err := newEngine(t, Config{}).Sampler(context.Background(), SamplerSpec{N: 16, Alpha: rational.MustParse("1/2")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +271,7 @@ func TestSampleIntoZeroAlloc(t *testing.T) {
 // the same seed and GOMAXPROCS.
 func TestSamplerSeedDeterminism(t *testing.T) {
 	draw := func() []int {
-		s, err := New(Config{Seed: 42}).Sampler(context.Background(), SamplerSpec{N: 8, Alpha: rational.MustParse("1/2")})
+		s, err := newEngine(t, Config{Seed: 42}).Sampler(context.Background(), SamplerSpec{N: 8, Alpha: rational.MustParse("1/2")})
 		if err != nil {
 			t.Fatal(err)
 		}

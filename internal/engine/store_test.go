@@ -92,7 +92,7 @@ func driveArtifacts(t testing.TB, e *Engine) warmed {
 func TestEngineWarmBoot(t *testing.T) {
 	dir := t.TempDir()
 
-	cold := New(Config{Seed: 1, Store: openDisk(t, dir)})
+	cold := newEngine(t, Config{Seed: 1, Store: openDisk(t, dir)})
 	want := driveArtifacts(t, cold)
 	cm := cold.Metrics()
 	if cm.LP.Solves == 0 {
@@ -113,7 +113,7 @@ func TestEngineWarmBoot(t *testing.T) {
 		t.Errorf("mechanisms store writes = %d, want 0", cm.Mechanisms.StoreWrites)
 	}
 
-	warm := New(Config{Seed: 1, Store: openDisk(t, dir)})
+	warm := newEngine(t, Config{Seed: 1, Store: openDisk(t, dir)})
 	got := driveArtifacts(t, warm)
 	wm := warm.Metrics()
 	if wm.LP.Solves != 0 {
@@ -154,7 +154,7 @@ func TestEngineWarmBoot(t *testing.T) {
 // quarantine, not serve, the damage.
 func TestEngineStoreCorruptFallback(t *testing.T) {
 	dir := t.TempDir()
-	cold := New(Config{Seed: 1, Store: openDisk(t, dir)})
+	cold := newEngine(t, Config{Seed: 1, Store: openDisk(t, dir)})
 	want := driveArtifacts(t, cold)
 
 	var corrupted int
@@ -178,7 +178,7 @@ func TestEngineStoreCorruptFallback(t *testing.T) {
 	}
 
 	db := openDisk(t, dir)
-	warm := New(Config{Seed: 1, Store: db})
+	warm := newEngine(t, Config{Seed: 1, Store: db})
 	got := driveArtifacts(t, warm)
 	if got.tailoredLoss.Cmp(want.tailoredLoss) != 0 {
 		t.Errorf("fallback solve got loss %s, want %s",
@@ -191,7 +191,7 @@ func TestEngineStoreCorruptFallback(t *testing.T) {
 		t.Errorf("quarantined %d entries, corrupted %d", st.Corrupt, corrupted)
 	}
 	// The write-back repaired the store: a third boot is warm again.
-	repaired := New(Config{Seed: 1, Store: openDisk(t, dir)})
+	repaired := newEngine(t, Config{Seed: 1, Store: openDisk(t, dir)})
 	driveArtifacts(t, repaired)
 	if rm := repaired.Metrics(); rm.LP.Solves != 0 {
 		t.Errorf("store not repaired by write-back: %d solves on third boot", rm.LP.Solves)
@@ -231,13 +231,13 @@ func TestEngineStaleVersionResolves(t *testing.T) {
 	}
 	c := &consumer.Consumer{Loss: loss.ZeroOne{}}
 	alpha := rational.MustParse("1/2")
-	fresh, err := New(Config{}).TailoredMechanism(c, 6, alpha)
+	fresh, err := newEngine(t, Config{}).TailoredMechanism(c, 6, alpha)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	db := openDisk(t, dir)
-	boot := New(Config{Store: db})
+	boot := newEngine(t, Config{Store: db})
 	got, err := boot.TailoredMechanism(c, 6, alpha)
 	if err != nil {
 		t.Fatal(err)
@@ -252,7 +252,7 @@ func TestEngineStaleVersionResolves(t *testing.T) {
 		t.Errorf("store stats = %+v, want a plain miss (Corrupt 0) and one write-back", st)
 	}
 
-	warm := New(Config{Store: openDisk(t, dir)})
+	warm := newEngine(t, Config{Store: openDisk(t, dir)})
 	again, err := warm.TailoredMechanism(c, 6, alpha)
 	if err != nil {
 		t.Fatal(err)
@@ -268,7 +268,7 @@ func TestEngineStaleVersionResolves(t *testing.T) {
 // TestEngineNoStoreUnchanged pins that a store-less engine still
 // works and reports zeroed store counters (the nil-binding path).
 func TestEngineNoStoreUnchanged(t *testing.T) {
-	e := New(Config{Seed: 1})
+	e := newEngine(t, Config{Seed: 1})
 	driveArtifacts(t, e)
 	m := e.Metrics()
 	if m.Tailored.StoreHits != 0 || m.Tailored.StoreWrites != 0 || m.Tailored.StoreErrors != 0 {

@@ -47,8 +47,7 @@ const (
 // ("tailored", "mechanisms", ...; "samplers" on TraceSampleBatch,
 // which names the emitter, not a cache class), the cache key, and — for
 // TraceSolveDone — the compute duration and the error (nil on
-// success; context.Canceled when the solve was abandoned by every
-// waiter).
+// success; context.Canceled when Engine.Close stopped the solve).
 type TraceEvent struct {
 	Artifact string
 	Key      string

@@ -28,7 +28,7 @@ func TestWarmStartColdPathGate(t *testing.T) {
 	c := &consumer.Consumer{Loss: loss.Absolute{}}
 	n, alpha := 8, big.NewRat(1, 2)
 
-	warm := New(Config{})
+	warm := newEngine(t, Config{})
 	start := time.Now()
 	tw, err := warm.TailoredMechanism(c, n, alpha)
 	warmDur := time.Since(start)
@@ -83,7 +83,7 @@ func TestWarmStartColdPathGate(t *testing.T) {
 	// — no cold fallback — and still match the exact solve.
 	tc := &consumer.Consumer{Loss: loss.ZeroOne{}}
 	tie := big.NewRat(1, 2)
-	tieWarm := New(Config{})
+	tieWarm := newEngine(t, Config{})
 	warmTie, err := tieWarm.TailoredMechanism(tc, 6, tie)
 	if err != nil {
 		t.Fatal(err)
@@ -111,7 +111,7 @@ func TestWarmStartColdPathGate(t *testing.T) {
 // wire-only ParallelPivots, PresolveRows and WideOps fields have no
 // source counter and must read back as 0.
 func TestRecordLPFoldsAllCounters(t *testing.T) {
-	e := New(Config{})
+	e := newEngine(t, Config{})
 	e.recordLP(e.tailored, "synthetic", &lp.SolveStats{
 		FloatPivots:        3,
 		FloatNanos:         37,
@@ -143,7 +143,7 @@ func TestRecordLPFoldsAllCounters(t *testing.T) {
 // warm-start event.
 func TestInteractionRecordsLPStats(t *testing.T) {
 	var kinds []TraceKind
-	e := New(Config{Trace: func(ev TraceEvent) {
+	e := newEngine(t, Config{Trace: func(ev TraceEvent) {
 		switch ev.Kind {
 		case TraceWarmStartHit, TraceWarmStartResume, TraceWarmStartFallback:
 			kinds = append(kinds, ev.Kind)

@@ -376,9 +376,11 @@ type CompareSpec = engine.CompareSpec
 // see internal/engine for cache-key semantics.
 //
 // Every artifact method has a context-taking form (Engine.TailoredCtx,
-// Engine.InteractionCtx, Engine.GeometricCtx, ...): cancellation
-// reaches the LP pivot loop, coalesced callers cancel independently,
-// and canceled solves are never cached. The LP-backed methods and
+// Engine.InteractionCtx, Engine.GeometricCtx, ...). The context bounds
+// only the caller's wait: a solve, once started, runs to completion
+// and is cached whoever still waits, so a retry joins it or hits.
+// Engine.Close cancels running solves (the cancellation reaches the LP
+// pivot loop) and caches none of them. The LP-backed methods and
 // release-plan builds shed load with ErrEngineSaturated once
 // EngineConfig.MaxInFlightSolves concurrent solves are running.
 type Engine = engine.Engine

@@ -4,8 +4,10 @@
 # 2x against its committed baseline (BENCH_lp.json / BENCH_sample.json /
 # BENCH_store.json / BENCH_compare.json).
 #
-# The gate compares per-op ns/op with a 2x ratio plus an absolute
-# slack floor: nanosecond-scale ops (the dyadic kernel is ~3ns) jitter
+# The fresh numbers are per-op medians: bench_json.sh runs every
+# benchmark 5 times and records the median, so one disturbed run
+# cannot fail the gate. The gate compares per-op ns/op with a 2x ratio
+# plus an absolute slack floor: nanosecond-scale ops (the dyadic kernel is ~3ns) jitter
 # by integer nanoseconds under CI load, so a pure ratio would flake.
 # It also compares allocs/op: at most 2x the baseline, and an op whose
 # baseline is 0 allocs/op must stay at exactly 0 (allocation counts do

@@ -66,7 +66,7 @@ echo "==> bench regression gate (fresh run vs committed BENCH_lp.json / BENCH_sa
 echo "==> fuzz smoke (${FUZZTIME} per target)"
 FUZZTIME="${FUZZTIME}" ./scripts/fuzz_smoke.sh
 
-echo "==> dpserver end-to-end smoke (store-backed run, tenant release, warm-boot restart)"
+echo "==> dpserver end-to-end smoke (store-backed run, tenant release, warm-boot restart, solve lifetime)"
 smokedir="$(mktemp -d)"
 trap 'rm -rf "${smokedir}"' EXIT
 go build -o "${smokedir}/dpserver" ./cmd/dpserver
@@ -74,12 +74,14 @@ cat >"${smokedir}/tenants.json" <<'EOF'
 {"tenants": [{"id": "smoke", "n": 8, "truth": 3, "levels": ["1/3", "1/2"], "seed": 7}]}
 EOF
 
-# start_server <log>: launch against the shared store dir + tenant
-# config and echo the real address once the listener is up.
+# start_server <log> [flag...]: launch against the shared store dir +
+# tenant config (later flags override) and echo the real address once
+# the listener is up.
 start_server() {
     local log="$1"
+    shift
     "${smokedir}/dpserver" -addr 127.0.0.1:0 -n 60 -max-tailored-n 16 \
-        -store-dir "${smokedir}/store" -tenants-config "${smokedir}/tenants.json" \
+        -store-dir "${smokedir}/store" -tenants-config "${smokedir}/tenants.json" "$@" \
         >"${log}" 2>&1 &
     srv_pid=$!
     base=""
@@ -175,5 +177,35 @@ if ! curl -fsS "http://${base}/v1/metrics" | grep -q '"solves":0'; then
     exit 1
 fi
 stop_server "${smokedir}/dpserver2.log"
+
+# Run 3 (solve lifetime): a fresh store and a -solve-timeout shorter
+# than the n=16 solve (about 0.1 s). The first request may answer 504,
+# but its solve runs on and is cached, so a retry within a few
+# seconds gets 200 and the metrics show exactly one LP solve.
+start_server "${smokedir}/dpserver3.log" -store-dir "${smokedir}/store3" -solve-timeout 5ms
+lifetime_url="http://${base}/v1/tailored?loss=absolute&n=16&level=1"
+code="$(curl -sS -o /dev/null -w '%{http_code}' "${lifetime_url}")"
+case "${code}" in
+200 | 504) ;;
+*)
+    echo "dpserver smoke: first timed-out request answered ${code}, want 504 or 200" >&2
+    exit 1
+    ;;
+esac
+for _ in $(seq 1 50); do
+    [ "${code}" = 200 ] && break
+    sleep 0.1
+    code="$(curl -sS -o /dev/null -w '%{http_code}' "${lifetime_url}")"
+done
+if [ "${code}" != 200 ]; then
+    echo "dpserver smoke: the retry of a timed-out solve never got 200 (last ${code})" >&2
+    exit 1
+fi
+if ! curl -fsS "http://${base}/v1/metrics" | grep -q '"solves":1,'; then
+    echo "dpserver smoke: the timed-out solve was not kept (want one LP solve)" >&2
+    curl -fsS "http://${base}/v1/metrics" >&2 || true
+    exit 1
+fi
+stop_server "${smokedir}/dpserver3.log"
 
 echo "==> all checks passed"

@@ -17,6 +17,8 @@ FuzzHvalMatchesBigRat ./internal/rational
 FuzzUnmarshalJSON ./internal/mechanism
 FuzzParseLevels ./cmd/dpserver
 FuzzTenantSpec ./cmd/dpserver
+FuzzConsumerSpec ./cmd/dpserver
+FuzzCompareBody ./cmd/dpserver
 FuzzBaselineParseSpec ./internal/baseline
 FuzzLossParseSpec ./internal/loss
 FuzzWarmStartMatchesExact ./internal/lp
