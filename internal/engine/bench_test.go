@@ -9,7 +9,6 @@ package engine
 
 import (
 	"context"
-	"os"
 	"testing"
 
 	"minimaxdp/internal/consumer"
@@ -82,9 +81,9 @@ func BenchmarkEngineTailoredExactOnly(b *testing.B) {
 
 // BenchmarkEngineTailoredUncachedN16 is the large-n cold solve the
 // revised-simplex pipeline made servable (it exceeded the old
-// full-tableau solver's practical range): the float-guided basis plus
-// exact dual-simplex repair at n=16. Roughly 50× the n=8 cost — the
-// scale BENCH_lp.json tracks so the large-n serving cap stays honest.
+// full-tableau solver's practical range). At n=16 it starts from
+// Theorem 1's G·T*: the interaction solve against G_{16,1/2}, then the
+// certificate of the basis read off that point (DESIGN.md §10).
 func BenchmarkEngineTailoredUncachedN16(b *testing.B) {
 	a := rational.MustParse("1/2")
 	c := &consumer.Consumer{Loss: loss.Absolute{}}
@@ -99,9 +98,9 @@ func BenchmarkEngineTailoredUncachedN16(b *testing.B) {
 // BenchmarkEngineTailoredUncachedN24 is the entry-growth wall that
 // Markowitz refactorization and the float-side dual cleanup broke:
 // before them, this cold solve spent ~20s in big.Rat allocation (≈2.1M
-// big fallbacks); now about 1 200 of its 10 900 kernel ops leave the
-// int64 Small tier (DESIGN.md §16). BENCH_lp.json pins it so the
-// large-n regime stays honest.
+// big fallbacks; DESIGN.md §16). It now starts from Theorem 1's G·T*
+// like the n=16 solve. BENCH_lp.json pins it so the large-n regime
+// stays honest.
 func BenchmarkEngineTailoredUncachedN24(b *testing.B) {
 	a := rational.MustParse("1/2")
 	c := &consumer.Consumer{Loss: loss.Absolute{}}
@@ -113,16 +112,11 @@ func BenchmarkEngineTailoredUncachedN24(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineTailoredUncachedN32 probes the next scale step.
-// Opt-in: about 12 s per solve, with most kernel ops on big.Rat, so
-// it stays out of the default suites and the regression gate.
-//
-//	BENCH_N32=1 go test -run='^$' -bench=UncachedN32 -benchtime=1x \
-//	    -timeout=30m ./internal/engine
+// BenchmarkEngineTailoredUncachedN32 is the cold solve at the
+// server's LP cap (n=32). Started from Theorem 1's G·T* it takes a
+// fraction of a second; the float locate it replaces took about 12 s
+// here, which kept this row out of the gate.
 func BenchmarkEngineTailoredUncachedN32(b *testing.B) {
-	if os.Getenv("BENCH_N32") == "" {
-		b.Skip("opt-in: set BENCH_N32=1 and raise -timeout")
-	}
 	a := rational.MustParse("1/2")
 	c := &consumer.Consumer{Loss: loss.Absolute{}}
 	b.ReportAllocs()

@@ -321,7 +321,7 @@ func lpOpts() (lp.SolveOpts, *lp.SolveStats) {
 // accumulate even for failed or canceled solves (the work was done);
 // the path counters are mutually exclusive per solve, and the fallback
 // counter means "warm start attempted and demoted". The tied-optimum
-// counter is orthogonal to the path.
+// and point-start counters are orthogonal to the path.
 func (e *Engine) recordLP(s *store, key string, stats *lp.SolveStats) {
 	e.lp.solves.Add(1)
 	e.lp.floatPivots.Add(uint64(stats.FloatPivots))
@@ -334,6 +334,12 @@ func (e *Engine) recordLP(s *store, key string, stats *lp.SolveStats) {
 	e.lp.magnitudeRefacts.Add(uint64(stats.MagnitudeRefactors))
 	if stats.TiedOptima {
 		e.lp.tiedOptima.Add(1)
+	}
+	if stats.PointStart {
+		e.lp.pointStarts.Add(1)
+	}
+	if stats.PointFallback {
+		e.lp.pointFallbacks.Add(1)
 	}
 	switch {
 	case stats.WarmStartHit:

@@ -145,6 +145,15 @@ type LPSolveStats struct {
 	PresolveRows uint64 `json:"presolve_rows_removed"`
 
 	TiedOptima uint64 `json:"tied_optima"`
+
+	// PointStarts counts solves whose candidate basis was read off a
+	// known optimal point instead of the float locate: the tailored LP
+	// at n ≥ consumer's N₀, started from Theorem 1's G·T*.
+	// PointFallbacks counts solves given such a point whose basis could
+	// not finish the solve, so the float locate ran after all. Both
+	// are orthogonal to the three path counters.
+	PointStarts    uint64 `json:"point_starts"`
+	PointFallbacks uint64 `json:"point_fallbacks"`
 }
 
 // lpCounters is the live, atomically-updated form of LPSolveStats.
@@ -162,6 +171,8 @@ type lpCounters struct {
 	refactorizations atomic.Uint64
 	magnitudeRefacts atomic.Uint64
 	tiedOptima       atomic.Uint64
+	pointStarts      atomic.Uint64
+	pointFallbacks   atomic.Uint64
 }
 
 func (c *lpCounters) snapshot() LPSolveStats {
@@ -179,6 +190,8 @@ func (c *lpCounters) snapshot() LPSolveStats {
 		Refactorizations:   c.refactorizations.Load(),
 		MagnitudeRefactors: c.magnitudeRefacts.Load(),
 		TiedOptima:         c.tiedOptima.Load(),
+		PointStarts:        c.pointStarts.Load(),
+		PointFallbacks:     c.pointFallbacks.Load(),
 	}
 }
 

@@ -123,6 +123,8 @@ func TestRecordLPFoldsAllCounters(t *testing.T) {
 		MagnitudeRefactors: 31,
 		Fallback:           true,
 		TiedOptima:         true,
+		PointStart:         true,
+		PointFallback:      true,
 	})
 	m := e.Metrics().LP
 	want := LPSolveStats{
@@ -130,7 +132,7 @@ func TestRecordLPFoldsAllCounters(t *testing.T) {
 		FloatPivots: 3, FloatNanos: 37, ExactPivots: 5, RevisedPivots: 7,
 		SmallOps: 11, BigFallbacks: 13,
 		Refactorizations: 29, MagnitudeRefactors: 31,
-		TiedOptima: 1,
+		TiedOptima: 1, PointStarts: 1, PointFallbacks: 1,
 	}
 	if m != want {
 		t.Fatalf("LP metrics after synthetic fold = %+v, want %+v", m, want)

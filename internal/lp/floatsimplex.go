@@ -1,6 +1,7 @@
 package lp
 
 import (
+	"context"
 	"math"
 
 	"minimaxdp/internal/rational"
@@ -31,6 +32,7 @@ const (
 	floatOptimal floatOutcome = iota
 	floatUnbounded
 	floatCapped
+	floatCanceled // ctx ended between pivots
 )
 
 // floatTab is a dense float64 two-phase simplex tableau built from the
@@ -123,8 +125,10 @@ func (ft *floatTab) maxPivots() int {
 // perturbed right-hand side, then the dual cleanup back to the true
 // one. ok is false when the iteration cap was hit (the solve is then
 // inconclusive); otherwise st is the float solver's verdict and ft
-// holds the final tableau.
-func (s *standardForm) floatSolve() (st Status, ft *floatTab, ok bool) {
+// holds the final tableau. Every pivot loop checks ctx before each
+// pivot, so a canceled ctx ends the locate within one pivot and
+// floatSolve returns ctx.Err().
+func (s *standardForm) floatSolve(ctx context.Context) (st Status, ft *floatTab, ok bool, err error) {
 	ft = s.newFloatTab()
 	pivotCap := ft.maxPivots()
 
@@ -135,15 +139,17 @@ func (s *standardForm) floatSolve() (st Status, ft *floatTab, ok bool) {
 		artCost[j] = 1
 	}
 	ft.price(artCost)
-	switch ft.iterate(nil, pivotCap) {
+	switch ft.iterate(ctx, nil, pivotCap) {
+	case floatCanceled:
+		return NoStatus, ft, false, ctx.Err()
 	case floatCapped:
-		return NoStatus, ft, false
+		return NoStatus, ft, false, nil
 	case floatUnbounded:
 		// Phase 1 is bounded below by 0; treat as inconclusive.
-		return NoStatus, ft, false
+		return NoStatus, ft, false, nil
 	}
 	if math.Abs(ft.obj) > floatEps {
-		return Infeasible, ft, true
+		return Infeasible, ft, true, nil
 	}
 	// Drive leftover artificials out of the basis where possible.
 	for r := range ft.basis {
@@ -189,11 +195,13 @@ func (s *standardForm) floatSolve() (st Status, ft *floatTab, ok bool) {
 	for j := s.ncols; j < ft.total; j++ {
 		banned[j] = true
 	}
-	switch ft.iterate(banned, pivotCap) {
+	switch ft.iterate(ctx, banned, pivotCap) {
+	case floatCanceled:
+		return NoStatus, ft, false, ctx.Err()
 	case floatCapped:
-		return NoStatus, ft, false
+		return NoStatus, ft, false, nil
 	case floatUnbounded:
-		return Unbounded, ft, true
+		return Unbounded, ft, true, nil
 	}
 	if !floatSkipDualCleanup {
 		// The basis is optimal for the PERTURBED right-hand side; walk
@@ -202,9 +210,12 @@ func (s *standardForm) floatSolve() (st Status, ft *floatTab, ok bool) {
 		// walk at big-rational prices. Best-effort: on failure the
 		// basis is still a valid candidate — the exact dual repair
 		// simply has more to do.
-		ft.dualCleanup(banned, pivotCap)
+		ft.dualCleanup(ctx, banned, pivotCap)
+		if err := ctx.Err(); err != nil {
+			return NoStatus, ft, false, err
+		}
 	}
-	return Optimal, ft, true
+	return Optimal, ft, true, nil
 }
 
 // price loads cost (columns past len(cost) cost 0) into the reduced
@@ -243,9 +254,12 @@ var floatSkipDualCleanup = false
 // a_rj < 0, ties toward the smaller column index — the float mirror
 // of the exact solveDualRepair the crossover would otherwise run.
 // Returns false when a row cannot be repaired (left for the exact side
-// to adjudicate) or the pivot cap is hit.
-func (ft *floatTab) dualCleanup(banned []bool, maxPivots int) bool {
+// to adjudicate), the pivot cap is hit or ctx ends.
+func (ft *floatTab) dualCleanup(ctx context.Context, banned []bool, maxPivots int) bool {
 	for ft.pivots < maxPivots {
+		if ctx.Err() != nil {
+			return false
+		}
 		rhs, delta := ft.cols[ft.total], ft.cols[ft.total+1]
 		leave := -1
 		worst := -floatEps
@@ -288,32 +302,37 @@ func (ft *floatTab) dualCleanup(banned []bool, maxPivots int) bool {
 // hit, a non-Optimal verdict, or an artificial column stuck in the
 // basis. Float Infeasible/Unbounded claims are deliberately never
 // trusted — tolerance could fabricate either — so those also report
-// ok=false and the caller falls back to the exact two-phase solve.
-func (s *standardForm) floatCandidateBasis() (basis []int, pivots int, ok bool) {
-	st, ft, ok := s.floatSolve()
+// ok=false and the caller falls back to the exact two-phase solve. A
+// ctx that ends mid-locate returns ctx.Err().
+func (s *standardForm) floatCandidateBasis(ctx context.Context) (basis []int, pivots int, ok bool, err error) {
+	st, ft, ok, err := s.floatSolve(ctx)
 	pivots = ft.pivots
-	if !ok || st != Optimal {
-		return nil, pivots, false
+	if err != nil || !ok || st != Optimal {
+		return nil, pivots, false, err
 	}
 	for _, bi := range ft.basis {
 		if bi >= s.ncols {
-			return nil, pivots, false
+			return nil, pivots, false, nil
 		}
 	}
-	return ft.basis, pivots, true
+	return ft.basis, pivots, true, nil
 }
 
-// iterate pivots until optimal, unbounded or capped: Dantzig entering
-// column (most negative reduced cost, first wins ties) switching to
-// Bland's rule after stallLimit degenerate pivots, leaving row by
-// minimum ratio with ties broken toward the smaller basis index.
-func (ft *floatTab) iterate(banned []bool, maxPivots int) floatOutcome {
+// iterate pivots until optimal, unbounded, capped or canceled:
+// Dantzig entering column (most negative reduced cost, first wins
+// ties) switching to Bland's rule after stallLimit degenerate pivots,
+// leaving row by minimum ratio with ties broken toward the smaller
+// basis index. ctx is checked before every pivot.
+func (ft *floatTab) iterate(ctx context.Context, banned []bool, maxPivots int) floatOutcome {
 	const stallLimit = 12 // degenerate pivots tolerated before engaging Bland
 	stalled := 0
 	lastObj := ft.obj
 	for {
 		if ft.pivots >= maxPivots {
 			return floatCapped
+		}
+		if ctx.Err() != nil {
+			return floatCanceled
 		}
 		useBland := stalled >= stallLimit
 		enter := -1

@@ -2,6 +2,7 @@ package lp
 
 import (
 	"bytes"
+	"context"
 	"flag"
 	"fmt"
 	"math/big"
@@ -93,7 +94,7 @@ func TestFloatLocatePinned(t *testing.T) {
 	var got bytes.Buffer
 	for k, p := range probs {
 		s := newStandardForm(p)
-		st, ft, ok := s.floatSolve()
+		st, ft, ok, _ := s.floatSolve(context.Background())
 		basis := make([]string, len(ft.basis))
 		for r, bi := range ft.basis {
 			basis[r] = strconv.Itoa(bi)
@@ -140,7 +141,7 @@ func BenchmarkSimplexFloatLocate(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, _, ok := s.floatCandidateBasis(); !ok {
+				if _, _, ok, _ := s.floatCandidateBasis(context.Background()); !ok {
 					b.Fatal("float locate found no candidate basis")
 				}
 			}

@@ -105,7 +105,7 @@ func TestHstatsKernelOracle(t *testing.T) {
 func luTestSetup(t *testing.T) (*standardForm, []int) {
 	t.Helper()
 	s := newStandardForm(tailoredTestLP(3, rational.New(1, 4)))
-	basis, _, ok := s.floatCandidateBasis()
+	basis, _, ok, _ := s.floatCandidateBasis(context.Background())
 	if !ok {
 		t.Fatal("float solver failed to produce a basis")
 	}
@@ -276,7 +276,7 @@ func TestDualRepairMagnitudeRefactor(t *testing.T) {
 	floatSkipDualCleanup = true
 
 	s := newStandardForm(tailoredTestLP(20, rational.New(1, 2)))
-	basis, _, ok := s.floatCandidateBasis()
+	basis, _, ok, _ := s.floatCandidateBasis(context.Background())
 	if !ok {
 		t.Fatal("float candidate basis unavailable")
 	}

@@ -6,7 +6,8 @@
 // float solver contributes only a list of column indices, and every
 // quantity in the returned Solution is recomputed over big.Rat and
 // checked against the simplex optimality conditions as true rational
-// inequalities:
+// inequalities (a basis read off SolveOpts.Start, pointstart.go, is
+// certified the same way):
 //
 //	primal feasibility:  x_B = B⁻¹ b ≥ 0        (componentwise, exact)
 //	dual optimality:     z_j = c_j − y·A_j > 0   with  Bᵀy = c_B
@@ -29,6 +30,7 @@ package lp
 
 import (
 	"context"
+	"math/big"
 	"time"
 )
 
@@ -51,6 +53,14 @@ const (
 // production default: the warm start on.
 type SolveOpts struct {
 	Strategy Strategy
+	// Start, when non-nil on a StrategyWarmStart solve, is a point
+	// indexed by Var that the caller expects to be optimal (or close
+	// to it). The solve reads its starting basis off the point
+	// (pointstart.go) instead of running the float locate, and runs
+	// the float locate only when that basis cannot finish the solve.
+	// The point is a hint, never trusted: the result is certified and
+	// canonical, so it is the same whatever Start holds.
+	Start []*big.Rat
 	// Stats, when non-nil, is reset at the start of the solve and
 	// filled with counters describing what the solver actually did.
 	Stats *SolveStats
@@ -80,9 +90,18 @@ type SolveStats struct {
 	Refactorizations   int
 	MagnitudeRefactors int
 
-	WarmStartHit     bool // float basis certified optimal and unique; zero exact pivots
+	WarmStartHit     bool // candidate basis certified optimal and unique; zero exact pivots
 	CrossoverResumed bool // exact pivoting resumed (primal resume, dual repair or lex refinement)
 	Fallback         bool // cold two-phase exact solve ran: the float solve failed
+
+	// PointStart reports that the candidate basis was read off
+	// SolveOpts.Start rather than located by the float simplex; it is
+	// set alongside WarmStartHit or CrossoverResumed. PointFallback
+	// reports a Start whose basis could not finish the solve (support
+	// over m columns, a singular basis, or an infeasible one the dual
+	// repair could not mend), so the float locate ran after all.
+	PointStart    bool
+	PointFallback bool
 
 	// TiedOptima reports an optimum that was not unique, refined to
 	// the canonical lexicographically smallest optimal point (lex.go).
@@ -90,27 +109,73 @@ type SolveStats struct {
 	TiedOptima bool
 }
 
-// solveWarmStart attempts the float-guided path. done=false (with nil
-// error) means the caller must run the cold two-phase fallback; when
-// done=true, sol is the certified result.
+// AddWork adds o's work counters — pivots, float time, kernel tier
+// ops and refactorizations — to st, leaving st's path flags alone. A
+// caller that runs an auxiliary solve on behalf of a main one (the
+// consumer package's interaction solve that locates the tailored
+// optimum) folds its work in with this, so the pair reports as one
+// solve.
+func (st *SolveStats) AddWork(o *SolveStats) {
+	st.FloatPivots += o.FloatPivots
+	//dpvet:ignore ratoverflow telemetry counter, not rational arithmetic; wraparound would skew stats, never results
+	st.FloatNanos += o.FloatNanos
+	st.ExactPivots += o.ExactPivots
+	st.RevisedPivots += o.RevisedPivots
+	//dpvet:ignore ratoverflow telemetry counter, as above
+	st.SmallOps += o.SmallOps
+	//dpvet:ignore ratoverflow telemetry counter, as above
+	st.BigFallbacks += o.BigFallbacks
+	st.Refactorizations += o.Refactorizations
+	st.MagnitudeRefactors += o.MagnitudeRefactors
+}
+
+// solveWarmStart attempts the warm paths. done=false (with nil error)
+// means the caller must run the cold two-phase fallback; when
+// done=true, sol is the certified result. A basis read off
+// SolveOpts.Start (pointstart.go) goes first; when there is none, or
+// it cannot finish the solve, the float locate proposes one.
 func (s *standardForm) solveWarmStart(ctx context.Context, opts *SolveOpts) (sol *Solution, done bool, err error) {
 	if err := ctx.Err(); err != nil {
 		return nil, false, err
 	}
+	if opts.Start != nil {
+		if basis, ok := s.pointBasis(opts.Start, opts.Stats); ok {
+			sol, done, err = s.crossover(ctx, basis, opts)
+			if err != nil || done {
+				if done && opts.Stats != nil {
+					opts.Stats.PointStart = true
+				}
+				return sol, done, err
+			}
+		}
+		if opts.Stats != nil {
+			opts.Stats.PointFallback = true
+		}
+	}
 	start := time.Now()
-	basis, floatPivots, ok := s.floatCandidateBasis()
+	basis, floatPivots, ok, err := s.floatCandidateBasis(ctx)
 	if opts.Stats != nil {
 		opts.Stats.FloatPivots = floatPivots
 		opts.Stats.FloatNanos = time.Since(start).Nanoseconds()
 	}
-	if !ok {
-		return nil, false, nil
+	if err != nil || !ok {
+		return nil, false, err
 	}
+	return s.crossover(ctx, basis, opts)
+}
+
+// crossover certifies a candidate basis in exact arithmetic and
+// finishes the solve from it: a strict certificate returns the vertex,
+// an infeasible but strictly dual-feasible basis is repaired by dual
+// pivots, a tie is refined to the canonical optimum and a feasible but
+// non-optimal basis resumes primal pivoting. done=false (with nil
+// error) reports a basis that is singular or not repairable.
+func (s *standardForm) crossover(ctx context.Context, basis []int, opts *SolveOpts) (sol *Solution, done bool, err error) {
 	var h hstats
 	defer func() { h.fold(opts.Stats) }()
 	lu, ok := s.factorizeSparse(basis, &h)
 	if !ok {
-		return nil, false, nil // singular basis: the float path lost the plot
+		return nil, false, nil // singular candidate basis
 	}
 	xB := lu.solve(s.b)
 	repaired := false
