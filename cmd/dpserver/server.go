@@ -97,14 +97,12 @@ type server struct {
 	start        time.Time
 
 	// The survey: not in the registry, so /v1/tenants never lists it.
-	// Its release plan and per-level samplers are pinned at startup —
-	// the level-K sampler and its rendered α string at index K−1 — so
-	// /v1/sample never touches the engine's cache-lookup machinery or
-	// re-renders a rational per request.
-	survey        *tenant.Tenant
-	plan          *release.Plan
-	levelSamplers []*engine.Sampler
-	alphaStrs     []string
+	// Its release plan is pinned at startup (planOf) instead of being
+	// looked up in the engine's LRU: at the default n=500 a build takes
+	// over 30 s, so an eviction must never send a survey request back
+	// to it (DESIGN §13.5).
+	survey *tenant.Tenant
+	plan   *release.Plan
 
 	// ready gates /readyz: true once serving, false when draining so
 	// load balancers stop routing before in-flight requests finish.
@@ -136,25 +134,20 @@ func parseWireRat(s string) (*big.Rat, error) {
 }
 
 // parseLevels parses the -levels flag: comma-separated rationals that
-// must be strictly increasing within (0,1). It owns the full
-// validation so the fuzz target FuzzParseLevels can exercise parser
-// and invariants together.
+// must be strictly increasing within (0,1) (release.CheckLevels, the
+// one ladder rule), so the fuzz target FuzzParseLevels can exercise
+// parser and invariants together.
 func parseLevels(s string) ([]*big.Rat, error) {
-	one := rational.One()
 	var out []*big.Rat
 	for i, part := range strings.Split(s, ",") {
 		a, err := parseWireRat(part)
 		if err != nil {
 			return nil, fmt.Errorf("level %d: %w", i+1, err)
 		}
-		if a.Sign() <= 0 || a.Cmp(one) >= 0 {
-			return nil, fmt.Errorf("level %d: %s outside (0,1)", i+1, a.RatString())
-		}
-		if i > 0 && a.Cmp(out[i-1]) <= 0 {
-			return nil, fmt.Errorf("level %d: %s not greater than level %d (%s)",
-				i+1, a.RatString(), i, out[i-1].RatString())
-		}
 		out = append(out, a)
+	}
+	if err := release.CheckLevels(out); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -242,36 +235,21 @@ func newServer(cfg serverConfig) (*server, error) {
 	if err != nil {
 		return nil, err
 	}
-	plan, err := eng.ReleasePlan(cfg.N, alphas)
+	plan, err := eng.Plan(context.Background(), survey.Ladder())
 	if err != nil {
 		return nil, err
 	}
-	samplers := make([]*engine.Sampler, len(alphas))
-	alphaStrs := make([]string, len(alphas))
-	for i, a := range alphas {
-		m, err := plan.Marginal(i + 1)
-		if err != nil {
-			return nil, err
-		}
-		samplers[i], err = eng.Sampler(context.Background(), engine.SamplerSpec{Mechanism: m})
-		if err != nil {
-			return nil, fmt.Errorf("compiling level %d sampler: %w", i+1, err)
-		}
-		alphaStrs[i] = a.RatString()
-	}
 	s := &server{
-		eng:           eng,
-		city:          cfg.City,
-		maxTailoredN:  maxN,
-		solveTimeout:  cfg.SolveTimeout,
-		start:         time.Now(),
-		survey:        survey,
-		plan:          plan,
-		levelSamplers: samplers,
-		alphaStrs:     alphaStrs,
-		routes:        make(map[string]*routeStat),
-		registry:      tenant.NewRegistry(),
-		store:         artifacts,
+		eng:          eng,
+		city:         cfg.City,
+		maxTailoredN: maxN,
+		solveTimeout: cfg.SolveTimeout,
+		start:        time.Now(),
+		survey:       survey,
+		plan:         plan,
+		routes:       make(map[string]*routeStat),
+		registry:     tenant.NewRegistry(),
+		store:        artifacts,
 	}
 	if _, err := s.nextEpoch(context.Background(), survey); err != nil {
 		return nil, err
@@ -323,13 +301,15 @@ func decodeStrict(r io.Reader, v any) error {
 }
 
 // planOf returns principal t's release plan. The survey's is pinned
-// at startup; a tenant's comes from the engine's plans cache on every
-// use, so the engine's LRU is the one bound on compiled state.
+// at startup (see server.plan); a tenant's comes from the engine's
+// plans cache by its ladder's key on every use, so the engine's LRU is
+// the one bound on a tenant's compiled state. A cache hit allocates
+// nothing.
 func (s *server) planOf(ctx context.Context, t *tenant.Tenant) (*release.Plan, error) {
 	if t == s.survey {
 		return s.plan, nil
 	}
-	return s.eng.ReleasePlanCtx(ctx, t.N(), t.Alphas())
+	return s.eng.Plan(ctx, t.Ladder())
 }
 
 // nextEpoch draws a fresh correlated cascade for principal t and
@@ -343,32 +323,35 @@ func (s *server) nextEpoch(ctx context.Context, t *tenant.Tenant) (*tenant.Epoch
 	return t.Advance(plan)
 }
 
-// levelSampler returns a sampler over principal t's level-lvl
-// marginal G_{n,α} and the level's rendered α. The survey's are
-// pinned, so /v1/sample allocates nothing here; a tenant's sampler is
-// a view of its plan's marginal, so the tenant's G exists once. It
-// takes the request, not its context: inlined into handleSample,
-// r.Context() reports a heap escape (of the zero-size background
-// context) that the hotpath gate would flag.
-func (s *server) levelSampler(r *http.Request, t *tenant.Tenant, lvl int) (*engine.Sampler, string, error) {
-	if t == s.survey {
-		return s.levelSamplers[lvl-1], s.alphaStrs[lvl-1], nil
-	}
-	ctx := r.Context()
-	plan, err := s.planOf(ctx, t)
+// levelSampler is the one sample path of the survey and the tenants:
+// principal t's plan (planOf), its level-lvl marginal G_{n,α}, a view
+// over it, and the level's α as the ladder rendered it. With the plan
+// pinned or cached it allocates nothing.
+//
+//dpvet:hotpath
+func (s *server) levelSampler(r *http.Request, t *tenant.Tenant, lvl int) (engine.Sampler, string, error) {
+	plan, err := s.requestPlan(r, t)
 	if err != nil {
-		return nil, "", err
+		return engine.Sampler{}, "", err
 	}
 	m, err := plan.Marginal(lvl)
 	if err != nil {
-		return nil, "", err
+		return engine.Sampler{}, "", err
 	}
-	a, err := plan.Alpha(lvl)
-	if err != nil {
-		return nil, "", err
-	}
-	sm, err := s.eng.Sampler(ctx, engine.SamplerSpec{Mechanism: m})
-	return sm, a.RatString(), err
+	return s.eng.View(m), t.Ladder().AlphaString(lvl), nil
+}
+
+// requestPlan is planOf under r's context, kept out of line for the
+// hotpath gate. r.Context() converts the zero-size background context
+// to an interface, and once the engine's lookup lets the context
+// escape the compiler reports that conversion as a heap escape,
+// although a zero-size value never allocates. Inlined, the report
+// would land in levelSampler or handleSample; TestHandleSampleZeroAlloc
+// checks that the path allocates nothing.
+//
+//go:noinline
+func (s *server) requestPlan(r *http.Request, t *tenant.Tenant) (*release.Plan, error) {
+	return s.planOf(r.Context(), t)
 }
 
 // --- error envelope -------------------------------------------------------
@@ -633,8 +616,9 @@ func (s *server) handleLevels(w http.ResponseWriter, _ *http.Request) {
 		Level int    `json:"level"`
 		Alpha string `json:"alpha"`
 	}
-	out := make([]level, len(s.alphaStrs))
-	for i, a := range s.alphaStrs {
+	alphas := s.survey.Ladder().Strings()
+	out := make([]level, len(alphas))
+	for i, a := range alphas {
 		out[i] = level{Level: i + 1, Alpha: a}
 	}
 	writeJSON(w, http.StatusOK, out)
@@ -684,16 +668,11 @@ func (s *server) handleRelease(w http.ResponseWriter, r *http.Request) {
 		writeAPIError(w, http.StatusBadRequest, "invalid_argument", "%v", err)
 		return
 	}
-	a, err := t.Alpha(lvl)
-	if err != nil {
-		writeAPIError(w, http.StatusBadRequest, "invalid_argument", "%v", err)
-		return
-	}
 	e := t.Epoch()
 	body := map[string]interface{}{
 		"epoch":  e.Epoch,
 		"level":  lvl,
-		"alpha":  a.RatString(),
+		"alpha":  t.Ladder().AlphaString(lvl),
 		"result": e.Results[lvl-1],
 	}
 	if id != "" {
@@ -919,13 +898,14 @@ func parseSampleQuery(r *http.Request, levels, n int) (lvl, input, count int, er
 // what the epoch snapshot exists to prevent.
 //
 // This is the server's hot path and is engineered allocation-free at
-// steady state for the survey: query parsing scans the raw query, the
-// survey's samplers are pinned, draws land in a pooled buffer via
-// Sampler.SampleInto (one PRNG block, one counter update for the
+// steady state for the survey and for a tenant whose plan is cached:
+// query parsing scans the raw query, levelSampler is one plan lookup
+// and a view of the level's marginal, draws land in a pooled buffer
+// via Sampler.SampleInto (one PRNG block, one counter update for the
 // whole batch), and the response is append-built JSON on a pooled
 // buffer — no encoding/json reflection anywhere. The hotpath
-// annotation makes dpvet hold that line against the compiler's escape
-// analysis.
+// annotations here and on levelSampler make dpvet hold that line
+// against the compiler's escape analysis.
 //
 //dpvet:hotpath
 func (s *server) handleSample(w http.ResponseWriter, r *http.Request) {

@@ -153,15 +153,10 @@ func tenantSummary(t *tenant.Tenant) map[string]interface{} {
 	if lossName == "" {
 		lossName = "absolute"
 	}
-	alphas := t.Alphas()
-	levels := make([]string, len(alphas))
-	for i, a := range alphas {
-		levels[i] = a.RatString()
-	}
 	out := map[string]interface{}{
 		"id":     t.ID(),
 		"n":      t.N(),
-		"levels": levels,
+		"levels": t.Ladder().Strings(),
 		"loss":   lossName,
 		"epoch":  t.Epoch().Epoch,
 	}

@@ -44,8 +44,8 @@ var DefaultScope = []string{
 	"minimaxdp/internal/mechanism",
 	// The serving engine caches exact artifacts (mechanisms,
 	// transitions, LP optima) and must stay exact everywhere —
-	// including its samplers: the dyadic alias tables (sampler.go,
-	// shard.go) are built from the rational rows by integer
+	// including its samplers: the dyadic alias tables (sampler.go)
+	// are built from the rational rows by integer
 	// quantization with a rational certificate, so not even the draw
 	// path needs a float exemption. See DESIGN.md §11.
 	"minimaxdp/internal/engine",

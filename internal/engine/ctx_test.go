@@ -475,8 +475,8 @@ func TestSamplerSpecGeometricCached(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range s1.rows {
-		if s1.rows[i] != s2.rows[i] {
+	for i := 0; i <= s1.N(); i++ {
+		if s1.m.AliasRow(i) != s2.m.AliasRow(i) {
 			t.Fatalf("row %d: equal SamplerSpecs built separate tables", i)
 		}
 	}

@@ -18,11 +18,10 @@
 //     for the same not-yet-cached artifact run the computation once
 //     and share the result (critical for the LP solves, which cost
 //     milliseconds to minutes while a cache hit costs nanoseconds);
-//   - dyadic alias samplers that view a cached mechanism's rows and
-//     draw over a GOMAXPROCS-sized array of sampler shards, each shard
-//     owning a lock-free splitmix64 stream and its own counters, so
-//     concurrent draws never contend on a shared PRNG or a shared
-//     cache line.
+//   - dyadic alias samplers: value views of a cached mechanism that
+//     draw through its certified per-row tables from the engine's one
+//     lock-free splitmix64 stream, so a draw takes no lock and
+//     allocates nothing.
 //
 // # Computation lifetime and admission control
 //
@@ -58,13 +57,14 @@ import (
 	"errors"
 	"fmt"
 	"math/big"
-	"strings"
+	"sync/atomic"
 
 	"minimaxdp/internal/baseline"
 	"minimaxdp/internal/consumer"
 	"minimaxdp/internal/lp"
 	"minimaxdp/internal/mechanism"
 	"minimaxdp/internal/release"
+	"minimaxdp/internal/sample"
 	diskstore "minimaxdp/internal/store"
 )
 
@@ -122,10 +122,10 @@ type Config struct {
 	// before touching cache or solver. Zero or negative means
 	// DefaultMaxLPDomainN.
 	MaxLPDomainN int
-	// Seed is the base seed for the sampler shards' PRNGs. Shard k
-	// draws from splitmix64 stream (Seed, k), so a fixed seed gives a
-	// reproducible *set* of streams (though goroutine scheduling still
-	// decides which goroutine draws from which stream).
+	// Seed seeds the engine's one sampler stream (splitmix64 stream
+	// (Seed, 0)): a fixed seed fixes the word sequence, so one
+	// goroutine's draws are reproducible whatever GOMAXPROCS is
+	// (concurrent draws interleave by scheduling).
 	Seed int64
 	// Trace, when non-nil, receives a span event for every cache hit,
 	// miss, coalesced join, solve start/finish, and shed rejection.
@@ -169,11 +169,16 @@ type Engine struct {
 	interactions *store
 	compares     *store
 
-	stop       context.CancelFunc // cancels the root every computation runs under
-	solves     *solveSem
-	shards     *shardSet
+	stop   context.CancelFunc // cancels the root every computation runs under
+	solves *solveSem
+	trace  TraceFunc // nil = tracing off
+
+	// Sampler state: one PRNG stream shared by every sampler, and the
+	// draw counters behind Metrics.
+	rng        sample.AtomicSplitmix
+	draws      atomic.Uint64
+	batches    atomic.Uint64
 	batchSizes batchHist
-	trace      TraceFunc // nil = tracing off
 
 	lp     lpCounters
 	maxLPN int
@@ -191,10 +196,10 @@ func New(cfg Config) *Engine {
 		compares:     newStore("compares", lpCacheSize),
 		stop:         stop,
 		solves:       newSolveSem(cfg.MaxInFlightSolves),
-		shards:       newShardSet(cfg.Seed),
 		trace:        cfg.Trace,
 		maxLPN:       cfg.MaxLPDomainN,
 	}
+	e.rng.Seed(cfg.Seed)
 	// Only the LP-backed classes and the release plans are expensive
 	// enough to shed: a plan build runs one exact Lemma 3 transition
 	// per adjacent level pair and takes seconds at moderate n, while
@@ -284,10 +289,8 @@ func geometricKey(n int, alpha *big.Rat) string {
 	return fmt.Sprintf("n=%d|a=%s", n, ratKey(alpha))
 }
 
-// planKey keys an Algorithm 1 release plan by its full α-ladder.
-func planKey(n int, parts []string) string {
-	return fmt.Sprintf("n=%d|a=%s", n, strings.Join(parts, ","))
-}
+// A release plan's key is its ladder's (release.Ladder.Key), fixed
+// when the ladder is built, so a plan lookup renders nothing.
 
 // lpKey keys the LP-backed classes (tailored, interactions): the
 // level parameters plus the consumer identity from consumerKey.
@@ -388,21 +391,25 @@ func (e *Engine) ReleasePlan(n int, alphas []*big.Rat) (*release.Plan, error) {
 	return e.ReleasePlanCtx(context.Background(), n, alphas)
 }
 
-// ReleasePlanCtx is ReleasePlan under a context.
+// ReleasePlanCtx is ReleasePlan under a context: Plan over
+// release.NewLadder(n, alphas).
 func (e *Engine) ReleasePlanCtx(ctx context.Context, n int, alphas []*big.Rat) (*release.Plan, error) {
-	parts := make([]string, len(alphas))
-	for i, a := range alphas {
-		if a == nil {
-			return nil, fmt.Errorf("engine: nil level %d", i+1)
-		}
-		parts[i] = ratKey(a)
+	l, err := release.NewLadder(n, alphas)
+	if err != nil {
+		return nil, err
 	}
-	key := planKey(n, parts)
-	if p, ok, err := getCached[*release.Plan](ctx, e.plans, key); ok || err != nil {
+	return e.Plan(ctx, l)
+}
+
+// Plan returns the (shared) release plan of a validated ladder, keyed
+// by l.Key(). A cache hit allocates nothing; a miss probes the disk
+// store, then builds under the solve semaphore.
+func (e *Engine) Plan(ctx context.Context, l *release.Ladder) (*release.Plan, error) {
+	if p, ok, err := getCached[*release.Plan](ctx, e.plans, l.Key()); ok || err != nil {
 		return p, err
 	}
-	return getTyped(ctx, e.plans, key, func(context.Context) (*release.Plan, error) {
-		return release.NewPlan(n, alphas)
+	return getTyped(ctx, e.plans, l.Key(), func(context.Context) (*release.Plan, error) {
+		return release.BuildPlan(l)
 	})
 }
 
@@ -476,8 +483,8 @@ func (e *Engine) Metrics() Metrics {
 		Tailored:          e.tailored.stats(),
 		Interactions:      e.interactions.stats(),
 		Compares:          e.compares.stats(),
-		SamplerDraws:      e.shards.drawCount(),
-		SamplerBatches:    e.shards.batchCount(),
+		SamplerDraws:      e.draws.Load(),
+		SamplerBatches:    e.batches.Load(),
 		SamplerBatchSizes: e.batchSizes.snapshot(),
 		InFlightSolves:    e.solves.inFlight(),
 		LP:                e.lp.snapshot(),

@@ -1,7 +1,9 @@
 package engine
 
 import (
+	"fmt"
 	"math/big"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -10,6 +12,7 @@ import (
 	"minimaxdp/internal/loss"
 	"minimaxdp/internal/mechanism"
 	"minimaxdp/internal/rational"
+	"minimaxdp/internal/release"
 )
 
 func rat(t testing.TB, s string) *big.Rat {
@@ -257,5 +260,50 @@ func TestEngineCachedSpeedup(t *testing.T) {
 	if ratio := float64(uncached) / float64(cachedPerOp); ratio < 10 {
 		t.Errorf("cached lookup only %.1fx faster than LP solve (uncached %v, cached %v); want ≥10x",
 			ratio, uncached, cachedPerOp)
+	}
+}
+
+// TestPlanKeyPinned pins the plans class's key, which is also its disk
+// address: release.Ladder.Key must equal the string the engine's
+// former per-call planKey rendered (oldPlanKey, kept here as the
+// oracle), or every stored plan is orphaned. The engine must cache a
+// plan under exactly that key.
+func TestPlanKeyPinned(t *testing.T) {
+	oldPlanKey := func(n int, alphas []*big.Rat) string {
+		parts := make([]string, len(alphas))
+		for i, a := range alphas {
+			parts[i] = a.RatString()
+		}
+		return fmt.Sprintf("n=%d|a=%s", n, strings.Join(parts, ","))
+	}
+	e := newEngine(t, Config{})
+	for _, tc := range []struct {
+		n      int
+		levels []string
+		want   string
+	}{
+		{6, []string{"1/2", "2/3"}, "n=6|a=1/2,2/3"},
+		{12, []string{"1/2", "2/3", "4/5"}, "n=12|a=1/2,2/3,4/5"},
+		{8, []string{"12/25", "0.5", "999/1000"}, "n=8|a=12/25,1/2,999/1000"},
+		{10, []string{"22/44", "101/103"}, "n=10|a=1/2,101/103"},
+	} {
+		alphas := make([]*big.Rat, len(tc.levels))
+		for i, s := range tc.levels {
+			alphas[i] = rat(t, s)
+		}
+		l, err := release.NewLadder(tc.n, alphas)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := l.Key(); got != tc.want || got != oldPlanKey(tc.n, alphas) {
+			t.Errorf("ladder key = %q, want %q (old planKey: %q)", got, tc.want, oldPlanKey(tc.n, alphas))
+		}
+		p, err := e.ReleasePlan(tc.n, alphas)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v, ok := e.plans.cache.get(tc.want); !ok || v != p {
+			t.Errorf("plan for %q not cached under its pinned key", tc.want)
+		}
 	}
 }

@@ -209,7 +209,7 @@ type Metrics struct {
 	// SamplerDraws counts individual draws across every sampler the
 	// engine built; SamplerBatches counts batch-API calls
 	// (SampleInto/SampleN), and SamplerBatchSizes is the distribution
-	// of draws per batch call. Both are summed over the sampler shards.
+	// of draws per batch call.
 	SamplerDraws      uint64             `json:"sampler_draws"`
 	SamplerBatches    uint64             `json:"sampler_batches"`
 	SamplerBatchSizes BatchSizeHistogram `json:"sampler_batch_sizes"`

@@ -15,91 +15,73 @@ import (
 	"context"
 	"fmt"
 	"math/big"
+	"sync/atomic"
 
 	"minimaxdp/internal/mechanism"
-	"minimaxdp/internal/sample"
 )
 
-// Sampler draws from a fixed mechanism in O(1) per draw: one
-// certified dyadic alias table per mechanism row, gathered at
-// construction. Unlike mechanism.Sample (which takes a caller-owned
+// Sampler draws from a fixed mechanism in O(1) per draw. It is a
+// value view: a mechanism, the engine whose PRNG stream and counters
+// it uses, and a trace key. It owns no tables: each draw goes through
+// the mechanism's certified per-row table (Mechanism.AliasRow), which
+// the mechanism builds once and shares with Mechanism.Sample and every
+// other view. Unlike mechanism.Sample (which takes a caller-owned
 // *rand.Rand), Sampler methods are safe for concurrent use:
-// randomness comes from the engine's GOMAXPROCS-sized shard array,
-// each shard owning a lock-free splitmix64 stream, so concurrent
-// draws touch no shared mutable state beyond one per-shard atomic.
+// randomness comes from the engine's lock-free splitmix64 stream.
 type Sampler struct {
-	n      int
-	rows   []*sample.DyadicAlias
-	shards *shardSet
-	hist   *batchHist
-	trace  TraceFunc // nil = tracing off
-	key    string    // cache key (or "adhoc") for trace events
+	m   *mechanism.Mechanism
+	e   *Engine
+	key string // cache key (or "adhoc") for trace events
 }
 
-// newSampler wraps the mechanism's own per-row alias tables
-// (Mechanism.AliasRow), so the sampler and Mechanism.Sample draw from
-// the same certified tables.
-func newSampler(m *mechanism.Mechanism, e *Engine, key string) *Sampler {
-	n := m.N()
-	rows := make([]*sample.DyadicAlias, n+1)
-	for i := range rows {
-		rows[i] = m.AliasRow(i)
-	}
-	return &Sampler{
-		n:      n,
-		rows:   rows,
-		shards: e.shards,
-		hist:   &e.batchSizes,
-		trace:  e.trace,
-		key:    key,
-	}
+// View returns a sampler over m. Building it allocates nothing.
+func (e *Engine) View(m *mechanism.Mechanism) Sampler {
+	return Sampler{m: m, e: e, key: "adhoc"}
 }
 
 // N returns the mechanism's domain bound (results lie in {0..n}).
-func (s *Sampler) N() int { return s.n }
+func (s Sampler) N() int { return s.m.N() }
 
-// Sample draws one released result for true input i. Cost: one shard
-// pick, one atomic add on the shard's PRNG, one table lookup, one
-// atomic add on the shard's draw counter. Zero allocations.
+// Sample draws one released result for true input i. Cost: one
+// atomic add on the PRNG, one table lookup, one atomic add on the
+// draw counter. Zero allocations once row i's table exists. It panics
+// if i is outside [0,n].
 //
 //dpvet:hotpath
-func (s *Sampler) Sample(i int) int {
-	s.check(i)
-	sh := s.shards.pick()
-	r := s.rows[i].SampleWord(sh.rng.Uint64())
-	sh.draws.Add(1)
+func (s Sampler) Sample(i int) int {
+	r := s.m.AliasRow(i).SampleWord(s.e.rng.Uint64())
+	s.e.draws.Add(1)
 	return r
 }
 
 // SampleInto fills dst with len(dst) released results for true input
-// i. The whole batch reserves one contiguous block of the shard's
-// PRNG stream with a single atomic add, counts draws with a single
-// atomic add, and allocates nothing; this is the bulk form behind
+// i. The whole batch reserves one contiguous block of the PRNG stream
+// with a single atomic add, counts draws with a single atomic add,
+// and allocates nothing; this is the bulk form behind
 // /v1/sample?count=N and the ≥50× win over per-draw sampling.
 //
 //dpvet:hotpath
-func (s *Sampler) SampleInto(i int, dst []int) {
-	s.check(i)
+func (s Sampler) SampleInto(i int, dst []int) {
+	row := s.m.AliasRow(i)
 	if len(dst) == 0 {
 		return
 	}
-	sh := s.shards.pick()
-	blk := sh.rng.Block(len(dst))
-	row := s.rows[i]
+	e := s.e
+	blk := e.rng.Block(len(dst))
 	for k := range dst {
 		dst[k] = row.SampleWord(blk.Next())
 	}
-	sh.draws.Add(uint64(len(dst)))
-	sh.batches.Add(1)
-	s.hist.observe(len(dst))
-	if s.trace != nil {
-		s.trace(TraceEvent{Artifact: "samplers", Key: s.key, Kind: TraceSampleBatch, Draws: len(dst)})
+	e.draws.Add(uint64(len(dst)))
+	e.batches.Add(1)
+	e.batchSizes.observe(len(dst))
+	if e.trace != nil {
+		e.trace(TraceEvent{Artifact: "samplers", Key: s.key, Kind: TraceSampleBatch, Draws: len(dst)})
 	}
 }
 
 // SampleN draws count released results for true input i. It is
 // SampleInto with a single result-slice allocation.
-func (s *Sampler) SampleN(i, count int) []int {
+func (s Sampler) SampleN(i, count int) []int {
 	if count < 0 {
 		panic(fmt.Sprintf("engine: negative sample count %d", count))
 	}
@@ -108,26 +90,14 @@ func (s *Sampler) SampleN(i, count int) []int {
 	return out
 }
 
-// check is the cold bounds-failure path of the hotpath samplers.
-// noinline: inlined into Sample/SampleInto, the fmt.Sprintf would
-// charge its heap allocations to their lines and trip the hotpath
-// escape gate.
-//
-//go:noinline
-func (s *Sampler) check(i int) {
-	if i < 0 || i > s.n {
-		panic(fmt.Sprintf("engine: input %d out of range [0,%d]", i, s.n))
-	}
-}
-
 // SamplerSpec selects which mechanism Engine.Sampler wraps. Set
 // exactly one of:
 //
 //   - N and Alpha: the geometric mechanism G_{n,α}. The sampler is a
 //     view of the engine's cached G (GeometricCtx): its rows are G's
 //     own alias tables, so every sampler for one (n, α) shares them.
-//   - Mechanism: an arbitrary mechanism. The sampler wraps that
-//     mechanism's alias tables; retain the returned Sampler for reuse.
+//   - Mechanism: an arbitrary mechanism. The sampler is a view of it,
+//     as Engine.View returns.
 //
 // Setting both (or neither) is an error.
 type SamplerSpec struct {
@@ -150,11 +120,56 @@ func (e *Engine) Sampler(ctx context.Context, spec SamplerSpec) (*Sampler, error
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		return newSampler(spec.Mechanism, e, "adhoc"), nil
+		s := e.View(spec.Mechanism)
+		return &s, nil
 	}
 	g, err := e.GeometricCtx(ctx, spec.N, spec.Alpha)
 	if err != nil {
 		return nil, err
 	}
-	return newSampler(g, e, geometricKey(spec.N, spec.Alpha)), nil
+	return &Sampler{m: g, e: e, key: geometricKey(spec.N, spec.Alpha)}, nil
+}
+
+// Batch-size histogram bucket bounds (inclusive upper bounds, in
+// draws per batch call); the final bucket is unbounded. Powers of
+// eight resolve the interesting range — single draws, small UI
+// batches, and the /v1/sample cap — in five buckets.
+var batchSizeBounds = [...]uint64{1, 8, 64, 512, 4096}
+
+const batchSizeBuckets = len(batchSizeBounds) + 1
+
+// batchHist is the live batch-size histogram, updated once per
+// batch-API call (never per draw).
+type batchHist struct {
+	counts [batchSizeBuckets]atomic.Uint64
+}
+
+func (h *batchHist) observe(n int) {
+	size := uint64(n)
+	for i, bound := range batchSizeBounds {
+		if size <= bound {
+			h.counts[i].Add(1)
+			return
+		}
+	}
+	h.counts[batchSizeBuckets-1].Add(1)
+}
+
+// BatchSizeHistogram is the JSON snapshot of the batch-size
+// distribution: Counts[i] batch calls drew at most Bounds[i] values;
+// the final count is the unbounded overflow bucket.
+type BatchSizeHistogram struct {
+	Bounds []uint64 `json:"bounds"`
+	Counts []uint64 `json:"counts"`
+}
+
+func (h *batchHist) snapshot() BatchSizeHistogram {
+	out := BatchSizeHistogram{
+		Bounds: batchSizeBounds[:],
+		Counts: make([]uint64, batchSizeBuckets),
+	}
+	for i := range h.counts {
+		out.Counts[i] = h.counts[i].Load()
+	}
+	return out
 }

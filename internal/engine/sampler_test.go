@@ -60,7 +60,7 @@ func TestSamplerCachedPerKey(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i <= 6; i++ {
-		if s1.rows[i] != g.AliasRow(i) || s2.rows[i] != g.AliasRow(i) {
+		if s1.m.AliasRow(i) != g.AliasRow(i) || s2.m.AliasRow(i) != g.AliasRow(i) {
 			t.Fatalf("row %d: sampler table is not the cached G's AliasRow", i)
 		}
 	}
@@ -138,12 +138,12 @@ func TestMechanismSamplerArbitrary(t *testing.T) {
 }
 
 // TestSamplerBatchChiSquare drives the full engine batch path —
-// sharded PRNG, block reservation, dyadic table — and checks the
+// shared PRNG stream, block reservation, dyadic table — and checks the
 // draws fit the exact rational PMF at the 10^−3 level. Together with
 // the construction-time certificate (sample.NewDyadicAlias) and
 // sample's own kernel-level chi-square test, this pins the engine
-// wiring: if SampleInto mixed up rows, shards, or block iteration,
-// the fit would collapse.
+// wiring: if SampleInto mixed up rows or block iteration, the fit
+// would collapse.
 func TestSamplerBatchChiSquare(t *testing.T) {
 	const n, trials = 12, 200000
 	e := newEngine(t, Config{Seed: 99})
@@ -266,9 +266,9 @@ func TestSampleIntoZeroAlloc(t *testing.T) {
 }
 
 // TestSamplerSeedDeterminism documents the determinism contract: a
-// fixed Config.Seed fixes the set of shard streams, so a
+// fixed Config.Seed fixes the engine's one PRNG stream, so a
 // single-goroutine draw sequence is reproducible across engines with
-// the same seed and GOMAXPROCS.
+// the same seed, whatever GOMAXPROCS is.
 func TestSamplerSeedDeterminism(t *testing.T) {
 	draw := func() []int {
 		s, err := newEngine(t, Config{Seed: 42}).Sampler(context.Background(), SamplerSpec{N: 8, Alpha: rational.MustParse("1/2")})

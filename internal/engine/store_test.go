@@ -137,7 +137,7 @@ func TestEngineWarmBoot(t *testing.T) {
 			t.Errorf("%s: cold %s != warm %s", cmp.name, cmp.cold.RatString(), cmp.warm.RatString())
 		}
 	}
-	// Same seed, same shard streams, and tables rebuilt from the same
+	// Same seed, same stream, and tables rebuilt from the same
 	// exact rows (the construction is deterministic): draw-for-draw
 	// equal.
 	for i := range want.draws {

@@ -20,6 +20,7 @@ import (
 	"math"
 	"math/big"
 	"math/rand"
+	"strings"
 
 	"minimaxdp/internal/consumer"
 	"minimaxdp/internal/derive"
@@ -28,29 +29,29 @@ import (
 	"minimaxdp/internal/rational"
 )
 
-// Plan is a prepared multi-level release: the geometric mechanism at
-// the least-private level plus the chain of Lemma 3 transitions.
-// Build once with NewPlan, then call Release per query result.
-type Plan struct {
-	n           int
-	alphas      []*big.Rat
-	first       *mechanism.Mechanism
-	transitions []*mechanism.Mechanism // transitions[i]: level i → level i+1
-	marginals   []*mechanism.Mechanism // G_{n,αᵢ} for each level
+// Ladder is a validated privacy ladder on the domain {0..n}: levels
+// α₁ < … < α_k strictly inside (0,1), least private first. It is the
+// value that identifies a release plan, so it is built once per
+// principal and read everywhere after: the levels are cloned, each is
+// rendered once, and the plan's cache key is fixed. Immutable after
+// NewLadder and safe to share.
+type Ladder struct {
+	n      int
+	alphas []*big.Rat
+	strs   []string // strs[i] = alphas[i].RatString()
+	key    string
 }
 
 // ErrBadLevels is returned when the privacy levels are not strictly
 // increasing within (0,1).
 var ErrBadLevels = errors.New("release: privacy levels must be strictly increasing within (0,1)")
 
-// validateLevels checks the shared Plan preconditions: n ≥ 1 and a
-// non-empty ladder of strictly increasing levels within (0,1).
-func validateLevels(n int, alphas []*big.Rat) error {
-	if n < 1 {
-		return fmt.Errorf("release: n must be ≥ 1, got %d", n)
-	}
+// CheckLevels is the one ladder rule: a non-empty list of non-nil
+// levels, strictly increasing within (0,1). Failures wrap ErrBadLevels
+// (an empty list too).
+func CheckLevels(alphas []*big.Rat) error {
 	if len(alphas) == 0 {
-		return fmt.Errorf("release: at least one privacy level required")
+		return fmt.Errorf("%w: at least one privacy level required", ErrBadLevels)
 	}
 	one := rational.One()
 	for i, a := range alphas {
@@ -68,16 +69,92 @@ func validateLevels(n int, alphas []*big.Rat) error {
 	return nil
 }
 
-// NewPlan validates the levels α₁ < … < α_k (all in (0,1)) and
-// precomputes the release chain of Algorithm 1.
-func NewPlan(n int, alphas []*big.Rat) (*Plan, error) {
-	if err := validateLevels(n, alphas); err != nil {
+// NewLadder checks n ≥ 1 and the levels (CheckLevels) and builds the
+// ladder. The caller's rationals are cloned.
+func NewLadder(n int, alphas []*big.Rat) (*Ladder, error) {
+	if n < 1 {
+		return nil, fmt.Errorf("release: n must be ≥ 1, got %d", n)
+	}
+	if err := CheckLevels(alphas); err != nil {
 		return nil, err
 	}
-	p := &Plan{n: n}
-	for _, a := range alphas {
-		p.alphas = append(p.alphas, rational.Clone(a))
+	l := &Ladder{n: n, alphas: make([]*big.Rat, len(alphas)), strs: make([]string, len(alphas))}
+	for i, a := range alphas {
+		l.alphas[i] = rational.Clone(a)
+		l.strs[i] = a.RatString()
 	}
+	// big.Rat keeps lowest terms, so equal ladders render (and key)
+	// identically. The format is the plans class's disk address: a
+	// change orphans every stored plan.
+	l.key = fmt.Sprintf("n=%d|a=%s", n, strings.Join(l.strs, ","))
+	return l, nil
+}
+
+// N returns the domain bound.
+func (l *Ladder) N() int { return l.n }
+
+// Levels returns the number of privacy levels.
+func (l *Ladder) Levels() int { return len(l.alphas) }
+
+// Key returns the plan key "n=N|a=α₁,…,α_k", each α in lowest terms.
+func (l *Ladder) Key() string { return l.key }
+
+// Alpha returns a copy of the privacy parameter of a 1-based level.
+func (l *Ladder) Alpha(level int) (*big.Rat, error) {
+	if level < 1 || level > len(l.alphas) {
+		return nil, fmt.Errorf("release: level %d out of range 1..%d", level, len(l.alphas))
+	}
+	return rational.Clone(l.alphas[level-1]), nil
+}
+
+// AlphaString returns the rendered α of a 1-based level, or "" out of
+// range. It allocates nothing.
+func (l *Ladder) AlphaString(level int) string {
+	if level < 1 || level > len(l.strs) {
+		return ""
+	}
+	return l.strs[level-1]
+}
+
+// Strings returns a copy of the rendered levels, least private first.
+func (l *Ladder) Strings() []string { return append([]string(nil), l.strs...) }
+
+// Alphas returns a deep copy of the levels.
+func (l *Ladder) Alphas() []*big.Rat {
+	out := make([]*big.Rat, len(l.alphas))
+	for i, a := range l.alphas {
+		out[i] = rational.Clone(a)
+	}
+	return out
+}
+
+// Plan is a prepared multi-level release: the geometric mechanism at
+// the least-private level plus the chain of Lemma 3 transitions.
+// Build once with NewPlan (or BuildPlan), then call Release per query
+// result.
+type Plan struct {
+	ladder      *Ladder
+	first       *mechanism.Mechanism
+	transitions []*mechanism.Mechanism // transitions[i]: level i → level i+1
+	marginals   []*mechanism.Mechanism // G_{n,αᵢ} for each level
+}
+
+// NewPlan validates the levels α₁ < … < α_k (all in (0,1)) and
+// precomputes the release chain of Algorithm 1. It is BuildPlan over
+// NewLadder(n, alphas).
+func NewPlan(n int, alphas []*big.Rat) (*Plan, error) {
+	l, err := NewLadder(n, alphas)
+	if err != nil {
+		return nil, err
+	}
+	return BuildPlan(l)
+}
+
+// BuildPlan precomputes the release chain of Algorithm 1 for a
+// validated ladder: one exact Lemma 3 transition per adjacent pair.
+func BuildPlan(l *Ladder) (*Plan, error) {
+	n, alphas := l.n, l.alphas
+	p := &Plan{ladder: l}
 	var err error
 	p.first, err = mechanism.Geometric(n, alphas[0])
 	if err != nil {
@@ -116,17 +193,15 @@ func NewPlan(n int, alphas []*big.Rat) (*Plan, error) {
 // (verifying would mean re-deriving it); callers reassembling from
 // untrusted bytes must pair this with checksummed storage.
 func PlanFromParts(n int, alphas []*big.Rat, transitions []*matrix.Matrix) (*Plan, error) {
-	if err := validateLevels(n, alphas); err != nil {
+	l, err := NewLadder(n, alphas)
+	if err != nil {
 		return nil, err
 	}
 	if len(transitions) != len(alphas)-1 {
 		return nil, fmt.Errorf("release: %d levels need %d transitions, got %d",
 			len(alphas), len(alphas)-1, len(transitions))
 	}
-	p := &Plan{n: n}
-	for _, a := range alphas {
-		p.alphas = append(p.alphas, rational.Clone(a))
-	}
+	p := &Plan{ladder: l}
 	for i, tm := range transitions {
 		if tm == nil || tm.Rows() != n+1 {
 			return nil, fmt.Errorf("release: transition %d is not (n+1)×(n+1)", i+1)
@@ -137,7 +212,7 @@ func PlanFromParts(n int, alphas []*big.Rat, transitions []*matrix.Matrix) (*Pla
 		}
 		p.transitions = append(p.transitions, tr)
 	}
-	for i, a := range p.alphas {
+	for i, a := range l.alphas {
 		g, err := mechanism.Geometric(n, a)
 		if err != nil {
 			return nil, fmt.Errorf("release: rebuilding marginal %d: %w", i+1, err)
@@ -148,20 +223,18 @@ func PlanFromParts(n int, alphas []*big.Rat, transitions []*matrix.Matrix) (*Pla
 	return p, nil
 }
 
+// Ladder returns the plan's validated ladder (shared, immutable).
+func (p *Plan) Ladder() *Ladder { return p.ladder }
+
 // Levels returns the number of privacy levels.
-func (p *Plan) Levels() int { return len(p.alphas) }
+func (p *Plan) Levels() int { return p.ladder.Levels() }
 
 // N returns the database size.
-func (p *Plan) N() int { return p.n }
+func (p *Plan) N() int { return p.ladder.n }
 
 // Alpha returns the privacy parameter of level (1-based, matching the
 // paper's α₁ … α_k).
-func (p *Plan) Alpha(level int) (*big.Rat, error) {
-	if level < 1 || level > len(p.alphas) {
-		return nil, fmt.Errorf("release: level %d out of range 1..%d", level, len(p.alphas))
-	}
-	return rational.Clone(p.alphas[level-1]), nil
-}
+func (p *Plan) Alpha(level int) (*big.Rat, error) { return p.ladder.Alpha(level) }
 
 // Marginal returns the exact marginal mechanism at a level — always
 // the geometric mechanism G_{n,αᵢ} (the paper's M_i).
@@ -186,10 +259,10 @@ func (p *Plan) Transition(level int) (*matrix.Matrix, error) {
 // most-private (α_k). Successive results are correlated by
 // construction: r[i+1] is sampled from the T_{αᵢ,αᵢ₊₁} row of r[i].
 func (p *Plan) Release(trueResult int, rng *rand.Rand) ([]int, error) {
-	if trueResult < 0 || trueResult > p.n {
-		return nil, fmt.Errorf("release: true result %d out of range [0,%d]", trueResult, p.n)
+	if trueResult < 0 || trueResult > p.ladder.n {
+		return nil, fmt.Errorf("release: true result %d out of range [0,%d]", trueResult, p.ladder.n)
 	}
-	out := make([]int, len(p.alphas))
+	out := make([]int, p.Levels())
 	out[0] = p.first.Sample(trueResult, rng)
 	for i, tr := range p.transitions {
 		out[i+1] = tr.Sample(out[i], rng)
@@ -202,8 +275,8 @@ func (p *Plan) Release(trueResult int, rng *rand.Rand) ([]int, error) {
 // result has the right law, but the draws are independent, so
 // colluding consumers can average away the noise.
 func (p *Plan) NaiveRelease(trueResult int, rng *rand.Rand) ([]int, error) {
-	if trueResult < 0 || trueResult > p.n {
-		return nil, fmt.Errorf("release: true result %d out of range [0,%d]", trueResult, p.n)
+	if trueResult < 0 || trueResult > p.ladder.n {
+		return nil, fmt.Errorf("release: true result %d out of range [0,%d]", trueResult, p.ladder.n)
 	}
 	out := make([]int, len(p.marginals))
 	for i, g := range p.marginals {
@@ -221,14 +294,14 @@ func (p *Plan) CollusionAlpha(levels []int) (*big.Rat, error) {
 	}
 	min := 0
 	for _, l := range levels {
-		if l < 1 || l > len(p.alphas) {
-			return nil, fmt.Errorf("release: level %d out of range 1..%d", l, len(p.alphas))
+		if l < 1 || l > p.Levels() {
+			return nil, fmt.Errorf("release: level %d out of range 1..%d", l, p.Levels())
 		}
 		if min == 0 || l < min {
 			min = l
 		}
 	}
-	return rational.Clone(p.alphas[min-1]), nil
+	return rational.Clone(p.ladder.alphas[min-1]), nil
 }
 
 // AttackResult summarizes one arm of the collusion experiment.
@@ -265,8 +338,8 @@ func AveragingAttack(results []int, n int) int {
 // naive baseline the error shrinks as the coalition grows; under the
 // cascade it does not improve on the single least-private result.
 func (p *Plan) CollusionExperiment(truth, trials int, rng *rand.Rand) (naive, cascade []AttackResult, err error) {
-	if truth < 0 || truth > p.n {
-		return nil, nil, fmt.Errorf("release: truth %d out of range [0,%d]", truth, p.n)
+	if truth < 0 || truth > p.ladder.n {
+		return nil, nil, fmt.Errorf("release: truth %d out of range [0,%d]", truth, p.ladder.n)
 	}
 	if trials <= 0 {
 		return nil, nil, fmt.Errorf("release: trials must be positive")
@@ -284,12 +357,12 @@ func (p *Plan) CollusionExperiment(truth, trials int, rng *rand.Rand) (naive, ca
 			return nil, nil, err
 		}
 		for c := 1; c <= k; c++ {
-			ne := AveragingAttack(nv[:c], p.n) - truth
+			ne := AveragingAttack(nv[:c], p.ladder.n) - truth
 			if ne < 0 {
 				ne = -ne
 			}
 			naiveErr[c-1] += float64(ne)
-			ce := AveragingAttack(cv[:c], p.n) - truth
+			ce := AveragingAttack(cv[:c], p.ladder.n) - truth
 			if ce < 0 {
 				ce = -ce
 			}

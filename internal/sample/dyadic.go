@@ -65,10 +65,8 @@ func Mix64(z uint64) uint64 {
 // stream (0,0); call Seed or SeedStream for reproducible streams.
 //
 // Unlike *rand.Rand (see NewRand), an AtomicSplitmix may be shared
-// freely between goroutines. Its intended use is one generator per
-// shard of a sharded sampler: sharding removes cache-line contention
-// on the counter, and the atomic add keeps accidental shard collisions
-// correct instead of racy.
+// freely between goroutines: the engine's samplers all draw from one,
+// and the atomic add keeps concurrent draws correct without a lock.
 type AtomicSplitmix struct {
 	state atomic.Uint64
 }

@@ -125,9 +125,9 @@ func (e *Epoch) Result(level int) (int, error) { return e.result(level) }
 // by the rare Advance).
 type Tenant struct {
 	id        string
-	n         int
+	ladder    *release.Ladder // n and the α-ladder; identifies the plan
+	alpha1    *big.Rat        // α₁: what one epoch spends (Lemma 4)
 	truth     int
-	alphas    []*big.Rat
 	loss      string
 	lossWidth int
 	side      []int
@@ -146,24 +146,14 @@ func New(cfg Config) (*Tenant, error) {
 	if err := checkID(cfg.ID); err != nil {
 		return nil, err
 	}
-	if cfg.N < 1 {
-		return nil, fmt.Errorf("tenant %s: n must be ≥ 1, got %d", cfg.ID, cfg.N)
+	ladder, err := release.NewLadder(cfg.N, cfg.Alphas)
+	if err != nil {
+		return nil, fmt.Errorf("tenant %s: %w", cfg.ID, err)
 	}
 	if cfg.Truth < 0 || cfg.Truth > cfg.N {
 		return nil, fmt.Errorf("tenant %s: truth %d outside [0,%d]", cfg.ID, cfg.Truth, cfg.N)
 	}
 	one := rational.One()
-	if len(cfg.Alphas) == 0 {
-		return nil, fmt.Errorf("tenant %s: at least one privacy level required", cfg.ID)
-	}
-	for i, a := range cfg.Alphas {
-		if a == nil || a.Sign() <= 0 || a.Cmp(one) >= 0 {
-			return nil, fmt.Errorf("tenant %s: level %d outside (0,1)", cfg.ID, i+1)
-		}
-		if i > 0 && a.Cmp(cfg.Alphas[i-1]) <= 0 {
-			return nil, fmt.Errorf("tenant %s: levels must be strictly increasing", cfg.ID)
-		}
-	}
 	if cfg.MinAlpha != nil && (cfg.MinAlpha.Sign() <= 0 || cfg.MinAlpha.Cmp(one) >= 0) {
 		return nil, fmt.Errorf("tenant %s: min alpha outside (0,1)", cfg.ID)
 	}
@@ -174,15 +164,13 @@ func New(cfg Config) (*Tenant, error) {
 	}
 	t := &Tenant{
 		id:        cfg.ID,
-		n:         cfg.N,
+		ladder:    ladder,
+		alpha1:    rational.Clone(cfg.Alphas[0]),
 		truth:     cfg.Truth,
 		loss:      cfg.Loss,
 		lossWidth: cfg.LossWidth,
 		side:      append([]int(nil), cfg.Side...),
 		rng:       sample.NewRand(cfg.Seed),
-	}
-	for _, a := range cfg.Alphas {
-		t.alphas = append(t.alphas, rational.Clone(a))
 	}
 	if cfg.MinAlpha != nil {
 		t.minAlpha = rational.Clone(cfg.MinAlpha)
@@ -194,27 +182,20 @@ func New(cfg Config) (*Tenant, error) {
 func (t *Tenant) ID() string { return t.id }
 
 // N returns the tenant's domain bound.
-func (t *Tenant) N() int { return t.n }
+func (t *Tenant) N() int { return t.ladder.N() }
 
 // Levels returns the ladder length.
-func (t *Tenant) Levels() int { return len(t.alphas) }
+func (t *Tenant) Levels() int { return t.ladder.Levels() }
+
+// Ladder returns the tenant's validated ladder (shared, immutable):
+// its plan key and rendered α's.
+func (t *Tenant) Ladder() *release.Ladder { return t.ladder }
 
 // Alphas returns a deep copy of the tenant's ladder.
-func (t *Tenant) Alphas() []*big.Rat {
-	out := make([]*big.Rat, len(t.alphas))
-	for i, a := range t.alphas {
-		out[i] = rational.Clone(a)
-	}
-	return out
-}
+func (t *Tenant) Alphas() []*big.Rat { return t.ladder.Alphas() }
 
-// Alpha returns the privacy parameter of a 1-based level.
-func (t *Tenant) Alpha(level int) (*big.Rat, error) {
-	if level < 1 || level > len(t.alphas) {
-		return nil, fmt.Errorf("tenant: level %d out of range 1..%d", level, len(t.alphas))
-	}
-	return rational.Clone(t.alphas[level-1]), nil
-}
+// Alpha returns a copy of the privacy parameter of a 1-based level.
+func (t *Tenant) Alpha(level int) (*big.Rat, error) { return t.ladder.Alpha(level) }
 
 // Loss returns the tenant's loss selector and deadband width.
 func (t *Tenant) Loss() (name string, width int) { return t.loss, t.lossWidth }
@@ -234,18 +215,8 @@ func (t *Tenant) Epoch() *Epoch { return t.state.Load() }
 // push the cumulative spent α below MinAlpha, Advance returns
 // ErrBudgetExhausted and publishes nothing.
 func (t *Tenant) Advance(plan *release.Plan) (*Epoch, error) {
-	if plan == nil || plan.N() != t.n || plan.Levels() != len(t.alphas) {
-		return nil, fmt.Errorf("tenant %s: plan does not match tenant geometry", t.id)
-	}
-	for lvl := 1; lvl <= len(t.alphas); lvl++ {
-		pa, err := plan.Alpha(lvl)
-		if err != nil {
-			return nil, err
-		}
-		if pa.Cmp(t.alphas[lvl-1]) != 0 {
-			return nil, fmt.Errorf("tenant %s: plan level %d is α=%s, tenant has %s",
-				t.id, lvl, pa.RatString(), t.alphas[lvl-1].RatString())
-		}
+	if plan == nil || plan.Ladder().Key() != t.ladder.Key() {
+		return nil, fmt.Errorf("tenant %s: plan does not match tenant ladder %s", t.id, t.ladder.Key())
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -253,9 +224,9 @@ func (t *Tenant) Advance(plan *release.Plan) (*Epoch, error) {
 	// Lemma 4: the full-ladder coalition of this draw is protected at
 	// α₁; sequential composition across epochs multiplies.
 	if t.minAlpha != nil {
-		if next := rational.Pow(t.alphas[0], epoch); next.Cmp(t.minAlpha) < 0 {
+		if next := rational.Pow(t.alpha1, epoch); next.Cmp(t.minAlpha) < 0 {
 			return nil, fmt.Errorf("%w: spending α₁=%s again would take the cumulative guarantee to %s, below the floor %s",
-				ErrBudgetExhausted, t.alphas[0].RatString(), next.RatString(), t.minAlpha.RatString())
+				ErrBudgetExhausted, t.alpha1.RatString(), next.RatString(), t.minAlpha.RatString())
 		}
 	}
 	out, err := plan.Release(t.truth, t.rng)
@@ -298,12 +269,12 @@ func (t *Tenant) Accounting() Accounting {
 	epochs := t.epochs()
 	a := Accounting{
 		Epochs:          epochs,
-		SpentAlpha:      rational.Pow(t.alphas[0], epochs),
+		SpentAlpha:      rational.Pow(t.alpha1, epochs),
 		NextDrawAllowed: true,
 	}
 	if t.minAlpha != nil {
 		a.BudgetAlpha = rational.Clone(t.minAlpha)
-		if rational.Mul(a.SpentAlpha, t.alphas[0]).Cmp(t.minAlpha) < 0 {
+		if rational.Mul(a.SpentAlpha, t.alpha1).Cmp(t.minAlpha) < 0 {
 			a.NextDrawAllowed = false
 		}
 	}

@@ -126,8 +126,8 @@ func MustRat(s string) *big.Rat { return rational.MustParse(s) }
 // release builds ever move to crypto/rand.
 //
 // The returned PRNG is NOT goroutine-safe. Concurrent samplers must
-// use one PRNG per goroutine or draw through an Engine's pooled
-// samplers (Engine.Sampler with a SamplerSpec).
+// use one PRNG per goroutine or draw through an Engine's samplers
+// (Engine.Sampler with a SamplerSpec).
 func NewRand(seed int64) *rand.Rand { return sample.NewRand(seed) }
 
 // Geometric returns the range-restricted α-geometric mechanism
@@ -396,15 +396,16 @@ type EngineConfig = engine.Config
 // in-flight solve gauge); it marshals directly to JSON.
 type EngineMetrics = engine.Metrics
 
-// Sampler draws from a fixed mechanism in O(1) per draw via
-// precompiled alias tables. Unlike Mechanism.Sample it is safe for
-// concurrent use: each draw borrows a PRNG from its engine's pool.
-// Obtain one from Engine.Sampler with a SamplerSpec.
+// Sampler draws from a fixed mechanism in O(1) per draw through the
+// mechanism's own alias tables. Unlike Mechanism.Sample it is safe for
+// concurrent use: every draw takes words from its engine's one
+// lock-free PRNG stream. Obtain one from Engine.Sampler with a
+// SamplerSpec.
 type Sampler = engine.Sampler
 
-// SamplerSpec selects the mechanism Engine.Sampler compiles: set N
-// and Alpha for the cached geometric sampler, or Mechanism for an
-// uncached arbitrary one.
+// SamplerSpec selects the mechanism an Engine.Sampler views: set N
+// and Alpha for the cached geometric mechanism, or Mechanism for an
+// arbitrary one.
 type SamplerSpec = engine.SamplerSpec
 
 // TraceEvent is one span event on an Engine's serving path (cache
