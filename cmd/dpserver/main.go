@@ -50,12 +50,12 @@
 //	GET  /v1/tenants/{id}/accounting       exact cumulative spend
 //	GET  /v1/tenants/{id}/tailored         tenant-consumer §2.5 solve
 //
-// With -store-dir set, the engine persists its release plans, tailored
-// LP solutions and compare scorecards to a content-addressed disk
-// store; restarting against the same directory (and -tenants-config)
-// warm-boots the full surface with zero LP solves — "solves":0 in
-// /v1/metrics. Geometric mechanisms and their samplers are not
-// persisted: they are rebuilt from G's closed form on boot.
+// With -store-dir set, the engine persists its tailored LP solutions
+// and compare scorecards to a content-addressed disk store; restarting
+// against the same directory (and -tenants-config) warm-boots the full
+// surface with zero LP solves — "solves":0 in /v1/metrics. Geometric
+// mechanisms, release plans and samplers are not persisted: G and the
+// plans are rebuilt from their O(n) distinct entries on boot.
 //
 // Every rational on the wire (alpha, -levels, tenant levels and
 // min_alpha, the Bayesian prior) is at most maxWireRatLen bytes and an

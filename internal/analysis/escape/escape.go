@@ -49,6 +49,21 @@ type Alloc struct {
 	Message string
 }
 
+// Expr returns the source expression the diagnostic names: the value
+// of an "x escapes to heap" report, or the variable of a "moved to
+// heap: x" one. The compiler prints it after inlining, so it may come
+// from a callee's body (context.backgroundCtx{} for an inlined
+// r.Context()), and it abbreviates composite literal bodies as {...}.
+func (a Alloc) Expr() string {
+	if e, ok := strings.CutSuffix(a.Message, " escapes to heap"); ok {
+		return e
+	}
+	if v, ok := strings.CutPrefix(a.Message, "moved to heap: "); ok {
+		return v
+	}
+	return ""
+}
+
 // Diagnostics indexes heap-allocation diagnostics by file path as
 // printed by the compiler (see the package comment on why that is not
 // necessarily resolvable against any one directory).

@@ -1,7 +1,9 @@
-// Package fixture seeds hotpath annotations over one allocating and
-// one allocation-free function, so the golden test proves the
-// analyzer reads the compiler's escape facts rather than guessing.
+// Package fixture seeds hotpath annotations over allocating and
+// allocation-free functions, so the golden test proves the analyzer
+// reads the compiler's escape facts rather than guessing.
 package fixture
+
+import "net/http"
 
 // Alloc breaks its own promise: the annotation says allocation-free,
 // the body makes a fresh slice.
@@ -24,4 +26,36 @@ func Clean(dst []int) {
 // hotpath's business.
 func Unannotated() *int {
 	return new(int)
+}
+
+type empty struct{}
+
+type pair struct{ a, b int }
+
+var sink any
+
+//go:noinline
+func keep(x any) { sink = x }
+
+// ZeroSize boxes only values of size zero. The compiler reports each
+// one as escaping, but none allocates, so the annotation holds. The
+// last is the inlined body of r.Context(), whose type
+// (context.backgroundCtx) lives in a package the fixture does not
+// import itself.
+//
+//dpvet:hotpath
+func ZeroSize(r *http.Request) {
+	keep(empty{})
+	keep(struct{}{})
+	keep([0]int{})
+	var e empty
+	keep(e)
+	keep(r.Context())
+}
+
+// Boxed boxes a two-word value, which does allocate.
+//
+//dpvet:hotpath
+func Boxed() {
+	keep(pair{1, 2}) // want `heap allocation in //dpvet:hotpath function Boxed: pair\{\.\.\.\} escapes to heap`
 }

@@ -306,8 +306,8 @@ func TruncatedLaplace(n int, alpha *big.Rat) (*mechanism.Mechanism, error) {
 	return mechanismFromRows(rows)
 }
 
-// mechanismFromRows funnels a probability table through mechanism.New
-// so every baseline is re-validated as row-stochastic.
+// mechanismFromRows funnels a probability table through
+// mechanism.Adopt so every baseline is re-validated as row-stochastic.
 func mechanismFromRows(rows [][]*big.Rat) (*mechanism.Mechanism, error) {
 	n := len(rows) - 1
 	m := matrix.New(n+1, n+1)
@@ -316,7 +316,7 @@ func mechanismFromRows(rows [][]*big.Rat) (*mechanism.Mechanism, error) {
 			m.Set(i, z, v)
 		}
 	}
-	mech, err := mechanism.New(m)
+	mech, err := mechanism.Adopt(m)
 	if err != nil {
 		return nil, fmt.Errorf("baseline: construction not row-stochastic: %w", err)
 	}

@@ -326,7 +326,7 @@ func OptimalMechanismOpts(ctx context.Context, c *Consumer, n int, alpha *big.Ra
 			xm.Set(i, r, sol.Value(xv[i][r]))
 		}
 	}
-	mech, err := mechanism.New(xm)
+	mech, err := mechanism.Adopt(xm)
 	if err != nil {
 		return nil, fmt.Errorf("consumer: LP solution not a mechanism: %w", err)
 	}
@@ -599,7 +599,7 @@ func OptimalBayesianMechanismOpts(ctx context.Context, b *Bayesian, n int, alpha
 			xm.Set(i, r, sol.Value(xv[i][r]))
 		}
 	}
-	mech, err := mechanism.New(xm)
+	mech, err := mechanism.Adopt(xm)
 	if err != nil {
 		return nil, err
 	}

@@ -153,7 +153,7 @@ func OptimalMechanismRefined(c *Consumer, n int, alpha *big.Rat) (*Tailored, err
 			xm.Set(i, r, sol.Value(xv[i][r]))
 		}
 	}
-	mech, err := mechanism.New(xm)
+	mech, err := mechanism.Adopt(xm)
 	if err != nil {
 		return nil, fmt.Errorf("consumer: refined LP solution not a mechanism: %w", err)
 	}

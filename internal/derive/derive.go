@@ -153,20 +153,130 @@ func Lemma2Sign(n int, alpha *big.Rat, i int, x []*big.Rat) (int, error) {
 // Transition computes the Lemma 3 post-processing matrix T_{α,β} with
 // G_{n,β} = G_{n,α}·T_{α,β} for privacy parameters α ≤ β (recall that
 // larger α means *more* privacy, so T adds privacy). It returns an
-// error if α > β, for which no stochastic transition exists.
+// error if α > β, for which no stochastic transition exists. T is
+// built from its structure (see transition) and checked non-negative
+// and row-stochastic.
 func Transition(n int, alpha, beta *big.Rat) (*matrix.Matrix, error) {
+	t, err := transition(n, alpha, beta)
+	if err != nil {
+		return nil, err
+	}
+	// T = G_α⁻¹·G_β is generalized stochastic (Poole 1995) and, being
+	// non-negative, stochastic. Verify as a defence against
+	// construction bugs.
+	if !t.IsStochastic() {
+		return nil, fmt.Errorf("derive: internal error: T_{α,β} is not stochastic")
+	}
+	return t, nil
+}
+
+// TransitionMechanism is Transition as a mechanism, for a caller that
+// samples from T's rows (release.BuildPlan). The mechanism takes the
+// fresh matrix over (mechanism.Adopt), whose row-stochastic check is
+// the one T gets.
+func TransitionMechanism(n int, alpha, beta *big.Rat) (*mechanism.Mechanism, error) {
+	t, err := transition(n, alpha, beta)
+	if err != nil {
+		return nil, err
+	}
+	return mechanism.Adopt(t)
+}
+
+// transition builds T_{α,β} = G_α⁻¹·G_β from O(n) exact operations
+// and checks it non-negative. G_α⁻¹ is tridiagonal (see
+// mechanism.GeometricInverse), so every entry of T is a sum of at most
+// three products G_α⁻¹[i][k]·G_β[k][j], k ∈ {i−1, i, i+1}. In the
+// interior rows (0 < i < n) the coefficients of G_α⁻¹ are the same,
+// and in the interior columns (0 < j < n) G_β[k][j] depends only on
+// k−j, so there T[i][j] depends only on i−j: that band has 2n−3
+// distinct values. The boundary rows and columns hold the other
+// 4n entries, each summed directly. The matrix shares one value per
+// band diagonal (matrix.FromFunc).
+func transition(n int, alpha, beta *big.Rat) (*matrix.Matrix, error) {
 	if alpha.Cmp(beta) > 0 {
 		return nil, fmt.Errorf("derive: no stochastic transition from α=%s to weaker-privacy β=%s",
 			alpha.RatString(), beta.RatString())
 	}
-	gBeta, err := mechanism.Geometric(n, beta)
+	gBeta, err := mechanism.NewGeometricEntries(n, beta)
 	if err != nil {
 		return nil, err
 	}
 	if alpha.Cmp(beta) == 0 {
 		return matrix.Identity(n + 1), nil
 	}
-	return Factor(gBeta, alpha)
+	if alpha.Sign() <= 0 {
+		return nil, fmt.Errorf("derive: geometric needs α ∈ (0,1), got %s", alpha.RatString())
+	}
+	// The nonzero entries of G_α⁻¹ = D⁻¹·G′⁻¹: (1+α)·(1, −α)/(1−α²)
+	// in the boundary rows, (1+α)/(1−α)·(−α, 1+α², −α)/(1−α²) in the
+	// interior ones.
+	one := rational.One()
+	oneMinus := rational.Sub(one, alpha)
+	edgeDiag := rational.Div(one, oneMinus)                                              // 1/(1−α)
+	edgeOff := rational.Div(rational.Neg(alpha), oneMinus)                               // −α/(1−α)
+	oneMinusSq := rational.Mul(oneMinus, oneMinus)                                       // (1−α)²
+	innerDiag := rational.Div(rational.Add(one, rational.Mul(alpha, alpha)), oneMinusSq) // (1+α²)/(1−α)²
+	innerOff := rational.Div(rational.Neg(alpha), oneMinusSq)                            // −α/(1−α)²
+	inv := func(i, k int) *big.Rat {
+		diag, off := innerDiag, innerOff
+		if i == 0 || i == n {
+			diag, off = edgeDiag, edgeOff
+		}
+		if k == i {
+			return diag
+		}
+		return off
+	}
+	entry := func(i, j int) *big.Rat {
+		sum := rational.Zero()
+		for k := i - 1; k <= i+1; k++ {
+			if k >= 0 && k <= n {
+				sum.Add(sum, rational.Mul(inv(i, k), gBeta.At(k, j)))
+			}
+		}
+		return sum
+	}
+	// band[δ+n] = T[i][j] for interior i, j with i−j = δ, computed at
+	// the pair (1+δ, 1) or (1, 1−δ).
+	band := make([]*big.Rat, 2*n+1)
+	for delta := -(n - 2); delta <= n-2; delta++ {
+		i, j := 1+delta, 1
+		if delta < 0 {
+			i, j = 1, 1-delta
+		}
+		band[delta+n] = entry(i, j)
+	}
+	// edge[0], edge[1]: rows 0 and n; edge[2], edge[3]: columns 0 and n.
+	var edge [4][]*big.Rat
+	for e := range edge {
+		edge[e] = make([]*big.Rat, n+1)
+	}
+	for x := 0; x <= n; x++ {
+		edge[0][x], edge[1][x] = entry(0, x), entry(n, x)
+		edge[2][x], edge[3][x] = entry(x, 0), entry(x, n)
+	}
+	t := matrix.FromFunc(n+1, n+1, func(i, j int) *big.Rat {
+		switch {
+		case i == 0:
+			return edge[0][j]
+		case i == n:
+			return edge[1][j]
+		case j == 0:
+			return edge[2][i]
+		case j == n:
+			return edge[3][i]
+		}
+		return band[i-j+n]
+	})
+	for i := 0; i <= n; i++ {
+		for j := 0; j <= n; j++ {
+			if t.At(i, j).Sign() < 0 {
+				return nil, fmt.Errorf("%w: T_{α,β}[%d][%d] = %s < 0",
+					ErrNotDerivable, i, j, t.At(i, j).RatString())
+			}
+		}
+	}
+	return t, nil
 }
 
 // AppendixB returns the paper's Appendix B example: a mechanism that

@@ -208,6 +208,44 @@ func TestTransitionLemma3(t *testing.T) {
 	}
 }
 
+// The structured T_{α,β} (a band plus boundary rows and columns)
+// must equal the dense product G_α⁻¹·G_β, for unreduced spellings of
+// α and β too, and TransitionMechanism must wrap the same matrix.
+func TestTransitionMatchesDenseProduct(t *testing.T) {
+	pairs := [][2]string{
+		{"12/25", "101/103"}, {"101/103", "999/1000"}, {"12/25", "999/1000"},
+		{"1/2", "2/3"}, {"1/3", "1/2"}, {"24/50", "202/206"}, {"2/6", "3/6"},
+	}
+	sizes := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 33, 64}
+	for _, p := range pairs {
+		alpha, beta := r(p[0]), r(p[1])
+		for _, n := range sizes {
+			gInv, err := mechanism.GeometricInverse(n, alpha)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := gInv.Mul(geo(t, n, p[1]).Matrix())
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := Transition(n, alpha, beta)
+			if err != nil {
+				t.Fatalf("Transition(%d, %s, %s): %v", n, p[0], p[1], err)
+			}
+			if !got.Equal(want) {
+				t.Fatalf("n=%d: T_{%s,%s} differs from G_α⁻¹·G_β", n, p[0], p[1])
+			}
+			tm, err := TransitionMechanism(n, alpha, beta)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !tm.Matrix().Equal(want) {
+				t.Fatalf("n=%d: TransitionMechanism(%s, %s) differs from G_α⁻¹·G_β", n, p[0], p[1])
+			}
+		}
+	}
+}
+
 func TestTransitionIdentityAndRejection(t *testing.T) {
 	tr, err := Transition(3, r("1/2"), r("1/2"))
 	if err != nil {
@@ -218,6 +256,14 @@ func TestTransitionIdentityAndRejection(t *testing.T) {
 	}
 	if _, err := Transition(3, r("3/4"), r("1/2")); err == nil {
 		t.Error("privacy cannot be removed: α > β must be rejected")
+	}
+	for _, bad := range [][2]string{{"0", "1/2"}, {"-1/2", "1/2"}, {"1/2", "1"}} {
+		if _, err := Transition(3, r(bad[0]), r(bad[1])); err == nil {
+			t.Errorf("Transition(3, %s, %s) accepted", bad[0], bad[1])
+		}
+	}
+	if _, err := Transition(0, r("1/4"), r("1/2")); err == nil {
+		t.Error("n=0 accepted")
 	}
 }
 

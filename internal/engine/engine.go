@@ -131,14 +131,15 @@ type Config struct {
 	// miss, coalesced join, solve start/finish, and shed rejection.
 	// See TraceFunc for the contract.
 	Trace TraceFunc
-	// Store, when non-nil, backs the plans, tailored and compares
-	// classes with the content-addressed disk store: in-memory misses
-	// probe the store before computing, and successful computations
-	// are written back, so a fresh engine pointed at a populated store
-	// directory warm-boots every LP solution and release plan with
-	// zero solves. Mechanisms and samplers are not persisted: decoding
-	// G_{n,α} is no faster than building it, and a loaded alias table
-	// could not be re-certified (see persist.go). The store is
+	// Store, when non-nil, backs the tailored and compares classes
+	// with the content-addressed disk store: in-memory misses probe
+	// the store before computing, and successful computations are
+	// written back, so a fresh engine pointed at a populated store
+	// directory warm-boots every LP solution with zero solves.
+	// Mechanisms, release plans and samplers are not persisted:
+	// decoding G_{n,α} or a plan is no faster than building it from
+	// its O(n) distinct entries, and a loaded alias table could not be
+	// re-certified (see persist.go). The store is
 	// strictly an accelerator: any load, verify, or write failure
 	// degrades to normal computation (see internal/store and the
 	// per-class Store* counters).
@@ -201,9 +202,10 @@ func New(cfg Config) *Engine {
 	}
 	e.rng.Seed(cfg.Seed)
 	// Only the LP-backed classes and the release plans are expensive
-	// enough to shed: a plan build runs one exact Lemma 3 transition
-	// per adjacent level pair and takes seconds at moderate n, while
-	// G_{n,α} computes in microseconds. The compares class carries no
+	// enough to shed: a plan build makes a G and an exact Lemma 3
+	// transition per level, O(n²) big.Rat reads to check them, and
+	// takes about 0.6 s at n=500, while a small G_{n,α} computes in
+	// microseconds. The compares class carries no
 	// semaphore of its own: its nested tailored and interaction solves
 	// pass through those classes' sheddable stores, and
 	// double-counting slots for the composite would deadlock a

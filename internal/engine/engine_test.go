@@ -263,10 +263,9 @@ func TestEngineCachedSpeedup(t *testing.T) {
 	}
 }
 
-// TestPlanKeyPinned pins the plans class's key, which is also its disk
-// address: release.Ladder.Key must equal the string the engine's
-// former per-call planKey rendered (oldPlanKey, kept here as the
-// oracle), or every stored plan is orphaned. The engine must cache a
+// TestPlanKeyPinned pins the plans class's key: release.Ladder.Key
+// must equal the string the engine's former per-call planKey rendered
+// (oldPlanKey, kept here as the oracle), and the engine must cache a
 // plan under exactly that key.
 func TestPlanKeyPinned(t *testing.T) {
 	oldPlanKey := func(n int, alphas []*big.Rat) string {

@@ -8,16 +8,19 @@
 // populated store directory serves every persisted artifact —
 // including the LP-backed tailored solutions — with zero solves.
 //
-// Persisted classes: plans, tailored, compares — the classes whose
-// keys are pure value parameters (n, α ladder, loss name, side set,
-// prior, baseline set), whose load beats recomputation, and whose
-// decode re-validates the artifact. A plan persists its own Lemma 3
-// transitions. The rest stay in memory only:
+// Persisted classes: tailored, compares — the classes whose keys are
+// pure value parameters (n, α, loss name, side set, prior, baseline
+// set), whose load beats recomputation, and whose decode re-validates
+// the artifact. The rest stay in memory only:
 //
 //   - mechanisms: decoding G_{n,α} is no faster than building it from
-//     the closed form (at n=64, 6–18 ms to build against 9–23 ms to
-//     decode; DESIGN §13.4), and the compare baselines the class also
-//     holds are only needed to build a scorecard, which is persisted;
+//     the closed form (DESIGN §13.4), and the compare baselines the
+//     class also holds are only needed to build a scorecard, which is
+//     persisted;
+//   - plans: a release plan is built from the O(n) distinct entries of
+//     its G's and Lemma 3 transitions, which beats decoding the stored
+//     plan at every n measured (DESIGN §13.4), and a rebuilt plan is
+//     checked where a loaded transition had to be trusted;
 //   - samplers are not a class at all: a sampler is a view of the
 //     cached G's rows (sampler.go), so every table it draws from is
 //     built from, and certified against, an exact rational row in
@@ -29,7 +32,7 @@
 // load, decode, or save an artifact counts a StoreError, emits
 // TraceStoreError, and lets the request proceed as if no store were
 // configured. Decode goes through the same validating constructors as
-// fresh computation (mechanism.FromStrings, release.PlanFromParts,
+// fresh computation (mechanism.FromStrings,
 // baseline.Comparison.Validate), so a checksum-valid but semantically
 // broken entry is rejected, not served.
 
@@ -38,7 +41,6 @@ package engine
 import (
 	"minimaxdp/internal/baseline"
 	"minimaxdp/internal/consumer"
-	"minimaxdp/internal/release"
 	diskstore "minimaxdp/internal/store"
 )
 
@@ -90,15 +92,6 @@ func (s *store) diskSave(key string, v any) {
 // bindDisk attaches the disk store to the engine's persisted classes.
 // Called once from New; db is non-nil.
 func (e *Engine) bindDisk(db *diskstore.Store) {
-	e.plans.disk = &diskBinding{
-		db: db,
-		enc: func(v any) ([]byte, error) {
-			return diskstore.EncodePlan(v.(*release.Plan))
-		},
-		dec: func(payload []byte) (any, error) {
-			return diskstore.DecodePlan(payload)
-		},
-	}
 	e.tailored.disk = &diskBinding{
 		db: db,
 		enc: func(v any) ([]byte, error) {

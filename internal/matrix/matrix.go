@@ -90,6 +90,25 @@ func FromStrings(rows [][]string) (*Matrix, error) {
 	return m, nil
 }
 
+// FromFunc returns the rows×cols matrix with entries at(i, j), stored
+// as returned, without a copy. It is the constructor of structured
+// matrices: one with few distinct values (a Toeplitz band, say) passes
+// the same *big.Rat for every entry of equal value, so filling it
+// costs a pointer per entry. The matrix owns what at returns: no value
+// may be mutated afterwards, through the matrix or any other alias.
+func FromFunc(rows, cols int, at func(i, j int) *big.Rat) *Matrix {
+	if rows <= 0 || cols <= 0 {
+		panic(fmt.Sprintf("matrix: invalid dimensions %dx%d", rows, cols))
+	}
+	a := make([]*big.Rat, rows*cols)
+	for i := 0; i < rows; i++ {
+		for j := 0; j < cols; j++ {
+			a[i*cols+j] = at(i, j)
+		}
+	}
+	return &Matrix{rows: rows, cols: cols, a: a}
+}
+
 // MustFromStrings is FromStrings that panics on error, for literals.
 func MustFromStrings(rows [][]string) *Matrix {
 	m, err := FromStrings(rows)
@@ -499,16 +518,33 @@ func (m *Matrix) RowSums() []*big.Rat {
 }
 
 // IsStochastic reports whether m is row-stochastic: every entry is
-// non-negative and every row sums to exactly 1.
+// non-negative and every row sums to exactly 1. The test is exact for
+// every matrix. A row whose denominators all divide its largest one,
+// D, is summed over the integers: it sums to 1 iff Σ num_j·(D/den_j)
+// = D. That skips the GCD a big.Rat sum takes after every add, and it
+// covers the rows of G_{n,α} and of the Lemma 3 transitions. Any other
+// row is summed as big.Rat.
 func (m *Matrix) IsStochastic() bool {
 	one := rational.One()
 	for i := 0; i < m.rows; i++ {
-		sum := rational.Zero()
-		for j := 0; j < m.cols; j++ {
-			e := m.At(i, j)
+		row := m.a[i*m.cols : (i+1)*m.cols]
+		var d *big.Int
+		for _, e := range row {
 			if e.Sign() < 0 {
 				return false
 			}
+			if den := e.Denom(); d == nil || den.Cmp(d) > 0 {
+				d = den
+			}
+		}
+		if ok, decided := sumsToDenom(row, d); decided {
+			if !ok {
+				return false
+			}
+			continue
+		}
+		sum := rational.Zero()
+		for _, e := range row {
 			sum.Add(sum, e)
 		}
 		if sum.Cmp(one) != 0 {
@@ -516,6 +552,21 @@ func (m *Matrix) IsStochastic() bool {
 		}
 	}
 	return true
+}
+
+// sumsToDenom reports whether Σ num_j·(d/den_j) = d over row, which
+// for a row whose denominators all divide d is the row sum equalling
+// 1. decided is false when some denominator does not divide d; the
+// caller then sums the row as big.Rat.
+func sumsToDenom(row []*big.Rat, d *big.Int) (ok, decided bool) {
+	var sum, q, r, t big.Int
+	for _, e := range row {
+		if q.QuoRem(d, e.Denom(), &r); r.Sign() != 0 {
+			return false, false
+		}
+		sum.Add(&sum, t.Mul(e.Num(), &q))
+	}
+	return sum.Cmp(d) == 0, true
 }
 
 // IsGeneralizedStochastic reports whether every row sums to exactly 1,

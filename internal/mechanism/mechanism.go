@@ -48,13 +48,32 @@ var ErrNotStochastic = errors.New("mechanism: matrix is not row-stochastic")
 // New validates that m is a square row-stochastic matrix and wraps it
 // as a Mechanism. The matrix is deep-copied.
 func New(m *matrix.Matrix) (*Mechanism, error) {
-	if m.Rows() != m.Cols() {
-		return nil, fmt.Errorf("mechanism: matrix must be square, got %dx%d", m.Rows(), m.Cols())
-	}
-	if !m.IsStochastic() {
-		return nil, ErrNotStochastic
+	if err := validate(m); err != nil {
+		return nil, err
 	}
 	return wrap(m.Clone()), nil
+}
+
+// Adopt is New without the copy, for a constructor that has just
+// built m: the mechanism takes m over, and the caller must neither
+// mutate m nor hand it to anyone else afterwards.
+func Adopt(m *matrix.Matrix) (*Mechanism, error) {
+	if err := validate(m); err != nil {
+		return nil, err
+	}
+	return wrap(m), nil
+}
+
+// validate is the one check New and Adopt make: m is square and
+// row-stochastic.
+func validate(m *matrix.Matrix) error {
+	if m.Rows() != m.Cols() {
+		return fmt.Errorf("mechanism: matrix must be square, got %dx%d", m.Rows(), m.Cols())
+	}
+	if !m.IsStochastic() {
+		return ErrNotStochastic
+	}
+	return nil
 }
 
 // FromStrings builds a mechanism from rational string entries; a
@@ -64,7 +83,7 @@ func FromStrings(rows [][]string) (*Mechanism, error) {
 	if err != nil {
 		return nil, err
 	}
-	return New(m)
+	return Adopt(m)
 }
 
 // N returns the database size n; inputs and outputs range over {0..n}.
@@ -172,7 +191,7 @@ func (mc *Mechanism) PostProcess(t *matrix.Matrix) (*Mechanism, error) {
 	if err != nil {
 		return nil, err
 	}
-	return New(prod)
+	return Adopt(prod)
 }
 
 // AliasRow returns the certified dyadic alias table of row i (see
@@ -225,7 +244,32 @@ func (mc *Mechanism) Sample(i int, rng *rand.Rand) int {
 // true result k and clamp the sum into [0, n]; the clamped tail mass
 // collapses onto the endpoints, giving exactly the boundary masses
 // above. α must lie in (0,1) for the matrix form to be well defined.
+//
+// The matrix is filled from the 2(n+1) distinct entries of
+// GeometricEntries, each computed once and shared by every position
+// holding it, and checked row-stochastic once.
 func Geometric(n int, alpha *big.Rat) (*Mechanism, error) {
+	g, err := NewGeometricEntries(n, alpha)
+	if err != nil {
+		return nil, err
+	}
+	return Adopt(matrix.FromFunc(n+1, n+1, g.At))
+}
+
+// GeometricEntries holds the distinct entries of G_{n,α}. By Lemma 1,
+// G is Toeplitz up to its two boundary columns, so an entry depends
+// only on the distance d = |k−z| and on whether z is a boundary
+// column: α^d/(1+α) in columns 0 and n, α^d·(1−α)/(1+α) elsewhere.
+// That is 2(n+1) values for an (n+1)×(n+1) matrix.
+type GeometricEntries struct {
+	n        int
+	boundary []*big.Rat // boundary[d] = α^d/(1+α)
+	interior []*big.Rat // interior[d] = α^d·(1−α)/(1+α)
+}
+
+// NewGeometricEntries computes the 2(n+1) distinct entries of G_{n,α}
+// with O(n) exact operations. It checks n ≥ 1 and α ∈ (0,1).
+func NewGeometricEntries(n int, alpha *big.Rat) (*GeometricEntries, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("mechanism: n must be ≥ 1, got %d", n)
 	}
@@ -233,27 +277,32 @@ func Geometric(n int, alpha *big.Rat) (*Mechanism, error) {
 		return nil, fmt.Errorf("mechanism: geometric needs α ∈ (0,1), got %s", alpha.RatString())
 	}
 	onePlus := rational.Add(rational.One(), alpha)
-	boundary := rational.Div(rational.One(), onePlus)                      // 1/(1+α)
-	interior := rational.Div(rational.Sub(rational.One(), alpha), onePlus) // (1−α)/(1+α)
-	pow := make([]*big.Rat, n+1)
+	b := rational.Div(rational.One(), onePlus)                      // 1/(1+α)
+	c := rational.Div(rational.Sub(rational.One(), alpha), onePlus) // (1−α)/(1+α)
+	g := &GeometricEntries{n: n, boundary: make([]*big.Rat, n+1), interior: make([]*big.Rat, n+1)}
+	pow := rational.One()
 	for d := 0; d <= n; d++ {
-		pow[d] = rational.Pow(alpha, d)
+		g.boundary[d] = rational.Mul(b, pow)
+		g.interior[d] = rational.Mul(c, pow)
+		pow = rational.Mul(pow, alpha)
 	}
-	m := matrix.New(n+1, n+1)
-	for k := 0; k <= n; k++ {
-		for z := 0; z <= n; z++ {
-			d := k - z
-			if d < 0 {
-				d = -d
-			}
-			c := interior
-			if z == 0 || z == n {
-				c = boundary
-			}
-			m.Set(k, z, rational.Mul(c, pow[d]))
-		}
+	return g, nil
+}
+
+// At returns G_{n,α}[k][z]. The value is shared with every other
+// position at the same distance and column class; it must not be
+// mutated.
+func (g *GeometricEntries) At(k, z int) *big.Rat {
+	d := k - z
+	if d < 0 {
+		d = -d
 	}
-	return New(m)
+	if z == 0 || z == g.n {
+		//dpvet:ignore ratmutate documented borrow: At is the fill function of a structured G (matrix.FromFunc stores one shared value per distinct entry), so a copy here would undo the sharing; the no-mutation contract is in the doc comment
+		return g.boundary[d]
+	}
+	//dpvet:ignore ratmutate documented borrow: see the boundary branch above
+	return g.interior[d]
 }
 
 // GeometricPrime returns the paper's G′_{n,α} (Table 2): interior
@@ -308,13 +357,7 @@ func Uniform(n int) (*Mechanism, error) {
 		return nil, fmt.Errorf("mechanism: n must be ≥ 1, got %d", n)
 	}
 	p := rational.New(1, int64(n+1))
-	m := matrix.New(n+1, n+1)
-	for i := 0; i <= n; i++ {
-		for r := 0; r <= n; r++ {
-			m.Set(i, r, p)
-		}
-	}
-	return New(m)
+	return Adopt(matrix.FromFunc(n+1, n+1, func(int, int) *big.Rat { return p }))
 }
 
 // Identity returns the mechanism that releases the true result
@@ -323,7 +366,7 @@ func Identity(n int) (*Mechanism, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("mechanism: n must be ≥ 1, got %d", n)
 	}
-	return New(matrix.Identity(n + 1))
+	return Adopt(matrix.Identity(n + 1))
 }
 
 // RandomizedResponse returns the classical randomized-response
@@ -350,7 +393,7 @@ func RandomizedResponse(n int, p *big.Rat) (*Mechanism, error) {
 			m.Set(i, r, v)
 		}
 	}
-	return New(m)
+	return Adopt(m)
 }
 
 // GeometricInverse returns G_{n,α}⁻¹ in closed form, avoiding O(dim³)

@@ -54,6 +54,62 @@ func TestNewDeepCopies(t *testing.T) {
 	}
 }
 
+func TestAdoptValidatesLikeNew(t *testing.T) {
+	if _, err := Adopt(matrix.New(2, 3)); err == nil {
+		t.Error("non-square accepted")
+	}
+	m := matrix.MustFromStrings([][]string{{"1/2", "1/3"}, {"1/2", "1/2"}})
+	if _, err := Adopt(m); !errors.Is(err, ErrNotStochastic) {
+		t.Errorf("want ErrNotStochastic, got %v", err)
+	}
+	id := matrix.Identity(3)
+	mc, err := Adopt(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !mc.Matrix().Equal(id) {
+		t.Error("Adopt changed the matrix")
+	}
+}
+
+// structuredSizes and structuredAlphas are the grid on which the
+// structured G (built from its 2(n+1) distinct entries) must match
+// the entrywise closed form of Definition 4. "50/100" and "24/50"
+// are unreduced spellings of 1/2 and 12/25.
+var (
+	structuredSizes  = []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 33, 64}
+	structuredAlphas = []string{"999/1000", "101/103", "12/25", "1/2", "50/100", "24/50"}
+)
+
+func TestGeometricMatchesEntrywiseClosedForm(t *testing.T) {
+	one := rational.One()
+	for _, as := range structuredAlphas {
+		alpha := r(as)
+		onePlus := rational.Add(one, alpha)
+		boundary := rational.Div(one, onePlus)
+		interior := rational.Div(rational.Sub(one, alpha), onePlus)
+		for _, n := range structuredSizes {
+			g := mustGeometric(t, n, as)
+			for k := 0; k <= n; k++ {
+				for z := 0; z <= n; z++ {
+					d := k - z
+					if d < 0 {
+						d = -d
+					}
+					c := interior
+					if z == 0 || z == n {
+						c = boundary
+					}
+					if want := rational.Mul(c, rational.Pow(alpha, d)); g.Prob(k, z).Cmp(want) != 0 {
+						t.Fatalf("α=%s n=%d: G[%d][%d] = %s, closed form %s",
+							as, n, k, z, g.Prob(k, z).RatString(), want.RatString())
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestGeometricRowsAreDistributions(t *testing.T) {
 	for _, alpha := range []string{"1/4", "1/2", "2/3", "9/10"} {
 		for n := 1; n <= 8; n++ {

@@ -84,8 +84,7 @@ func NewLadder(n int, alphas []*big.Rat) (*Ladder, error) {
 		l.strs[i] = a.RatString()
 	}
 	// big.Rat keeps lowest terms, so equal ladders render (and key)
-	// identically. The format is the plans class's disk address: a
-	// change orphans every stored plan.
+	// identically.
 	l.key = fmt.Sprintf("n=%d|a=%s", n, strings.Join(l.strs, ","))
 	return l, nil
 }
@@ -151,73 +150,26 @@ func NewPlan(n int, alphas []*big.Rat) (*Plan, error) {
 }
 
 // BuildPlan precomputes the release chain of Algorithm 1 for a
-// validated ladder: one exact Lemma 3 transition per adjacent pair.
+// validated ladder: the marginal G_{n,αᵢ} of every level and one
+// exact Lemma 3 transition per adjacent pair. Each is built once from
+// its O(n) distinct entries and checked row-stochastic once.
 func BuildPlan(l *Ladder) (*Plan, error) {
 	n, alphas := l.n, l.alphas
 	p := &Plan{ladder: l}
-	var err error
-	p.first, err = mechanism.Geometric(n, alphas[0])
-	if err != nil {
-		return nil, err
-	}
-	p.marginals = append(p.marginals, p.first)
-	for i := 0; i+1 < len(alphas); i++ {
-		tm, err := derive.Transition(n, alphas[i], alphas[i+1])
-		if err != nil {
-			return nil, fmt.Errorf("release: building T_{α%d,α%d}: %w", i+1, i+2, err)
-		}
-		tr, err := mechanism.New(tm)
-		if err != nil {
-			return nil, fmt.Errorf("release: T_{α%d,α%d}: %w", i+1, i+2, err)
-		}
-		p.transitions = append(p.transitions, tr)
-		g, err := mechanism.Geometric(n, alphas[i+1])
+	for i, a := range alphas {
+		g, err := mechanism.Geometric(n, a)
 		if err != nil {
 			return nil, err
 		}
 		p.marginals = append(p.marginals, g)
-	}
-	return p, nil
-}
-
-// PlanFromParts reassembles a Plan from its persisted parts — the
-// level ladder and the Lemma 3 transition chain — without re-deriving
-// the transitions (the expensive step: each T_{αᵢ,αᵢ₊₁} costs an
-// exact inverse-and-multiply, while the marginal mechanisms G_{n,αᵢ}
-// have a cheap closed form and are rebuilt here). It validates the
-// ladder exactly as NewPlan does and additionally checks the chain's
-// shape: k−1 transitions, each a row-stochastic (n+1)×(n+1) matrix.
-// The transitions are cloned, so the caller's matrices stay private.
-//
-// PlanFromParts trusts that transitions[i] really is T_{αᵢ,αᵢ₊₁}
-// (verifying would mean re-deriving it); callers reassembling from
-// untrusted bytes must pair this with checksummed storage.
-func PlanFromParts(n int, alphas []*big.Rat, transitions []*matrix.Matrix) (*Plan, error) {
-	l, err := NewLadder(n, alphas)
-	if err != nil {
-		return nil, err
-	}
-	if len(transitions) != len(alphas)-1 {
-		return nil, fmt.Errorf("release: %d levels need %d transitions, got %d",
-			len(alphas), len(alphas)-1, len(transitions))
-	}
-	p := &Plan{ladder: l}
-	for i, tm := range transitions {
-		if tm == nil || tm.Rows() != n+1 {
-			return nil, fmt.Errorf("release: transition %d is not (n+1)×(n+1)", i+1)
+		if i == 0 {
+			continue
 		}
-		tr, err := mechanism.New(tm)
+		tr, err := derive.TransitionMechanism(n, alphas[i-1], a)
 		if err != nil {
-			return nil, fmt.Errorf("release: transition %d: %w", i+1, err)
+			return nil, fmt.Errorf("release: building T_{α%d,α%d}: %w", i, i+1, err)
 		}
 		p.transitions = append(p.transitions, tr)
-	}
-	for i, a := range l.alphas {
-		g, err := mechanism.Geometric(n, a)
-		if err != nil {
-			return nil, fmt.Errorf("release: rebuilding marginal %d: %w", i+1, err)
-		}
-		p.marginals = append(p.marginals, g)
 	}
 	p.first = p.marginals[0]
 	return p, nil

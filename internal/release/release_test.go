@@ -9,7 +9,10 @@ import (
 	"testing"
 
 	"minimaxdp/internal/consumer"
+	"minimaxdp/internal/derive"
 	"minimaxdp/internal/loss"
+	"minimaxdp/internal/matrix"
+	"minimaxdp/internal/mechanism"
 	"minimaxdp/internal/rational"
 	"minimaxdp/internal/sample"
 	"minimaxdp/internal/stats"
@@ -112,6 +115,88 @@ func TestCascadeMarginalsExact(t *testing.T) {
 		if !acc.Equal(want.Matrix()) {
 			t.Fatalf("chained mechanism at level %d != G_{n,α%d}", lvl, lvl)
 		}
+	}
+}
+
+// denseGeometric is G_{n,α} built the dense way, one closed-form
+// product per entry (Definition 4).
+func denseGeometric(n int, alpha *big.Rat) *matrix.Matrix {
+	one := rational.One()
+	onePlus := rational.Add(one, alpha)
+	m := matrix.New(n+1, n+1)
+	for k := 0; k <= n; k++ {
+		for z := 0; z <= n; z++ {
+			d := k - z
+			if d < 0 {
+				d = -d
+			}
+			c := rational.Div(rational.Sub(one, alpha), onePlus)
+			if z == 0 || z == n {
+				c = rational.Div(one, onePlus)
+			}
+			m.Set(k, z, rational.Mul(c, rational.Pow(alpha, d)))
+		}
+	}
+	return m
+}
+
+// BuildPlan's marginals and transitions, built from their distinct
+// entries, render byte for byte as the dense constructions do: G
+// entrywise, and T as the factor G_α⁻¹·G_β (derive.Factor, a dense
+// product).
+func TestPlanMatchesDenseConstruction(t *testing.T) {
+	for _, n := range []int{3, 8, 64} {
+		for _, ladder := range [][]string{{"1/2", "2/3", "4/5"}, {"12/25", "101/103", "999/1000"}} {
+			p, err := NewPlan(n, levels(ladder...))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for lvl := 1; lvl <= p.Levels(); lvl++ {
+				g, err := p.Marginal(lvl)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := denseGeometric(n, r(ladder[lvl-1]))
+				if g.String() != want.String() {
+					t.Fatalf("n=%d %v: marginal %d differs from the dense G", n, ladder, lvl)
+				}
+				if lvl == 1 {
+					continue
+				}
+				gm, err := mechanism.New(want)
+				if err != nil {
+					t.Fatal(err)
+				}
+				wantT, err := derive.Factor(gm, r(ladder[lvl-2]))
+				if err != nil {
+					t.Fatal(err)
+				}
+				tr, err := p.Transition(lvl - 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if tr.String() != wantT.String() {
+					t.Fatalf("n=%d %v: transition %d differs from the dense factor", n, ladder, lvl-1)
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkReleasePlan builds the survey's plan shape (ladder 1/2,
+// 2/3, 4/5) at the tenant cap n=64: the marginals it builds are the
+// G's every /v1/sample draw reads.
+func BenchmarkReleasePlan(b *testing.B) {
+	ladder := levels("1/2", "2/3", "4/5")
+	for _, n := range []int{64} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := NewPlan(n, ladder); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

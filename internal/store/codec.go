@@ -20,10 +20,8 @@ import (
 
 	"minimaxdp/internal/baseline"
 	"minimaxdp/internal/consumer"
-	"minimaxdp/internal/matrix"
 	"minimaxdp/internal/mechanism"
 	"minimaxdp/internal/rational"
-	"minimaxdp/internal/release"
 )
 
 // appendRatRows appends one line per row, entries as RatStrings.
@@ -37,15 +35,6 @@ func appendRatRows(b *bytes.Buffer, rows [][]*big.Rat) {
 		}
 		b.WriteByte('\n')
 	}
-}
-
-// matrixRows renders m as a slice of row slices (borrowed, read-only).
-func matrixRows(m *matrix.Matrix) [][]*big.Rat {
-	rows := make([][]*big.Rat, m.Rows())
-	for i := range rows {
-		rows[i] = m.Row(i)
-	}
-	return rows
 }
 
 // lineReader walks a payload line by line. Payloads are in-memory
@@ -263,92 +252,4 @@ func DecodeCompare(payload []byte) (*baseline.Comparison, error) {
 		return nil, err
 	}
 	return out, nil
-}
-
-// --- release plans --------------------------------------------------------
-
-// EncodePlan renders an Algorithm 1 release plan: n, the α-ladder,
-// and the Lemma 3 transition chain. The marginal mechanisms G_{n,αᵢ}
-// are deliberately NOT stored — they have a cheap closed form and
-// release.PlanFromParts rebuilds them exactly, so the payload holds
-// only the artifacts that are expensive to derive.
-func EncodePlan(p *release.Plan) ([]byte, error) {
-	var b bytes.Buffer
-	k := p.Levels()
-	fmt.Fprintf(&b, "plan %d %d\nalphas", p.N(), k)
-	for lvl := 1; lvl <= k; lvl++ {
-		a, err := p.Alpha(lvl)
-		if err != nil {
-			return nil, err
-		}
-		b.WriteByte(' ')
-		b.WriteString(a.RatString())
-	}
-	b.WriteByte('\n')
-	for lvl := 1; lvl < k; lvl++ {
-		tr, err := p.Transition(lvl)
-		if err != nil {
-			return nil, err
-		}
-		fmt.Fprintf(&b, "transition %d\n", lvl)
-		appendRatRows(&b, matrixRows(tr))
-	}
-	return b.Bytes(), nil
-}
-
-// DecodePlan parses EncodePlan output and reassembles the plan via
-// release.PlanFromParts (which re-validates the ladder and the
-// stochasticity of every transition).
-func DecodePlan(payload []byte) (*release.Plan, error) {
-	r := newLineReader(payload)
-	args, err := r.header("plan", 2)
-	if err != nil {
-		return nil, err
-	}
-	n, err := parseCount(args[0], "domain bound", 1, maxDecodeDim)
-	if err != nil {
-		return nil, err
-	}
-	k, err := parseCount(args[1], "level count", 1, maxDecodeDim)
-	if err != nil {
-		return nil, err
-	}
-	l, err := r.line()
-	if err != nil {
-		return nil, err
-	}
-	fields := strings.Fields(l)
-	if len(fields) != k+1 || fields[0] != "alphas" {
-		return nil, fmt.Errorf("store: expected %d alphas, got %q", k, l)
-	}
-	alphas := make([]*big.Rat, k)
-	for i, s := range fields[1:] {
-		alphas[i], err = rational.Parse(s)
-		if err != nil {
-			return nil, fmt.Errorf("store: bad alpha %d: %w", i+1, err)
-		}
-	}
-	transitions := make([]*matrix.Matrix, 0, k-1)
-	for lvl := 1; lvl < k; lvl++ {
-		trArgs, err := r.header("transition", 1)
-		if err != nil {
-			return nil, err
-		}
-		if trArgs[0] != strconv.Itoa(lvl) {
-			return nil, fmt.Errorf("store: transition %s out of order (want %d)", trArgs[0], lvl)
-		}
-		strs, err := r.ratStrings(n+1, n+1)
-		if err != nil {
-			return nil, err
-		}
-		tr, err := matrix.FromStrings(strs)
-		if err != nil {
-			return nil, err
-		}
-		transitions = append(transitions, tr)
-	}
-	if err := r.done(); err != nil {
-		return nil, err
-	}
-	return release.PlanFromParts(n, alphas, transitions)
 }

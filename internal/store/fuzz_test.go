@@ -2,12 +2,10 @@ package store
 
 import (
 	"bytes"
-	"math/big"
 	"testing"
 
 	"minimaxdp/internal/consumer"
 	"minimaxdp/internal/rational"
-	"minimaxdp/internal/release"
 )
 
 // recoders pairs every payload decoder with its encoder: each entry
@@ -31,13 +29,6 @@ var recoders = []struct {
 		}
 		return EncodeCompare(c), nil
 	}},
-	{"plan", func(p []byte) ([]byte, error) {
-		pl, err := DecodePlan(p)
-		if err != nil {
-			return nil, err
-		}
-		return EncodePlan(pl)
-	}},
 }
 
 // FuzzStoreDecode feeds arbitrary payloads to every store decoder. A
@@ -54,15 +45,6 @@ func FuzzStoreDecode(f *testing.F) {
 	}
 	f.Add(EncodeTailored(tl))
 	f.Add(EncodeCompare(testComparison()))
-	plan, err := release.NewPlan(6, []*big.Rat{rational.MustParse("1/4"), rational.MustParse("1/2"), rational.MustParse("3/4")})
-	if err != nil {
-		f.Fatal(err)
-	}
-	enc, err := EncodePlan(plan)
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(enc)
 	for _, bad := range []string{
 		"tailored 1\nloss 0\n1/2 1/3\n1/2 1/2\n",
 		"tailored 0\nloss -1\n1\n",

@@ -1,6 +1,5 @@
 // Package store is the content-addressed, disk-backed artifact store
-// behind the engine's warm-boot path. The artifacts it holds —
-// Algorithm 1 release plans (with their Lemma 3 transitions), §2.5
+// behind the engine's warm-boot path. The artifacts it holds — §2.5
 // tailored-LP solutions and the compare workbench's results — are
 // the ones whose load beats recomputation, and each is a
 // deterministic, total function of its cache key, so a byte-exact
@@ -122,7 +121,7 @@ func (s *Store) Stats() Stats {
 
 // checkClass rejects class names that would not map to a safe
 // directory name. Classes are producer-controlled constants
-// ("plans", "tailored", ...), so this is a guard against
+// ("tailored", "compares"), so this is a guard against
 // programming errors, not an input sanitizer.
 func checkClass(class string) error {
 	if class == "" || class == quarantineDir {

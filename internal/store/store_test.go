@@ -10,7 +10,6 @@ import (
 	"minimaxdp/internal/baseline"
 	"minimaxdp/internal/consumer"
 	"minimaxdp/internal/rational"
-	"minimaxdp/internal/release"
 )
 
 func openTemp(t *testing.T) *Store {
@@ -49,11 +48,11 @@ func TestPutGetRoundTrip(t *testing.T) {
 func TestPutOverwrite(t *testing.T) {
 	s := openTemp(t)
 	for _, payload := range []string{"first", "second"} {
-		if err := s.Put("plans", "k", []byte(payload)); err != nil {
+		if err := s.Put("tailored", "k", []byte(payload)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	got, ok := s.Get("plans", "k")
+	got, ok := s.Get("tailored", "k")
 	if !ok || string(got) != "second" {
 		t.Fatalf("Get after overwrite = %q, %v", got, ok)
 	}
@@ -120,10 +119,10 @@ func TestCorruptEntryQuarantined(t *testing.T) {
 
 func TestTruncatedEntryIsMiss(t *testing.T) {
 	s := openTemp(t)
-	if err := s.Put("plans", "k", []byte("some payload bytes")); err != nil {
+	if err := s.Put("tailored", "k", []byte("some payload bytes")); err != nil {
 		t.Fatal(err)
 	}
-	path := entryFile(t, s, "plans", "k")
+	path := entryFile(t, s, "tailored", "k")
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -131,7 +130,7 @@ func TestTruncatedEntryIsMiss(t *testing.T) {
 	if err := os.WriteFile(path, data[:len(data)/2], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := s.Get("plans", "k"); ok {
+	if _, ok := s.Get("tailored", "k"); ok {
 		t.Fatal("truncated entry served")
 	}
 }
@@ -244,69 +243,6 @@ func (lossAbs) Loss(i, r int) *big.Rat {
 	return big.NewRat(int64(d), 1)
 }
 
-func TestPlanCodecRoundTrip(t *testing.T) {
-	alphas := []*big.Rat{rational.MustParse("1/4"), rational.MustParse("1/2"), rational.MustParse("3/4")}
-	p, err := release.NewPlan(6, alphas)
-	if err != nil {
-		t.Fatal(err)
-	}
-	enc, err := EncodePlan(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dec, err := DecodePlan(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dec.N() != 6 || dec.Levels() != 3 {
-		t.Fatalf("decoded plan geometry %d/%d", dec.N(), dec.Levels())
-	}
-	for lvl := 1; lvl <= 3; lvl++ {
-		pa, err := p.Alpha(lvl)
-		if err != nil {
-			t.Fatal(err)
-		}
-		da, err := dec.Alpha(lvl)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if pa.Cmp(da) != 0 {
-			t.Errorf("level %d alpha %s != %s", lvl, da.RatString(), pa.RatString())
-		}
-		pm, err := p.Marginal(lvl)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dm, err := dec.Marginal(lvl)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !pm.Equal(dm) {
-			t.Errorf("level %d marginal differs after round trip", lvl)
-		}
-	}
-	for lvl := 1; lvl <= 2; lvl++ {
-		pt, err := p.Transition(lvl)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dt, err := dec.Transition(lvl)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !pt.Equal(dt) {
-			t.Errorf("level %d transition differs after round trip", lvl)
-		}
-	}
-	reenc, err := EncodePlan(dec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(reenc, enc) {
-		t.Fatal("re-encode not byte-identical")
-	}
-}
-
 // TestStoredArtifactFullCycle drives codec + envelope + disk together
 // for a tailored LP solution, as the engine does.
 func TestStoredArtifactFullCycle(t *testing.T) {
@@ -351,9 +287,6 @@ func TestDecodeRejectsExponentRationals(t *testing.T) {
 	}
 	if _, err := DecodeCompare([]byte("compare 3 minimax 1e-9999 1\ntailored 5/7\nentry geometric 6/7 5/7 0 1/4\n")); err == nil {
 		t.Error("compare payload with an exponent-form alpha accepted")
-	}
-	if _, err := DecodePlan([]byte("plan 2 2\nalphas 1e-99999 1/2\ntransition 1\n1 0 0\n0 1 0\n0 0 1\n")); err == nil {
-		t.Error("plan payload with an exponent-form alpha accepted")
 	}
 }
 

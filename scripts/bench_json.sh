@@ -18,8 +18,10 @@
 #                      benchmarks.
 #   BENCH_sample.json  the sampling hot path: dyadic alias kernel
 #                      (internal/sample), sharded single/batch/parallel
-#                      draws (internal/engine), and the /v1/sample
-#                      HTTP handler (cmd/dpserver).
+#                      draws (internal/engine), the /v1/sample
+#                      HTTP handler (cmd/dpserver), and the release-plan
+#                      build whose marginals every draw samples
+#                      (internal/release).
 #   BENCH_store.json   the artifact-store warm-boot path: cold LP solve
 #                      vs loading the persisted tailored solution from
 #                      the content-addressed disk store
@@ -113,6 +115,8 @@ go test -run='^$' -bench='EngineSampler' -benchmem -benchtime="${BENCHTIME}" -co
     ./internal/engine | tee -a "${raw}"
 go test -run='^$' -bench='HandleSample' -benchmem -benchtime="${BENCHTIME}" -count="${COUNT}" \
     ./cmd/dpserver | tee -a "${raw}"
+go test -run='^$' -bench='ReleasePlan' -benchmem -benchtime="${BENCHTIME}" -count="${COUNT}" \
+    ./internal/release | tee -a "${raw}"
 distill "${raw}" "${OUT_SAMPLE}"
 
 # --- LP suite -------------------------------------------------------------

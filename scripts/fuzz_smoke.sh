@@ -14,6 +14,7 @@ targets="
 FuzzParse ./internal/rational
 FuzzPow ./internal/rational
 FuzzHvalMatchesBigRat ./internal/rational
+FuzzIsStochastic ./internal/matrix
 FuzzUnmarshalJSON ./internal/mechanism
 FuzzParseLevels ./cmd/dpserver
 FuzzTenantSpec ./cmd/dpserver
