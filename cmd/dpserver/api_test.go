@@ -263,7 +263,7 @@ func (h *solveHold) free() { h.freed.Do(func() { close(h.release) }) }
 // -solve-timeout answers 504, yet runs on and is cached, so the retry
 // is served from it: 200 with one tailored miss and one LP solve.
 func TestTailoredTimeoutKeepsSolveForRetry(t *testing.T) {
-	s, hold := newHeldServer(t, "tailored", serverConfig{SolveTimeout: 20 * time.Millisecond})
+	s, hold := newHeldServer(t, "interactions", serverConfig{SolveTimeout: 20 * time.Millisecond})
 	mux := s.handler()
 	const path = "/v1/tailored?loss=absolute&n=8&level=1"
 
@@ -274,8 +274,9 @@ func TestTailoredTimeoutKeepsSolveForRetry(t *testing.T) {
 	}
 	<-hold.started
 	hold.free()
-	// The solve slot is released after the cache fill.
-	for deadline := time.Now().Add(10 * time.Second); s.eng.Metrics().InFlightSolves != 0; {
+	// The tailored artifact is cached once the interaction it is read
+	// from has been.
+	for deadline := time.Now().Add(10 * time.Second); s.eng.Metrics().Tailored.Cache.Size != 1; {
 		if time.Now().After(deadline) {
 			t.Fatal("the timed-out solve never finished")
 		}
@@ -298,7 +299,7 @@ func TestTailoredTimeoutKeepsSolveForRetry(t *testing.T) {
 // tenant registration that needs a plan build are rejected fast with
 // 429/shed, and the shed shows up in /v1/metrics.
 func TestTailoredShedsUnderLoad(t *testing.T) {
-	s, hold := newHeldServer(t, "tailored", serverConfig{MaxInFlightSolves: 1})
+	s, hold := newHeldServer(t, "interactions", serverConfig{MaxInFlightSolves: 1})
 	mux := s.handler()
 
 	occDone := make(chan error, 1)
@@ -345,18 +346,20 @@ func TestTailoredShedsUnderLoad(t *testing.T) {
 	// The shed is visible through /v1/metrics.
 	rec = httptest.NewRecorder()
 	mux.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/metrics", nil))
+	// The tailored request was shed by the interaction solve it reads
+	// its artifact from.
 	var body struct {
 		Engine struct {
-			Tailored struct {
+			Interactions struct {
 				Shed uint64 `json:"shed"`
-			} `json:"tailored"`
+			} `json:"interactions"`
 		} `json:"engine"`
 	}
 	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
 		t.Fatal(err)
 	}
-	if body.Engine.Tailored.Shed != 1 {
-		t.Errorf("metrics shed = %d, want 1", body.Engine.Tailored.Shed)
+	if body.Engine.Interactions.Shed != 1 {
+		t.Errorf("metrics shed = %d, want 1", body.Engine.Interactions.Shed)
 	}
 }
 

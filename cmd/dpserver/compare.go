@@ -9,9 +9,10 @@
 // the engine's cached optimality-gap scorecard: each baseline's loss
 // as deployed, its loss after the consumer's optimal reaction, the
 // consumer's tailored-optimal loss, and the gaps between them — all
-// exact rational strings. Theorem 1 part 2 is directly observable in
-// the response: for every minimax consumer the geometric row's gap is
-// the string "0".
+// exact rational strings. The engine serves the tailored optimum as
+// the consumer's optimal interaction with G_{n,α} (Theorem 1 part 2),
+// so the geometric row's gap is the string "0" by construction; the
+// check that the §2.5 LP agrees lives in cmd/experiments -mode=gap.
 
 package main
 

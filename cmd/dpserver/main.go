@@ -24,7 +24,7 @@
 //	GET  /v1/levels         the privacy levels and their α values
 //	POST /v1/epoch          advance to a new correlated release
 //	GET  /v1/mechanism      exact marginal mechanism of a level (public)
-//	GET  /v1/tailored       engine-cached §2.5 tailored-optimum solve
+//	GET  /v1/tailored       engine-cached tailored optimum (Theorem 1: G·T°)
 //	GET  /v1/sample         draws of the public mechanism at a claimed input
 //	GET  /v1/metrics        serving, engine-cache, store, and tenant counters
 //	GET  /healthz           liveness probe
@@ -48,9 +48,9 @@
 //	POST /v1/tenants/{id}/epoch            fresh correlated draw (budgeted)
 //	GET  /v1/tenants/{id}/sample           public-mechanism draws
 //	GET  /v1/tenants/{id}/accounting       exact cumulative spend
-//	GET  /v1/tenants/{id}/tailored         tenant-consumer §2.5 solve
+//	GET  /v1/tenants/{id}/tailored         tenant consumer's tailored optimum
 //
-// With -store-dir set, the engine persists its tailored LP solutions
+// With -store-dir set, the engine persists its tailored mechanisms
 // and compare scorecards to a content-addressed disk store; restarting
 // against the same directory (and -tenants-config) warm-boots the full
 // surface with zero LP solves — "solves":0 in /v1/metrics. Geometric

@@ -32,14 +32,14 @@ import (
 )
 
 // defaultMaxTailoredN caps the domain size accepted by /v1/tailored:
-// the §2.5 LP has (n+1)²+1 variables and is meant here as an
-// interactive demonstration, not a bulk workload. With the
-// float-guided revised simplex the cap sits at 32: measured uncached
-// absolute-loss solve times at α ∈ {1/2, 1/3} on a 2-vCPU amd64
-// container are 4–5 ms at n=8, 0.09–0.13 s at n=16, 1.5–3.4 s at n=24
-// and 11–37 s at n=32, the last more than the default -solve-timeout
-// (the solve still finishes and serves the retry; DESIGN §9 has the
-// slower keys). Requests beyond the cap return 400 rather than
+// a tailored miss is an exact LP solve, the interaction LP against
+// G_{n,α} with (n+1)²+1 variables, and is meant here as an interactive
+// demonstration, not a bulk workload. The cap sits at 32: measured
+// uncached solve times for the four wire losses at α ∈ {1/2, 1/3} on
+// a 2-vCPU amd64 container are 1.5–3 ms at n=8, 10–25 ms at n=16,
+// 57–176 ms at n=24 and 0.13–0.29 s at n=32, with zero-one at n=32,
+// α=1/3, the outlier at 3.5 s (engine.DefaultMaxLPDomainN; DESIGN §9
+// has the slower keys). Requests beyond the cap return 400 rather than
 // queueing.
 const defaultMaxTailoredN = 32
 
@@ -572,7 +572,7 @@ func (s *server) handleRoot(w http.ResponseWriter, r *http.Request) {
 			"GET /v1/levels":                         "privacy levels and their α values",
 			"POST /v1/epoch":                         "advance to a fresh correlated draw",
 			"GET /v1/mechanism?level=K":              "exact marginal mechanism G_{n,α_K} (public knowledge)",
-			"GET /v1/tailored?loss=L&side=lo-hi&n=N": "engine-cached tailored-optimum solve (minimax §2.5 or model=bayesian)",
+			"GET /v1/tailored?loss=L&side=lo-hi&n=N": "engine-cached tailored optimum: the consumer's optimal interaction with G_{n,α} (minimax, or model=bayesian)",
 			"POST /v1/compare":                       "optimality-gap scorecard: baseline mechanisms vs the consumer's tailored optimum (JSON spec body)",
 			"GET /v1/sample?level=K&input=i&count=M": "fresh draws of the public mechanism at a claimed input",
 			"GET /v1/metrics":                        "serving, engine-cache, artifact-store, and tenant counters",
@@ -740,9 +740,12 @@ func (s *server) resolveAlpha(alphaStr, levelStr string) (*big.Rat, error) {
 }
 
 // handleTailored answers "what is the optimal α-DP mechanism for this
-// consumer?" via the engine-cached tailored solve (§2.5 LP for the
-// default minimax model, the Ghosh-et-al. analogue for
-// model=bayesian). The consumer arrives through the shared
+// consumer?" via the engine-cached tailored artifact: the consumer's
+// optimal interaction with G_{n,α}, which Theorem 1 (for the default
+// minimax model) and Ghosh–Roughgarden–Sundararajan (for
+// model=bayesian) make optimal among all α-DP mechanisms. The
+// optimality is the theorems', not recomputed per request; the
+// response's mechanism is G·T°, exact and α-DP. The consumer arrives through the shared
 // consumerSpec codec — the same one POST /v1/compare reads from its
 // body — and the solve is keyed by (n, α, consumer identity), so
 // repeat queries are cache lookups and concurrent identical

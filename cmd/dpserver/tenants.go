@@ -252,11 +252,11 @@ func (s *server) handleTenantAccounting(w http.ResponseWriter, r *http.Request) 
 	writeJSON(w, http.StatusOK, out)
 }
 
-// handleTenantTailored runs the §2.5 tailored solve for the tenant's
+// handleTenantTailored serves the tailored optimum for the tenant's
 // OWN configured consumer (loss, side) at one of its levels — the
-// per-tenant answer to "what is the best mechanism for me?", which by
-// Theorem 1 the tenant can also reach by post-processing its level's
-// geometric release.
+// per-tenant answer to "what is the best mechanism for me?". By
+// Theorem 1 it is the tenant's optimal post-processing of its level's
+// geometric release, and that is what the engine serves.
 func (s *server) handleTenantTailored(w http.ResponseWriter, r *http.Request) {
 	t, _, ok := s.principal(w, r)
 	if !ok {

@@ -5,17 +5,22 @@
 // default baseline set (geometric, staircase, laplace) against each
 // consumer's tailored optimum.
 //
-// The sweep doubles as a test oracle: Theorem 1 part 2 says every
-// minimax consumer's geometric gap is exactly zero, so the sweep
-// HARD-FAILS (non-zero exit through main) the moment any minimax
-// geometric row shows a nonzero gap, and prints a certificate line
-// counting the identities it verified. Bayesian rows and the other
-// baselines are reported as gap tables — the paper's point being that
-// those gaps are generally nonzero.
+// The sweep doubles as a test oracle. The engine serves a consumer's
+// tailored optimum as its optimal interaction with G_{n,α} (Theorem 1
+// part 2, and Ghosh–Roughgarden–Sundararajan for Bayesian consumers),
+// so the scorecard's geometric gap is zero by construction. The sweep
+// therefore also solves the model's own tailored LP
+// (OptimalMechanismCtx) and HARD-FAILS (non-zero exit through main)
+// the moment its optimum differs from the scorecard's TailoredLoss,
+// minimax and Bayesian alike, or any minimax geometric row shows a
+// nonzero gap. It prints a certificate line counting the identities
+// it verified. The other baselines are reported as gap tables — the
+// paper's point being that those gaps are generally nonzero.
 
 package main
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math/big"
@@ -25,6 +30,7 @@ import (
 	"minimaxdp/internal/consumer"
 	"minimaxdp/internal/engine"
 	"minimaxdp/internal/loss"
+	"minimaxdp/internal/lp"
 	"minimaxdp/internal/rational"
 	"minimaxdp/internal/sample"
 )
@@ -100,7 +106,7 @@ func runGapSweep(w io.Writer, cfg config) error {
 	eng := engine.New(engine.Config{Seed: cfg.seed})
 	defer eng.Close()
 	rng := sample.NewRand(cfg.seed)
-	var certified, rows int
+	var certified, crossChecked, rows int
 	for _, n := range gapNs {
 		for _, alpha := range gapAlphas() {
 			for _, m := range gapModels(rng, n) {
@@ -115,6 +121,16 @@ func runGapSweep(w io.Writer, cfg config) error {
 				if err := cmp.Validate(); err != nil {
 					return fmt.Errorf("compare n=%d α=%s %s: %w", n, alpha.RatString(), mk, err)
 				}
+				opt, err := m.OptimalMechanismCtx(context.Background(), n, alpha, lp.SolveOpts{})
+				if err != nil {
+					return fmt.Errorf("tailored LP n=%d α=%s %s: %w", n, alpha.RatString(), mk, err)
+				}
+				if opt.Loss.Cmp(cmp.TailoredLoss) != 0 {
+					return fmt.Errorf(
+						"TAILORED LP CROSS-CHECK FAILED: n=%d α=%s %s served tailored loss %s, LP optimum %s",
+						n, alpha.RatString(), mk, cmp.TailoredLoss.RatString(), opt.Loss.RatString())
+				}
+				crossChecked++
 				for _, e := range cmp.Entries {
 					rows++
 					fmt.Fprintf(w, "n=%d α=%-4s %-8s %-40s %-11s tailored=%-8s interact=%-8s gap=%s\n",
@@ -135,6 +151,7 @@ func runGapSweep(w io.Writer, cfg config) error {
 	}
 	fmt.Fprintf(w, "\nTheorem 1 zero-gap certificate: %d minimax consumer identities verified (geometric gap exactly 0), %d gap rows total\n",
 		certified, rows)
+	fmt.Fprintf(w, "Tailored LP cross-check: %d consumer identities, served tailored loss equal to the LP optimum\n", crossChecked)
 	if certified == 0 {
 		return fmt.Errorf("gap sweep certified nothing — sweep grid is broken")
 	}

@@ -18,6 +18,9 @@ func TestGapSweep(t *testing.T) {
 	if !strings.Contains(out, "zero-gap certificate") {
 		t.Error("missing certificate line")
 	}
+	if !strings.Contains(out, "Tailored LP cross-check") {
+		t.Error("missing tailored LP cross-check line")
+	}
 	for _, want := range []string{"geometric", "staircase", "laplace", "minimax", "bayesian", "gap=0"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("sweep output missing %q", want)

@@ -8,11 +8,11 @@
 //
 // The two LPs meet in Theorem 1: the tailored optimum's loss equals
 // the consumer's optimal interaction loss against the geometric
-// mechanism G_{n,α}, so x* = G·T* is an optimal point of the tailored
-// LP. From n = N₀ (interactionStartN) on, OptimalMechanismOpts solves
-// the small interaction LP first and hands that point to the LP solver
-// as the start of the large one; the answer is the same canonical
-// optimum either way.
+// mechanism G_{n,α}, so G·T* is an optimal tailored mechanism.
+// GeometricOptimal names the inputs the theorem (or its Bayesian
+// analogue) covers; for those the serving layer answers a tailored
+// request with the interaction solve alone, and OptimalMechanism stays
+// the library's §2.5 solver and the oracle that checks it.
 package consumer
 
 import (
@@ -166,20 +166,27 @@ func OptimalInteractionOpts(ctx context.Context, c *Consumer, deployed *mechanis
 		}
 	}
 	p.SetObjective(lp.TInt(d, 1))
-	// d − Σ_{r,r'} y[i][r]·l(i,r')·T[r][r'] ≥ 0 for every i ∈ S.
+	// d − Σ_{r,r'} y[i][r]·l(i,r')·T[r][r'] ≥ 0 for every i ∈ S. Row
+	// i's negated losses are built once and shared by every r; a zero
+	// loss stays nil and contributes no term.
+	negLoss := make([]*big.Rat, n+1)
 	for _, i := range s {
+		for rp := range negLoss {
+			negLoss[rp] = nil
+			if l := c.Loss.Loss(i, rp); l.Sign() != 0 {
+				negLoss[rp] = rational.Neg(l)
+			}
+		}
 		terms := []lp.Term{lp.TInt(d, 1)}
 		for r := 0; r <= n; r++ {
 			yir := deployed.Prob(i, r)
 			if yir.Sign() == 0 {
 				continue
 			}
-			for rp := 0; rp <= n; rp++ {
-				coef := rational.Mul(yir, c.Loss.Loss(i, rp))
-				if coef.Sign() == 0 {
-					continue
+			for rp, nl := range negLoss {
+				if nl != nil {
+					terms = append(terms, lp.T(tv[r][rp], rational.Mul(yir, nl)))
 				}
-				terms = append(terms, lp.T(tv[r][rp], rational.Neg(coef)))
 			}
 		}
 		p.AddConstraint(terms, lp.GE, rational.Zero())
@@ -212,9 +219,11 @@ func OptimalInteractionOpts(ctx context.Context, c *Consumer, deployed *mechanis
 	return &Interaction{T: tm, Induced: induced, Loss: sol.Objective}, nil
 }
 
-// Tailored is the result of solving the Section 2.5 LP: the optimal
-// α-differentially-private mechanism for a known consumer, with its
-// minimax loss.
+// Tailored is an optimal α-differentially-private mechanism for a
+// known consumer, with its loss: the Section 2.5 LP's canonical
+// optimum (OptimalMechanism), or, where GeometricOptimal holds, the
+// consumer's optimal interaction with G_{n,α}, which the serving
+// engine returns.
 type Tailored struct {
 	Mechanism *mechanism.Mechanism
 	Loss      *big.Rat
@@ -237,21 +246,15 @@ func OptimalMechanism(c *Consumer, n int, alpha *big.Rat) (*Tailored, error) {
 //	          Σ_r x[i][r] = 1                        ∀ i
 //	          x ≥ 0.
 //
-// The LP has (n+1)²+1 variables. From n = interactionStartN on, its
-// solve starts from the Theorem 1 point G·T* (theoremOnePoint); ctx
-// cancellation aborts it between simplex pivots and returns
-// ctx.Err().
+// The LP has (n+1)²+1 variables; ctx cancellation aborts it between
+// simplex pivots and returns ctx.Err().
 func OptimalMechanismCtx(ctx context.Context, c *Consumer, n int, alpha *big.Rat) (*Tailored, error) {
 	return OptimalMechanismOpts(ctx, c, n, alpha, lp.SolveOpts{})
 }
 
 // OptimalMechanismOpts is OptimalMechanismCtx with explicit LP solver
 // options: strategy selection (warm-start vs pure exact) and
-// per-solve statistics for the serving layer's metrics. A warm-start
-// solve at n ≥ interactionStartN runs the interaction solve against
-// G_{n,α} first, under the same ctx, and reports its work in the same
-// stats: the pair counts as one LP solve. A caller-supplied
-// opts.Start is used as given.
+// per-solve statistics for the serving layer's metrics.
 func OptimalMechanismOpts(ctx context.Context, c *Consumer, n int, alpha *big.Rat, opts lp.SolveOpts) (*Tailored, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("consumer: n must be ≥ 1, got %d", n)
@@ -298,22 +301,7 @@ func OptimalMechanismOpts(ctx context.Context, c *Consumer, n int, alpha *big.Ra
 		}
 		p.AddConstraint(terms, lp.EQ, rational.One())
 	}
-	// Theorem 1: x = G·T*, d = L* is optimal for this LP. The
-	// interaction solve's work folds into the tailored solve's stats,
-	// so the pair reports as one LP solve.
-	var located lp.SolveStats
-	if n >= interactionStartMin && opts.Strategy == lp.StrategyWarmStart && opts.Start == nil {
-		opts.Start, err = theoremOnePoint(ctx, c, n, alpha, &located)
-	}
-	var sol *lp.Solution
-	if err == nil {
-		sol, err = p.SolveWithOpts(ctx, opts)
-	} else if opts.Stats != nil {
-		*opts.Stats = lp.SolveStats{}
-	}
-	if opts.Stats != nil {
-		opts.Stats.AddWork(&located)
-	}
+	sol, err := p.SolveWithOpts(ctx, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -331,47 +319,6 @@ func OptimalMechanismOpts(ctx context.Context, c *Consumer, n int, alpha *big.Ra
 		return nil, fmt.Errorf("consumer: LP solution not a mechanism: %w", err)
 	}
 	return &Tailored{Mechanism: mech, Loss: sol.Objective}, nil
-}
-
-// interactionStartN is N₀, the least n at which OptimalMechanismOpts
-// starts the tailored LP from the Theorem 1 point G·T* rather than
-// from the float locate. Below it the float locate on the small LP
-// costs less than the interaction solve plus the exact ladder from
-// the point (DESIGN.md §10 has the per-n table it was chosen from).
-const interactionStartN = 14
-
-// interactionStartMin is the threshold OptimalMechanismOpts applies:
-// interactionStartN, lowered by tests to drive the point start on
-// small LPs.
-var interactionStartMin = interactionStartN
-
-// theoremOnePoint returns the Theorem 1 optimum of the tailored LP in
-// its variable order (d, then x[i][r] row by row): x = G_{n,α}·T*,
-// d = L*, where T* is c's optimal interaction with the geometric
-// mechanism. It returns nil with no error when α is outside (0, 1),
-// where G_{n,α} is undefined; only a ctx error is returned as an
-// error, any other failure leaves the solve to the float locate. The
-// interaction solve's counters land in stats.
-func theoremOnePoint(ctx context.Context, c *Consumer, n int, alpha *big.Rat, stats *lp.SolveStats) ([]*big.Rat, error) {
-	g, err := mechanism.Geometric(n, alpha)
-	if err != nil {
-		return nil, nil
-	}
-	inter, err := OptimalInteractionOpts(ctx, c, g, lp.SolveOpts{Stats: stats})
-	if err != nil {
-		if ctx.Err() != nil {
-			return nil, err
-		}
-		return nil, nil
-	}
-	start := make([]*big.Rat, 0, (n+1)*(n+1)+1)
-	start = append(start, inter.Loss)
-	for i := 0; i <= n; i++ {
-		for r := 0; r <= n; r++ {
-			start = append(start, inter.Induced.Prob(i, r))
-		}
-	}
-	return start, nil
 }
 
 // --- Bayesian consumers (Section 2.7 comparison) --------------------------

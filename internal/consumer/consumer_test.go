@@ -474,3 +474,40 @@ func TestMoreSideInformationNeverHurts(t *testing.T) {
 			informedInter.Loss.RatString(), fullInter.Loss.RatString())
 	}
 }
+
+// TestGeometricOptimalCoversWireLosses: every loss a serving surface
+// can parse (loss.ParseSpec) meets Theorem 1's hypotheses at every
+// served n for α ∈ (0, 1), so no wire request reaches the tailored LP
+// at such α; α ∉ (0, 1) and losses not monotone in |i−r| do.
+func TestGeometricOptimalCoversWireLosses(t *testing.T) {
+	half := r("1/2")
+	for _, name := range loss.Names() {
+		widths := []string{""}
+		if name == "deadband" {
+			widths = []string{"", "0", "3", "40"}
+		}
+		for _, w := range widths {
+			lf, err := loss.ParseSpec(name, w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for n := 1; n <= 32; n++ {
+				for _, m := range []Model{&Consumer{Loss: lf}, &Bayesian{Loss: lf, Prior: UniformPrior(n)}} {
+					if !GeometricOptimal(m, n, half) {
+						t.Errorf("%s %s at n=%d: outside Theorem 1's hypotheses", m.ModelName(), lf.Name(), n)
+					}
+				}
+			}
+		}
+	}
+	c := &Consumer{Loss: loss.Absolute{}}
+	for _, a := range []string{"0", "1", "3/2"} {
+		if GeometricOptimal(c, 8, r(a)) {
+			t.Errorf("α=%s accepted: G_{n,α} is undefined there", a)
+		}
+	}
+	asym := loss.Asymmetric{Over: r("1"), Under: r("2")}
+	if GeometricOptimal(&Consumer{Loss: asym}, 8, half) {
+		t.Error("asymmetric loss accepted: it is not monotone in |i−r|")
+	}
+}

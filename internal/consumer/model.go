@@ -32,8 +32,10 @@ import (
 	"strconv"
 	"strings"
 
+	"minimaxdp/internal/loss"
 	"minimaxdp/internal/lp"
 	"minimaxdp/internal/mechanism"
+	"minimaxdp/internal/rational"
 )
 
 // Model is the unified consumer-model interface: anything that can
@@ -183,6 +185,29 @@ func (b *Bayesian) OptimalInteractionCtx(ctx context.Context, deployed *mechanis
 // of the Section 2.5 LP (OptimalBayesianMechanismOpts).
 func (b *Bayesian) OptimalMechanismCtx(ctx context.Context, n int, alpha *big.Rat, opts lp.SolveOpts) (*Tailored, error) {
 	return OptimalBayesianMechanismOpts(ctx, b, n, alpha, opts)
+}
+
+// GeometricOptimal reports whether m's optimal interaction with the
+// geometric mechanism G_{n,α} is an optimal α-DP mechanism for m on
+// {0..n}. That holds when α ∈ (0, 1), where G_{n,α} is defined, and
+// m's loss meets the paper's Section 2.3 assumption (loss.Validate):
+// Theorem 1 part 2 for a minimax consumer, the theorem of Ghosh,
+// Roughgarden and Sundararajan for a Bayesian one. Every other input,
+// and a Model of any other type, needs OptimalMechanismCtx's LP.
+func GeometricOptimal(m Model, n int, alpha *big.Rat) bool {
+	if alpha.Sign() <= 0 || alpha.Cmp(rational.One()) >= 0 {
+		return false
+	}
+	var l loss.Function
+	switch m := m.(type) {
+	case *Consumer:
+		l = m.Loss
+	case *Bayesian:
+		l = m.Loss
+	default:
+		return false
+	}
+	return loss.Validate(l, n) == nil
 }
 
 // Compile-time interface conformance pins: both consumer families

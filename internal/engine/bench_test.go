@@ -2,8 +2,8 @@
 // the subsystem's claim: the artifact cache turns repeat LP solves
 // and mechanism constructions into lookups. Compare
 // BenchmarkEngineTailoredCached against
-// BenchmarkEngineTailoredUncached (the raw §2.5 solve) — the gap is
-// several orders of magnitude. scripts/check.sh runs every Engine
+// BenchmarkEngineTailoredUncached (a tailored miss on a fresh engine)
+// — the gap is several orders of magnitude. scripts/check.sh runs every Engine
 // benchmark once as a compile-and-smoke gate.
 package engine
 
@@ -35,38 +35,38 @@ func BenchmarkEngineTailoredCached(b *testing.B) {
 	})
 }
 
-func BenchmarkEngineTailoredUncached(b *testing.B) {
+// benchTailoredMiss times what the engine serves on a tailored miss:
+// a fresh engine per op, so every TailoredMechanism call misses and
+// runs the consumer's interaction solve against G_{n,α}.
+func benchTailoredMiss(b *testing.B, l loss.Function, n int) {
 	a := rational.MustParse("1/2")
-	c := &consumer.Consumer{Loss: loss.Absolute{}}
+	c := &consumer.Consumer{Loss: l}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := consumer.OptimalMechanism(c, 8, a); err != nil {
+		e := New(Config{})
+		_, err := e.TailoredMechanism(c, n, a)
+		e.Close()
+		if err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// BenchmarkEngineTailoredUncachedTie is a cold solve with a tied
-// optimum (squared loss, full side, n=8, α=1/2): the warm start
-// certifies an optimal basis with some zero reduced costs, and the
-// solve is finished by the lexicographic refinement on the sparse LU.
-// Before that refinement existed, a tie demoted to the dense big.Rat
-// two-phase solve, which took about 1.6s here.
-func BenchmarkEngineTailoredUncachedTie(b *testing.B) {
-	a := rational.MustParse("1/2")
-	c := &consumer.Consumer{Loss: loss.Squared{}}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := consumer.OptimalMechanism(c, 8, a); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+// BenchmarkEngineTailoredUncached is a tailored miss at serving size
+// (absolute loss, full side, n=8, α=1/2).
+func BenchmarkEngineTailoredUncached(b *testing.B) { benchTailoredMiss(b, loss.Absolute{}, 8) }
 
-// BenchmarkEngineTailoredExactOnly is the BenchmarkEngineTailoredUncached
-// solve under StrategyExact: the cold two-phase revised simplex that
-// also serves every float-failure fallback. It keeps that path gated
-// at serving size, though neither served workload normally reaches it.
+// BenchmarkEngineTailoredUncachedTie is a tailored miss whose §2.5 LP
+// has a tied optimum (squared loss, n=8, α=1/2). The served
+// interaction solve is what it times now; the tied tailored LP stays
+// gated through the oracle rows below.
+func BenchmarkEngineTailoredUncachedTie(b *testing.B) { benchTailoredMiss(b, loss.Squared{}, 8) }
+
+// BenchmarkEngineTailoredExactOnly is the §2.5 LP at n=8 (absolute
+// loss, α=1/2) under StrategyExact: the cold two-phase revised simplex
+// that also serves every float-failure fallback. With
+// BenchmarkTable1OptimalLP it keeps the library's tailored LP, the
+// oracle the engine's answers are checked against, gated.
 func BenchmarkEngineTailoredExactOnly(b *testing.B) {
 	a := rational.MustParse("1/2")
 	c := &consumer.Consumer{Loss: loss.Absolute{}}
@@ -79,53 +79,15 @@ func BenchmarkEngineTailoredExactOnly(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineTailoredUncachedN16 is the large-n cold solve the
-// revised-simplex pipeline made servable (it exceeded the old
-// full-tableau solver's practical range). At n=16 it starts from
-// Theorem 1's G·T*: the interaction solve against G_{16,1/2}, then the
-// certificate of the basis read off that point (DESIGN.md §10).
-func BenchmarkEngineTailoredUncachedN16(b *testing.B) {
-	a := rational.MustParse("1/2")
-	c := &consumer.Consumer{Loss: loss.Absolute{}}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := consumer.OptimalMechanism(c, 16, a); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+// BenchmarkEngineTailoredUncachedN16, …N24 and …N32 are tailored misses
+// at larger n, up to the server's LP cap (n=32). Each is one
+// interaction solve: n+1+|S| rows against the §2.5 LP's
+// 2n(n+1)+|S|+n+1.
+func BenchmarkEngineTailoredUncachedN16(b *testing.B) { benchTailoredMiss(b, loss.Absolute{}, 16) }
 
-// BenchmarkEngineTailoredUncachedN24 is the entry-growth wall that
-// Markowitz refactorization and the float-side dual cleanup broke:
-// before them, this cold solve spent ~20s in big.Rat allocation (≈2.1M
-// big fallbacks; DESIGN.md §16). It now starts from Theorem 1's G·T*
-// like the n=16 solve. BENCH_lp.json pins it so the large-n regime
-// stays honest.
-func BenchmarkEngineTailoredUncachedN24(b *testing.B) {
-	a := rational.MustParse("1/2")
-	c := &consumer.Consumer{Loss: loss.Absolute{}}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := consumer.OptimalMechanism(c, 24, a); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+func BenchmarkEngineTailoredUncachedN24(b *testing.B) { benchTailoredMiss(b, loss.Absolute{}, 24) }
 
-// BenchmarkEngineTailoredUncachedN32 is the cold solve at the
-// server's LP cap (n=32). Started from Theorem 1's G·T* it takes a
-// fraction of a second; the float locate it replaces took about 12 s
-// here, which kept this row out of the gate.
-func BenchmarkEngineTailoredUncachedN32(b *testing.B) {
-	a := rational.MustParse("1/2")
-	c := &consumer.Consumer{Loss: loss.Absolute{}}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := consumer.OptimalMechanism(c, 32, a); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+func BenchmarkEngineTailoredUncachedN32(b *testing.B) { benchTailoredMiss(b, loss.Absolute{}, 32) }
 
 func BenchmarkEngineGeometricCached(b *testing.B) {
 	e := New(Config{})

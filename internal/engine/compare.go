@@ -5,17 +5,21 @@
 // cost this consumer as deployed, what does it cost after the
 // consumer's optimal post-processing, and how far is that from the
 // α-DP mechanism tailored to this exact consumer? Theorem 1 part 2 is
-// the headline row: for every minimax consumer the geometric entry's
-// Gap is exactly zero.
+// the headline row: the tailored optimum is served as the consumer's
+// optimal interaction with G_{n,α}, so the geometric entry's Gap is
+// zero by construction (cmd/experiments -mode=gap and the engine tests
+// check it against the §2.5 LP).
 //
 // The class composes the existing artifact classes rather than
 // re-solving: the tailored optimum and the per-baseline interactions
 // are served through the tailored/interactions stores (so a compare
-// shares cache and disk entries with the /v1/tailored and
-// /v1/interaction routes, and its LP solves are bounded by the same
+// shares cache and disk entries with /v1/tailored and
+// Engine.InteractionCtx, and its LP solves are bounded by the same
 // in-flight-solve semaphore), and the baseline mechanisms live in the
-// mechanisms store. Only the final assembled scorecard is cached — and
-// persisted — under the compare class itself.
+// mechanisms store. The geometric row and the tailored optimum are one
+// interaction solve, so a default minimax compare runs three LPs. Only
+// the final assembled scorecard is cached — and persisted — under the
+// compare class itself.
 
 package engine
 
@@ -59,8 +63,8 @@ func (e *Engine) Compare(spec CompareSpec) (*baseline.Comparison, error) {
 	return e.CompareCtx(context.Background(), spec)
 }
 
-// CompareCtx is Compare under a context. The artifact composes one
-// tailored solve plus one interaction solve per baseline, each served
+// CompareCtx is Compare under a context. The artifact composes the
+// tailored optimum and one interaction per baseline, each served
 // through its own artifact class (cache, disk store, and solve
 // semaphore included), so a compare against a warm engine costs no LP
 // work at all and a saturated engine sheds the nested solves with
@@ -88,7 +92,7 @@ func (e *Engine) CompareCtx(ctx context.Context, spec CompareSpec) (*baseline.Co
 	}
 	model := spec.Model
 	n, alpha := spec.N, spec.Alpha
-	return getTyped(ctx, e.compares, key, func(solveCtx context.Context) (*baseline.Comparison, error) {
+	return getTyped(ctx, e.compares, key, nil, func(solveCtx context.Context) (*baseline.Comparison, error) {
 		return e.buildComparison(solveCtx, model, mk, n, alpha, specs)
 	})
 }
@@ -137,6 +141,13 @@ func (e *Engine) buildComparison(ctx context.Context, m consumer.Model, mk strin
 // through the tailored class. mk is the model's Key(n), already
 // validated by the caller; for minimax consumers the resulting cache
 // key is identical to TailoredCtx's, so the two routes share entries.
+//
+// Where consumer.GeometricOptimal holds, the class is a composite like
+// compares: the artifact is the model's optimal interaction with
+// G_{n,α}, read through the interactions class under the same key the
+// compare's geometric row uses, and the interaction solve takes the
+// solve slot. Elsewhere the tailored LP runs here, under a slot of its
+// own.
 func (e *Engine) modelTailoredCtx(ctx context.Context, m consumer.Model, mk string, n int, alpha *big.Rat) (*consumer.Tailored, error) {
 	if err := e.checkLPDomain(n); err != nil {
 		return nil, err
@@ -145,7 +156,16 @@ func (e *Engine) modelTailoredCtx(ctx context.Context, m consumer.Model, mk stri
 	if t, ok, err := getCached[*consumer.Tailored](ctx, e.tailored, key); ok || err != nil {
 		return t, err
 	}
-	return getTyped(ctx, e.tailored, key, func(solveCtx context.Context) (*consumer.Tailored, error) {
+	if consumer.GeometricOptimal(m, n, alpha) {
+		return getTyped(ctx, e.tailored, key, nil, func(solveCtx context.Context) (*consumer.Tailored, error) {
+			in, err := e.modelInteractionCtx(solveCtx, m, mk, baseline.Spec{Kind: baseline.Geometric}, n, alpha)
+			if err != nil {
+				return nil, err
+			}
+			return &consumer.Tailored{Mechanism: in.Induced, Loss: in.Loss}, nil
+		})
+	}
+	return getTyped(ctx, e.tailored, key, e.solves, func(solveCtx context.Context) (*consumer.Tailored, error) {
 		opts, stats := lpOpts()
 		t, err := m.OptimalMechanismCtx(solveCtx, n, alpha, opts)
 		e.recordLP(e.tailored, key, stats)
@@ -169,7 +189,7 @@ func (e *Engine) modelInteractionCtx(ctx context.Context, m consumer.Model, mk s
 	if in, ok, err := getCached[*consumer.Interaction](ctx, e.interactions, key); ok || err != nil {
 		return in, err
 	}
-	return getTyped(ctx, e.interactions, key, func(solveCtx context.Context) (*consumer.Interaction, error) {
+	return getTyped(ctx, e.interactions, key, e.solves, func(solveCtx context.Context) (*consumer.Interaction, error) {
 		deployed, err := e.baselineMechanismCtx(solveCtx, bs, n, alpha)
 		if err != nil {
 			return nil, err
@@ -194,7 +214,7 @@ func (e *Engine) baselineMechanismCtx(ctx context.Context, bs baseline.Spec, n i
 	if m, ok, err := getCached[*mechanism.Mechanism](ctx, e.mechanisms, key); ok || err != nil {
 		return m, err
 	}
-	return getTyped(ctx, e.mechanisms, key, func(context.Context) (*mechanism.Mechanism, error) {
+	return getTyped(ctx, e.mechanisms, key, nil, func(context.Context) (*mechanism.Mechanism, error) {
 		return bs.Build(n, alpha)
 	})
 }

@@ -12,6 +12,9 @@ import (
 // Theorem 1 part 2 as a change detector: for minimax consumers the
 // geometric baseline's optimality gap is exactly zero — not small,
 // zero — at the paper's Table 1 sizes, across losses and side sets.
+// The engine serves the tailored optimum as the geometric interaction,
+// so the gap is zero by construction; the scorecard's tailored loss is
+// therefore checked against the §2.5 LP, solved here on its own.
 func TestCompareMinimaxGeometricGapExactlyZero(t *testing.T) {
 	e := newEngine(t, Config{})
 	alpha := rat(t, "1/4")
@@ -33,6 +36,14 @@ func TestCompareMinimaxGeometricGapExactlyZero(t *testing.T) {
 		}
 		if err := cmp.Validate(); err != nil {
 			t.Fatalf("Validate: %v", err)
+		}
+		opt, err := consumer.OptimalMechanism(c, 3, alpha)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cmp.TailoredLoss.Cmp(opt.Loss) != 0 {
+			t.Fatalf("loss %s: scorecard tailored loss %s, §2.5 LP optimum %s",
+				c.Loss.Name(), cmp.TailoredLoss.RatString(), opt.Loss.RatString())
 		}
 		var sawGeometric bool
 		for _, entry := range cmp.Entries {
@@ -68,6 +79,11 @@ func TestCompareDefaultScorecard(t *testing.T) {
 	}
 	if len(cmp.Entries) != 3 {
 		t.Fatalf("default set has %d entries", len(cmp.Entries))
+	}
+	// The tailored optimum and the geometric row are one interaction
+	// solve: three baselines, three LPs.
+	if s := e.Metrics().LP.Solves; s != 3 {
+		t.Errorf("default compare ran %d LP solves, want 3", s)
 	}
 	for _, entry := range cmp.Entries {
 		if entry.InteractionLoss.Cmp(entry.Loss) > 0 {

@@ -237,7 +237,7 @@ func tailoredAsync(ctx context.Context, e *Engine, n int, alpha *big.Rat) <-chan
 // contract: a client that gives up mid-solve gets context.Canceled at
 // once, the solve runs on and is cached, and the retry is a hit.
 func TestTailoredCtxCanceledClientSolveIsCached(t *testing.T) {
-	e, hold := newHeldEngine(t, "tailored", Config{})
+	e, hold := newHeldEngine(t, "interactions", Config{})
 	alpha := big.NewRat(1, 2)
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -248,9 +248,10 @@ func TestTailoredCtxCanceledClientSolveIsCached(t *testing.T) {
 		t.Fatalf("canceled TailoredCtx err = %v, want context.Canceled", err)
 	}
 	hold.free()
-	// The slot is released after the cache fill, so an empty gauge
-	// means the abandoned solve has been cached.
-	waitFor(t, func() bool { return e.Metrics().InFlightSolves == 0 })
+	// The tailored artifact is cached once the interaction it is read
+	// from has been, so a filled tailored cache means the abandoned
+	// solve has been cached.
+	waitFor(t, func() bool { return e.Metrics().Tailored.Cache.Size == 1 })
 
 	got, err := e.TailoredCtx(context.Background(), absConsumer(), 6, alpha)
 	if err != nil || got == nil || got.Loss == nil {
@@ -269,7 +270,7 @@ func TestTailoredCtxCanceledClientSolveIsCached(t *testing.T) {
 // while the timed-out caller's solve still runs joins it: one miss,
 // one coalesced request, and the in-flight gauge drains to 0.
 func TestTailoredCtxTimedOutCallerJoinedByRetry(t *testing.T) {
-	e, hold := newHeldEngine(t, "tailored", Config{})
+	e, hold := newHeldEngine(t, "interactions", Config{})
 	alpha := big.NewRat(1, 2)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
@@ -304,7 +305,7 @@ func TestTailoredCtxCancelAbortsLargeSolvePromptly(t *testing.T) {
 		t.Skip("large-n solve abort test skipped in -short mode")
 	}
 	goroutines := runtime.NumGoroutine()
-	e, hold := newHeldEngine(t, "tailored", Config{})
+	e, hold := newHeldEngine(t, "interactions", Config{})
 	errc := tailoredAsync(context.Background(), e, 14, big.NewRat(1, 2))
 	<-hold.started
 
@@ -354,28 +355,32 @@ func TestPreCanceledCtxShortCircuits(t *testing.T) {
 // --- load shedding --------------------------------------------------------
 
 // TestEngineShedsWhenSaturated: with the single solve slot held, a
-// second solve for a different key, or a release-plan build, fails
-// fast with ErrSaturated and is counted, while the occupant is
-// undisturbed.
+// second solve for a different key fails fast with ErrSaturated and is
+// counted, while the occupant is undisturbed. That holds on both
+// tailored branches: inside Theorem 1 the nested interaction solve is
+// shed, outside it (α = 1) the tailored LP itself; a release-plan
+// build takes a slot too and is shed the same way.
 func TestEngineShedsWhenSaturated(t *testing.T) {
-	e, hold := newHeldEngine(t, "tailored", Config{MaxInFlightSolves: 1})
+	e, hold := newHeldEngine(t, "interactions", Config{MaxInFlightSolves: 1})
 	occupant := tailoredAsync(context.Background(), e, 6, big.NewRat(1, 2))
 	<-hold.started
 
 	start := time.Now()
-	if _, err := e.TailoredCtx(context.Background(), absConsumer(), 6, big.NewRat(2, 3)); !errors.Is(err, ErrSaturated) {
-		t.Fatalf("saturated TailoredCtx err = %v, want ErrSaturated", err)
+	for _, alpha := range []*big.Rat{big.NewRat(2, 3), big.NewRat(1, 1)} {
+		if _, err := e.TailoredCtx(context.Background(), absConsumer(), 6, alpha); !errors.Is(err, ErrSaturated) {
+			t.Fatalf("saturated TailoredCtx(α=%s) err = %v, want ErrSaturated", alpha.RatString(), err)
+		}
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Errorf("shed took %v, want fast-fail", elapsed)
 	}
-	// A release-plan build takes a slot too, so it is shed the same way.
 	if _, err := e.ReleasePlan(6, []*big.Rat{big.NewRat(1, 3), big.NewRat(1, 2)}); !errors.Is(err, ErrSaturated) {
 		t.Fatalf("saturated ReleasePlan err = %v, want ErrSaturated", err)
 	}
 	m := e.Metrics()
-	if m.Tailored.Shed != 1 || m.Plans.Shed != 1 {
-		t.Errorf("shed counts: tailored %d, plans %d, want 1 each", m.Tailored.Shed, m.Plans.Shed)
+	if m.Interactions.Shed != 1 || m.Tailored.Shed != 1 || m.Plans.Shed != 1 {
+		t.Errorf("shed counts: interactions %d, tailored %d, plans %d, want 1 each",
+			m.Interactions.Shed, m.Tailored.Shed, m.Plans.Shed)
 	}
 	if m.InFlightSolves != 1 {
 		t.Errorf("in-flight solves = %d, want 1", m.InFlightSolves)

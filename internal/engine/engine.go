@@ -5,7 +5,8 @@
 //
 // Every artifact this module serves — the geometric mechanism G_{n,α}
 // (Theorem 1), multi-level release plans (Algorithm 1, each carrying
-// its own Lemma 3 transitions), and the LP optima of §2.4.3/§2.5 — is
+// its own Lemma 3 transitions), the §2.4.3 interaction optima and the
+// tailored optima served from them (the §2.5 LP outside Theorem 1) — is
 // a deterministic, total function of its parameters. Exact rational
 // arithmetic has no rounding modes and no environment dependence, so
 // the parameters form a sound cache key: two computations with equal
@@ -33,9 +34,10 @@
 // cache. Only Close cancels running computations; the root context
 // reaches the LP pivot loop. Errors are never cached.
 //
-// The expensive classes (release plans and the LP-backed tailored and
-// interactions) additionally pass through a bounded in-flight-solve
-// semaphore (Config.MaxInFlightSolves). Admission is non-blocking:
+// The expensive computations (release-plan builds, interaction solves
+// and the tailored LP) additionally pass through a bounded
+// in-flight-solve semaphore (Config.MaxInFlightSolves). Admission is
+// non-blocking:
 // when the bound is reached, new solves fail immediately with
 // ErrSaturated rather than queueing, so overload surfaces as a fast,
 // retryable rejection. Cache hits and coalesced joins are never shed.
@@ -92,13 +94,15 @@ const DefaultMaxInFlightSolves = 16
 var ErrSaturated = errors.New("engine: too many solves in flight")
 
 // DefaultMaxLPDomainN bounds the domain size n of LP-backed artifacts
-// when Config.MaxLPDomainN is not positive. Even on the float-guided
-// revised-simplex path a cold tailored solve scales steeply in n (the
-// absolute loss at α ∈ {1/2, 1/3}: 4–5 ms at n=8, 0.09–0.13 s at n=16,
-// 1.5–3.4 s at n=24 and 11–37 s at n=32 on a 2-vCPU amd64 container),
-// so an unbounded n from untrusted input could pin a solver slot for
-// far longer. 32 is the largest size whose common keys are still
-// plausibly interactive; DESIGN §9 lists slower ones.
+// when Config.MaxLPDomainN is not positive. Even served as an
+// interaction solve against G_{n,α}, a cold tailored miss scales
+// steeply in n (the four wire losses on the full side at α ∈ {1/2,
+// 1/3}: 1.5–3 ms at n=8, 10–25 ms at n=16, 57–176 ms at n=24 and
+// 0.13–0.29 s at n=32, except zero-one at n=32, α=1/3, at 3.5 s, on a
+// 2-vCPU amd64 container), so an unbounded n from untrusted input
+// could pin a solver slot for far longer. 32 is the largest size whose
+// common keys are still plausibly interactive; DESIGN §9 lists slower
+// ones.
 const DefaultMaxLPDomainN = 32
 
 // ErrDomainTooLarge is returned (wrapped) by the LP-backed artifact
@@ -111,8 +115,8 @@ var ErrDomainTooLarge = errors.New("engine: LP domain size exceeds cap")
 // defaults to the package constants and the sampler pool seeds from
 // Seed (default 1).
 type Config struct {
-	// MaxInFlightSolves bounds concurrently running solves across the
-	// plans, tailored and interaction classes combined. Zero or
+	// MaxInFlightSolves bounds concurrently running solves: release-plan
+	// builds, interaction solves and tailored LP solves combined. Zero or
 	// negative means DefaultMaxInFlightSolves: a solve outlives the
 	// callers that gave up on it, so the bound is never lifted.
 	MaxInFlightSolves int
@@ -201,18 +205,6 @@ func New(cfg Config) *Engine {
 		maxLPN:       cfg.MaxLPDomainN,
 	}
 	e.rng.Seed(cfg.Seed)
-	// Only the LP-backed classes and the release plans are expensive
-	// enough to shed: a plan build makes a G and an exact Lemma 3
-	// transition per level, O(n²) big.Rat reads to check them, and
-	// takes about 0.6 s at n=500, while a small G_{n,α} computes in
-	// microseconds. The compares class carries no
-	// semaphore of its own: its nested tailored and interaction solves
-	// pass through those classes' sheddable stores, and
-	// double-counting slots for the composite would deadlock a
-	// saturated engine against itself.
-	e.plans.sem = e.solves
-	e.tailored.sem = e.solves
-	e.interactions.sem = e.solves
 	for _, s := range e.stores() {
 		s.trace = cfg.Trace
 		s.flight.root = root
@@ -255,8 +247,17 @@ func getCached[T any](ctx context.Context, s *store, key string) (T, bool, error
 
 // getTyped adapts the any-typed store's miss path to a concrete
 // artifact type. Call only after getCached missed on the same key.
-func getTyped[T any](ctx context.Context, s *store, key string, fn func(context.Context) (T, error)) (T, error) {
-	v, err := s.compute(ctx, key, func(solveCtx context.Context) (any, error) { return fn(solveCtx) })
+//
+// Only LP solves and release-plan builds are expensive enough to
+// shed, so only they pass e.solves as sem: a plan build makes a G and
+// an exact Lemma 3 transition per level, O(n²) big.Rat reads to check
+// them, and takes about 0.6 s at n=500, while a small G_{n,α} computes
+// in microseconds. A composite (a compare, or a tailored artifact
+// served as an interaction) passes nil: the solves it nests take
+// their own slots, and a second slot for the composite would deadlock
+// a saturated engine against itself.
+func getTyped[T any](ctx context.Context, s *store, key string, sem *solveSem, fn func(context.Context) (T, error)) (T, error) {
+	v, err := s.compute(ctx, key, sem, func(solveCtx context.Context) (any, error) { return fn(solveCtx) })
 	if err != nil {
 		var zero T
 		return zero, err
@@ -326,7 +327,7 @@ func lpOpts() (lp.SolveOpts, *lp.SolveStats) {
 // accumulate even for failed or canceled solves (the work was done);
 // the path counters are mutually exclusive per solve, and the fallback
 // counter means "warm start attempted and demoted". The tied-optimum
-// and point-start counters are orthogonal to the path.
+// counter is orthogonal to the path.
 func (e *Engine) recordLP(s *store, key string, stats *lp.SolveStats) {
 	e.lp.solves.Add(1)
 	e.lp.floatPivots.Add(uint64(stats.FloatPivots))
@@ -339,12 +340,6 @@ func (e *Engine) recordLP(s *store, key string, stats *lp.SolveStats) {
 	e.lp.magnitudeRefacts.Add(uint64(stats.MagnitudeRefactors))
 	if stats.TiedOptima {
 		e.lp.tiedOptima.Add(1)
-	}
-	if stats.PointStart {
-		e.lp.pointStarts.Add(1)
-	}
-	if stats.PointFallback {
-		e.lp.pointFallbacks.Add(1)
 	}
 	switch {
 	case stats.WarmStartHit:
@@ -379,7 +374,7 @@ func (e *Engine) GeometricCtx(ctx context.Context, n int, alpha *big.Rat) (*mech
 	if m, ok, err := getCached[*mechanism.Mechanism](ctx, e.mechanisms, key); ok || err != nil {
 		return m, err
 	}
-	return getTyped(ctx, e.mechanisms, key, func(context.Context) (*mechanism.Mechanism, error) {
+	return getTyped(ctx, e.mechanisms, key, nil, func(context.Context) (*mechanism.Mechanism, error) {
 		return mechanism.Geometric(n, alpha)
 	})
 }
@@ -410,7 +405,7 @@ func (e *Engine) Plan(ctx context.Context, l *release.Ladder) (*release.Plan, er
 	if p, ok, err := getCached[*release.Plan](ctx, e.plans, l.Key()); ok || err != nil {
 		return p, err
 	}
-	return getTyped(ctx, e.plans, l.Key(), func(context.Context) (*release.Plan, error) {
+	return getTyped(ctx, e.plans, l.Key(), e.solves, func(context.Context) (*release.Plan, error) {
 		return release.BuildPlan(l)
 	})
 }
@@ -426,11 +421,18 @@ func (e *Engine) checkLPDomain(n int) error {
 	return nil
 }
 
-// TailoredMechanism solves (once per key) the tailored-optimum
-// problem for consumer model m on {0..n}: the §2.5 LP for minimax
-// consumers, the Ghosh-et-al. analogue for Bayesian ones. The
-// returned Tailored is shared between callers and must be treated as
-// read-only. It is TailoredCtx(context.Background(), ...).
+// TailoredMechanism serves (once per key) an optimal α-DP mechanism
+// for consumer model m on {0..n}. Where consumer.GeometricOptimal
+// holds — α ∈ (0, 1) and a loss monotone in |i−r|, which covers every
+// wire loss — it is m's optimal interaction with G_{n,α}, read
+// through the interactions class: G·T° for a minimax consumer, where
+// T° is the interaction LP's canonical optimum (Theorem 1), and G
+// followed by the Bayes-optimal remap for a Bayesian one (Ghosh,
+// Roughgarden and Sundararajan). Optimality among all α-DP mechanisms
+// rests on those theorems and is not recomputed here. Any other input
+// solves the §2.5 LP or its Bayesian analogue. The returned Tailored
+// is shared between callers and must be treated as read-only. It is
+// TailoredCtx(context.Background(), ...).
 func (e *Engine) TailoredMechanism(m consumer.Model, n int, alpha *big.Rat) (*consumer.Tailored, error) {
 	return e.TailoredCtx(context.Background(), m, n, alpha)
 }
@@ -454,11 +456,11 @@ func (e *Engine) TailoredCtx(ctx context.Context, m consumer.Model, n int, alpha
 // OptimalInteraction solves (once per key) the consumer model's
 // optimal reaction to the deployed geometric mechanism G_{n,α}: the
 // §2.4.3 post-processing LP for minimax consumers, the deterministic
-// posterior remap for Bayesian ones. By Theorem 1 a minimax model's
-// Loss here equals the tailored optimum, so a warm engine can answer
-// "what does this consumer lose at level α?" from cache along either
-// route. The returned Interaction is shared and must be treated as
-// read-only. It is InteractionCtx(context.Background(), ...).
+// posterior remap for Bayesian ones. The tailored class reads its
+// artifact from this entry wherever consumer.GeometricOptimal holds,
+// so the two routes share one solve. The returned Interaction is
+// shared and must be treated as read-only. It is
+// InteractionCtx(context.Background(), ...).
 func (e *Engine) OptimalInteraction(m consumer.Model, n int, alpha *big.Rat) (*consumer.Interaction, error) {
 	return e.InteractionCtx(context.Background(), m, n, alpha)
 }

@@ -145,15 +145,6 @@ type LPSolveStats struct {
 	PresolveRows uint64 `json:"presolve_rows_removed"`
 
 	TiedOptima uint64 `json:"tied_optima"`
-
-	// PointStarts counts solves whose candidate basis was read off a
-	// known optimal point instead of the float locate: the tailored LP
-	// at n ≥ consumer's N₀, started from Theorem 1's G·T*.
-	// PointFallbacks counts solves given such a point whose basis could
-	// not finish the solve, so the float locate ran after all. Both
-	// are orthogonal to the three path counters.
-	PointStarts    uint64 `json:"point_starts"`
-	PointFallbacks uint64 `json:"point_fallbacks"`
 }
 
 // lpCounters is the live, atomically-updated form of LPSolveStats.
@@ -171,8 +162,6 @@ type lpCounters struct {
 	refactorizations atomic.Uint64
 	magnitudeRefacts atomic.Uint64
 	tiedOptima       atomic.Uint64
-	pointStarts      atomic.Uint64
-	pointFallbacks   atomic.Uint64
 }
 
 func (c *lpCounters) snapshot() LPSolveStats {
@@ -190,8 +179,6 @@ func (c *lpCounters) snapshot() LPSolveStats {
 		Refactorizations:   c.refactorizations.Load(),
 		MagnitudeRefactors: c.magnitudeRefacts.Load(),
 		TiedOptima:         c.tiedOptima.Load(),
-		PointStarts:        c.pointStarts.Load(),
-		PointFallbacks:     c.pointFallbacks.Load(),
 	}
 }
 
@@ -252,7 +239,6 @@ type store struct {
 	cache  *cache
 	flight flightGroup
 	trace  TraceFunc    // nil = tracing off
-	sem    *solveSem    // nil = this class is never shed
 	disk   *diskBinding // nil = this class is not persisted
 
 	requests     atomic.Uint64
@@ -309,7 +295,10 @@ func (s *store) lookup(ctx context.Context, key string) (any, bool, error) {
 
 // compute is the miss path of the lookup/compute pair: coalesced
 // compute-and-fill under ctx. The caller must have just missed in
-// lookup (which counted the request).
+// lookup (which counted the request). A non-nil sem makes the
+// computation take one of its slots, or be shed with ErrSaturated; a
+// composite computation passes nil, since the solves it nests take
+// their own.
 //
 // Lifetime: ctx bounds only how long this caller waits (see
 // flightGroup). A computation that has started runs to completion
@@ -322,7 +311,7 @@ func (s *store) lookup(ctx context.Context, key string) (any, bool, error) {
 // cache fill. Errors are returned to every coalesced caller
 // (deterministic artifacts mean a parameter error would fail
 // identically on retry anyway).
-func (s *store) compute(ctx context.Context, key string, fn func(context.Context) (any, error)) (any, error) {
+func (s *store) compute(ctx context.Context, key string, sem *solveSem, fn func(context.Context) (any, error)) (any, error) {
 	v, started, err := s.flight.do(ctx, key, func(solveCtx context.Context) (any, error) {
 		// Re-check under the flight: a previous computation may have
 		// filled the cache between our lookup and registering.
@@ -343,13 +332,13 @@ func (s *store) compute(ctx context.Context, key string, fn func(context.Context
 				return v, nil
 			}
 		}
-		if s.sem != nil {
-			if !s.sem.tryAcquire() {
+		if sem != nil {
+			if !sem.tryAcquire() {
 				s.shed.Add(1)
 				s.emit(TraceShed, key)
 				return nil, ErrSaturated
 			}
-			defer s.sem.release()
+			defer sem.release()
 		}
 		s.emit(TraceSolveStart, key)
 		start := time.Now()

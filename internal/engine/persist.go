@@ -25,8 +25,11 @@
 //     cached G's rows (sampler.go), so every table it draws from is
 //     built from, and certified against, an exact rational row in
 //     this process;
-//   - interactions are recoverable from the tailored optimum
-//     (Theorem 1), so they do not earn disk space.
+//   - interactions: a tailored artifact persists the geometric
+//     interaction in its served form (G·T°), and a compare scorecard
+//     persists the losses of the interactions it needs, so a warm
+//     boot serves both routes with zero solves; a bare
+//     Engine.InteractionCtx miss after a restart re-solves.
 //
 // Failure policy mirrors the disk store's: a binding that cannot
 // load, decode, or save an artifact counts a StoreError, emits

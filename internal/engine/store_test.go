@@ -287,9 +287,9 @@ func TestEngineNoStoreUnchanged(t *testing.T) {
 }
 
 // BenchmarkStoreWarmBoot quantifies the warm-boot win: loading a
-// tailored LP solution from the artifact store vs re-running the
-// §2.5 solve. Each iteration boots a fresh engine so the in-memory
-// cache never short-circuits the path under test.
+// tailored mechanism from the artifact store vs re-solving it (the
+// interaction LP against G_{n,α}). Each iteration boots a fresh engine
+// so the in-memory cache never short-circuits the path under test.
 func BenchmarkStoreWarmBoot(b *testing.B) {
 	a := rational.MustParse("1/2")
 	c := &consumer.Consumer{Loss: loss.Absolute{}}

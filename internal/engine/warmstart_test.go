@@ -11,10 +11,12 @@ import (
 	"minimaxdp/internal/lp"
 )
 
-// TestWarmStartColdPathGate compares a default (warm-started) engine
-// against the cold two-phase solve (lp.StrategyExact) on the
-// serving-size tailored LP from the benchmarks (absolute loss, n=8,
-// α=1/2). It pins down three things: the warm path actually engages
+// TestWarmStartColdPathGate compares the default (warm-started)
+// tailored LP solve against the cold two-phase solve (lp.StrategyExact)
+// on the serving-size tailored LP from the benchmarks (absolute loss,
+// n=8, α=1/2). The engine serves these keys as interactions with G
+// (Theorem 1), so the LP is driven through consumer.OptimalMechanismOpts,
+// the solver behind the engine's tailored LP branch and the oracle. It pins down three things: the warm path actually engages
 // (nonzero warm-start hits and zero exact pivots), both return
 // byte-identical artifacts, and the warm path is faster by a
 // comfortable margin. A tied key (zero-one loss, n=6, α=1/2) must
@@ -28,22 +30,21 @@ func TestWarmStartColdPathGate(t *testing.T) {
 	c := &consumer.Consumer{Loss: loss.Absolute{}}
 	n, alpha := 8, big.NewRat(1, 2)
 
-	warm := newEngine(t, Config{})
+	var mw lp.SolveStats
 	start := time.Now()
-	tw, err := warm.TailoredMechanism(c, n, alpha)
+	tw, err := consumer.OptimalMechanismOpts(ctx, c, n, alpha, lp.SolveOpts{Stats: &mw})
 	warmDur := time.Since(start)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mw := warm.Metrics().LP
-	if mw.WarmStartHits != 1 || mw.CrossoverResumes != 0 || mw.Fallbacks != 0 {
-		t.Fatalf("warm engine LP stats = %+v, want exactly one warm-start hit", mw)
+	if !mw.WarmStartHit || mw.CrossoverResumed || mw.Fallback {
+		t.Fatalf("warm solve stats = %+v, want a warm-start hit", mw)
 	}
 	if mw.ExactPivots != 0 {
 		t.Errorf("warm-start hit ran %d exact pivots, want 0", mw.ExactPivots)
 	}
 	if mw.FloatPivots == 0 {
-		t.Error("warm engine reports zero float pivots")
+		t.Error("warm solve reports zero float pivots")
 	}
 	if mw.SmallOps == 0 {
 		t.Error("warm-start hit reports zero Small fast-path ops; the hybrid LU kernels should dominate certification")
@@ -67,7 +68,7 @@ func TestWarmStartColdPathGate(t *testing.T) {
 		t.Fatalf("loss differs: warm %s, exact %s", tw.Loss.RatString(), te.Loss.RatString())
 	}
 	if !tw.Mechanism.Equal(te.Mechanism) {
-		t.Fatal("warm-started engine and exact solve produced different mechanisms")
+		t.Fatal("warm-started and exact solves produced different mechanisms")
 	}
 
 	factor := float64(exactDur) / float64(warmDur)
@@ -79,19 +80,18 @@ func TestWarmStartColdPathGate(t *testing.T) {
 	}
 
 	// A tied key (zero-one loss, n=6, α=1/2): the optimum is not
-	// unique, so the warm engine must lex-refine on the revised simplex
+	// unique, so the warm solve must lex-refine on the revised simplex
 	// — no cold fallback — and still match the exact solve.
 	tc := &consumer.Consumer{Loss: loss.ZeroOne{}}
 	tie := big.NewRat(1, 2)
-	tieWarm := newEngine(t, Config{})
-	warmTie, err := tieWarm.TailoredMechanism(tc, 6, tie)
+	var st lp.SolveStats
+	warmTie, err := consumer.OptimalMechanismOpts(ctx, tc, 6, tie, lp.SolveOpts{Stats: &st})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m := tieWarm.Metrics().LP; m.Fallbacks != 0 || m.TiedOptima != 1 || m.CrossoverResumes != 1 {
-		t.Fatalf("tied key LP stats = %+v, want one lex-refined resume and no fallback", m)
+	if st.Fallback || !st.TiedOptima || !st.CrossoverResumed {
+		t.Fatalf("tied key LP stats = %+v, want one lex-refined resume and no fallback", st)
 	}
-	var st lp.SolveStats
 	exactTie, err := consumer.OptimalMechanismOpts(ctx, tc, 6, tie, lp.SolveOpts{Strategy: lp.StrategyExact, Stats: &st})
 	if err != nil {
 		t.Fatal(err)
@@ -100,7 +100,7 @@ func TestWarmStartColdPathGate(t *testing.T) {
 		t.Errorf("exact solve of the tied key: TiedOptima unset (stats %+v)", st)
 	}
 	if !warmTie.Mechanism.Equal(exactTie.Mechanism) || warmTie.Loss.Cmp(exactTie.Loss) != 0 {
-		t.Fatal("tied key: warm-started engine and exact solve produced different mechanisms")
+		t.Fatal("tied key: warm-started and exact solves produced different mechanisms")
 	}
 }
 
@@ -123,8 +123,6 @@ func TestRecordLPFoldsAllCounters(t *testing.T) {
 		MagnitudeRefactors: 31,
 		Fallback:           true,
 		TiedOptima:         true,
-		PointStart:         true,
-		PointFallback:      true,
 	})
 	m := e.Metrics().LP
 	want := LPSolveStats{
@@ -132,7 +130,7 @@ func TestRecordLPFoldsAllCounters(t *testing.T) {
 		FloatPivots: 3, FloatNanos: 37, ExactPivots: 5, RevisedPivots: 7,
 		SmallOps: 11, BigFallbacks: 13,
 		Refactorizations: 29, MagnitudeRefactors: 31,
-		TiedOptima: 1, PointStarts: 1, PointFallbacks: 1,
+		TiedOptima: 1,
 	}
 	if m != want {
 		t.Fatalf("LP metrics after synthetic fold = %+v, want %+v", m, want)

@@ -20,14 +20,11 @@
 // optimal basis in microseconds, then certifies that basis in exact
 // arithmetic (warmstart.go), resuming exact revised-simplex pivoting
 // from it when the certificate fails and running the cold two-phase
-// method only when the float solve fails outright. A caller that
-// already knows an optimal point passes it as SolveOpts.Start, and the
-// candidate basis is then read off that point (pointstart.go) instead
-// of located in floats; the float locate runs only when that basis
-// cannot finish the solve. Every Optimal result is the canonical
-// optimum — the lexicographically smallest optimal point (lex.go) — so
-// it is byte-identical whichever path ran; SolveOpts selects the pure
-// exact strategy for ablations and cross-checks.
+// method only when the float solve fails outright. Every Optimal
+// result is the canonical optimum — the lexicographically smallest
+// optimal point (lex.go) — so it is byte-identical whichever path ran;
+// SolveOpts selects the pure exact strategy for ablations and
+// cross-checks.
 package lp
 
 import (

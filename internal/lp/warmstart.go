@@ -6,8 +6,7 @@
 // float solver contributes only a list of column indices, and every
 // quantity in the returned Solution is recomputed over big.Rat and
 // checked against the simplex optimality conditions as true rational
-// inequalities (a basis read off SolveOpts.Start, pointstart.go, is
-// certified the same way):
+// inequalities:
 //
 //	primal feasibility:  x_B = B⁻¹ b ≥ 0        (componentwise, exact)
 //	dual optimality:     z_j = c_j − y·A_j > 0   with  Bᵀy = c_B
@@ -30,7 +29,6 @@ package lp
 
 import (
 	"context"
-	"math/big"
 	"time"
 )
 
@@ -53,14 +51,6 @@ const (
 // production default: the warm start on.
 type SolveOpts struct {
 	Strategy Strategy
-	// Start, when non-nil on a StrategyWarmStart solve, is a point
-	// indexed by Var that the caller expects to be optimal (or close
-	// to it). The solve reads its starting basis off the point
-	// (pointstart.go) instead of running the float locate, and runs
-	// the float locate only when that basis cannot finish the solve.
-	// The point is a hint, never trusted: the result is certified and
-	// canonical, so it is the same whatever Start holds.
-	Start []*big.Rat
 	// Stats, when non-nil, is reset at the start of the solve and
 	// filled with counters describing what the solver actually did.
 	Stats *SolveStats
@@ -94,63 +84,19 @@ type SolveStats struct {
 	CrossoverResumed bool // exact pivoting resumed (primal resume, dual repair or lex refinement)
 	Fallback         bool // cold two-phase exact solve ran: the float solve failed
 
-	// PointStart reports that the candidate basis was read off
-	// SolveOpts.Start rather than located by the float simplex; it is
-	// set alongside WarmStartHit or CrossoverResumed. PointFallback
-	// reports a Start whose basis could not finish the solve (support
-	// over m columns, a singular basis, or an infeasible one the dual
-	// repair could not mend), so the float locate ran after all.
-	PointStart    bool
-	PointFallback bool
-
 	// TiedOptima reports an optimum that was not unique, refined to
 	// the canonical lexicographically smallest optimal point (lex.go).
 	// It is set on any strategy and path, alongside the path flag.
 	TiedOptima bool
 }
 
-// AddWork adds o's work counters — pivots, float time, kernel tier
-// ops and refactorizations — to st, leaving st's path flags alone. A
-// caller that runs an auxiliary solve on behalf of a main one (the
-// consumer package's interaction solve that locates the tailored
-// optimum) folds its work in with this, so the pair reports as one
-// solve.
-func (st *SolveStats) AddWork(o *SolveStats) {
-	st.FloatPivots += o.FloatPivots
-	//dpvet:ignore ratoverflow telemetry counter, not rational arithmetic; wraparound would skew stats, never results
-	st.FloatNanos += o.FloatNanos
-	st.ExactPivots += o.ExactPivots
-	st.RevisedPivots += o.RevisedPivots
-	//dpvet:ignore ratoverflow telemetry counter, as above
-	st.SmallOps += o.SmallOps
-	//dpvet:ignore ratoverflow telemetry counter, as above
-	st.BigFallbacks += o.BigFallbacks
-	st.Refactorizations += o.Refactorizations
-	st.MagnitudeRefactors += o.MagnitudeRefactors
-}
-
-// solveWarmStart attempts the warm paths. done=false (with nil error)
-// means the caller must run the cold two-phase fallback; when
-// done=true, sol is the certified result. A basis read off
-// SolveOpts.Start (pointstart.go) goes first; when there is none, or
-// it cannot finish the solve, the float locate proposes one.
+// solveWarmStart attempts the warm paths: the float locate proposes a
+// basis and crossover certifies it. done=false (with nil error) means
+// the caller must run the cold two-phase fallback; when done=true, sol
+// is the certified result.
 func (s *standardForm) solveWarmStart(ctx context.Context, opts *SolveOpts) (sol *Solution, done bool, err error) {
 	if err := ctx.Err(); err != nil {
 		return nil, false, err
-	}
-	if opts.Start != nil {
-		if basis, ok := s.pointBasis(opts.Start, opts.Stats); ok {
-			sol, done, err = s.crossover(ctx, basis, opts)
-			if err != nil || done {
-				if done && opts.Stats != nil {
-					opts.Stats.PointStart = true
-				}
-				return sol, done, err
-			}
-		}
-		if opts.Stats != nil {
-			opts.Stats.PointFallback = true
-		}
 	}
 	start := time.Now()
 	basis, floatPivots, ok, err := s.floatCandidateBasis(ctx)

@@ -1,6 +1,6 @@
 // Package store is the content-addressed, disk-backed artifact store
-// behind the engine's warm-boot path. The artifacts it holds — §2.5
-// tailored-LP solutions and the compare workbench's results — are
+// behind the engine's warm-boot path. The artifacts it holds — tailored
+// mechanisms and the compare workbench's results — are
 // the ones whose load beats recomputation, and each is a
 // deterministic, total function of its cache key, so a byte-exact
 // copy persisted once is valid forever: a restarted server loads
@@ -54,7 +54,13 @@ import (
 // Version 2: tied LP optima resolve to the canonical lexicographically
 // smallest optimal point, so tailored artifacts of tied keys changed
 // bytes.
-const FormatVersion = 2
+//
+// Version 3: a tailored artifact inside Theorem 1's hypotheses is the
+// consumer's optimal interaction with G_{n,α} (G·T° for minimax, G and
+// the Bayes-optimal remap for Bayesian), no longer the §2.5 LP's
+// canonical optimum, so tailored bytes changed on most keys. Losses
+// did not.
+const FormatVersion = 3
 
 // errStale reports an envelope written under another FormatVersion.
 var errStale = errors.New("store: envelope from another format version")

@@ -369,8 +369,9 @@ type CompareSpec = engine.CompareSpec
 
 // Engine is the concurrent mechanism-serving layer: a compute-once,
 // concurrency-safe front over every served exact artifact (geometric
-// mechanisms, release plans with their Lemma 3 transitions, and the
-// §2.4.3/§2.5 LP optima), with keyed caches,
+// mechanisms, release plans with their Lemma 3 transitions, the
+// §2.4.3 interaction optima and the tailored optima served from them),
+// with keyed caches,
 // singleflight request coalescing, pooled alias-table samplers, and a
 // JSON-ready metrics surface. Construct one per process and share it;
 // see internal/engine for cache-key semantics.

@@ -23,7 +23,6 @@ FuzzCompareBody ./cmd/dpserver
 FuzzBaselineParseSpec ./internal/baseline
 FuzzLossParseSpec ./internal/loss
 FuzzWarmStartMatchesExact ./internal/lp
-FuzzPointStartMatchesExact ./internal/lp
 FuzzSparseMatchesDense ./internal/lp
 FuzzDyadicAlias ./internal/sample
 FuzzStoreDecode ./internal/store
