@@ -7,7 +7,7 @@
 // flu count query, and holds the result as the survey: a
 // *tenant.Tenant like every registered tenant (one principal type),
 // with the -levels ladder, no budget, and an Algorithm 1 release plan
-// from the engine pinned for the /v1/sample hot path. Each request to
+// read from the engine's plans cache on each use. Each request to
 // /v1/result?level=K returns the level-K released value for the
 // *current epoch*; all levels within an epoch come from one correlated
 // cascade draw, so colluding readers cannot cancel the noise (Lemma
@@ -36,11 +36,11 @@
 // (one epoch draw spends α₁ — Lemma 4 plus sequential composition —
 // and a configured min_alpha floor refuses draws past the budget).
 // Release, epoch and sample share their handlers with the survey
-// routes. A tenant pins no compiled state: its plan comes from the
-// engine's plans cache on each use, and it is listed only once its
-// first epoch is drawn. Tenant n and ladder length are capped
-// (maxTenantN, maxTenantLevels), and POST bodies and -tenants-config
-// share one strict decoder:
+// routes. A tenant pins no compiled state: like the survey's, its
+// plan comes from the engine's plans cache on each use, and it is
+// listed only once its first epoch is drawn. Tenant n and ladder
+// length are capped (maxTenantN, maxTenantLevels), and POST bodies
+// and -tenants-config share one strict decoder:
 //
 //	GET|POST   /v1/tenants                 list / register tenants
 //	GET|DELETE /v1/tenants/{id}            describe / retire one tenant
@@ -102,7 +102,7 @@ func main() {
 	levelsStr := flag.String("levels", "1/2,2/3,4/5", "increasing privacy levels")
 	seed := flag.Int64("seed", 1, "PRNG seed")
 	maxTailoredN := flag.Int("max-tailored-n", defaultMaxTailoredN,
-		"largest domain size accepted by /v1/tailored (cold absolute-loss solves at alpha 1/2-1/3: 0.09-0.13s at n=16, 1.5-3.4s at n=24, 11-37s at n=32)")
+		"largest domain size accepted by /v1/tailored (cold solves, four wire losses at alpha 1/2-1/3: 1.5-3ms at n=8, 10-25ms at n=16, 57-176ms at n=24, 0.13-0.29s at n=32, zero-one at n=32, alpha 1/3: 3.5s)")
 	solveTimeout := flag.Duration("solve-timeout", 15*time.Second,
 		"how long one LP-backed request waits for its solve (0 disables; on expiry it answers 504 and the solve runs on, cached for the retry)")
 	maxInFlight := flag.Int("max-inflight-solves", 0,

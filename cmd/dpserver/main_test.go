@@ -479,3 +479,45 @@ func TestConcurrentServing(t *testing.T) {
 		t.Fatal("no results observed")
 	}
 }
+
+// TestSurveyServesAfterPlanEviction: the survey's release plan lives
+// in the engine's 64-entry plans LRU like a tenant's. Registering 64
+// tenants with distinct ladders evicts it; the survey's next request
+// rebuilds it (one plans miss), and /v1/sample, /v1/result and
+// /v1/mechanism still answer 200 with the same mechanism bytes and
+// the same epoch's result.
+func TestSurveyServesAfterPlanEviction(t *testing.T) {
+	s := newTestServer(t)
+	mux := s.handler()
+	before := map[string]string{}
+	for _, q := range []string{"/v1/mechanism?level=1", "/v1/mechanism?level=2", "/v1/result?level=1"} {
+		rec, _ := get(t, mux, q)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", q, rec.Code, rec.Body.String())
+		}
+		before[q] = rec.Body.String()
+	}
+	for k := 2; k < 66; k++ {
+		mustRegister(t, mux, fmt.Sprintf(`{"id":"t%d","n":4,"truth":1,"levels":["1/%d"],"seed":%d}`, k, k, k))
+	}
+	plans := s.eng.Metrics().Plans.Cache
+	if plans.Evictions == 0 {
+		t.Fatalf("64 tenant plans evicted nothing: %+v", plans)
+	}
+	rec, _ := get(t, mux, fmt.Sprintf("/v1/sample?level=1&input=%d&count=8", testN/2))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("survey sample after eviction: status %d: %s", rec.Code, rec.Body.String())
+	}
+	if got := s.eng.Metrics().Plans.Cache.Misses; got != plans.Misses+1 {
+		t.Errorf("survey sample after eviction: plans misses %d → %d, want one rebuild", plans.Misses, got)
+	}
+	for q, want := range before {
+		rec, _ := get(t, mux, q)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s after eviction: status %d: %s", q, rec.Code, rec.Body.String())
+		}
+		if got := rec.Body.String(); got != want {
+			t.Errorf("%s after eviction:\n got %s\nwant %s", q, got, want)
+		}
+	}
+}

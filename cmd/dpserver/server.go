@@ -97,12 +97,9 @@ type server struct {
 	start        time.Time
 
 	// The survey: not in the registry, so /v1/tenants never lists it.
-	// Its release plan is pinned at startup (planOf) instead of being
-	// looked up in the engine's LRU, so an eviction never sends a
-	// survey request back to the build, which takes about 0.6 s at the
-	// default n=500 (DESIGN §13.5).
+	// Its release plan comes from the engine's plans cache like a
+	// tenant's (planOf).
 	survey *tenant.Tenant
-	plan   *release.Plan
 
 	// ready gates /readyz: true once serving, false when draining so
 	// load balancers stop routing before in-flight requests finish.
@@ -235,10 +232,6 @@ func newServer(cfg serverConfig) (*server, error) {
 	if err != nil {
 		return nil, err
 	}
-	plan, err := eng.Plan(context.Background(), survey.Ladder())
-	if err != nil {
-		return nil, err
-	}
 	s := &server{
 		eng:          eng,
 		city:         cfg.City,
@@ -246,7 +239,6 @@ func newServer(cfg serverConfig) (*server, error) {
 		solveTimeout: cfg.SolveTimeout,
 		start:        time.Now(),
 		survey:       survey,
-		plan:         plan,
 		routes:       make(map[string]*routeStat),
 		registry:     tenant.NewRegistry(),
 		store:        artifacts,
@@ -300,15 +292,12 @@ func decodeStrict(r io.Reader, v any) error {
 	return nil
 }
 
-// planOf returns principal t's release plan. The survey's is pinned
-// at startup (see server.plan); a tenant's comes from the engine's
-// plans cache by its ladder's key on every use, so the engine's LRU is
-// the one bound on a tenant's compiled state. A cache hit allocates
+// planOf returns principal t's release plan, the survey's included,
+// from the engine's plans cache by its ladder's key on every use, so
+// the engine's LRU is the one bound on a principal's compiled state.
+// An evicted plan is rebuilt on its next use. A cache hit allocates
 // nothing.
 func (s *server) planOf(ctx context.Context, t *tenant.Tenant) (*release.Plan, error) {
-	if t == s.survey {
-		return s.plan, nil
-	}
 	return s.eng.Plan(ctx, t.Ladder())
 }
 
@@ -326,7 +315,7 @@ func (s *server) nextEpoch(ctx context.Context, t *tenant.Tenant) (*tenant.Epoch
 // levelSampler is the one sample path of the survey and the tenants:
 // principal t's plan (planOf), its level-lvl marginal G_{n,α}, a view
 // over it, and the level's α as the ladder rendered it. With the plan
-// pinned or cached it allocates nothing.
+// cached it allocates nothing.
 //
 //dpvet:hotpath
 func (s *server) levelSampler(r *http.Request, t *tenant.Tenant, lvl int) (engine.Sampler, string, error) {
@@ -701,7 +690,12 @@ func (s *server) handleMechanism(w http.ResponseWriter, r *http.Request) {
 		writeAPIError(w, http.StatusBadRequest, "invalid_argument", "%v", err)
 		return
 	}
-	m, err := s.plan.Marginal(lvl)
+	plan, err := s.planOf(r.Context(), s.survey)
+	if err != nil {
+		writePrincipalError(w, err, http.StatusInternalServerError)
+		return
+	}
+	m, err := plan.Marginal(lvl)
 	if err != nil {
 		writeAPIError(w, http.StatusBadRequest, "invalid_argument", "%v", err)
 		return

@@ -1,11 +1,15 @@
 package consumer
 
 import (
+	"context"
 	"errors"
+	"fmt"
 	"math/big"
 	"testing"
 
+	"minimaxdp/internal/baseline"
 	"minimaxdp/internal/loss"
+	"minimaxdp/internal/lp"
 	"minimaxdp/internal/matrix"
 	"minimaxdp/internal/mechanism"
 	"minimaxdp/internal/rational"
@@ -509,5 +513,62 @@ func TestGeometricOptimalCoversWireLosses(t *testing.T) {
 	asym := loss.Asymmetric{Over: r("1"), Under: r("2")}
 	if GeometricOptimal(&Consumer{Loss: asym}, 8, half) {
 		t.Error("asymmetric loss accepted: it is not monotone in |i−r|")
+	}
+}
+
+// TestServedInteractionGridCertifies guards the crossover on the LPs
+// the server solves: the interaction LP of every wire loss × {full,
+// interval} side × α ∈ {1/3, 1/2, 2/3} against G_{n,α} (n ∈ {6, 8,
+// 16}) and against the laplace and staircase baselines (n ∈ {6, 8}).
+// Each warm solve must finish without the cold fallback, and at n ≤ 8
+// serve StrategyExact's bytes. The crossover sends any infeasible
+// candidate basis to the fallback, so a float change that stops
+// certifying this grid shows here.
+func TestServedInteractionGridCertifies(t *testing.T) {
+	losses := []loss.Function{loss.Absolute{}, loss.Squared{}, loss.ZeroOne{}, loss.Deadband{Width: 1}}
+	type deployed struct {
+		name string
+		m    *mechanism.Mechanism
+	}
+	for _, a := range []string{"1/3", "1/2", "2/3"} {
+		alpha := r(a)
+		for _, n := range []int{6, 8, 16} {
+			mechs := []deployed{{"geometric", geo(t, n, a)}}
+			if n <= 8 {
+				for _, spec := range []baseline.Spec{{Kind: baseline.KindLaplace}, {Kind: baseline.KindStaircase}} {
+					m, err := spec.Build(n, alpha)
+					if err != nil {
+						t.Fatal(err)
+					}
+					mechs = append(mechs, deployed{spec.String(), m})
+				}
+			}
+			for _, d := range mechs {
+				for _, l := range losses {
+					for _, side := range [][]int{nil, Interval(1, n-1)} {
+						c := &Consumer{Loss: l, Side: side}
+						name := fmt.Sprintf("%s/n=%d/α=%s/%s/side=%v", d.name, n, a, l.Name(), side)
+						var stats lp.SolveStats
+						warm, err := OptimalInteractionOpts(context.Background(), c, d.m, lp.SolveOpts{Stats: &stats})
+						if err != nil {
+							t.Fatalf("%s: %v", name, err)
+						}
+						if stats.Fallback {
+							t.Errorf("%s: cold fallback ran: %+v", name, stats)
+						}
+						if n > 8 {
+							continue
+						}
+						exact, err := OptimalInteractionOpts(context.Background(), c, d.m, lp.SolveOpts{Strategy: lp.StrategyExact})
+						if err != nil {
+							t.Fatalf("%s exact: %v", name, err)
+						}
+						if warm.Loss.Cmp(exact.Loss) != 0 || !warm.T.Equal(exact.T) {
+							t.Errorf("%s: warm solve differs from StrategyExact", name)
+						}
+					}
+				}
+			}
+		}
 	}
 }

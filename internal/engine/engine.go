@@ -327,8 +327,13 @@ func lpOpts() (lp.SolveOpts, *lp.SolveStats) {
 // accumulate even for failed or canceled solves (the work was done);
 // the path counters are mutually exclusive per solve, and the fallback
 // counter means "warm start attempted and demoted". The tied-optimum
-// counter is orthogonal to the path.
+// counter is orthogonal to the path. A stats block left zero means no
+// LP ran (the Bayesian remap scan takes solve options but solves
+// none), and nothing is folded.
 func (e *Engine) recordLP(s *store, key string, stats *lp.SolveStats) {
+	if *stats == (lp.SolveStats{}) {
+		return
+	}
 	e.lp.solves.Add(1)
 	e.lp.floatPivots.Add(uint64(stats.FloatPivots))
 	e.lp.floatNanos.Add(uint64(stats.FloatNanos))

@@ -97,10 +97,11 @@ type ArtifactStats struct {
 // continued from that basis (including the refinement of a tied
 // optimum to the canonical one); a fallback means the full exact
 // two-phase simplex ran from scratch because the float solve failed
-// (see lp.SolveStats). TiedOptima counts solves whose optimum was not
-// unique.
+// or its basis was singular or infeasible (see lp.SolveStats).
+// TiedOptima counts solves whose optimum was not unique.
 // Solves counts LP solver invocations (successful or not) across the
-// engine's lifetime; a warm boot that answers every request from the
+// engine's lifetime; the Bayesian remap scan is no LP and does not
+// count. A warm boot that answers every request from the
 // disk store reports Solves == 0, which is exactly what the restart
 // smoke asserts.
 type LPSolveStats struct {

@@ -162,3 +162,29 @@ func TestInteractionRecordsLPStats(t *testing.T) {
 		t.Fatalf("saw %d warm-start trace events, want 1 (%v)", len(kinds), kinds)
 	}
 }
+
+// TestRecordLPCountsOnlyLPs: a Bayesian tailored or compare miss runs
+// the remap scan, no LP, so it must leave LP.Solves where it was; a
+// minimax tailored miss runs one interaction LP and adds one.
+func TestRecordLPCountsOnlyLPs(t *testing.T) {
+	const n = 6
+	alpha := big.NewRat(1, 2)
+	e := newEngine(t, Config{})
+	b := &consumer.Bayesian{Loss: loss.Absolute{}, Prior: consumer.UniformPrior(n)}
+	if _, err := e.TailoredMechanism(b, n, alpha); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Compare(CompareSpec{N: n, Alpha: alpha, Model: b}); err != nil {
+		t.Fatal(err)
+	}
+	met := e.Metrics()
+	if met.LP.Solves != 0 || met.Interactions.Cache.Misses != 3 {
+		t.Fatalf("Bayesian misses: %d LP solves over %d interaction misses, want 0 over 3", met.LP.Solves, met.Interactions.Cache.Misses)
+	}
+	if _, err := e.TailoredMechanism(&consumer.Consumer{Loss: loss.Absolute{}}, n, alpha); err != nil {
+		t.Fatal(err)
+	}
+	if got := e.Metrics().LP.Solves; got != 1 {
+		t.Fatalf("minimax tailored miss: %d LP solves, want 1", got)
+	}
+}

@@ -203,17 +203,13 @@ func (s *standardForm) floatSolve(ctx context.Context) (st Status, ft *floatTab,
 	case floatUnbounded:
 		return Unbounded, ft, true, nil
 	}
-	if !floatSkipDualCleanup {
-		// The basis is optimal for the PERTURBED right-hand side; walk
-		// it to one primal feasible for the true RHS with float dual
-		// pivots, so the exact crossover doesn't have to do the same
-		// walk at big-rational prices. Best-effort: on failure the
-		// basis is still a valid candidate — the exact dual repair
-		// simply has more to do.
-		ft.dualCleanup(ctx, banned, pivotCap)
-		if err := ctx.Err(); err != nil {
-			return NoStatus, ft, false, err
-		}
+	// The basis is optimal for the PERTURBED right-hand side; walk it
+	// to one primal feasible for the true RHS with float dual pivots.
+	// Best-effort: a basis the walk leaves infeasible still goes to the
+	// crossover, which sends it to the cold fallback.
+	ft.dualCleanup(ctx, banned, pivotCap)
+	if err := ctx.Err(); err != nil {
+		return NoStatus, ft, false, err
 	}
 	return Optimal, ft, true, nil
 }
@@ -240,21 +236,13 @@ func (ft *floatTab) price(cost []float64) {
 	}
 }
 
-// floatSkipDualCleanup suppresses the float-side dual cleanup so the
-// candidate basis stays optimal for the perturbed RHS only. Tests flip
-// it to regenerate the long-eta-chain exact dual repairs the cleanup
-// exists to avoid (the refactorization-cadence regression tests);
-// production code never sets it.
-var floatSkipDualCleanup = false
-
 // dualCleanup runs dual-simplex pivots against the de-perturbed
 // right-hand side (cols[total] − cols[total+1], see floatTab.cols)
 // until it is nonnegative within tolerance: leaving row most negative,
 // entering column by the dual ratio test min z_j/(−a_rj) over
-// a_rj < 0, ties toward the smaller column index — the float mirror
-// of the exact solveDualRepair the crossover would otherwise run.
-// Returns false when a row cannot be repaired (left for the exact side
-// to adjudicate), the pivot cap is hit or ctx ends.
+// a_rj < 0, ties toward the smaller column index. Returns false when a
+// row cannot be repaired (left for the exact side to adjudicate), the
+// pivot cap is hit or ctx ends.
 func (ft *floatTab) dualCleanup(ctx context.Context, banned []bool, maxPivots int) bool {
 	for ft.pivots < maxPivots {
 		if ctx.Err() != nil {

@@ -9,8 +9,8 @@
 // structural columns, taken in Var order (a free variable's positive
 // part before its negative part). That point is unique by
 // construction — the slack columns are determined by the structural
-// ones — so every solve path (warm-start hit, primal resume, dual
-// repair, the cold two-phase solve) returns the same bytes because
+// ones — so every solve path (warm-start hit, primal resume, the cold
+// two-phase solve) returns the same bytes because
 // there is only one answer, not because the paths share a pivot
 // sequence.
 //

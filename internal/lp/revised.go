@@ -154,8 +154,8 @@ func (s *standardForm) factorizeSparse(basis []int, h *hstats) (*sparseLU, bool)
 	// Active matrix, row-wise: basis positions (sorted) and values.
 	// A counting pass sizes every per-row list exactly — the appends
 	// below never reallocate, which matters because factorization is
-	// on the per-solve hot path (and, with dual repair, re-runs every
-	// time needsRefactor fires).
+	// on the per-solve hot path (and re-runs every time needsRefactor
+	// fires).
 	rowNNZ := make([]int32, m)
 	for _, j := range basis {
 		for _, e := range cols[j] {
@@ -558,9 +558,10 @@ func (f *sparseLU) pushEta(p int, w []hval) {
 //
 //   - etaBitBudget: the integrated entry magnitude (sparseLU.etaBits)
 //     — the measured-growth trigger. On well-conditioned chains this
-//     never fires before the count backstop; on the entry-growth-heavy
-//     dual-repair chains of the large-n tailored LPs it fires after a
-//     handful of pivots, which is exactly when rebuilding wins.
+//     never fires before the count backstop; on entry-growth-heavy
+//     chains (the cold solve of the n=8 absolute interaction LP at
+//     α=1/2 fires it three times) it fires after a handful of pivots,
+//     which is exactly when rebuilding wins.
 //   - revisedRefactorCap: a plain pivot-count backstop so bookkeeping
 //     cost stays bounded even when every entry is tiny.
 const (
@@ -613,166 +614,6 @@ func (s *standardForm) commitPivot(basis []int, xB []hval, lu *sparseLU, p, ente
 		copy(xB, lu.solve(s.b))
 	}
 	return nil
-}
-
-// dualRepairCap bounds dual-simplex repair pivots. Repair starts from
-// a strictly dual-feasible basis, so the first step is non-degenerate,
-// but dual degeneracy can develop mid-run; past the cap the solve
-// demotes to the cold two-phase fallback rather than risk cycling.
-const dualRepairCap = 400
-
-// solveDualRepair restores exact primal feasibility by dual-simplex
-// pivoting, starting from a basis that is strictly dual feasible but
-// primal infeasible — exactly the shape the perturbed float candidate
-// produces on heavily degenerate LPs (floatsimplex.go: the
-// anti-degeneracy offsets steer the float solve to a basis optimal
-// for the *perturbed* right-hand side, which can be infeasible for
-// the true one by a handful of basic variables). Each iteration picks
-// the most negative basic variable (ties toward the smaller basis
-// index), prices row p of B⁻¹A against every nonbasic column, and
-// enters the column minimizing the dual ratio z_j/(−α_pj) — the
-// choice that keeps every reduced cost nonnegative, so dual
-// feasibility is an invariant and the caller can re-run the strict
-// uniqueness certificate afterwards. Per iteration that costs one
-// BTRAN (the pricing row β) plus one FTRAN (the entering column); the
-// reduced costs and the basic solution are maintained by the standard
-// incremental updates z′ = z − θ_D·(−α_p·) and x′_B = x_B − θ_P·w
-// rather than recomputed, which is what keeps repair per-pivot cost
-// near the crossover's. All arithmetic is exact; ok is false when the
-// repair gives up (pivot cap, a singular refactorization, or a row
-// proving primal infeasibility — all demoted to the cold two-phase
-// fallback, whose verdict is canonical).
-func (s *standardForm) solveDualRepair(ctx context.Context, basis []int, xB []hval, lu *sparseLU, h *hstats, opts *SolveOpts) (*sparseLU, []hval, bool, error) {
-	m := s.nrows
-	one := hvRat(rational.One())
-	cvals := make([]hval, s.ncols)
-	for j, c := range s.c {
-		cvals[j] = hvRat(c)
-	}
-	inBasis := make([]bool, s.ncols)
-	for _, j := range basis {
-		inBasis[j] = true
-	}
-	// Reduced costs z_j = c_j − y·A_j, computed once from a single
-	// BTRAN and thereafter maintained incrementally. Basic entries
-	// stay identically zero.
-	cB := make([]hval, m)
-	for k, j := range basis {
-		cB[k] = cvals[j]
-	}
-	y := lu.solveTranspose(cB)
-	z := make([]hval, s.ncols)
-	for j := 0; j < s.ncols; j++ {
-		if !inBasis[j] {
-			z[j] = s.price(h, cvals[j], j, y)
-		}
-	}
-	ep := make([]hval, m)
-	negAlpha := make([]hval, s.ncols) // −α_pj for the current pricing row
-	for pivots := 0; ; pivots++ {
-		if err := ctx.Err(); err != nil {
-			return nil, nil, false, err
-		}
-		// Leaving row: most negative basic, ties toward the smaller
-		// basis index (deterministic, like the primal ratio test).
-		leave := -1
-		for k := 0; k < m; k++ {
-			if xB[k].Sign() >= 0 {
-				continue
-			}
-			if leave < 0 || xB[k].Cmp(xB[leave]) < 0 ||
-				(xB[k].Cmp(xB[leave]) == 0 && basis[k] < basis[leave]) {
-				leave = k
-			}
-		}
-		if leave < 0 {
-			return lu, xB, true, nil // primal feasible: repaired
-		}
-		if pivots >= dualRepairCap {
-			return nil, nil, false, nil
-		}
-		// Row `leave` of B⁻¹A: βᵀ = e_leaveᵀ B⁻¹ via BTRAN, then one
-		// sparse dot per nonbasic column. fms accumulates
-		// −Σ a_ij·β_i = −α_pj directly — exactly the ratio denominator.
-		for k := range ep {
-			ep[k] = hval{}
-		}
-		ep[leave] = one
-		beta := lu.solveTranspose(ep)
-		enter := -1
-		var bestNum, bestDen hval // best ratio z/(−α) as a fraction, bestDen > 0
-		for j := 0; j < s.ncols; j++ {
-			negAlpha[j] = hval{}
-			if inBasis[j] {
-				continue
-			}
-			na := s.price(h, hval{}, j, beta)
-			negAlpha[j] = na
-			if na.Sign() <= 0 {
-				continue // only α_pj < 0 columns can absorb the deficit
-			}
-			if enter < 0 {
-				enter, bestNum, bestDen = j, z[j], na
-				continue
-			}
-			// z/na < bestNum/bestDen ⟺ z·bestDen < bestNum·na (positive
-			// denominators): a fused product comparison, no quotient or
-			// normalization. First-wins keeps ties on the smaller column
-			// index.
-			if h.CmpMul(z[j], bestDen, bestNum, na) < 0 {
-				enter, bestNum, bestDen = j, z[j], na
-			}
-		}
-		if enter < 0 {
-			// Row `leave` proves infeasibility; let the cold solve
-			// derive the canonical verdict.
-			return nil, nil, false, nil
-		}
-		w := lu.ftran(s.hcol(enter))
-		if w[leave].Sign() >= 0 {
-			// w[leave] is α_p,enter and must be negative; anything else
-			// means the factorization and the pricing row disagree.
-			return nil, nil, false, nil
-		}
-		// Dual update: θ_D = z_enter/(−α_p,enter) ≥ 0, and for every
-		// nonbasic j, z′_j = z_j − θ_D·(−α_pj). The entering column's
-		// reduced cost becomes 0 (basic); the leaving variable — for
-		// which α_pj = 1, as the p-th basic — picks up exactly θ_D.
-		thetaD := h.quo(z[enter], negAlpha[enter])
-		for j := 0; j < s.ncols; j++ {
-			if inBasis[j] || j == enter || negAlpha[j].IsZero() {
-				continue
-			}
-			z[j] = h.fms(z[j], thetaD, negAlpha[j])
-		}
-		z[enter] = hval{}
-		z[basis[leave]] = thetaD
-		// Primal update: θ_P = x_p/α_p,enter > 0 (both negative), then
-		// x′_B = x_B − θ_P·w off the pivot row and x′_p = θ_P.
-		thetaP := h.quo(xB[leave], w[leave])
-		for k := 0; k < m; k++ {
-			if k == leave || w[k].IsZero() {
-				continue
-			}
-			xB[k] = h.fms(xB[k], thetaP, w[k])
-		}
-		xB[leave] = thetaP
-		inBasis[basis[leave]] = false
-		inBasis[enter] = true
-		basis[leave] = enter
-		if opts != nil && opts.Stats != nil {
-			opts.Stats.RevisedPivots++
-		}
-		lu.pushEta(leave, w)
-		if refac, mag := lu.needsRefactor(); refac {
-			nlu, ok := s.factorizeSparse(basis, h)
-			if !ok {
-				return nil, nil, false, nil
-			}
-			lu = nlu
-			recordRefactor(opts, mag)
-		}
-	}
 }
 
 // solveRevised runs exact primal revised-simplex pivoting from a

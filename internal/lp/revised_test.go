@@ -5,6 +5,8 @@ import (
 	"math/big"
 	"testing"
 
+	"minimaxdp/internal/loss"
+	"minimaxdp/internal/mechanism"
 	"minimaxdp/internal/rational"
 )
 
@@ -260,64 +262,30 @@ func TestFindPos(t *testing.T) {
 	}
 }
 
-// TestDualRepairMagnitudeRefactor is the refactorization-cadence
-// regression test: a long exact dual-repair walk on the degenerate
-// n=20 tailored LP must collapse its eta chain on the entry-MAGNITUDE
-// trigger (sparseLU.etaBits crossing etaBitBudget), not merely the
-// pivot-count backstop. Before magnitude-triggered refactorization,
-// exactly this walk was where FTRAN/BTRAN entries outgrew every fast
-// tier and big.Rat allocation dominated the n ≥ 20 solves.
-//
-// The float dual cleanup (floatsimplex.go) now hands the exact side a
-// primal-feasible basis on this family, so the test disables it to
-// regenerate the dirty perturbed-optimal basis the repair exists for.
-func TestDualRepairMagnitudeRefactor(t *testing.T) {
-	defer func(old bool) { floatSkipDualCleanup = old }(floatSkipDualCleanup)
-	floatSkipDualCleanup = true
-
-	s := newStandardForm(tailoredTestLP(20, rational.New(1, 2)))
-	basis, _, ok, _ := s.floatCandidateBasis(context.Background())
-	if !ok {
-		t.Fatal("float candidate basis unavailable")
-	}
-	var h hstats
-	lu, ok := s.factorizeSparse(basis, &h)
-	if !ok {
-		t.Fatal("candidate basis singular")
-	}
-	xB := lu.solve(s.b)
-	hasNeg := false
-	for _, v := range xB {
-		if v.Sign() < 0 {
-			hasNeg = true
-			break
-		}
-	}
-	if !hasNeg {
-		t.Fatal("perturbed candidate basis already primal feasible; the dirty-basis premise no longer holds")
-	}
-	if s.dualCertificate(basis, lu, &h) != dualStrict {
-		t.Fatal("candidate basis not strictly dual feasible; dual repair premise broken")
-	}
-
-	var stats SolveStats
-	opts := &SolveOpts{Stats: &stats}
-	lu, xB, ok, err := s.solveDualRepair(context.Background(), basis, xB, lu, &h, opts)
+// TestColdSolveMagnitudeRefactor is the refactorization-cadence
+// regression test: the cold exact solve of the n=8 absolute-loss
+// interaction LP against G_{8,1/2} must collapse its eta chain on the
+// entry-MAGNITUDE trigger (sparseLU.etaBits crossing etaBitBudget),
+// not merely the pivot-count backstop. Before magnitude-triggered
+// refactorization, FTRAN/BTRAN entries on such chains outgrew every
+// fast tier and big.Rat allocation dominated the solve.
+func TestColdSolveMagnitudeRefactor(t *testing.T) {
+	g, err := mechanism.Geometric(8, rational.New(1, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !ok {
-		t.Fatal("dual repair gave up on a strictly-dual-feasible basis")
+	var stats SolveStats
+	sol, err := interactionLP(g, loss.Absolute{}).SolveWithOpts(context.Background(),
+		SolveOpts{Strategy: StrategyExact, Stats: &stats})
+	if err != nil {
+		t.Fatal(err)
 	}
-	_ = lu
-	for k, v := range xB {
-		if v.Sign() < 0 {
-			t.Fatalf("repaired basis still primal infeasible at row %d", k)
-		}
+	if sol.Status != Optimal {
+		t.Fatalf("status = %v", sol.Status)
 	}
 	if stats.MagnitudeRefactors < 1 {
-		t.Errorf("MagnitudeRefactors = %d, want ≥ 1: the eta-chain magnitude trigger never fired (Refactorizations = %d, RevisedPivots = %d)",
-			stats.MagnitudeRefactors, stats.Refactorizations, stats.RevisedPivots)
+		t.Errorf("MagnitudeRefactors = %d, want ≥ 1: the eta-chain magnitude trigger never fired (Refactorizations = %d, ExactPivots = %d)",
+			stats.MagnitudeRefactors, stats.Refactorizations, stats.ExactPivots)
 	}
 	if stats.Refactorizations < stats.MagnitudeRefactors {
 		t.Errorf("Refactorizations = %d < MagnitudeRefactors = %d; counters inconsistent",

@@ -18,13 +18,13 @@
 // basis is still primal feasible, exact revised-simplex pivoting
 // resumes from it — still strictly cheaper than a cold phase 1. A tie
 // (some nonbasic reduced cost exactly zero, so the optimal face may be
-// an edge or larger), reached directly, after dual repair or after a
-// resume, is refined on the same sparse LU to the lexicographically
-// smallest optimal point, which every solve path returns. Only a float
-// solver that fails outright, a singular or unrepairable candidate
-// basis, or a repair that gives up demote to the cold two-phase
-// fallback (solveCold), which finishes with the same refinement. In
-// every case the answer carries the same exact certificate.
+// an edge or larger), reached directly or after a resume, is refined
+// on the same sparse LU to the lexicographically smallest optimal
+// point, which every solve path returns. A float solver that fails
+// outright, or a candidate basis that is singular or has some
+// x_B < 0, demotes to the cold two-phase fallback (solveCold), which
+// finishes with the same refinement. In every case the answer carries
+// the same exact certificate.
 package lp
 
 import (
@@ -64,7 +64,7 @@ type SolveStats struct {
 	FloatPivots   int   // pivots of the float64 basis-locating solve
 	FloatNanos    int64 // wall time of the float64 basis-locating solve in ns
 	ExactPivots   int   // pivots of the cold two-phase solve (StrategyExact or fallback), lex step included
-	RevisedPivots int   // warm-path exact pivots (crossover resume, dual repair, lex refinement)
+	RevisedPivots int   // warm-path exact pivots (crossover resume, lex refinement)
 
 	// Hybrid-kernel tier counters for the sparse LU / revised path:
 	// how many exact rational operations ran on the int64
@@ -73,16 +73,16 @@ type SolveStats struct {
 	SmallOps     int64
 	BigFallbacks int64
 
-	// Basis refactorizations during revised pivoting (primal resume +
-	// dual repair). MagnitudeRefactors counts the subset forced by the
+	// Basis refactorizations during revised pivoting (primal resume,
+	// lex refinement and the cold solve's phases). MagnitudeRefactors counts the subset forced by the
 	// eta-chain entry-magnitude trigger rather than the pivot-count
 	// backstop (see sparseLU.needsRefactor).
 	Refactorizations   int
 	MagnitudeRefactors int
 
 	WarmStartHit     bool // candidate basis certified optimal and unique; zero exact pivots
-	CrossoverResumed bool // exact pivoting resumed (primal resume, dual repair or lex refinement)
-	Fallback         bool // cold two-phase exact solve ran: the float solve failed
+	CrossoverResumed bool // exact pivoting resumed (primal resume or lex refinement)
+	Fallback         bool // cold two-phase exact solve ran: the float solve failed, or its basis was singular or infeasible
 
 	// TiedOptima reports an optimum that was not unique, refined to
 	// the canonical lexicographically smallest optimal point (lex.go).
@@ -112,10 +112,10 @@ func (s *standardForm) solveWarmStart(ctx context.Context, opts *SolveOpts) (sol
 
 // crossover certifies a candidate basis in exact arithmetic and
 // finishes the solve from it: a strict certificate returns the vertex,
-// an infeasible but strictly dual-feasible basis is repaired by dual
-// pivots, a tie is refined to the canonical optimum and a feasible but
+// a tie is refined to the canonical optimum and a feasible but
 // non-optimal basis resumes primal pivoting. done=false (with nil
-// error) reports a basis that is singular or not repairable.
+// error) reports a basis that is singular or primal infeasible; the
+// caller runs the cold fallback.
 func (s *standardForm) crossover(ctx context.Context, basis []int, opts *SolveOpts) (sol *Solution, done bool, err error) {
 	var h hstats
 	defer func() { h.fold(opts.Stats) }()
@@ -124,47 +124,17 @@ func (s *standardForm) crossover(ctx context.Context, basis []int, opts *SolveOp
 		return nil, false, nil // singular candidate basis
 	}
 	xB := lu.solve(s.b)
-	repaired := false
-	hasNeg := false
 	for _, v := range xB {
 		if v.Sign() < 0 {
-			hasNeg = true
-			break
+			return nil, false, nil // infeasible candidate basis
 		}
-	}
-	if hasNeg {
-		// The anti-degeneracy perturbation (floatsimplex.go) can steer
-		// the float solve to a basis optimal for the *perturbed*
-		// right-hand side but infeasible for the true one by a handful
-		// of basic variables. When that basis is strictly dual
-		// feasible — on the tailored family it always is, the
-		// perturbation only shifts which optimal-face vertex gets
-		// picked — it is exactly the starting state the dual simplex
-		// wants: repair primal feasibility by exact dual pivoting
-		// (solveDualRepair), preserving dual feasibility throughout,
-		// then fall through to the usual certification below. Any
-		// other shape of infeasibility still takes the cold fallback.
-		if s.dualCertificate(basis, lu, &h) != dualStrict {
-			return nil, false, nil // not repairable: certificate failed
-		}
-		lu, xB, ok, err = s.solveDualRepair(ctx, basis, xB, lu, &h, opts)
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		repaired = true
 	}
 	// The basis is an exactly-feasible vertex. Check dual optimality:
 	// solve Bᵀy = c_B, then price every nonbasic column.
 	switch s.dualCertificate(basis, lu, &h) {
 	case dualStrict:
 		if opts.Stats != nil {
-			// A repaired basis ran exact pivots to get here, so it
-			// reports as a resume; a hit means zero exact pivots.
-			if repaired {
-				opts.Stats.CrossoverResumed = true
-			} else {
-				opts.Stats.WarmStartHit = true
-			}
+			opts.Stats.WarmStartHit = true
 		}
 		return s.basicSolution(basis, xB), true, nil
 	case dualDegenerate:

@@ -170,6 +170,34 @@ func TestWarmStartHitOnTailoredLPs(t *testing.T) {
 	}
 }
 
+// TestCrossoverInfeasibleBasisFallsBack pins the crossover's verdict
+// on a candidate basis with some x_B < 0: it certifies nothing and
+// reports done=false, so the solve goes to the cold fallback, whose
+// bytes are StrategyExact's. smallLP's basis {x, slack of x ≤ 3}
+// solves to x = 4 and a slack of −1.
+func TestCrossoverInfeasibleBasisFallsBack(t *testing.T) {
+	s := newStandardForm(smallLP())
+	basis := []int{0, 3} // x, then the slack of row 2
+	var h hstats
+	lu, ok := s.factorizeSparse(basis, &h)
+	if !ok {
+		t.Fatal("basis singular")
+	}
+	if xB := lu.solve(s.b); xB[1].Sign() >= 0 {
+		t.Fatalf("x_B = (%v, %v), want a negative slack", xB[0].Rat(), xB[1].Rat())
+	}
+	var stats SolveStats
+	sol, done, err := s.crossover(context.Background(), basis, &SolveOpts{Stats: &stats})
+	if err != nil || done || sol != nil {
+		t.Fatalf("crossover(%v) = (%v, %v, %v), want (nil, false, nil)", basis, sol, done, err)
+	}
+	if stats.WarmStartHit || stats.CrossoverResumed || stats.RevisedPivots != 0 {
+		t.Errorf("infeasible basis reported crossover work: %+v", stats)
+	}
+	exact, warm := solveBoth(t, smallLP(), nil)
+	assertIdentical(t, exact, warm)
+}
+
 // TestExactSolveCanceled pins the cold path's cancellation
 // checkpoint: a StrategyExact solve under a canceled context returns
 // ctx.Err() and no solution, both when phase 1 runs (artificials) and

@@ -145,11 +145,6 @@ func FuzzHvalMatchesBigRat(f *testing.F) {
 			checkHval(t, "Quo", h.Quo(a, b), new(big.Rat).Quo(ar, br))
 			counted("Quo")
 		}
-		lhs, rhs := new(big.Rat).Mul(ar, br), new(big.Rat).Mul(cr, dr)
-		if got, want := h.CmpMul(a, b, c, d), lhs.Cmp(rhs); got != want {
-			t.Fatalf("CmpMul = %d, want %d", got, want)
-		}
-		counted("CmpMul")
 		if got, want := a.Cmp(b), ar.Cmp(br); got != want {
 			t.Fatalf("Cmp = %d, want %d", got, want)
 		}

@@ -270,34 +270,3 @@ func (h *HybridStats) SubH(a, b Hval) Hval {
 	s.t[1].Mul(ad, bd)
 	return hvalFromBigParts(&s.t[0], &s.t[1])
 }
-
-// CmpMul compares the products a·b and c·d exactly without forming
-// either quotient: sign(a·b − c·d). Ratio tests are the hot consumer
-// — comparing z_j/α_j fractions cross-multiplies into exactly this
-// shape, and a fused comparison needs no normalization at all (the
-// big path is four big.Int products and a Cmp; denominators are
-// positive by invariant).
-func (h *HybridStats) CmpMul(a, b, c, d Hval) int {
-	if a.tier == tierSmall && b.tier == tierSmall && c.tier == tierSmall && d.tier == tierSmall {
-		if p1, ok1 := a.s.Mul(b.s); ok1 {
-			if p2, ok2 := c.s.Mul(d.s); ok2 {
-				h.SmallOps++
-				return p1.Cmp(p2)
-			}
-		}
-	}
-	h.BigOps++
-	s := h.scratch()
-	an, ad := a.intsInto(&s.x[0], &s.x[1])
-	bn, bd := b.intsInto(&s.x[2], &s.x[3])
-	// a·b vs c·d ⟺ an·bn·(cd·dd) vs cn·dn·(ad·bd), dens > 0.
-	s.t[0].Mul(an, bn)
-	s.t[2].Mul(ad, bd)
-	cn, cd := c.intsInto(&s.x[0], &s.x[1])
-	dn, dd := d.intsInto(&s.x[2], &s.x[3])
-	s.t[1].Mul(cn, dn)
-	s.t[1].Mul(&s.t[1], &s.t[2])
-	s.t[2].Mul(cd, dd)
-	s.t[0].Mul(&s.t[0], &s.t[2])
-	return s.t[0].Cmp(&s.t[1])
-}

@@ -147,6 +147,10 @@ curl -fsS "http://${base}/v1/sample?count=4" \
     | grep -Eq '^\{"level":1,"alpha":"1/2","input":0,"count":4,"draws":\[[0-9]+(,[0-9]+){3}\]\}$'
 curl -fsS "http://${base}/v1/tenants/smoke/sample?level=2&input=3&count=4" \
     | grep -Eq '^\{"tenant":"smoke","level":2,"alpha":"1/2","input":3,"count":4,"draws":\[[0-9]+(,[0-9]+){3}\]\}$'
+# The survey reads its release plan from the engine's plans cache, as
+# a tenant does: the survey calls above count as plans hits.
+curl -fsS "http://${base}/v1/metrics" \
+    | sed -n 's/.*"plans":\(.*\)"tailored":.*/\1/p' | grep -q '"hits":[1-9]'
 curl -fsS -X POST "http://${base}/v1/tenants/smoke/epoch" \
     | grep -Eq '^\{"accounting":\{"epochs":2,"next_draw_allowed":true,"spent_alpha":"1/9"\},"epoch":2,"tenant":"smoke"\}$'
 # Compare workbench: the minimax geometric gap must be EXACTLY the
@@ -160,8 +164,9 @@ curl -fsS -X POST -d "${compare_spec}" "http://${base}/v1/compare" >/dev/null
 curl -fsS "http://${base}/v1/metrics" \
     | sed -n 's/.*"compares":\(.*\)"sampler_draws".*/\1/p' | grep -q '"hits":[1-9]'
 # The interval-side consumer's LPs have tied optima: they must be
-# lex-refined on the revised simplex (counted as tied_optima), never
-# demoted to the dense fallback.
+# lex-refined on the revised simplex (counted as tied_optima). No
+# solve may reach the cold two-phase fallback, which runs when the
+# float locate fails or its basis is singular or infeasible.
 curl -fsS "http://${base}/v1/metrics" | grep -q '"tied_optima":[1-9]'
 curl -fsS "http://${base}/v1/metrics" | grep -q '"fallbacks":0'
 stop_server "${smokedir}/dpserver.log"
