@@ -102,7 +102,7 @@ func main() {
 	levelsStr := flag.String("levels", "1/2,2/3,4/5", "increasing privacy levels")
 	seed := flag.Int64("seed", 1, "PRNG seed")
 	maxTailoredN := flag.Int("max-tailored-n", defaultMaxTailoredN,
-		"largest domain size accepted by /v1/tailored (cold solves, four wire losses at alpha 1/2-1/3: 1.5-3ms at n=8, 10-25ms at n=16, 57-176ms at n=24, 0.13-0.29s at n=32, zero-one at n=32, alpha 1/3: 3.5s)")
+		"largest domain size accepted by /v1/tailored (cold solves, four wire losses at alpha 1/2-1/3: 1.1-1.8ms at n=8, 8-16ms at n=16, 34-157ms at n=24, 0.09-0.24s at n=32, zero-one at n=32, alpha 1/3: 3.4s)")
 	solveTimeout := flag.Duration("solve-timeout", 15*time.Second,
 		"how long one LP-backed request waits for its solve (0 disables; on expiry it answers 504 and the solve runs on, cached for the retry)")
 	maxInFlight := flag.Int("max-inflight-solves", 0,

@@ -36,9 +36,9 @@ import (
 // G_{n,α} with (n+1)²+1 variables, and is meant here as an interactive
 // demonstration, not a bulk workload. The cap sits at 32: measured
 // uncached solve times for the four wire losses at α ∈ {1/2, 1/3} on
-// a 2-vCPU amd64 container are 1.5–3 ms at n=8, 10–25 ms at n=16,
-// 57–176 ms at n=24 and 0.13–0.29 s at n=32, with zero-one at n=32,
-// α=1/3, the outlier at 3.5 s (engine.DefaultMaxLPDomainN; DESIGN §9
+// a 2-vCPU amd64 container are 1.1–1.8 ms at n=8, 8–16 ms at n=16,
+// 34–157 ms at n=24 and 0.09–0.24 s at n=32, with zero-one at n=32,
+// α=1/3, the outlier at 3.4 s (engine.DefaultMaxLPDomainN; DESIGN §9
 // has the slower keys). Requests beyond the cap return 400 rather than
 // queueing.
 const defaultMaxTailoredN = 32

@@ -324,6 +324,7 @@ func TestServerWarmBootZeroSolves(t *testing.T) {
 	if m := s1.eng.Metrics(); m.LP.Solves == 0 {
 		t.Fatal("cold server did no LP solves — premise broken")
 	}
+	s1.eng.Close() // a graceful stop: the store writes land behind the responses
 
 	s2, err := newServer(cfg)
 	if err != nil {

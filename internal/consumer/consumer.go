@@ -89,7 +89,7 @@ func (c *Consumer) ExpectedLoss(m *mechanism.Mechanism, i int) *big.Rat {
 	out := rational.Zero()
 	tmp := rational.Zero()
 	for r := 0; r <= n; r++ {
-		tmp.Mul(c.Loss.Loss(i, r), m.Prob(i, r))
+		tmp.Mul(c.Loss.Loss(i, r), m.At(i, r))
 		out.Add(out, tmp)
 	}
 	return out
@@ -156,6 +156,41 @@ func OptimalInteractionOpts(ctx context.Context, c *Consumer, deployed *mechanis
 	if err != nil {
 		return nil, err
 	}
+	p, tv := interactionLP(c.Loss, s, deployed)
+	sol, err := p.SolveWithOpts(ctx, opts)
+	if err != nil {
+		return nil, err
+	}
+	if sol.Status != lp.Optimal {
+		return nil, fmt.Errorf("consumer: interaction LP status %v", sol.Status)
+	}
+	// sol.X is freshly allocated and owned here, so T takes its
+	// values over without a copy.
+	tm := matrix.FromFunc(n+1, n+1, func(r, rp int) *big.Rat { return sol.X[tv[r][rp]] })
+	induced, err := deployed.PostProcess(tm)
+	if err != nil {
+		return nil, fmt.Errorf("consumer: induced mechanism invalid: %w", err)
+	}
+	return &Interaction{T: tm, Induced: induced, Loss: sol.Objective}, nil
+}
+
+// interactionLP builds the Section 2.4.3 LP of a consumer with loss l
+// and side set s against the deployed mechanism y:
+//
+//	minimize  d
+//	s.t.      −d + Σ_{r,r'} y[i][r]·l(i,r')·T[r][r'] ≤ 0   ∀ i ∈ S
+//	          Σ_{r'} T[r][r'] = 1                           ∀ r
+//	          T ≥ 0, d ≥ 0,
+//
+// and returns it with T's variables, tv[r][r']. The loss rows are
+// written ≤ 0, the orientation lp stores, so the standard form keeps
+// every coefficient as passed. Coefficients are shared values: one
+// product per distinct (y entry, loss value) pair, where y entries are
+// told apart by pointer (G_{n,α} has 2(n+1) distinct ones) and losses
+// by value, and one 1 for every unit coefficient. A zero y entry or
+// loss contributes no term.
+func interactionLP(l loss.Function, s []int, y *mechanism.Mechanism) (*lp.Problem, [][]lp.Var) {
+	n := y.N()
 	p := lp.NewProblem(lp.Minimize)
 	d := p.NewVariable("d") // worst-case loss bound; losses are ≥ 0
 	tv := make([][]lp.Var, n+1)
@@ -165,58 +200,70 @@ func OptimalInteractionOpts(ctx context.Context, c *Consumer, deployed *mechanis
 			tv[r][rp] = p.NewVariable(fmt.Sprintf("T[%d][%d]", r, rp))
 		}
 	}
-	p.SetObjective(lp.TInt(d, 1))
-	// d − Σ_{r,r'} y[i][r]·l(i,r')·T[r][r'] ≥ 0 for every i ∈ S. Row
-	// i's negated losses are built once and shared by every r; a zero
-	// loss stays nil and contributes no term.
-	negLoss := make([]*big.Rat, n+1)
+	one, zero := rational.One(), rational.Zero()
+	p.SetObjective(lp.T(d, one))
+
+	// losses holds the distinct nonzero loss values and lossIdx[r']
+	// indexes row i's l(i,r') in it (−1 for a zero loss); yIdx numbers
+	// the distinct y entries as met, and products caches y·l per pair
+	// of indices.
+	var losses []*big.Rat
+	lossKey := make(map[string]int)
+	lossIdx := make([]int, n+1)
+	yIdx := make(map[*big.Rat]int)
+	products := make(map[int]*big.Rat)
+	negOne := rational.Int(-1)
 	for _, i := range s {
-		for rp := range negLoss {
-			negLoss[rp] = nil
-			if l := c.Loss.Loss(i, rp); l.Sign() != 0 {
-				negLoss[rp] = rational.Neg(l)
+		for rp := range lossIdx {
+			lossIdx[rp] = -1
+			v := l.Loss(i, rp)
+			if v.Sign() == 0 {
+				continue
 			}
+			vk := v.RatString()
+			k, ok := lossKey[vk]
+			if !ok {
+				k = len(losses)
+				lossKey[vk] = k
+				losses = append(losses, v)
+			}
+			lossIdx[rp] = k
 		}
-		terms := []lp.Term{lp.TInt(d, 1)}
+		terms := []lp.Term{lp.T(d, negOne)}
 		for r := 0; r <= n; r++ {
-			yir := deployed.Prob(i, r)
+			yir := y.At(i, r)
 			if yir.Sign() == 0 {
 				continue
 			}
-			for rp, nl := range negLoss {
-				if nl != nil {
-					terms = append(terms, lp.T(tv[r][rp], rational.Mul(yir, nl)))
+			yk, ok := yIdx[yir]
+			if !ok {
+				yk = len(yIdx)
+				yIdx[yir] = yk
+			}
+			for rp, lk := range lossIdx {
+				if lk < 0 {
+					continue
 				}
+				key := yk*(n+1)*(n+1) + lk // lk < |S|·(n+1) ≤ (n+1)²
+				coef := products[key]
+				if coef == nil {
+					coef = rational.Mul(yir, losses[lk])
+					products[key] = coef
+				}
+				terms = append(terms, lp.T(tv[r][rp], coef))
 			}
 		}
-		p.AddConstraint(terms, lp.GE, rational.Zero())
+		p.AddConstraint(terms, lp.LE, zero)
 	}
 	// Row-stochasticity of T.
 	for r := 0; r <= n; r++ {
 		terms := make([]lp.Term, 0, n+1)
 		for rp := 0; rp <= n; rp++ {
-			terms = append(terms, lp.TInt(tv[r][rp], 1))
+			terms = append(terms, lp.T(tv[r][rp], one))
 		}
-		p.AddConstraint(terms, lp.EQ, rational.One())
+		p.AddConstraint(terms, lp.EQ, one)
 	}
-	sol, err := p.SolveWithOpts(ctx, opts)
-	if err != nil {
-		return nil, err
-	}
-	if sol.Status != lp.Optimal {
-		return nil, fmt.Errorf("consumer: interaction LP status %v", sol.Status)
-	}
-	tm := matrix.New(n+1, n+1)
-	for r := 0; r <= n; r++ {
-		for rp := 0; rp <= n; rp++ {
-			tm.Set(r, rp, sol.Value(tv[r][rp]))
-		}
-	}
-	induced, err := deployed.PostProcess(tm)
-	if err != nil {
-		return nil, fmt.Errorf("consumer: induced mechanism invalid: %w", err)
-	}
-	return &Interaction{T: tm, Induced: induced, Loss: sol.Objective}, nil
+	return p, tv
 }
 
 // Tailored is an optimal α-differentially-private mechanism for a
@@ -374,7 +421,7 @@ func (b *Bayesian) ExpectedLoss(m *mechanism.Mechanism) (*big.Rat, error) {
 		}
 		inner := rational.Zero()
 		for r := 0; r <= n; r++ {
-			tmp.Mul(b.Loss.Loss(i, r), m.Prob(i, r))
+			tmp.Mul(b.Loss.Loss(i, r), m.At(i, r))
 			inner.Add(inner, tmp)
 		}
 		tmp.Mul(b.Prior[i], inner)
@@ -425,26 +472,37 @@ func OptimalBayesianInteractionOpts(ctx context.Context, b *Bayesian, deployed *
 	if err := b.ValidatePrior(n); err != nil {
 		return nil, err
 	}
+	// The loss table is built once; per output r, the posterior
+	// weights w[i] = prior[i]·y[i][r] are built once for every r′, so
+	// the scan costs one Mul and one Add per nonzero term.
+	lt := make([][]*big.Rat, n+1)
+	for i := range lt {
+		lt[i] = make([]*big.Rat, n+1)
+		for rp := range lt[i] {
+			lt[i][rp] = b.Loss.Loss(i, rp)
+		}
+	}
 	remap := make([]int, n+1)
-	tmp := rational.Zero()
+	w := make([]big.Rat, n+1)
+	val, bestVal, tmp := new(big.Rat), new(big.Rat), new(big.Rat)
 	for r := 0; r <= n; r++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		var bestVal *big.Rat
-		best := 0
+		for i := range w {
+			w[i].Mul(b.Prior[i], deployed.At(i, r))
+		}
+		best := -1
 		for rp := 0; rp <= n; rp++ {
-			val := rational.Zero()
-			for i := 0; i <= n; i++ {
-				if b.Prior[i].Sign() == 0 {
-					continue
+			val.SetInt64(0)
+			for i := range w {
+				if w[i].Sign() != 0 && lt[i][rp].Sign() != 0 {
+					tmp.Mul(&w[i], lt[i][rp])
+					val.Add(val, tmp)
 				}
-				tmp.Mul(b.Prior[i], deployed.Prob(i, r))
-				tmp.Mul(tmp, b.Loss.Loss(i, rp))
-				val.Add(val, tmp)
 			}
-			if bestVal == nil || val.Cmp(bestVal) < 0 {
-				bestVal, best = val, rp
+			if best < 0 || val.Cmp(bestVal) < 0 {
+				val, bestVal, best = bestVal, val, rp
 			}
 		}
 		remap[r] = best

@@ -29,10 +29,12 @@
 // Every artifact method has a context-taking form (GeometricCtx,
 // TailoredCtx, ...). The context bounds only the caller's wait: a
 // computation, once started, runs to completion under the engine's
-// root context, keeps its in-flight slot, and is cached (and
-// persisted) whoever still waits, so a retry joins it or hits the
-// cache. Only Close cancels running computations; the root context
-// reaches the LP pivot loop. Errors are never cached.
+// root context, keeps its in-flight slot, and is cached (and queued
+// for the disk store, which the engine's one writer goroutine writes
+// after the response) whoever still waits, so a retry joins it or
+// hits the cache. Only Close cancels running computations; the root
+// context reaches the LP pivot loop, and Close then drains the disk
+// writer. Errors are never cached.
 //
 // The expensive computations (release-plan builds, interaction solves
 // and the tailored LP) additionally pass through a bounded
@@ -97,8 +99,8 @@ var ErrSaturated = errors.New("engine: too many solves in flight")
 // when Config.MaxLPDomainN is not positive. Even served as an
 // interaction solve against G_{n,α}, a cold tailored miss scales
 // steeply in n (the four wire losses on the full side at α ∈ {1/2,
-// 1/3}: 1.5–3 ms at n=8, 10–25 ms at n=16, 57–176 ms at n=24 and
-// 0.13–0.29 s at n=32, except zero-one at n=32, α=1/3, at 3.5 s, on a
+// 1/3}: 1.1–1.8 ms at n=8, 8–16 ms at n=16, 34–157 ms at n=24 and
+// 0.09–0.24 s at n=32, except zero-one at n=32, α=1/3, at 3.4 s, on a
 // 2-vCPU amd64 container), so an unbounded n from untrusted input
 // could pin a solver slot for far longer. 32 is the largest size whose
 // common keys are still plausibly interactive; DESIGN §9 lists slower
@@ -138,8 +140,10 @@ type Config struct {
 	// Store, when non-nil, backs the tailored and compares classes
 	// with the content-addressed disk store: in-memory misses probe
 	// the store before computing, and successful computations are
-	// written back, so a fresh engine pointed at a populated store
-	// directory warm-boots every LP solution with zero solves.
+	// written back by the engine's disk writer after they are
+	// returned (Close waits for the writes), so a fresh engine pointed
+	// at a populated store directory warm-boots every LP solution
+	// with zero solves.
 	// Mechanisms, release plans and samplers are not persisted:
 	// decoding G_{n,α} or a plan is no faster than building it from
 	// its O(n) distinct entries, and a loaded alias table could not be
@@ -187,6 +191,8 @@ type Engine struct {
 
 	lp     lpCounters
 	maxLPN int
+
+	writer *diskWriter // nil without a Config.Store
 }
 
 // New builds an Engine from cfg (zero value fine; see Config).
@@ -223,12 +229,18 @@ func (e *Engine) stores() []*store {
 // return. An LP solve stops at its next pivot; the float basis locate
 // and a release-plan build have no checkpoint and run to their end
 // (DESIGN §9 has the measured waits). Nothing Close cancels is cached.
-// Afterwards the engine still serves cached artifacts, but a miss
-// fails with context.Canceled. Close is idempotent.
+// With a Config.Store, Close then waits for the disk writer to write
+// every artifact computed before it, so after Close returns the store
+// holds all of them. Afterwards the engine still serves cached
+// artifacts, but a miss fails with context.Canceled. Close is
+// idempotent.
 func (e *Engine) Close() {
 	e.stop()
 	for _, s := range e.stores() {
 		s.flight.closeAndWait()
+	}
+	if e.writer != nil {
+		e.writer.close()
 	}
 }
 

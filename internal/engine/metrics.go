@@ -304,8 +304,9 @@ func (s *store) lookup(ctx context.Context, key string) (any, bool, error) {
 // Lifetime: ctx bounds only how long this caller waits (see
 // flightGroup). A computation that has started runs to completion
 // under the engine's root context, holding its solve slot, and its
-// result is cached and persisted whoever is still waiting; only
-// Engine.Close cancels it.
+// result is cached and queued for the disk writer whoever is still
+// waiting; only Engine.Close cancels it. The disk write itself lands
+// after the result is returned (persist.go).
 //
 // Nothing errored ever enters the cache: fn errors, including the
 // root context's error from a solve that Close canceled, skip the
@@ -353,7 +354,7 @@ func (s *store) compute(ctx context.Context, key string, sem *solveSem, fn func(
 		s.hist.observe(elapsed)
 		s.evictions.Add(uint64(s.cache.put(key, v)))
 		if s.disk != nil {
-			s.diskSave(key, v)
+			s.disk.w.enqueue(s, key, v)
 		}
 		return v, nil
 	})

@@ -94,6 +94,7 @@ func TestEngineWarmBoot(t *testing.T) {
 
 	cold := newEngine(t, Config{Seed: 1, Store: openDisk(t, dir)})
 	want := driveArtifacts(t, cold)
+	cold.Close() // the store writes land behind the responses; Close drains them
 	cm := cold.Metrics()
 	if cm.LP.Solves == 0 {
 		t.Fatal("cold boot did no LP solves — test premise broken")
@@ -163,6 +164,7 @@ func TestEngineStoreCorruptFallback(t *testing.T) {
 	dir := t.TempDir()
 	cold := newEngine(t, Config{Seed: 1, Store: openDisk(t, dir)})
 	want := driveArtifacts(t, cold)
+	cold.Close() // drain the write-behind before touching the files
 
 	var corrupted int
 	err := filepath.Walk(dir, func(path string, info os.FileInfo, err error) error {
@@ -197,6 +199,7 @@ func TestEngineStoreCorruptFallback(t *testing.T) {
 	if st := db.Stats(); st.Corrupt != uint64(corrupted) {
 		t.Errorf("quarantined %d entries, corrupted %d", st.Corrupt, corrupted)
 	}
+	warm.Close() // drain the repairing write-backs
 	// The write-back repaired the store: a third boot is warm again.
 	repaired := newEngine(t, Config{Seed: 1, Store: openDisk(t, dir)})
 	driveArtifacts(t, repaired)
@@ -252,6 +255,7 @@ func TestEngineStaleVersionResolves(t *testing.T) {
 	if !got.Mechanism.Equal(fresh.Mechanism) || got.Loss.Cmp(fresh.Loss) != 0 {
 		t.Fatal("stale version-1 artifact served instead of the canonical optimum")
 	}
+	boot.Close() // drain the write-back
 	if m := boot.Metrics(); m.LP.Solves != 1 || m.LP.TiedOptima != 1 || m.Tailored.StoreHits != 0 {
 		t.Errorf("boot over a version-1 store: LP %+v, tailored %+v; want one tied solve, no store hit", m.LP, m.Tailored)
 	}
@@ -310,11 +314,14 @@ func BenchmarkStoreWarmBoot(b *testing.B) {
 		if _, err := seed.TailoredMechanism(c, n, a); err != nil {
 			b.Fatal(err)
 		}
+		seed.Close() // the write lands behind the response; Close drains it
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			e := New(Config{Store: openDisk(b, dir)})
-			if _, err := e.TailoredMechanism(c, n, a); err != nil {
+			_, err := e.TailoredMechanism(c, n, a)
+			e.Close()
+			if err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -35,6 +35,7 @@ package lp
 import (
 	"context"
 	"errors"
+	"math/big"
 
 	"minimaxdp/internal/rational"
 )
@@ -178,7 +179,10 @@ func (s *standardForm) lexRefine(ctx context.Context, basis []int, xB []hval, lu
 // basicSolution maps a basic solution back to an Optimal Solution over
 // the original variables. Artificial basics (always zero) are skipped.
 func (s *standardForm) basicSolution(basis []int, xB []hval) *Solution {
-	colVal := rational.Vector(s.ncols)
+	colVal := make([]*big.Rat, s.ncols)
+	for j := range colVal {
+		colVal[j] = ratZero
+	}
 	for k, j := range basis {
 		if j < s.ncols {
 			colVal[j] = xB[k].Rat()

@@ -126,6 +126,16 @@ func (s *Solution) Value(v Var) *big.Rat {
 	return rational.Clone(s.X[int(v)])
 }
 
+// Read-only values shared by every zero objective and cost entry and
+// by every slack, surplus and artificial coefficient. Nothing in this
+// package mutates an objective, constraint or standard-form value
+// (see spTerm), so one instance of each serves every problem.
+var (
+	ratZero     = new(big.Rat)
+	ratOne      = big.NewRat(1, 1)
+	ratMinusOne = big.NewRat(-1, 1)
+)
+
 type variable struct {
 	name string
 	free bool
@@ -154,14 +164,14 @@ func NewProblem(sense Sense) *Problem {
 // NewVariable adds a non-negative decision variable.
 func (p *Problem) NewVariable(name string) Var {
 	p.vars = append(p.vars, variable{name: name})
-	p.objective = append(p.objective, rational.Zero())
+	p.objective = append(p.objective, ratZero)
 	return Var(len(p.vars) - 1)
 }
 
 // FreeVariable adds an unrestricted (possibly negative) variable.
 func (p *Problem) FreeVariable(name string) Var {
 	p.vars = append(p.vars, variable{name: name, free: true})
-	p.objective = append(p.objective, rational.Zero())
+	p.objective = append(p.objective, ratZero)
 	return Var(len(p.vars) - 1)
 }
 
@@ -177,23 +187,29 @@ func (p *Problem) SetObjectiveCoeff(v Var, c *big.Rat) {
 }
 
 // SetObjective replaces the whole objective with the given terms.
+// Terms referencing the same variable are accumulated. The
+// coefficients are copied.
 func (p *Problem) SetObjective(terms ...Term) {
 	for i := range p.objective {
-		p.objective[i] = rational.Zero()
+		p.objective[i] = ratZero
 	}
 	for _, t := range terms {
-		p.objective[int(t.Var)].Add(p.objective[int(t.Var)], t.Coeff)
+		if c := p.objective[int(t.Var)]; c == ratZero {
+			p.objective[int(t.Var)] = rational.Clone(t.Coeff)
+		} else {
+			c.Add(c, t.Coeff)
+		}
 	}
 }
 
 // AddConstraint adds Σ terms (op) rhs. Terms referencing the same
-// variable are accumulated.
+// variable are accumulated. The terms slice is copied, but the
+// coefficient and rhs values are kept as passed, not cloned (the
+// matrix.FromFunc idiom): the problem borrows them, and the caller
+// must not mutate any of them afterwards. A caller may therefore
+// pass one *big.Rat for every coefficient of equal value.
 func (p *Problem) AddConstraint(terms []Term, op Op, rhs *big.Rat) {
-	cp := make([]Term, len(terms))
-	for i, t := range terms {
-		cp[i] = Term{Var: t.Var, Coeff: rational.Clone(t.Coeff)}
-	}
-	p.cons = append(p.cons, constraint{terms: cp, op: op, rhs: rational.Clone(rhs)})
+	p.cons = append(p.cons, constraint{terms: append([]Term(nil), terms...), op: op, rhs: rhs})
 }
 
 // Solve runs the exact solver with default options and returns the
@@ -351,7 +367,7 @@ func (s *standardForm) withArtificials() {
 	}
 	for r, sl := range s.slack {
 		if sl < 0 {
-			cols = append(cols, []spTerm{{idx: r, v: rational.One()}})
+			cols = append(cols, []spTerm{{idx: r, v: ratOne}})
 		}
 	}
 	s.cols = cols
@@ -383,8 +399,10 @@ func (s *standardForm) solution(x []*big.Rat) *Solution {
 
 // spTerm is one nonzero of a sparse standard-form row (idx = column)
 // or of the lazily built column view (idx = row). The *big.Rat values
-// are shared between the two views and are read-only after
-// construction: every consumer clones before mutating.
+// are shared between the two views, with the Problem's own
+// coefficients on the alias path below, and between entries of equal
+// value; they are read-only after construction: every consumer clones
+// before mutating.
 type spTerm struct {
 	idx int
 	v   *big.Rat
@@ -452,12 +470,12 @@ func newStandardForm(p *Problem) *standardForm {
 	seen := make([]int, structural) // duplicate-mention stamps, row index + 1
 	slackCol := structural
 	for r, con := range p.cons {
-		rhs := rational.Clone(con.rhs)
+		rhs := con.rhs
 		op := con.op
 		neg := false
 		if rhs.Sign() < 0 {
 			neg = true
-			rhs.Neg(rhs)
+			rhs = rational.Neg(rhs)
 			switch op {
 			case LE:
 				op = GE
@@ -479,7 +497,8 @@ func newStandardForm(p *Problem) *standardForm {
 		// alias the Problem's own *big.Rat values — spTerm values are
 		// read-only by contract — instead of paying an allocation and
 		// an Add per term. Free variables still clone their negated
-		// half. The optimal-mechanism LPs take this path on every row.
+		// half. The interaction LP writes its loss rows as ≤ 0 so that
+		// every one of its rows takes this path.
 		alias := !neg
 		if alias {
 			for _, t := range con.terms {
@@ -537,27 +556,35 @@ func newStandardForm(p *Problem) *standardForm {
 		case LE:
 			// The slack column index exceeds every structural index, so
 			// appending keeps the row sorted.
-			row = append(row, spTerm{idx: slackCol, v: rational.One()})
+			row = append(row, spTerm{idx: slackCol, v: ratOne})
 			s.slack[r] = slackCol
 			slackCol++
 		case GE:
-			row = append(row, spTerm{idx: slackCol, v: rational.New(-1, 1)})
+			row = append(row, spTerm{idx: slackCol, v: ratMinusOne})
 			slackCol++
 		}
 		s.rows[r] = row
 		s.b[r] = rhs
 	}
 
-	// Phase-2 cost vector in minimization sense.
-	s.c = rational.Vector(s.ncols)
+	// Phase-2 cost vector in minimization sense. Every variable owns
+	// its own columns, so each entry is one objective coefficient (or
+	// its negation), and the zero entries share ratZero.
+	s.c = make([]*big.Rat, s.ncols)
+	for j := range s.c {
+		s.c[j] = ratZero
+	}
 	for i, coef := range p.objective {
-		cc := rational.Clone(coef)
-		if p.sense == Maximize {
-			cc.Neg(cc)
+		if coef.Sign() == 0 {
+			continue
 		}
-		s.c[s.colPos[i]].Add(s.c[s.colPos[i]], cc)
+		cc := coef
+		if p.sense == Maximize {
+			cc = rational.Neg(coef)
+		}
+		s.c[s.colPos[i]] = cc
 		if s.colNeg[i] >= 0 {
-			s.c[s.colNeg[i]].Sub(s.c[s.colNeg[i]], cc)
+			s.c[s.colNeg[i]] = rational.Neg(cc)
 		}
 	}
 	return s
@@ -594,7 +621,7 @@ func (s *standardForm) initialBasis() []int {
 // everything else zero) back to original problem variables, recombining
 // split free variables. colVal may omit artificial columns.
 func (s *standardForm) extractFromCols(colVal []*big.Rat) []*big.Rat {
-	x := rational.Vector(len(s.p.vars))
+	x := make([]*big.Rat, len(s.p.vars))
 	for i := range s.p.vars {
 		x[i] = rational.Clone(colVal[s.colPos[i]])
 		if s.colNeg[i] >= 0 {

@@ -95,6 +95,14 @@ func (mc *Mechanism) Size() int { return mc.m.Rows() }
 // Prob returns Pr[output r | true result i].
 func (mc *Mechanism) Prob(i, r int) *big.Rat { return rational.Clone(mc.m.At(i, r)) }
 
+// At is Prob without the copy: it returns the mechanism's own value,
+// which a structured matrix such as G_{n,α} shares with every position
+// of equal value, so a caller can key work by the pointer. The value
+// must not be mutated.
+func (mc *Mechanism) At(i, r int) *big.Rat {
+	return mc.m.At(i, r)
+}
+
 // Row returns the output distribution for input i.
 func (mc *Mechanism) Row(i int) []*big.Rat { return mc.m.Row(i) }
 

@@ -165,8 +165,26 @@ func Dot(a, b []*big.Rat) *big.Rat {
 	return out
 }
 
-// Float returns the float64 value nearest to a.
+// maxExactFloat is 2⁵³: every integer of smaller magnitude is a float64.
+const maxExactFloat = 1 << 53
+
+// Float returns the float64 value nearest to a. When the numerator
+// and the denominator are both below 2⁵³ in magnitude, each is exact
+// as a float64 and one IEEE division gives the correctly rounded
+// (nearest, ties to even) quotient, which is what big.Rat.Float64
+// returns; that path allocates nothing. Wider values take
+// big.Rat.Float64.
 func Float(a *big.Rat) float64 {
+	if num := a.Num(); num.IsInt64() {
+		if n := num.Int64(); -maxExactFloat < n && n < maxExactFloat {
+			if a.IsInt() {
+				return float64(n)
+			}
+			if den := a.Denom(); den.IsInt64() && den.Int64() < maxExactFloat {
+				return float64(n) / float64(den.Int64())
+			}
+		}
+	}
 	f, _ := a.Float64()
 	return f
 }

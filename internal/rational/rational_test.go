@@ -3,6 +3,7 @@ package rational
 import (
 	"math"
 	"math/big"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -210,6 +211,37 @@ func TestFloatAndString(t *testing.T) {
 	}
 	if got := String(New(7, 1)); got != "7" {
 		t.Errorf("String(7/1) = %q, want 7", got)
+	}
+}
+
+// TestFloatMatchesFloat64 pins Float's word-sized division path to
+// big.Rat.Float64: both round to nearest, ties to even, so they agree
+// bit for bit, at the 2⁵³ boundary on either side and on every random
+// fraction below it.
+func TestFloatMatchesFloat64(t *testing.T) {
+	const b = int64(1) << 53
+	check := func(r *big.Rat) {
+		t.Helper()
+		want, _ := r.Float64()
+		if got := Float(r); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("Float(%s) = %v, big.Rat.Float64 = %v", r.RatString(), got, want)
+		}
+	}
+	edges := []int64{0, 1, 2, 3, 7, 10, b - 3, b - 1, b, b + 1, b + 3, math.MaxInt64}
+	for _, p := range edges {
+		for _, q := range edges[1:] {
+			check(New(p, q))
+			check(New(-p, q))
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	for k := 0; k < 100000; k++ {
+		p := rng.Int63n(b) >> uint(rng.Intn(53))
+		q := rng.Int63n(b)>>uint(rng.Intn(53)) + 1
+		if k%2 == 1 {
+			p = -p
+		}
+		check(New(p, q))
 	}
 }
 

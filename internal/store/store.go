@@ -27,6 +27,13 @@
 // read path are likewise misses (counted, not fatal). Put is atomic
 // per entry: temp file, fsync, rename.
 //
+// Durability: the engine calls Put behind the response, from one
+// writer goroutine per engine, and engine.Close waits for every
+// queued Put. A graceful stop therefore leaves every computed artifact
+// on disk. A crash can lose the artifacts answered in its last
+// moments, whose Puts had not run yet; the next boot misses on them
+// and re-solves, so nothing wrong is ever served.
+//
 // Encodings are deterministic and exact — rationals are serialized as
 // canonical big.Rat strings (always lowest terms), integers in
 // decimal, no floats anywhere on disk — so load(save(x)) == x holds

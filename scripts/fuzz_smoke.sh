@@ -24,6 +24,7 @@ FuzzBaselineParseSpec ./internal/baseline
 FuzzLossParseSpec ./internal/loss
 FuzzWarmStartMatchesExact ./internal/lp
 FuzzSparseMatchesDense ./internal/lp
+FuzzInteractionBuildMatchesReference ./internal/consumer
 FuzzDyadicAlias ./internal/sample
 FuzzStoreDecode ./internal/store
 "
