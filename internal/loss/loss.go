@@ -195,40 +195,36 @@ var ErrNotMonotone = errors.New("loss: not monotone in |i-r|")
 // the first violation.
 func Validate(l Function, n int) error {
 	for i := 0; i <= n; i++ {
-		if l.Loss(i, i).Sign() < 0 {
-			return fmt.Errorf("%w: l(%d,%d) = %s < 0", ErrNotMonotone, i, i, l.Loss(i, i).RatString())
+		// prev is the loss at the previous distance: each distance must
+		// carry a single value, non-decreasing across distances.
+		prev := l.Loss(i, i)
+		if prev.Sign() < 0 {
+			return fmt.Errorf("%w: l(%d,%d) = %s < 0", ErrNotMonotone, i, i, prev.RatString())
 		}
-		// Collect loss per distance, requiring a single value per
-		// distance and non-decreasing across distances.
-		maxD := i
-		if n-i > maxD {
-			maxD = n - i
-		}
-		prev := rational.Neg(rational.One()) // sentinel below any valid loss
-		for d := 0; d <= maxD; d++ {
-			var vals []*big.Rat
+		for d := 1; d <= max(i, n-i); d++ {
+			var below, above *big.Rat // l(i, i−d) and l(i, i+d), where in the domain
 			if i-d >= 0 {
-				vals = append(vals, l.Loss(i, i-d))
+				below = l.Loss(i, i-d)
 			}
-			if i+d <= n && d != 0 {
-				vals = append(vals, l.Loss(i, i+d))
+			if i+d <= n {
+				above = l.Loss(i, i+d)
 			}
-			for _, v := range vals {
-				if v.Sign() < 0 {
-					return fmt.Errorf("%w: negative loss l(%d,·) at distance %d", ErrNotMonotone, i, d)
-				}
+			if below != nil && below.Sign() < 0 || above != nil && above.Sign() < 0 {
+				return fmt.Errorf("%w: negative loss l(%d,·) at distance %d", ErrNotMonotone, i, d)
 			}
-			if len(vals) == 2 && vals[0].Cmp(vals[1]) != 0 {
+			v := below
+			switch {
+			case below == nil:
+				v = above
+			case above != nil && below.Cmp(above) != 0:
 				return fmt.Errorf("%w: l(%d,%d)=%s != l(%d,%d)=%s but |i-r| equal",
-					ErrNotMonotone, i, i-d, vals[0].RatString(), i, i+d, vals[1].RatString())
+					ErrNotMonotone, i, i-d, below.RatString(), i, i+d, above.RatString())
 			}
-			for _, v := range vals {
-				if v.Cmp(prev) < 0 {
-					return fmt.Errorf("%w: l(%d,·) decreases at distance %d (%s < %s)",
-						ErrNotMonotone, i, d, v.RatString(), prev.RatString())
-				}
+			if v.Cmp(prev) < 0 {
+				return fmt.Errorf("%w: l(%d,·) decreases at distance %d (%s < %s)",
+					ErrNotMonotone, i, d, v.RatString(), prev.RatString())
 			}
-			prev = rational.Clone(vals[0])
+			prev = v
 		}
 	}
 	return nil

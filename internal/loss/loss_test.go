@@ -2,6 +2,7 @@ package loss
 
 import (
 	"errors"
+	"math/big"
 	"testing"
 	"testing/quick"
 
@@ -173,6 +174,45 @@ func TestValidateRejectsNegative(t *testing.T) {
 	}
 	if bad.Name() != "table" {
 		t.Error("default label wrong")
+	}
+}
+
+// TestValidateErrors pins Validate's error for each way a table can
+// break the assumption: the first violation found, in the order
+// Validate checks them, is the one reported, with its text.
+func TestValidateErrors(t *testing.T) {
+	table := func(n int, set func(e [][]*big.Rat)) Table {
+		tb := Table{Entries: Matrix(Absolute{}, n)}
+		set(tb.Entries)
+		return tb
+	}
+	for _, tc := range []struct {
+		name string
+		l    Function
+		n    int
+		want string
+	}{
+		{"negative diagonal", table(2, func(e [][]*big.Rat) { e[1][1] = rational.Int(-1) }), 2,
+			"l(1,1) = -1 < 0"},
+		{"negative below", table(3, func(e [][]*big.Rat) { e[2][0] = rational.Int(-1) }), 3,
+			"negative loss l(2,·) at distance 2"},
+		{"negative above", table(3, func(e [][]*big.Rat) { e[1][3] = rational.Int(-2) }), 3,
+			"negative loss l(1,·) at distance 2"},
+		{"negative before unequal", table(2, func(e [][]*big.Rat) { e[1][2] = rational.Int(-1) }), 2,
+			"negative loss l(1,·) at distance 1"},
+		{"unequal", Asymmetric{Over: rational.Int(2), Under: rational.Int(1)}, 4,
+			"l(1,0)=1 != l(1,2)=2 but |i-r| equal"},
+		{"decreasing one side", table(3, func(e [][]*big.Rat) { e[0][2] = rational.New(1, 2) }), 3,
+			"l(0,·) decreases at distance 2 (1/2 < 1)"},
+		{"decreasing both sides", table(4, func(e [][]*big.Rat) { e[2][0], e[2][4] = rational.Int(0), rational.Int(0) }), 4,
+			"l(2,·) decreases at distance 2 (0 < 1)"},
+		{"above the diagonal", table(2, func(e [][]*big.Rat) { e[0][0] = rational.Int(3) }), 2,
+			"l(0,·) decreases at distance 1 (1 < 3)"},
+	} {
+		err := Validate(tc.l, tc.n)
+		if !errors.Is(err, ErrNotMonotone) || err.Error() != ErrNotMonotone.Error()+": "+tc.want {
+			t.Errorf("%s: Validate = %v, want %q", tc.name, err, tc.want)
+		}
 	}
 }
 

@@ -17,17 +17,21 @@
 // A strictly dual non-degenerate basis (every nonbasic z_j > 0)
 // certifies a unique optimum, which is trivially the canonical one.
 // Everything else goes through lexRefine, which reaches the canonical
-// point from any optimal basis on the sparse LU of revised.go:
+// point from any optimal basis on the sparse LU of revised.go. Its
+// face phases are solveRevised itself, with Bland's rule from the
+// first pivot and a mask of banned columns, so the package has one
+// exact pivot loop:
 //
-//  1. Price the nonbasic columns against the LP's own cost. A column
-//     with z_j > 0 is zero at every optimal point, so banning it from
+//  1. The sweep in which solveRevised found the optimum priced every
+//     nonbasic column against the LP's own cost. A column with
+//     z_j > 0 is zero at every optimal point, so banning it from
 //     entering restricts all later pivoting to the optimal face.
 //  2. For each structural column k in order: a nonbasic k already
 //     sits at its minimum 0 and is banned; a basic k is minimized
-//     over the current face by a primal simplex with cost e_k and
-//     Bland's rule, after which every column with a positive reduced
-//     cost under e_k is banned — which restricts the face to the
-//     points where y_k attains its minimum.
+//     over the current face by solveRevised with cost e_k, after which
+//     every column with a positive reduced cost under e_k is banned —
+//     which restricts the face to the points where y_k attains its
+//     minimum.
 //  3. Once no unbanned nonbasic column is left, the face is a single
 //     point: the current basic solution.
 package lp
@@ -36,142 +40,94 @@ import (
 	"context"
 	"errors"
 	"math/big"
-
-	"minimaxdp/internal/rational"
 )
 
-// errInvariant reports a state exact arithmetic rules out: a basis
-// handed to lexRefine that is not optimal, a pricing row that
-// disagrees with the factorization, a singular refactorization of a
-// basis reached by exact pivots, or an unbounded phase 1. It marks a
-// solver bug, not a property of the input.
+// errInvariant reports a state exact arithmetic rules out: a face
+// phase of lexRefine that finds no minimum, a singular
+// refactorization of a basis reached by exact pivots, or an unbounded
+// phase 1. It marks a solver bug, not a property of the input.
 var errInvariant = errors.New("lp: exact simplex invariant violated")
 
+// canonicalOptimum pivots from a primal-feasible basis to an optimum
+// of the LP's own cost and returns the canonical optimum: the vertex
+// itself when the final sweep found every nonbasic z_j > 0, otherwise
+// lexRefine's. basis, xB and lu are consumed.
+func (s *standardForm) canonicalOptimum(ctx context.Context, basis []int, xB []hval, lu *sparseLU, h *hstats, opts *SolveOpts) (*Solution, error) {
+	cost := make([]hval, len(s.columns())) // artificial columns cost 0
+	for j, c := range s.c {
+		cost[j] = hvRat(c)
+	}
+	z := make([]hval, s.ncols)
+	st, tied, err := s.solveRevised(ctx, basis, xB, lu, h, opts, cost, pricing{window: s.ncols / 8, z: z})
+	switch {
+	case err != nil:
+		return nil, err
+	case st == Unbounded:
+		return &Solution{Status: Unbounded}, nil
+	case tied:
+		return s.lexRefine(ctx, basis, xB, lu, h, opts, z)
+	}
+	return s.basicSolution(basis, xB), nil
+}
+
 // lexRefine returns the canonical (lexicographically smallest) optimal
-// point, starting from the optimal basis whose factorization is lu
-// and basic solution xB. basis and xB are consumed. Columns at index
-// s.ncols and beyond are artificial unit columns (withArtificials):
-// they stay basic at zero on their redundant rows and never enter.
-// Pivots are counted in SolveStats.RevisedPivots (solveCold moves its
-// own to ExactPivots).
-func (s *standardForm) lexRefine(ctx context.Context, basis []int, xB []hval, lu *sparseLU, h *hstats, opts *SolveOpts) (*Solution, error) {
+// point, starting from the optimal basis whose factorization is lu,
+// basic solution xB and final-sweep reduced costs z. basis, xB and z
+// are consumed. Columns at index s.ncols and beyond are artificial
+// unit columns (withArtificials): they stay basic at zero on their
+// redundant rows and never enter. Pivots are counted in
+// SolveStats.RevisedPivots (solveCold moves its own to ExactPivots).
+func (s *standardForm) lexRefine(ctx context.Context, basis []int, xB []hval, lu *sparseLU, h *hstats, opts *SolveOpts, z []hval) (*Solution, error) {
 	if opts.Stats != nil {
 		opts.Stats.TiedOptima = true
 	}
-	m := s.nrows
-	pos := make([]int, len(s.columns())) // column -> basis position, or -1
-	for j := range pos {
-		pos[j] = -1
-	}
-	for k, j := range basis {
-		pos[j] = k
+	basic := make([]bool, s.ncols)
+	banned := make([]bool, s.ncols)
+	// restrict bans every nonbasic column the last sweep priced above
+	// zero and returns how many nonbasic columns are left unbanned: the
+	// face's remaining freedom.
+	restrict := func() (free int) {
+		clear(basic)
+		for _, j := range basis {
+			if j < s.ncols {
+				basic[j] = true
+			}
+		}
+		for j, b := range basic {
+			switch {
+			case b || banned[j]:
+			case z[j].Sign() > 0:
+				banned[j] = true
+			default:
+				free++
+			}
+		}
+		return free
 	}
 	// Step 1: restrict to the optimal face.
-	cB := make([]hval, m)
-	for k, j := range basis {
-		if j < s.ncols {
-			cB[k] = hvRat(s.c[j])
-		}
-	}
-	y := lu.solveTranspose(cB)
-	banned := make([]bool, s.ncols)
-	free := 0 // unbanned nonbasic columns: the face's remaining freedom
-	for j := 0; j < s.ncols; j++ {
-		if pos[j] >= 0 {
+	free := restrict()
+	// Step 2: fix each structural column at its minimum over the face.
+	cost := make([]hval, len(s.columns()))
+	for k := 0; k < s.structural && free > 0; k++ {
+		if !basic[k] {
+			// Nonbasic: at zero, its minimum. Fix it there.
+			if !banned[k] {
+				banned[k] = true
+				free--
+			}
 			continue
 		}
-		switch s.price(h, hvRat(s.c[j]), j, y).Sign() {
-		case -1:
-			return nil, errInvariant
-		case 0:
-			free++
-		default:
-			banned[j] = true
+		cost[k] = hvRat(ratOne)
+		st, _, err := s.solveRevised(ctx, basis, xB, lu, h, opts, cost, pricing{bland: true, banned: banned, z: z})
+		cost[k] = hval{}
+		if err != nil {
+			return nil, err
 		}
-	}
-	// Step 2: fix each structural column at its minimum over the face.
-	one := hvRat(rational.One())
-	ep := make([]hval, m)
-	z := make([]hval, s.ncols)
-	for k := 0; k < s.structural && free > 0; k++ {
-		for {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			p := pos[k]
-			if p < 0 {
-				// Nonbasic: at zero, its minimum. Fix it there.
-				if !banned[k] {
-					banned[k] = true
-					free--
-				}
-				break
-			}
-			// Under cost e_k the dual vector is row p of B⁻¹, and the
-			// reduced cost of a nonbasic j is z_j = −(B⁻¹A_j)_p.
-			for i := range ep {
-				ep[i] = hval{}
-			}
-			ep[p] = one
-			beta := lu.solveTranspose(ep)
-			enter := -1
-			for j := 0; j < s.ncols; j++ {
-				if pos[j] >= 0 || banned[j] {
-					continue
-				}
-				z[j] = s.price(h, hval{}, j, beta)
-				if z[j].Sign() < 0 {
-					enter = j // Bland: smallest eligible index
-					break
-				}
-			}
-			if enter < 0 {
-				// y_k is minimal over the face; keep only the points
-				// attaining it.
-				for j := 0; j < s.ncols; j++ {
-					if pos[j] < 0 && !banned[j] && z[j].Sign() > 0 {
-						banned[j] = true
-						free--
-					}
-				}
-				break
-			}
-			w := lu.ftran(s.hcol(enter))
-			if w[p].Sign() <= 0 {
-				return nil, errInvariant // z_enter = −w_p must be negative
-			}
-			// Ratio test, ties toward the smaller basic column (Bland).
-			leave := -1
-			var bestRatio hval
-			for i := 0; i < m; i++ {
-				if w[i].Sign() <= 0 {
-					continue
-				}
-				ratio := h.quo(xB[i], w[i])
-				if leave < 0 || ratio.Cmp(bestRatio) < 0 ||
-					(ratio.Cmp(bestRatio) == 0 && basis[i] < basis[leave]) {
-					leave, bestRatio = i, ratio
-				}
-			}
-			if !bestRatio.IsZero() {
-				for i := 0; i < m; i++ {
-					if i != leave && !w[i].IsZero() {
-						xB[i] = h.fms(xB[i], w[i], bestRatio)
-					}
-				}
-			}
-			xB[leave] = bestRatio
-			out := basis[leave]
-			pos[out] = -1
-			if out < s.ncols {
-				free++ // leaving columns are never banned
-			}
-			pos[enter] = leave
-			free--
-			if err := s.commitPivot(basis, xB, lu, leave, enter, w, h, opts); err != nil {
-				return nil, err
-			}
+		if st != Optimal {
+			return nil, errInvariant // y_k ≥ 0 bounds the face phase
 		}
+		// y_k is minimal over the face; keep only the points attaining it.
+		free = restrict()
 	}
 	return s.basicSolution(basis, xB), nil
 }
@@ -208,7 +164,10 @@ func (s *standardForm) hcol(j int) []hTerm {
 	return s.hcols[j]
 }
 
-// price returns the reduced cost cj − y·A_j of column j.
+// price returns the reduced cost cj − y·A_j of column j: the kernel
+// of every pricing sweep.
+//
+//dpvet:hotpath
 func (s *standardForm) price(h *hstats, cj hval, j int, y []hval) hval {
 	z := cj
 	for _, e := range s.hcol(j) {

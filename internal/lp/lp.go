@@ -10,7 +10,9 @@
 //
 // Go's standard library has no LP solver, so this package provides a
 // two-phase primal revised simplex method over an exact sparse LU
-// factorization (revised.go). All pivoting is exact, and Bland's
+// factorization (revised.go). One loop, solveRevised, makes every
+// exact pivot: both cold phases, the warm start's resume and the
+// canonical-optimum refinement. All pivoting is exact, and Bland's
 // anti-cycling rule guarantees termination, so the solver needs no
 // numeric tolerances: feasibility and optimality certificates are true
 // rational equalities.
@@ -272,8 +274,8 @@ func (p *Problem) SolveWithOpts(ctx context.Context, opts SolveOpts) (*Solution,
 //     entry in its row of B⁻¹A. A redundant row has none, and its
 //     artificial stays basic at zero, which lexRefine and
 //     basicSolution expect.
-//  3. Phase 2 is solveRevised under the LP's own cost, ending in the
-//     canonical-optimum step.
+//  3. Phase 2 is canonicalOptimum: solveRevised under the LP's own
+//     cost, then lexRefine on a tie.
 //
 // Artificial columns never enter. Every pivot, the lex step's
 // included, counts in SolveStats.ExactPivots; RevisedPivots stays a
@@ -305,11 +307,14 @@ func (s *standardForm) solveCold(ctx context.Context, opts *SolveOpts) (*Solutio
 	}
 	xB := lu.solve(s.b)
 	if art > s.ncols {
-		sol, err := s.solveRevised(ctx, basis, xB, lu, &h, opts, phase1, false)
+		// Phase 1 prices every column: its path from the artificial
+		// basis is long, and full Dantzig pricing there more than
+		// halves the n=8 tailored LP's cold solve.
+		st, _, err := s.solveRevised(ctx, basis, xB, lu, &h, opts, phase1, pricing{window: s.ncols, z: make([]hval, s.ncols)})
 		if err != nil {
 			return nil, err
 		}
-		if sol != nil {
+		if st != Optimal {
 			return nil, errInvariant // phase 1 is bounded below by 0
 		}
 		for k, j := range basis {
@@ -321,7 +326,7 @@ func (s *standardForm) solveCold(ctx context.Context, opts *SolveOpts) (*Solutio
 			return nil, err
 		}
 	}
-	return s.solveRevised(ctx, basis, xB, lu, &h, opts, s.hcost(), true)
+	return s.canonicalOptimum(ctx, basis, xB, lu, &h, opts)
 }
 
 // driveOutArtificials replaces every artificial left basic at zero
@@ -371,16 +376,6 @@ func (s *standardForm) withArtificials() {
 		}
 	}
 	s.cols = cols
-}
-
-// hcost returns the LP's minimization cost over every column of the
-// current column view as hvals; artificial columns cost 0.
-func (s *standardForm) hcost() []hval {
-	cost := make([]hval, len(s.columns()))
-	for j, c := range s.c {
-		cost[j] = hvRat(c)
-	}
-	return cost
 }
 
 // solution wraps an original-variable assignment as an Optimal
@@ -595,7 +590,19 @@ func newStandardForm(p *Problem) *standardForm {
 // ascending row order, sharing the row view's *big.Rat values.
 func (s *standardForm) columns() [][]spTerm {
 	if s.cols == nil {
+		count := make([]int, s.ncols)
+		nnz := 0
+		for _, row := range s.rows {
+			for _, e := range row {
+				count[e.idx]++
+			}
+			nnz += len(row)
+		}
+		slab := make([]spTerm, nnz)
 		cols := make([][]spTerm, s.ncols)
+		for j, c := range count {
+			cols[j], slab = slab[:0:c], slab[c:]
+		}
 		for r, row := range s.rows {
 			for _, e := range row {
 				cols[e.idx] = append(cols[e.idx], spTerm{idx: r, v: e.v})

@@ -10,9 +10,11 @@
 //     dense m³/3 factorization warmstart.go used to build.
 //
 //   - solveRevised, a revised primal simplex that pivots exactly from
-//     a feasible basis — the certified float candidate, or the cold
-//     solve's slack/artificial basis (solveCold) — using BTRAN/FTRAN
-//     against the factorization plus product-form eta updates.
+//     a feasible basis — the float candidate, the cold solve's
+//     slack/artificial basis (solveCold), or an optimal basis whose
+//     face lexRefine is shrinking — using BTRAN/FTRAN against the
+//     factorization plus product-form eta updates. It is the
+//     package's only entering-rule, ratio-test and pivot loop.
 //
 // Every scalar is an hval (= rational.Hval): the two-tier ladder
 // Small → big.Rat of an overflow-*checked* int64 rational over the
@@ -616,31 +618,44 @@ func (s *standardForm) commitPivot(basis []int, xB []hval, lu *sparseLU, p, ente
 	return nil
 }
 
+// pricing selects solveRevised's entering rule and receives its
+// reduced costs.
+type pricing struct {
+	window int    // Dantzig candidate-list width, at least 64
+	bland  bool   // Bland's rule from the first pivot
+	banned []bool // nonbasic columns that may not enter; nil bans none
+	// z receives each reduced cost priced, by column. At an optimum
+	// it holds the final sweep's, which priced every nonbasic column
+	// not banned.
+	z []hval
+}
+
 // solveRevised runs exact primal revised-simplex pivoting from a
 // primal-feasible basis under cost (indexed by column, artificials
-// included; only columns below s.ncols ever enter): Dantzig entering
-// column (first wins ties) switching to Bland's rule after stallLimit
-// degenerate pivots, leaving row by minimum ratio with ties toward the
-// smaller basis index. basis, xB and lu are advanced in place.
-//
-// With lex set, cost is the LP's own and the optimum is final: one
-// certified strictly dual non-degenerate is unique and returned as is;
-// a tied one is refined on the same factorization to the canonical
-// optimum (lexRefine), so the pivot path never shows in the result. Without lex (the cold solve's phase 1) an optimum
-// returns a nil Solution and leaves basis, xB and lu at the optimal
-// vertex.
+// included; only columns below s.ncols ever enter) to an optimum or an
+// unbounded ray. It is the package's one exact entering, ratio-test
+// and pivot loop: phase 1 and 2 of the cold solve, the crossover's
+// resume and each face phase of lexRefine all run here. The entering
+// column is the Dantzig choice of pr's pricing (first wins ties),
+// switching to Bland's rule after stallLimit degenerate pivots or, with
+// pr.bland, from the first pivot; the leaving row is chosen by
+// minimum ratio with ties toward the smaller basis index. basis, xB and
+// lu are advanced in place, and an optimum is left there. tied reports
+// that the final sweep priced some nonbasic column at exactly zero:
+// the optimum may not be unique.
 //
 // An Unbounded verdict is trustworthy: it is reached from an
 // exactly-feasible vertex by exact pivoting.
-func (s *standardForm) solveRevised(ctx context.Context, basis []int, xB []hval, lu *sparseLU, h *hstats, opts *SolveOpts, cost []hval, lex bool) (*Solution, error) {
+func (s *standardForm) solveRevised(ctx context.Context, basis []int, xB []hval, lu *sparseLU, h *hstats, opts *SolveOpts, cost []hval, pr pricing) (st Status, tied bool, err error) {
 	const stallLimit = 12 // degenerate pivots tolerated before engaging Bland
 	m := s.nrows
 	cB := make([]hval, m)
-	inBasis := make([]bool, s.ncols)
+	skip := make([]bool, s.ncols) // basic or banned: may not enter
+	copy(skip, pr.banned)
 	for k, j := range basis {
 		cB[k] = cost[j]
 		if j < s.ncols {
-			inBasis[j] = true
+			skip[j] = true
 		}
 	}
 	stalled := 0
@@ -651,34 +666,28 @@ func (s *standardForm) solveRevised(ctx context.Context, basis []int, xB []hval,
 	// optimality (and only such a full sweep is trusted for the
 	// tied-optimum check). The entering choice is the window-local
 	// Dantzig winner, which only changes the pivot path, never the
-	// canonical result. Phase 1 (no lex) prices every column instead:
-	// its path from the artificial basis is long, and full Dantzig
-	// pricing there more than halves the n=8 tailored LP's cold solve.
-	// Bland mode keeps a full smallest-index scan: its anti-cycling
-	// guarantee needs the global minimum eligible index.
-	priceWindow := s.ncols / 8
-	if !lex {
-		priceWindow = s.ncols
-	}
-	if priceWindow < 64 {
-		priceWindow = 64
-	}
+	// canonical result. Bland mode keeps a full smallest-index scan:
+	// its anti-cycling guarantee needs the global minimum eligible
+	// index.
+	priceWindow := max(pr.window, 64)
 	priceStart := 0
 	for {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return NoStatus, false, err
 		}
 		y := lu.solveTranspose(cB)
-		useBland := stalled >= stallLimit
+		useBland := pr.bland || stalled >= stallLimit
 		enter := -1
 		var bestZ hval
-		tied := false
+		tied = false
 		if useBland {
 			for j := 0; j < s.ncols; j++ {
-				if inBasis[j] {
+				if skip[j] {
 					continue
 				}
-				switch z := s.price(h, cost[j], j, y); z.Sign() {
+				z := s.price(h, cost[j], j, y)
+				pr.z[j] = z
+				switch z.Sign() {
 				case 0:
 					tied = true
 				case -1:
@@ -701,21 +710,18 @@ func (s *standardForm) solveRevised(ctx context.Context, basis []int, xB []hval,
 					if j++; j >= s.ncols {
 						j = 0
 					}
-					if inBasis[jj] {
+					if skip[jj] {
 						continue
 					}
 					z := s.price(h, cost[jj], jj, y)
-					sgn := z.Sign()
-					if sgn == 0 {
+					pr.z[jj] = z
+					switch z.Sign() {
+					case 0:
 						tied = true
-						continue
-					}
-					if sgn > 0 {
-						continue
-					}
-					if enter < 0 || z.Cmp(bestZ) < 0 {
-						enter = jj
-						bestZ = z
+					case -1:
+						if enter < 0 || z.Cmp(bestZ) < 0 {
+							enter, bestZ = jj, z
+						}
 					}
 				}
 				if enter >= 0 {
@@ -727,13 +733,7 @@ func (s *standardForm) solveRevised(ctx context.Context, basis []int, xB []hval,
 			}
 		}
 		if enter < 0 {
-			switch {
-			case !lex:
-				return nil, nil
-			case tied:
-				return s.lexRefine(ctx, basis, xB, lu, h, opts)
-			}
-			return s.basicSolution(basis, xB), nil
+			return Optimal, tied, nil
 		}
 		w := lu.ftran(s.hcol(enter))
 		leave := -1
@@ -750,7 +750,7 @@ func (s *standardForm) solveRevised(ctx context.Context, basis []int, xB []hval,
 			}
 		}
 		if leave < 0 {
-			return &Solution{Status: Unbounded}, nil
+			return Unbounded, false, nil
 		}
 		theta := bestRatio
 		degenerate := theta.IsZero()
@@ -762,12 +762,12 @@ func (s *standardForm) solveRevised(ctx context.Context, basis []int, xB []hval,
 		}
 		xB[leave] = theta
 		if out := basis[leave]; out < s.ncols {
-			inBasis[out] = false
+			skip[out] = false
 		}
-		inBasis[enter] = true
+		skip[enter] = true
 		cB[leave] = cost[enter]
 		if err := s.commitPivot(basis, xB, lu, leave, enter, w, h, opts); err != nil {
-			return nil, err
+			return NoStatus, false, err
 		}
 		if degenerate {
 			stalled++

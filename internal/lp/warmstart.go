@@ -11,12 +11,14 @@
 //	primal feasibility:  x_B = B⁻¹ b ≥ 0        (componentwise, exact)
 //	dual optimality:     z_j = c_j − y·A_j > 0   with  Bᵀy = c_B
 //
-// A strict dual check (every nonbasic z_j > 0) certifies not just
-// optimality but uniqueness of the optimal point, so the certified
-// vertex is the canonical optimum (lex.go) and is returned directly (a
-// "hit": zero exact pivots). When some reduced cost is negative but the
-// basis is still primal feasible, exact revised-simplex pivoting
-// resumes from it — still strictly cheaper than a cold phase 1. A tie
+// The dual check is the first pricing sweep of solveRevised, the
+// package's one exact pivot loop, started on the candidate basis. A
+// strict pass (every nonbasic z_j > 0) certifies not just optimality
+// but uniqueness of the optimal point, so the certified vertex is the
+// canonical optimum (lex.go) and is returned directly (a "hit": zero
+// exact pivots). When some reduced cost is negative but the basis is
+// still primal feasible, the same loop pivots on from it — still
+// strictly cheaper than a cold phase 1. A tie
 // (some nonbasic reduced cost exactly zero, so the optimal face may be
 // an edge or larger), reached directly or after a resume, is refined
 // on the same sparse LU to the lexicographically smallest optimal
@@ -111,11 +113,13 @@ func (s *standardForm) solveWarmStart(ctx context.Context, opts *SolveOpts) (sol
 }
 
 // crossover certifies a candidate basis in exact arithmetic and
-// finishes the solve from it: a strict certificate returns the vertex,
-// a tie is refined to the canonical optimum and a feasible but
-// non-optimal basis resumes primal pivoting. done=false (with nil
-// error) reports a basis that is singular or primal infeasible; the
-// caller runs the cold fallback.
+// finishes the solve from it in solveRevised: the first pricing sweep
+// is the dual certificate, a feasible but non-optimal basis resumes
+// primal pivoting and a tie is refined to the canonical optimum. The
+// solve is a hit when it ends Optimal with no pivot and no tie: the
+// candidate was strictly dual non-degenerate, so its vertex is the
+// unique optimum. done=false (with nil error) reports a basis that is
+// singular or primal infeasible; the caller runs the cold fallback.
 func (s *standardForm) crossover(ctx context.Context, basis []int, opts *SolveOpts) (sol *Solution, done bool, err error) {
 	var h hstats
 	defer func() { h.fold(opts.Stats) }()
@@ -129,65 +133,13 @@ func (s *standardForm) crossover(ctx context.Context, basis []int, opts *SolveOp
 			return nil, false, nil // infeasible candidate basis
 		}
 	}
-	// The basis is an exactly-feasible vertex. Check dual optimality:
-	// solve Bᵀy = c_B, then price every nonbasic column.
-	switch s.dualCertificate(basis, lu, &h) {
-	case dualStrict:
-		if opts.Stats != nil {
-			opts.Stats.WarmStartHit = true
-		}
-		return s.basicSolution(basis, xB), true, nil
-	case dualDegenerate:
-		// Optimal but not unique: refine to the canonical optimum.
-		sol, err = s.lexRefine(ctx, basis, xB, lu, &h, opts)
-	default:
-		// Feasible but not optimal: resume exact revised-simplex
-		// pivoting from this vertex against the factorization,
-		// skipping phase 1 entirely (revised.go).
-		sol, err = s.solveRevised(ctx, basis, xB, lu, &h, opts, s.hcost(), true)
-	}
+	sol, err = s.canonicalOptimum(ctx, basis, xB, lu, &h, opts)
 	if err != nil {
 		return nil, false, err
 	}
-	if opts.Stats != nil {
-		opts.Stats.CrossoverResumed = true
+	if st := opts.Stats; st != nil {
+		st.WarmStartHit = sol.Status == Optimal && st.RevisedPivots == 0 && !st.TiedOptima
+		st.CrossoverResumed = !st.WarmStartHit
 	}
 	return sol, true, nil
-}
-
-// dualVerdict classifies the reduced costs of the nonbasic columns.
-type dualVerdict int
-
-const (
-	dualInfeasible dualVerdict = iota // some z_j < 0: basis not optimal
-	dualDegenerate                    // all z_j ≥ 0, some exactly 0: optimal, maybe not unique
-	dualStrict                        // all z_j > 0: optimal and unique
-)
-
-// dualCertificate solves Bᵀy = c_B against the factorization, prices
-// every nonbasic column against y and classifies the basis. Pricing
-// runs on the hybrid Small/big kernels: on the mechanism LPs both y
-// and the matrix entries fit int64 rationals, so the sweep is
-// allocation-free.
-func (s *standardForm) dualCertificate(basis []int, lu *sparseLU, h *hstats) dualVerdict {
-	cB := make([]hval, s.nrows)
-	inBasis := make([]bool, s.ncols)
-	for k, j := range basis {
-		cB[k] = hvRat(s.c[j])
-		inBasis[j] = true
-	}
-	y := lu.solveTranspose(cB)
-	verdict := dualStrict
-	for j := 0; j < s.ncols; j++ {
-		if inBasis[j] {
-			continue // z_j = 0 by construction of y
-		}
-		switch s.price(h, hvRat(s.c[j]), j, y).Sign() {
-		case -1:
-			return dualInfeasible
-		case 0:
-			verdict = dualDegenerate
-		}
-	}
-	return verdict
 }

@@ -198,6 +198,51 @@ func TestCrossoverInfeasibleBasisFallsBack(t *testing.T) {
 	assertIdentical(t, exact, warm)
 }
 
+// TestCrossoverPathFlags pins the crossover's path flags on hand-picked
+// feasible bases: a strictly dual non-degenerate basis is a hit with
+// no pivots, a tied optimal basis resumes into the canonical-optimum
+// refinement, and a feasible non-optimal one resumes primal pivoting.
+// Each call with Stats == nil must return the same solution.
+func TestCrossoverPathFlags(t *testing.T) {
+	// unique is smallLP with objective 2x + y: its optimum (3, 1) is
+	// unique, and x + y ≤ 4 ties smallLP's own objective along an edge.
+	unique := smallLP()
+	unique.SetObjective(TInt(0, 2), TInt(1, 1))
+	for _, tc := range []struct {
+		name    string
+		p       *Problem
+		basis   []int // x, y, then the slacks of x + y ≤ 4 and x ≤ 3
+		hit     bool
+		tied    bool
+		pivoted bool
+	}{
+		{"strict", unique, []int{0, 1}, true, false, false},
+		{"tied", smallLP(), []int{0, 1}, false, true, false},
+		{"non-optimal", unique, []int{2, 3}, false, false, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var stats SolveStats
+			sol, done, err := newStandardForm(tc.p).crossover(context.Background(), append([]int(nil), tc.basis...), &SolveOpts{Stats: &stats})
+			if err != nil || !done || sol.Status != Optimal {
+				t.Fatalf("crossover(%v) = (%v, %v, %v), want an Optimal solution", tc.basis, sol, done, err)
+			}
+			if stats.WarmStartHit != tc.hit || stats.CrossoverResumed == tc.hit || stats.TiedOptima != tc.tied {
+				t.Errorf("flags %+v, want hit=%t tied=%t", stats, tc.hit, tc.tied)
+			}
+			if tc.hit && stats.RevisedPivots != 0 || tc.pivoted && stats.RevisedPivots == 0 {
+				t.Errorf("%d revised pivots, want pivots=%t", stats.RevisedPivots, tc.pivoted)
+			}
+			want := lexOracle(t, tc.p)
+			assertIdentical(t, want, sol)
+			bare, done, err := newStandardForm(tc.p).crossover(context.Background(), append([]int(nil), tc.basis...), &SolveOpts{})
+			if err != nil || !done {
+				t.Fatalf("crossover without stats = (%v, %v, %v)", bare, done, err)
+			}
+			assertIdentical(t, want, bare)
+		})
+	}
+}
+
 // TestExactSolveCanceled pins the cold path's cancellation
 // checkpoint: a StrategyExact solve under a canceled context returns
 // ctx.Err() and no solution, both when phase 1 runs (artificials) and
