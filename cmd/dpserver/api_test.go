@@ -74,6 +74,41 @@ func TestV1ErrorEnvelopes(t *testing.T) {
 	}
 }
 
+// TestAlphaOutsideOpenUnit: an explicit alpha must lie in (0,1), as
+// ladder levels do, and is rejected before any solve. Before the
+// check, /v1/tailored at alpha=1, n=32 took 7 s in the §2.5 LP, and a
+// compare at alpha=1 solved the tailored LP before its geometric
+// baseline failed.
+func TestAlphaOutsideOpenUnit(t *testing.T) {
+	s := newTestServer(t)
+	mux := s.handler()
+	cases := []struct {
+		method, path, body string
+	}{
+		{http.MethodGet, "/v1/tailored?loss=absolute&n=4&alpha=0", ""},
+		{http.MethodGet, "/v1/tailored?loss=absolute&n=4&alpha=1", ""},
+		{http.MethodGet, "/v1/tailored?loss=absolute&n=4&alpha=3/2", ""},
+		{http.MethodPost, "/v1/compare", `{"n":4,"alpha":"1","consumer":{}}`},
+		{http.MethodPost, "/v1/compare", `{"n":4,"alpha":"0","consumer":{}}`},
+	}
+	for _, tc := range cases {
+		rec := httptest.NewRecorder()
+		mux.ServeHTTP(rec, httptest.NewRequest(tc.method, tc.path, strings.NewReader(tc.body)))
+		if rec.Code != http.StatusBadRequest {
+			t.Errorf("%s %s %s: status %d, want 400 (%s)", tc.method, tc.path, tc.body, rec.Code, rec.Body.String())
+			continue
+		}
+		if code := decodeEnvelope(t, rec); code != "invalid_argument" {
+			t.Errorf("%s %s %s: code %q, want invalid_argument", tc.method, tc.path, tc.body, code)
+		}
+	}
+	m := s.eng.Metrics()
+	if m.LP.Solves != 0 || m.Tailored.Requests != 0 || m.Compares.Requests != 0 {
+		t.Errorf("rejected alphas reached the engine: %d LP solves, %d tailored and %d compare requests",
+			m.LP.Solves, m.Tailored.Requests, m.Compares.Requests)
+	}
+}
+
 // TestWireRationalsBounded: exponent forms and rationals over
 // maxWireRatLen bytes are a 400 on every route that reads a rational,
 // before any G or LP is built. Before the bound, a tailored solve at

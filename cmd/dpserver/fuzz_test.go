@@ -188,9 +188,9 @@ func FuzzConsumerSpec(f *testing.F) {
 
 // FuzzCompareBody exercises the POST /v1/compare body: strict
 // decoding and compareSpec, which runs no solve. Invariants on
-// accepted input: n lies in [1, maxTailoredN], the model's Key
-// renders, and the query form of the body's consumer builds a model
-// with the same Key.
+// accepted input: n lies in [1, maxTailoredN], α lies in (0,1), the
+// model's Key renders, and the query form of the body's consumer
+// builds a model with the same Key.
 func FuzzCompareBody(f *testing.F) {
 	s := newTestServerWith(f, serverConfig{})
 	for _, seed := range []string{
@@ -200,7 +200,7 @@ func FuzzCompareBody(f *testing.F) {
 		`{"n": 3, "consumer": {"model": "bayesian", "prior": ["1/2","1/2"]}}`,
 		`{"n": 3, "consumer": {"model": "bayesian", "prior": ["1/2,1/2"]}}`,
 		`{"n": 33, "consumer": {}}`, `{"n": -1, "consumer": {}}`, `{"level": 9, "consumer": {}}`,
-		`{"alpha": "3/2", "consumer": {}}`, `{"consumer": {"side": "40-50"}}`, `{"baselines": ["nope"]}`,
+		`{"alpha": "3/2", "consumer": {}}`, `{"alpha": "1", "consumer": {}}`, `{"alpha": "0", "consumer": {}}`, `{"consumer": {"side": "40-50"}}`, `{"baselines": ["nope"]}`,
 		`{"consumer": {"lossy": "absolute"}}`, `{`,
 	} {
 		f.Add([]byte(seed))
@@ -216,6 +216,9 @@ func FuzzCompareBody(f *testing.F) {
 		}
 		if spec.N < 1 || spec.N > s.maxTailoredN {
 			t.Fatalf("accepted n=%d outside [1, %d]", spec.N, s.maxTailoredN)
+		}
+		if spec.Alpha.Sign() <= 0 || spec.Alpha.Num().Cmp(spec.Alpha.Denom()) >= 0 {
+			t.Fatalf("accepted alpha %s outside (0,1)", spec.Alpha.RatString())
 		}
 		key, err := spec.Model.Key(spec.N)
 		if err != nil {

@@ -717,10 +717,16 @@ func (s *server) solveContext(r *http.Request) (context.Context, context.CancelF
 // resolveAlpha picks the privacy level for an LP-backed request: an
 // explicit rational alpha wins, otherwise the survey's ladder level
 // (default 1). Both arrive as wire strings so the GET query and POST
-// body surfaces share the exact validation.
+// body surfaces share the exact validation. An explicit alpha must
+// lie in (0,1), as ladder levels do (release.CheckAlpha): outside it
+// the tailored miss would run the §2.5 LP (seconds at n=32) and every
+// baseline builder fails.
 func (s *server) resolveAlpha(alphaStr, levelStr string) (*big.Rat, error) {
 	if alphaStr != "" {
 		a, err := parseWireRat(alphaStr)
+		if err == nil {
+			err = release.CheckAlpha(a)
+		}
 		if err != nil {
 			return nil, fmt.Errorf("bad alpha: %w", err)
 		}

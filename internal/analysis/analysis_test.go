@@ -15,12 +15,12 @@ func TestParseIgnore(t *testing.T) {
 		{"//dpvet:ignore errdiscard,ratmutate shared justification", []string{"errdiscard", "ratmutate"}, "shared justification"},
 		// A bare directive still parses (and suppresses) but its
 		// missing justification is an ignoreaudit finding.
-		{"//dpvet:ignore floatexact", []string{"floatexact"}, ""},
+		{"//dpvet:ignore floatflow", []string{"floatflow"}, ""},
 		{"//dpvet:ignore\trandsource tab-separated", []string{"randsource"}, "tab-separated"},
 		// A nested comment (e.g. a fixture want annotation) does not
 		// count as justification.
-		{"//dpvet:ignore floatexact // want `x`", []string{"floatexact"}, ""},
-		{"//dpvet:ignore floatexact real reason // want `x`", []string{"floatexact"}, "real reason"},
+		{"//dpvet:ignore floatflow // want `x`", []string{"floatflow"}, ""},
+		{"//dpvet:ignore floatflow real reason // want `x`", []string{"floatflow"}, "real reason"},
 		{"//dpvet:ignore", nil, ""},             // analyzer list is mandatory
 		{"//dpvet:ignoreerrdiscard", nil, ""},   // not a directive
 		{"// dpvet:ignore errdiscard", nil, ""}, // space breaks the directive prefix

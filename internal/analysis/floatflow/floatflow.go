@@ -1,6 +1,19 @@
-// Package floatflow implements the flow-sensitive exactness analyzer
-// that replaces floatexact's per-file allowlist with taint tracking
-// on the typed AST.
+// Package floatflow implements dpvet's exactness analyzer: one table
+// (DefaultTable) names the exact packages, and each gets one of three
+// modes.
+//
+// Theorem 2's derivability test ((1+α²)·x₂ − α·(x₁+x₃) ≥ 0) and the
+// LP optima of §2.4.3/§2.5 are exact rational statements; one float64
+// round-trip inside the pipeline turns every downstream "equality"
+// into an approximation and silently voids the optimality claims.
+//
+//   - Fenced packages have no sanctioned float use. Every construct
+//     that crosses the rational/float boundary is reported there:
+//     rational.Float, rational.FromFloat, (*big.Rat).Float64/Float32,
+//     and float64/float32 conversions. Fenced implies policed.
+//   - Policed packages get the taint tracking described below.
+//   - SinkOnly packages (math/big, rational, sample) are not walked;
+//     they are where tainted data must not arrive.
 //
 // The float simplex (internal/lp/floatsimplex.go) exists precisely to
 // compute with floats, so a syntactic float ban there is useless; what
@@ -49,78 +62,120 @@ import (
 	"minimaxdp/internal/analysis"
 )
 
-// DefaultScope lists the packages whose float flows are policed
-// (matched by import path or "/"-suffix). Unlike floatexact — which
-// bans float syntax outright and therefore excludes internal/lp —
-// floatflow covers lp too: the float simplex is allowed to exist, but
-// its only legal export is comparison-selected data.
-var DefaultScope = []string{
-	"minimaxdp/internal/lp",
-	"minimaxdp/internal/derive",
-	"minimaxdp/internal/consumer",
-	"minimaxdp/internal/matrix",
-	"minimaxdp/internal/engine",
-	"minimaxdp/internal/store",
-	"minimaxdp/internal/tenant",
-	"minimaxdp/internal/baseline",
-	"minimaxdp/internal/loss",
-	// Fixture package; wildcard patterns never descend into testdata,
-	// so this entry is inert for ./... runs.
-	"testdata/src/floatflow",
+// Mode says how strictly floatflow treats one exact-world package.
+// The zero Mode is the float-native world outside the table
+// (internal/laplace, internal/stats, ...), which floatflow ignores.
+type Mode int
+
+const (
+	// SinkOnly packages are the roots of the exact world. floatflow
+	// does not walk them, but a tainted value crossing into one
+	// through a float-blind parameter is a finding.
+	SinkOnly Mode = iota + 1
+	// Policed packages may compute with floats to steer choices (the
+	// float simplex in internal/lp), but float-derived data must never
+	// become exact data: taint tracking.
+	Policed
+	// Fenced packages have no sanctioned float use: taint tracking,
+	// plus a finding at every rational.Float, rational.FromFloat,
+	// (*big.Rat).Float64/Float32 call and float64/float32 conversion,
+	// tainted or not.
+	Fenced
+)
+
+// Table maps exact-world packages, by import path or "/"-suffix (see
+// analysis.PathMatches), to their Mode.
+type Table map[string]Mode
+
+// mode returns the Mode of the package at path; the longest matching
+// entry wins, so the answer does not depend on map order.
+func (t Table) mode(path string) Mode {
+	best, m := -1, Mode(0)
+	for suffix, sm := range t {
+		if len(suffix) > best && analysis.PathMatches(path, []string{suffix}) {
+			best, m = len(suffix), sm
+		}
+	}
+	return m
 }
 
-// exactWorld lists the packages that hold exact artifacts: a tainted
-// value crossing into any of them through a float-blind parameter is
-// a finding. math/big is the root of the exact world; the internal
-// entries are everything downstream of it.
-var exactWorld = []string{
-	"math/big",
-	"internal/rational",
-	"internal/matrix",
-	"internal/mechanism",
-	"internal/derive",
-	"internal/consumer",
-	"internal/lp",
-	"internal/sample",
-	"internal/engine",
-	"internal/store",
-	"internal/tenant",
-	"internal/baseline",
-	"internal/loss",
+// DefaultTable is the one list of exact packages and how strictly
+// each is held. DESIGN.md §7 explains the split.
+var DefaultTable = Table{
+	"math/big":          SinkOnly,
+	"internal/rational": SinkOnly,
+	// The dyadic alias tables are built from exact rows; samplers
+	// hand them only certified integer weights.
+	"internal/sample": SinkOnly,
+	// The float simplex (floatsimplex.go) lives here; its only legal
+	// export is a comparison-selected candidate basis.
+	"internal/lp": Policed,
+	// Exact rationals on disk and exact privacy accounting.
+	"internal/store":  Policed,
+	"internal/tenant": Policed,
+	"internal/derive": Fenced,
+	// The consumer LPs and the mechanisms' exact rows and alias
+	// tables (AliasRow).
+	"internal/consumer":  Fenced,
+	"internal/matrix":    Fenced,
+	"internal/mechanism": Fenced,
+	// The serving engine caches exact artifacts and builds its
+	// samplers' dyadic tables by integer quantization with a rational
+	// certificate, so not even the draw path needs a float. See
+	// DESIGN.md §11.
+	"internal/engine": Fenced,
+	// The compare workbench: exact baseline builders (staircase,
+	// truncated Laplace) and the loss registry behind every consumer
+	// spec codec.
+	"internal/baseline": Fenced,
+	"internal/loss":     Fenced,
+	// Fixture packages, so the production binary fires when pointed
+	// at them (`go run ./cmd/dpvet ./internal/analysis/floatflow/testdata/src/fence`).
+	// Wildcard patterns never descend into testdata, so these entries
+	// are inert for ./... runs.
+	"testdata/src/floatflow": Policed,
+	"testdata/src/fence":     Fenced,
 }
 
 // Analyzer is the production instance.
-var Analyzer = New(DefaultScope)
+var Analyzer = New(DefaultTable)
 
-// New builds a floatflow analyzer over a custom scope; tests point it
+// New builds a floatflow analyzer over a custom table; tests point it
 // at fixture packages.
-func New(scope []string) *analysis.Analyzer {
-	a := &analyzer{scope: scope}
+func New(table Table) *analysis.Analyzer {
+	a := &analyzer{table: table}
 	return &analysis.Analyzer{
 		Name: "floatflow",
 		Doc: "track float-tainted values through assignments, calls, and returns, and " +
 			"forbid them from becoming exact data (big.Rat construction, exact-package " +
 			"arguments, exported non-float results); comparisons declassify, so the float " +
-			"simplex's candidate basis passes without an exemption",
+			"simplex's candidate basis passes without an exemption. Fenced packages also " +
+			"forbid every float escape (rational.Float, rational.FromFloat, " +
+			"(*big.Rat).Float64, float conversions)",
 		Run: a.run,
 	}
 }
 
 type analyzer struct {
-	scope []string
+	table Table
 }
 
 const maxFixpointRounds = 64
 
 func (a *analyzer) run(pass *analysis.Pass) {
-	if !analysis.PathMatches(pass.Pkg.Path(), a.scope) {
+	mode := a.table.mode(pass.Pkg.Path())
+	if mode < Policed {
 		return
 	}
 	tr := &tracker{
 		pass:     pass,
+		table:    a.table,
 		tainted:  make(map[types.Object]bool),
 		retTaint: make(map[*types.Func]bool),
-		reported: make(map[token.Pos]bool),
+		reported: make(map[*ast.CallExpr]bool),
+	}
+	if mode == Fenced {
+		tr.fence()
 	}
 	for round := 0; round < maxFixpointRounds; round++ {
 		tr.changed = false
@@ -147,7 +202,8 @@ func (a *analyzer) run(pass *analysis.Pass) {
 
 // tracker holds the taint state for one package.
 type tracker struct {
-	pass *analysis.Pass
+	pass  *analysis.Pass
+	table Table
 	// tainted records objects (locals, params, named results, fields,
 	// package vars) that hold float-derived data despite having a
 	// non-float type — "laundered" taint. Objects whose type carries
@@ -156,7 +212,9 @@ type tracker struct {
 	// retTaint records functions that return laundered taint in at
 	// least one non-float-typed result.
 	retTaint map[*types.Func]bool
-	reported map[token.Pos]bool
+	// reported records calls already reported (by the fence or as a
+	// sink), so later checks do not report their cascade.
+	reported map[*ast.CallExpr]bool
 	changed  bool
 }
 
@@ -562,6 +620,61 @@ func (tr *tracker) injectCall(call *ast.CallExpr) {
 	}
 }
 
+// ---- fence (fenced packages only) ----
+
+// fence reports every construct that crosses the rational/float
+// boundary, whether or not taint reaches it, and marks each reported
+// call so the taint sinks do not report it a second time.
+func (tr *tracker) fence() {
+	for _, file := range tr.pass.Files {
+		ast.Inspect(file, func(n ast.Node) bool {
+			if call, ok := n.(*ast.CallExpr); ok && tr.fenceCall(call) {
+				tr.reported[call] = true
+			}
+			return true
+		})
+	}
+}
+
+func (tr *tracker) fenceCall(call *ast.CallExpr) bool {
+	pass := tr.pass
+	// Conversions: float64(x), float32(x).
+	if tv, ok := pass.Info.Types[call.Fun]; ok && tv.IsType() {
+		b, ok := tv.Type.Underlying().(*types.Basic)
+		if !ok || (b.Kind() != types.Float64 && b.Kind() != types.Float32) {
+			return false
+		}
+		pass.Reportf(call.Pos(),
+			"%s conversion in exact-arithmetic package %s (keep the pipeline on *big.Rat; see DESIGN.md §7)",
+			b.Name(), pass.Pkg.Path())
+		return true
+	}
+	fn := analysis.CalleeFunc(pass.Info, call)
+	if fn == nil {
+		return false
+	}
+	// Boundary helpers of the rational package.
+	if pkg := fn.Pkg(); pkg != nil && analysis.PathMatches(pkg.Path(), []string{"internal/rational"}) {
+		if fn.Name() != "Float" && fn.Name() != "FromFloat" {
+			return false
+		}
+		pass.Reportf(call.Pos(),
+			"call to rational.%s in exact-arithmetic package %s (rational↔float bridges are allowed only in display and Monte-Carlo code)",
+			fn.Name(), pass.Pkg.Path())
+		return true
+	}
+	// Direct (*big.Rat).Float64 / Float32 method calls.
+	sig, ok := fn.Type().(*types.Signature)
+	if !ok || sig.Recv() == nil || !analysis.IsBigRat(sig.Recv().Type()) ||
+		(fn.Name() != "Float64" && fn.Name() != "Float32") {
+		return false
+	}
+	pass.Reportf(call.Pos(),
+		"call to (*math/big.Rat).%s in exact-arithmetic package %s (exactness is lost at this point)",
+		fn.Name(), pass.Pkg.Path())
+	return true
+}
+
 // ---- sinks (report pass) ----
 
 func (tr *tracker) report() {
@@ -637,7 +750,7 @@ func (tr *tracker) checkCallSinks(call *ast.CallExpr) {
 	if tv, ok := info.Types[call.Fun]; ok && tv.IsType() {
 		return
 	}
-	if tr.builtinOf(call) != nil {
+	if tr.builtinOf(call) != nil || tr.reported[call] {
 		return
 	}
 	fn := analysis.CalleeFunc(info, call)
@@ -647,7 +760,7 @@ func (tr *tracker) checkCallSinks(call *ast.CallExpr) {
 		if fn != nil {
 			name = fn.Name()
 		}
-		tr.reported[call.Pos()] = true
+		tr.reported[call] = true
 		tr.pass.Reportf(call.Pos(),
 			"float-tainted value becomes exact data via call to %s; floats may guide choices through comparisons but must never construct exact artifacts (DESIGN.md §12)",
 			name)
@@ -656,7 +769,7 @@ func (tr *tracker) checkCallSinks(call *ast.CallExpr) {
 	// S1: tainted argument into a float-blind parameter of another
 	// exact-core package.
 	if fn == nil || fn.Pkg() == nil || fn.Pkg() == tr.pass.Pkg ||
-		!analysis.PathMatches(fn.Pkg().Path(), exactWorld) {
+		tr.table.mode(fn.Pkg().Path()) == 0 {
 		return
 	}
 	sig, ok := fn.Type().(*types.Signature)
@@ -666,7 +779,7 @@ func (tr *tracker) checkCallSinks(call *ast.CallExpr) {
 	if sel, okSel := analysis.Unparen(call.Fun).(*ast.SelectorExpr); okSel && sig.Recv() != nil {
 		if _, isMethod := info.Selections[sel]; isMethod &&
 			!tr.carrier(sig.Recv().Type()) && tr.taint(sel.X) {
-			tr.reported[call.Pos()] = true
+			tr.reported[call] = true
 			tr.pass.Reportf(call.Pos(),
 				"float-tainted receiver in call to (%s).%s of exact package %s (DESIGN.md §12)",
 				sig.Recv().Type(), fn.Name(), fn.Pkg().Path())
@@ -692,7 +805,7 @@ func (tr *tracker) checkCallSinks(call *ast.CallExpr) {
 			}
 		}
 		if !tr.carrier(pt) && tr.taint(arg) {
-			tr.reported[call.Pos()] = true
+			tr.reported[call] = true
 			tr.pass.Reportf(arg.Pos(),
 				"float-tainted argument crosses into exact package %s via %s; only float-blind data (a comparison-selected basis or index) may cross (DESIGN.md §12)",
 				fn.Pkg().Path(), fn.Name())
@@ -721,7 +834,7 @@ func (tr *tracker) checkExportedReturn(fn *types.Func, ret *ast.ReturnStmt) {
 		if tr.carrier(rt) {
 			continue
 		}
-		if call, okC := analysis.Unparen(expr).(*ast.CallExpr); okC && tr.reported[call.Pos()] {
+		if call, okC := analysis.Unparen(expr).(*ast.CallExpr); okC && tr.reported[call] {
 			continue
 		}
 		if tr.taint(expr) {

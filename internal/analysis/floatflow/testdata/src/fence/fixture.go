@@ -1,6 +1,6 @@
-// Package fixture exercises the floatexact analyzer: every construct
-// that crosses the rational/float boundary inside an exact-arithmetic
-// package must be flagged, exact rational operations must not.
+// Package fixture exercises floatflow's fence: every construct that
+// crosses the rational/float boundary inside a fenced package must be
+// flagged, exact rational operations must not.
 package fixture
 
 import (
@@ -14,13 +14,13 @@ func LeakFloat(a *big.Rat) float64 {
 	return rational.Float(a) // want `call to rational\.Float in exact-arithmetic package`
 }
 
-// LeakFromFloat smuggles a float into the exact pipeline.
+// LeakFromFloat smuggles a float into the exact pipeline (fence and taint).
 func LeakFromFloat(f float64) *big.Rat {
 	r, err := rational.FromFloat(f) // want `call to rational\.FromFloat in exact-arithmetic package`
 	if err != nil {
 		return rational.Zero()
 	}
-	return r
+	return r // want `exported LeakFromFloat returns float-tainted`
 }
 
 // ConvertInt is flagged even for integer operands: float64 must not
@@ -48,6 +48,6 @@ func ExactOnly(a, b *big.Rat) *big.Rat {
 
 // Suppressed shows a justified escape hatch.
 func Suppressed(a *big.Rat) float64 {
-	//dpvet:ignore floatexact display-only rendering helper, exactness not required here
+	//dpvet:ignore floatflow display-only rendering helper, exactness not required here
 	return rational.Float(a)
 }

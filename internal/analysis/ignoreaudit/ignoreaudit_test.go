@@ -6,19 +6,19 @@ import (
 
 	"minimaxdp/internal/analysis"
 	"minimaxdp/internal/analysis/analysistest"
-	"minimaxdp/internal/analysis/floatexact"
+	"minimaxdp/internal/analysis/floatflow"
 	"minimaxdp/internal/analysis/ignoreaudit"
 	"minimaxdp/internal/analysis/load"
 )
 
 // TestFixture drives the audit through a real suppression workload: a
-// floatexact instance scoped to the fixture produces the findings the
+// fenced floatflow instance scoped to the fixture produces the findings the
 // directives claim to suppress, and the audit judges each directive
 // against actual usage.
 func TestFixture(t *testing.T) {
-	fe := floatexact.New([]string{"testdata/src/ignoreaudit"})
+	ff := floatflow.New(floatflow.Table{"testdata/src/ignoreaudit": floatflow.Fenced})
 	diags := analysistest.RunSuite(t, ".",
-		[]*analysis.Analyzer{fe, ignoreaudit.Analyzer},
+		[]*analysis.Analyzer{ff, ignoreaudit.Analyzer},
 		"./testdata/src/ignoreaudit")
 	if len(diags) == 0 {
 		t.Fatal("fixture produced no diagnostics; the directive audit is inert")
@@ -31,7 +31,7 @@ func TestFixture(t *testing.T) {
 }
 
 // TestSubsetRunSkipsUnexercisedDirectives pins the no-false-stale
-// rule: when floatexact does not run, the audit must not call its
+// rule: when floatflow does not run, the audit must not call its
 // directives stale — it could not know. Only the missing-justification
 // finding (a static property) survives.
 func TestSubsetRunSkipsUnexercisedDirectives(t *testing.T) {

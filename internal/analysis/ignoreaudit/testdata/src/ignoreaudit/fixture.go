@@ -10,17 +10,17 @@ import (
 )
 
 // Render carries the healthy case: the directive suppresses a real
-// floatexact finding on the next line and says why, so the audit
+// floatflow finding on the next line and says why, so the audit
 // stays silent about it.
 func Render(a *big.Rat) float64 {
-	//dpvet:ignore floatexact fixture: sanctioned display conversion
+	//dpvet:ignore floatflow fixture: sanctioned display conversion
 	return rational.Float(a)
 }
 
 // Exact drags a directive that no longer earns its keep: nothing on
-// the covered lines produces a floatexact finding.
+// the covered lines produces a floatflow finding.
 //
-//dpvet:ignore floatexact left behind after a refactor // want `stale //dpvet:ignore directive`
+//dpvet:ignore floatflow left behind after a refactor // want `stale //dpvet:ignore directive`
 func Exact(a, b *big.Rat) *big.Rat {
 	return rational.Add(a, b)
 }
@@ -28,7 +28,7 @@ func Exact(a, b *big.Rat) *big.Rat {
 // Bare omits the justification; the directive is stale too, so the
 // audit reports both defects.
 //
-//dpvet:ignore floatexact // want `no justification` `stale //dpvet:ignore directive`
+//dpvet:ignore floatflow // want `no justification` `stale //dpvet:ignore directive`
 func Bare(a *big.Rat) *big.Rat {
 	return rational.Neg(a)
 }
@@ -37,7 +37,7 @@ func Bare(a *big.Rat) *big.Rat {
 // names ignoreaudit alongside the suppressed analyzer, which
 // suppresses the audit's own stale finding.
 //
-//dpvet:ignore floatexact,ignoreaudit retained while the display path is reworked
+//dpvet:ignore floatflow,ignoreaudit retained while the display path is reworked
 func Kept(a, b *big.Rat) *big.Rat {
 	return rational.Mul(a, b)
 }

@@ -8,7 +8,6 @@ import (
 	"minimaxdp/internal/analysis"
 	"minimaxdp/internal/analysis/ctxfirst"
 	"minimaxdp/internal/analysis/errdiscard"
-	"minimaxdp/internal/analysis/floatexact"
 	"minimaxdp/internal/analysis/floatflow"
 	"minimaxdp/internal/analysis/hotpath"
 	"minimaxdp/internal/analysis/ignoreaudit"
@@ -23,7 +22,6 @@ func All() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		ctxfirst.Analyzer,
 		errdiscard.Analyzer,
-		floatexact.Analyzer,
 		floatflow.Analyzer,
 		hotpath.Analyzer,
 		ignoreaudit.Analyzer,

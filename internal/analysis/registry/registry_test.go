@@ -32,8 +32,8 @@ func TestRepoTreeClean(t *testing.T) {
 // silently drop a check from the CI gate.
 func TestSuiteComposition(t *testing.T) {
 	want := map[string]bool{
-		"ctxfirst": true, "errdiscard": true, "floatexact": true,
-		"floatflow": true, "hotpath": true, "ignoreaudit": true,
+		"ctxfirst": true, "errdiscard": true, "floatflow": true,
+		"hotpath": true, "ignoreaudit": true,
 		"randsource": true, "ratmutate": true, "ratoverflow": true,
 	}
 	got := registry.All()

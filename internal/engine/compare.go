@@ -33,6 +33,7 @@ import (
 	"minimaxdp/internal/consumer"
 	"minimaxdp/internal/mechanism"
 	"minimaxdp/internal/rational"
+	"minimaxdp/internal/release"
 )
 
 // CompareSpec names one compare artifact: the domain bound, the
@@ -68,12 +69,13 @@ func (e *Engine) Compare(spec CompareSpec) (*baseline.Comparison, error) {
 // through its own artifact class (cache, disk store, and solve
 // semaphore included), so a compare against a warm engine costs no LP
 // work at all and a saturated engine sheds the nested solves with
-// ErrSaturated exactly like the individual routes. The returned
-// Comparison is shared between callers and must be treated as
-// read-only.
+// ErrSaturated exactly like the individual routes. Every baseline
+// builder needs α ∈ (0,1), so an α outside it is rejected before any
+// solve (release.CheckAlpha). The returned Comparison is shared
+// between callers and must be treated as read-only.
 func (e *Engine) CompareCtx(ctx context.Context, spec CompareSpec) (*baseline.Comparison, error) {
-	if err := checkRat("alpha", spec.Alpha); err != nil {
-		return nil, err
+	if err := release.CheckAlpha(spec.Alpha); err != nil {
+		return nil, fmt.Errorf("engine: compare: %w", err)
 	}
 	if spec.Model == nil {
 		return nil, fmt.Errorf("engine: consumer model required")

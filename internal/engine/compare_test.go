@@ -212,6 +212,24 @@ func TestCompareInvalidSpecs(t *testing.T) {
 	}
 }
 
+// A compare at α ∉ (0,1) can never succeed (every baseline builder,
+// geometric included, needs α ∈ (0,1)), so it fails before the
+// tailored solve: no LP runs and no tailored entry is cached or
+// queued for the store.
+func TestCompareRejectsAlphaOutsideOpenUnit(t *testing.T) {
+	e := newEngine(t, Config{})
+	model := &consumer.Consumer{Loss: loss.Absolute{}}
+	for _, a := range []string{"0", "1", "3/2"} {
+		if _, err := e.CompareCtx(context.Background(), CompareSpec{N: 16, Alpha: rat(t, a), Model: model}); err == nil {
+			t.Errorf("compare at α=%s accepted", a)
+		}
+	}
+	if m := e.Metrics(); m.LP.Solves != 0 || m.Tailored.Requests != 0 || m.Compares.Requests != 0 {
+		t.Errorf("rejected compares reached the engine: %d LP solves, %d tailored and %d compare requests",
+			m.LP.Solves, m.Tailored.Requests, m.Compares.Requests)
+	}
+}
+
 // The compare class shares its nested artifacts: a compare after a
 // tailored+interaction warm-up runs zero additional LP solves for the
 // geometric row, and a tailored request after a compare is a pure

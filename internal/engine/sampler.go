@@ -6,8 +6,9 @@
 // the mechanism's rational rows and certified against the rational
 // PMF at construction, sampled with one PRNG word, one index, one
 // compare — no float math, no locks, no allocation. This file is
-// fully exact-side under the floatexact analyzer (DESIGN.md §7/§11);
-// the former float64 projection of the rows is gone.
+// fully exact-side: internal/engine is fenced in floatflow's table
+// (DESIGN.md §7/§11); the former float64 projection of the rows is
+// gone.
 
 package engine
 

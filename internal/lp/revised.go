@@ -489,7 +489,10 @@ func (f *sparseLU) solveTranspose(c []hval) []hval {
 				acc = h.fms(acc, w.v, dv)
 			}
 		}
-		d[e.p] = h.quo(acc, e.wp)
+		if !acc.IsZero() {
+			acc = h.quo(acc, e.wp)
+		}
+		d[e.p] = acc
 	}
 	// Uᵀ forward substitution over steps (push style).
 	w := make([]hval, m)

@@ -46,20 +46,31 @@ type Ladder struct {
 // increasing within (0,1).
 var ErrBadLevels = errors.New("release: privacy levels must be strictly increasing within (0,1)")
 
-// CheckLevels is the one ladder rule: a non-empty list of non-nil
-// levels, strictly increasing within (0,1). Failures wrap ErrBadLevels
-// (an empty list too).
+// CheckAlpha is the one rule for a single privacy level: α is
+// non-nil and lies strictly inside (0,1), where Theorem 1's
+// hypotheses hold. It runs on every tailored and compare request, so
+// it compares numerator with denominator (positive, so a < 1 iff
+// num < den) instead of allocating a 1 and cross-multiplying.
+func CheckAlpha(a *big.Rat) error {
+	if a == nil {
+		return errors.New("privacy level is nil")
+	}
+	if a.Sign() <= 0 || a.Num().Cmp(a.Denom()) >= 0 {
+		return fmt.Errorf("privacy level %s is not in (0,1)", a.RatString())
+	}
+	return nil
+}
+
+// CheckLevels is the one ladder rule: a non-empty list of levels,
+// each passing CheckAlpha, strictly increasing. Failures wrap
+// ErrBadLevels (an empty list too).
 func CheckLevels(alphas []*big.Rat) error {
 	if len(alphas) == 0 {
 		return fmt.Errorf("%w: at least one privacy level required", ErrBadLevels)
 	}
-	one := rational.One()
 	for i, a := range alphas {
-		if a == nil {
-			return fmt.Errorf("%w: level %d is nil", ErrBadLevels, i+1)
-		}
-		if a.Sign() <= 0 || a.Cmp(one) >= 0 {
-			return fmt.Errorf("%w: level %d is %s", ErrBadLevels, i+1, a.RatString())
+		if err := CheckAlpha(a); err != nil {
+			return fmt.Errorf("%w: level %d: %v", ErrBadLevels, i+1, err)
 		}
 		if i > 0 && a.Cmp(alphas[i-1]) <= 0 {
 			return fmt.Errorf("%w: level %d (%s) ≤ level %d (%s)",

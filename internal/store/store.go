@@ -37,8 +37,8 @@
 // Encodings are deterministic and exact — rationals are serialized as
 // canonical big.Rat strings (always lowest terms), integers in
 // decimal, no floats anywhere on disk — so load(save(x)) == x holds
-// identically on rationals and the package stays inside the
-// floatflow/floatexact exact world. See codec.go.
+// identically on rationals and the package stays policed in
+// floatflow's exact-package table. See codec.go.
 package store
 
 import (

@@ -31,11 +31,15 @@ go vet ./...
 # breaks the benchmark fails here.
 (cd perfbench && go vet ./...)
 
-echo "==> dpvet (exactness taint, overflow kernels, hotpath escape gate, randomness, error handling)"
-# The suite includes hotpath, which cross-checks //dpvet:hotpath
-# annotations against `go build -gcflags=-m`: a heap allocation
-# sneaking into an annotated sampler/pivot/handler body fails right
-# here. In CI the same findings are also written as SARIF so GitHub
+echo "==> dpvet (exactness: fenced and policed packages; overflow kernels, hotpath escape gate, randomness, error handling)"
+# floatflow holds the one table of exact packages: fenced ones (the
+# derivation, consumer, matrix, mechanism, engine and compare
+# workbench packages) may not cross into floats at all, policed ones
+# (lp with its float simplex, store, tenant) may steer by floats but
+# never build exact data from them. The suite also includes hotpath,
+# which cross-checks //dpvet:hotpath annotations against `go build
+# -gcflags=-m`: a heap allocation sneaking into an annotated
+# sampler/pivot/handler body fails right here. In CI the same findings are also written as SARIF so GitHub
 # code scanning annotates the offending lines.
 if [ -n "${CI:-}" ]; then
     go run ./cmd/dpvet -sarif ./... >dpvet.sarif
@@ -134,6 +138,9 @@ curl -fsS "http://${base}/v1/metrics" | grep -q '"big_fallbacks":[0-9]'
 curl -fsS "http://${base}/v1/metrics" | grep -q '"float_ns":[1-9]'
 # Above the cap the request must be rejected, not queued.
 curl -sS "http://${base}/v1/tailored?loss=absolute&n=17&level=1" | grep -q "exceeds the LP cap"
+# An explicit alpha outside (0,1) is rejected before any solve (at
+# alpha=1 the §2.5 LP would run instead of Theorem 1's interaction).
+curl -sS "http://${base}/v1/tailored?loss=absolute&n=16&alpha=1" | grep -q '"invalid_argument"'
 curl -fsS "http://${base}/v1/tenants" | grep -q '"smoke"'
 curl -fsS "http://${base}/v1/tenants/smoke/release?level=2" | grep -q '"result"'
 curl -fsS "http://${base}/v1/tenants/smoke/accounting" | grep -q '"spent_alpha":"1/3"'
