@@ -719,8 +719,9 @@ func (s *server) solveContext(r *http.Request) (context.Context, context.CancelF
 // (default 1). Both arrive as wire strings so the GET query and POST
 // body surfaces share the exact validation. An explicit alpha must
 // lie in (0,1), as ladder levels do (release.CheckAlpha): outside it
-// the tailored miss would run the §2.5 LP (seconds at n=32) and every
-// baseline builder fails.
+// G_{n,α} is undefined, so the engine's tailored class refuses the
+// key (Theorem 1 does not apply) and every baseline builder fails.
+// Rejecting it here makes that a 400 before the engine is asked.
 func (s *server) resolveAlpha(alphaStr, levelStr string) (*big.Rat, error) {
 	if alphaStr != "" {
 		a, err := parseWireRat(alphaStr)

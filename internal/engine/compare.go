@@ -5,21 +5,19 @@
 // cost this consumer as deployed, what does it cost after the
 // consumer's optimal post-processing, and how far is that from the
 // α-DP mechanism tailored to this exact consumer? Theorem 1 part 2 is
-// the headline row: the tailored optimum is served as the consumer's
-// optimal interaction with G_{n,α}, so the geometric entry's Gap is
-// zero by construction (cmd/experiments -mode=gap and the engine tests
-// check it against the §2.5 LP).
+// the headline row: the tailored optimum is the consumer's optimal
+// interaction with G_{n,α}, which is the geometric row's interaction,
+// so that row's Gap is zero by construction (cmd/experiments -mode=gap
+// and the engine tests check it against the §2.5 LP).
 //
 // The class composes the existing artifact classes rather than
-// re-solving: the tailored optimum and the per-baseline interactions
-// are served through the tailored/interactions stores (so a compare
-// shares cache and disk entries with /v1/tailored and
-// Engine.InteractionCtx, and its LP solves are bounded by the same
-// in-flight-solve semaphore), and the baseline mechanisms live in the
-// mechanisms store. The geometric row and the tailored optimum are one
-// interaction solve, so a default minimax compare runs three LPs. Only
-// the final assembled scorecard is cached — and persisted — under the
-// compare class itself.
+// re-solving: the tailored optimum comes from the tailored store (so a
+// compare shares cache and disk entries with /v1/tailored), the other
+// baselines' interactions from the interactions store, with their LP
+// solves bounded by the same in-flight-solve semaphore, and the
+// baseline mechanisms from the mechanisms store. A default minimax
+// compare runs three LPs. Only the final assembled scorecard is
+// cached — and persisted — under the compare class itself.
 
 package engine
 
@@ -65,14 +63,16 @@ func (e *Engine) Compare(spec CompareSpec) (*baseline.Comparison, error) {
 }
 
 // CompareCtx is Compare under a context. The artifact composes the
-// tailored optimum and one interaction per baseline, each served
-// through its own artifact class (cache, disk store, and solve
-// semaphore included), so a compare against a warm engine costs no LP
-// work at all and a saturated engine sheds the nested solves with
-// ErrSaturated exactly like the individual routes. Every baseline
+// tailored optimum and one interaction per non-geometric baseline,
+// each served through its own artifact class (cache, disk store, and
+// solve semaphore included), so a compare against a warm engine costs
+// no LP work at all and a saturated engine sheds the nested solves
+// with ErrSaturated exactly like the individual routes. Every baseline
 // builder needs α ∈ (0,1), so an α outside it is rejected before any
-// solve (release.CheckAlpha). The returned Comparison is shared
-// between callers and must be treated as read-only.
+// solve (release.CheckAlpha), and a model outside Theorem 1's
+// hypotheses fails on a miss (checkTheoremOne). The returned
+// Comparison is shared between callers and must be treated as
+// read-only.
 func (e *Engine) CompareCtx(ctx context.Context, spec CompareSpec) (*baseline.Comparison, error) {
 	if err := release.CheckAlpha(spec.Alpha); err != nil {
 		return nil, fmt.Errorf("engine: compare: %w", err)
@@ -94,13 +94,17 @@ func (e *Engine) CompareCtx(ctx context.Context, spec CompareSpec) (*baseline.Co
 	}
 	model := spec.Model
 	n, alpha := spec.N, spec.Alpha
+	if err := checkTheoremOne(model, mk, n, alpha); err != nil {
+		return nil, err
+	}
 	return getTyped(ctx, e.compares, key, nil, func(solveCtx context.Context) (*baseline.Comparison, error) {
 		return e.buildComparison(solveCtx, model, mk, n, alpha, specs)
 	})
 }
 
 // buildComparison assembles one compare artifact from the nested
-// artifact classes. Loss values copied out of shared cached artifacts
+// artifact classes; the geometric row's interaction loss is the
+// tailored loss. Loss values copied out of shared cached artifacts
 // are cloned: the Comparison is itself cached and later encoded, and
 // must not alias rationals owned by other cache entries.
 func (e *Engine) buildComparison(ctx context.Context, m consumer.Model, mk string, n int, alpha *big.Rat, specs []baseline.Spec) (*baseline.Comparison, error) {
@@ -124,15 +128,19 @@ func (e *Engine) buildComparison(ctx context.Context, m consumer.Model, mk strin
 		if err != nil {
 			return nil, err
 		}
-		in, err := e.modelInteractionCtx(ctx, m, mk, bs, n, alpha)
-		if err != nil {
-			return nil, err
+		inLoss := tailored.Loss
+		if bs.Kind != baseline.Geometric {
+			in, err := e.modelInteractionCtx(ctx, m, mk, bs, n, alpha)
+			if err != nil {
+				return nil, err
+			}
+			inLoss = in.Loss
 		}
 		out.Entries = append(out.Entries, baseline.Entry{
 			Spec:            bs.String(),
 			Loss:            rawLoss,
-			InteractionLoss: rational.Clone(in.Loss),
-			Gap:             rational.Sub(in.Loss, tailored.Loss),
+			InteractionLoss: rational.Clone(inLoss),
+			Gap:             rational.Sub(inLoss, tailored.Loss),
 			BestAlpha:       mech.BestAlpha(),
 		})
 	}
@@ -140,16 +148,12 @@ func (e *Engine) buildComparison(ctx context.Context, m consumer.Model, mk strin
 }
 
 // modelTailoredCtx serves the tailored optimum for any consumer model
-// through the tailored class. mk is the model's Key(n), already
-// validated by the caller; for minimax consumers the resulting cache
-// key is identical to TailoredCtx's, so the two routes share entries.
-//
-// Where consumer.GeometricOptimal holds, the class is a composite like
-// compares: the artifact is the model's optimal interaction with
-// G_{n,α}, read through the interactions class under the same key the
-// compare's geometric row uses, and the interaction solve takes the
-// solve slot. Elsewhere the tailored LP runs here, under a slot of its
-// own.
+// through the tailored class, which solves it under a solve slot as
+// the model's optimal interaction with G_{n,α}. mk is the model's
+// Key(n), already validated by the caller; for minimax consumers the
+// resulting cache key is identical to TailoredCtx's, so the two routes
+// share entries. A model outside Theorem 1's hypotheses is an error
+// (checkTheoremOne).
 func (e *Engine) modelTailoredCtx(ctx context.Context, m consumer.Model, mk string, n int, alpha *big.Rat) (*consumer.Tailored, error) {
 	if err := e.checkLPDomain(n); err != nil {
 		return nil, err
@@ -158,36 +162,42 @@ func (e *Engine) modelTailoredCtx(ctx context.Context, m consumer.Model, mk stri
 	if t, ok, err := getCached[*consumer.Tailored](ctx, e.tailored, key); ok || err != nil {
 		return t, err
 	}
-	if consumer.GeometricOptimal(m, n, alpha) {
-		return getTyped(ctx, e.tailored, key, nil, func(solveCtx context.Context) (*consumer.Tailored, error) {
-			in, err := e.modelInteractionCtx(solveCtx, m, mk, baseline.Spec{Kind: baseline.Geometric}, n, alpha)
-			if err != nil {
-				return nil, err
-			}
-			return &consumer.Tailored{Mechanism: in.Induced, Loss: in.Loss}, nil
-		})
+	if err := checkTheoremOne(m, mk, n, alpha); err != nil {
+		return nil, err
 	}
 	return getTyped(ctx, e.tailored, key, e.solves, func(solveCtx context.Context) (*consumer.Tailored, error) {
+		g, err := e.GeometricCtx(solveCtx, n, alpha)
+		if err != nil {
+			return nil, err
+		}
 		opts, stats := lpOpts()
-		t, err := m.OptimalMechanismCtx(solveCtx, n, alpha, opts)
+		in, err := m.OptimalInteractionCtx(solveCtx, g, opts)
 		e.recordLP(e.tailored, key, stats)
-		return t, err
+		if err != nil {
+			return nil, err
+		}
+		return &consumer.Tailored{Mechanism: in.Induced, Loss: in.Loss}, nil
 	})
 }
 
-// modelInteractionCtx serves the model's optimal interaction with the
-// deployed baseline bs through the interactions class. The geometric
-// baseline uses the bare lpKey — the same key InteractionCtx uses —
-// so compare requests and /v1/interaction requests coalesce onto one
-// solve; other baselines append their spec.
+// checkTheoremOne rejects a model the tailored class cannot serve:
+// outside consumer.GeometricOptimal's hypotheses (α ∈ (0, 1), a loss
+// monotone in |i−r|) the optimal interaction with G_{n,α} need not be
+// an optimal α-DP mechanism. loss.Validate is O(n²), so callers run it
+// after their cache miss, off the hit path, and before getTyped, so a
+// disk entry cannot bypass it.
+func checkTheoremOne(m consumer.Model, mk string, n int, alpha *big.Rat) error {
+	if consumer.GeometricOptimal(m, n, alpha) {
+		return nil
+	}
+	return fmt.Errorf("engine: %s at α=%s is outside Theorem 1's hypotheses (α ∈ (0, 1), a loss monotone in |i−r|); solve it with consumer.OptimalMechanismCtx", mk, ratKey(alpha))
+}
+
+// modelInteractionCtx serves the model's optimal interaction with a
+// non-geometric baseline bs through the interactions class; the
+// geometric one is the tailored artifact.
 func (e *Engine) modelInteractionCtx(ctx context.Context, m consumer.Model, mk string, bs baseline.Spec, n int, alpha *big.Rat) (*consumer.Interaction, error) {
-	if err := e.checkLPDomain(n); err != nil {
-		return nil, err
-	}
-	key := lpKey(n, alpha, mk)
-	if bs.Kind != baseline.Geometric {
-		key += "|vs=" + bs.String()
-	}
+	key := lpKey(n, alpha, mk) + "|vs=" + bs.String()
 	if in, ok, err := getCached[*consumer.Interaction](ctx, e.interactions, key); ok || err != nil {
 		return in, err
 	}

@@ -81,9 +81,11 @@ func TestCompareDefaultScorecard(t *testing.T) {
 		t.Fatalf("default set has %d entries", len(cmp.Entries))
 	}
 	// The tailored optimum and the geometric row are one interaction
-	// solve: three baselines, three LPs.
-	if s := e.Metrics().LP.Solves; s != 3 {
-		t.Errorf("default compare ran %d LP solves, want 3", s)
+	// solve, in the tailored class: three baselines, three LPs, and
+	// one interactions miss per non-geometric baseline.
+	if m := e.Metrics(); m.LP.Solves != 3 || m.Tailored.Cache.Misses != 1 || m.Interactions.Cache.Misses != 2 {
+		t.Errorf("%d LP solves, %d tailored and %d interaction misses; want 3, 1, 2",
+			m.LP.Solves, m.Tailored.Cache.Misses, m.Interactions.Cache.Misses)
 	}
 	for _, entry := range cmp.Entries {
 		if entry.InteractionLoss.Cmp(entry.Loss) > 0 {
@@ -231,8 +233,9 @@ func TestCompareRejectsAlphaOutsideOpenUnit(t *testing.T) {
 }
 
 // The compare class shares its nested artifacts: a compare after a
-// tailored+interaction warm-up runs zero additional LP solves for the
-// geometric row, and a tailored request after a compare is a pure
+// tailored warm-up runs zero additional LP solves for the geometric
+// row, which reads the tailored artifact and asks the interactions
+// class for nothing, and a tailored request after a compare is a pure
 // cache hit.
 func TestCompareSharesNestedArtifacts(t *testing.T) {
 	e := newEngine(t, Config{})
@@ -242,24 +245,23 @@ func TestCompareSharesNestedArtifacts(t *testing.T) {
 	if _, err := e.TailoredCtx(ctx, c, 3, alpha); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.InteractionCtx(ctx, c, 3, alpha); err != nil {
-		t.Fatal(err)
-	}
 	if _, err := e.CompareCtx(ctx, CompareSpec{
 		N: 3, Alpha: alpha, Model: c,
 		Baselines: []baseline.Spec{{Kind: baseline.Geometric}},
 	}); err != nil {
 		t.Fatal(err)
 	}
+	if _, err := e.TailoredCtx(ctx, c, 3, alpha); err != nil {
+		t.Fatal(err)
+	}
 	m := e.Metrics()
-	if m.Tailored.Cache.Misses != 1 {
-		t.Errorf("compare re-solved the tailored LP: %+v", m.Tailored.Cache)
+	if m.Tailored.Cache.Misses != 1 || m.LP.Solves != 1 {
+		t.Errorf("compare re-solved the tailored LP: %+v, %d LP solves", m.Tailored.Cache, m.LP.Solves)
 	}
-	if m.Interactions.Cache.Misses != 1 {
-		t.Errorf("compare re-solved the interaction LP: %+v", m.Interactions.Cache)
+	if m.Interactions.Requests != 0 {
+		t.Errorf("geometric-only compare asked the interactions class: %+v", m.Interactions)
 	}
-	if m.Tailored.Cache.Hits < 1 || m.Interactions.Cache.Hits < 1 {
-		t.Errorf("compare did not hit the warm LP caches: tailored %+v interactions %+v",
-			m.Tailored.Cache, m.Interactions.Cache)
+	if m.Tailored.Cache.Hits != 2 {
+		t.Errorf("compare and the repeat tailored request did not hit the warm tailored cache: %+v", m.Tailored.Cache)
 	}
 }

@@ -237,7 +237,7 @@ func tailoredAsync(ctx context.Context, e *Engine, n int, alpha *big.Rat) <-chan
 // contract: a client that gives up mid-solve gets context.Canceled at
 // once, the solve runs on and is cached, and the retry is a hit.
 func TestTailoredCtxCanceledClientSolveIsCached(t *testing.T) {
-	e, hold := newHeldEngine(t, "interactions", Config{})
+	e, hold := newHeldEngine(t, "tailored", Config{})
 	alpha := big.NewRat(1, 2)
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -248,9 +248,7 @@ func TestTailoredCtxCanceledClientSolveIsCached(t *testing.T) {
 		t.Fatalf("canceled TailoredCtx err = %v, want context.Canceled", err)
 	}
 	hold.free()
-	// The tailored artifact is cached once the interaction it is read
-	// from has been, so a filled tailored cache means the abandoned
-	// solve has been cached.
+	// A filled tailored cache means the abandoned solve has been cached.
 	waitFor(t, func() bool { return e.Metrics().Tailored.Cache.Size == 1 })
 
 	got, err := e.TailoredCtx(context.Background(), absConsumer(), 6, alpha)
@@ -270,7 +268,7 @@ func TestTailoredCtxCanceledClientSolveIsCached(t *testing.T) {
 // while the timed-out caller's solve still runs joins it: one miss,
 // one coalesced request, and the in-flight gauge drains to 0.
 func TestTailoredCtxTimedOutCallerJoinedByRetry(t *testing.T) {
-	e, hold := newHeldEngine(t, "interactions", Config{})
+	e, hold := newHeldEngine(t, "tailored", Config{})
 	alpha := big.NewRat(1, 2)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
@@ -305,7 +303,7 @@ func TestTailoredCtxCancelAbortsLargeSolvePromptly(t *testing.T) {
 		t.Skip("large-n solve abort test skipped in -short mode")
 	}
 	goroutines := runtime.NumGoroutine()
-	e, hold := newHeldEngine(t, "interactions", Config{})
+	e, hold := newHeldEngine(t, "tailored", Config{})
 	errc := tailoredAsync(context.Background(), e, 14, big.NewRat(1, 2))
 	<-hold.started
 
@@ -356,17 +354,16 @@ func TestPreCanceledCtxShortCircuits(t *testing.T) {
 
 // TestEngineShedsWhenSaturated: with the single solve slot held, a
 // second solve for a different key fails fast with ErrSaturated and is
-// counted, while the occupant is undisturbed. That holds on both
-// tailored branches: inside Theorem 1 the nested interaction solve is
-// shed, outside it (α = 1) the tailored LP itself; a release-plan
-// build takes a slot too and is shed the same way.
+// counted, while the occupant is undisturbed. Two other tailored keys
+// are shed in the tailored class, which takes the slot itself; a
+// release-plan build takes a slot too and is shed the same way.
 func TestEngineShedsWhenSaturated(t *testing.T) {
-	e, hold := newHeldEngine(t, "interactions", Config{MaxInFlightSolves: 1})
+	e, hold := newHeldEngine(t, "tailored", Config{MaxInFlightSolves: 1})
 	occupant := tailoredAsync(context.Background(), e, 6, big.NewRat(1, 2))
 	<-hold.started
 
 	start := time.Now()
-	for _, alpha := range []*big.Rat{big.NewRat(2, 3), big.NewRat(1, 1)} {
+	for _, alpha := range []*big.Rat{big.NewRat(2, 3), big.NewRat(1, 3)} {
 		if _, err := e.TailoredCtx(context.Background(), absConsumer(), 6, alpha); !errors.Is(err, ErrSaturated) {
 			t.Fatalf("saturated TailoredCtx(α=%s) err = %v, want ErrSaturated", alpha.RatString(), err)
 		}
@@ -378,9 +375,9 @@ func TestEngineShedsWhenSaturated(t *testing.T) {
 		t.Fatalf("saturated ReleasePlan err = %v, want ErrSaturated", err)
 	}
 	m := e.Metrics()
-	if m.Interactions.Shed != 1 || m.Tailored.Shed != 1 || m.Plans.Shed != 1 {
-		t.Errorf("shed counts: interactions %d, tailored %d, plans %d, want 1 each",
-			m.Interactions.Shed, m.Tailored.Shed, m.Plans.Shed)
+	if m.Interactions.Requests != 0 || m.Tailored.Shed != 2 || m.Plans.Shed != 1 {
+		t.Errorf("interactions requests %d, shed counts: tailored %d, plans %d; want 0, 2, 1",
+			m.Interactions.Requests, m.Tailored.Shed, m.Plans.Shed)
 	}
 	if m.InFlightSolves != 1 {
 		t.Errorf("in-flight solves = %d, want 1", m.InFlightSolves)
@@ -545,9 +542,6 @@ func TestLPDomainCap(t *testing.T) {
 
 	if _, err := e.TailoredCtx(context.Background(), c, 5, half); !errors.Is(err, ErrDomainTooLarge) {
 		t.Errorf("TailoredCtx(n=5) err = %v, want ErrDomainTooLarge", err)
-	}
-	if _, err := e.InteractionCtx(context.Background(), c, 5, half); !errors.Is(err, ErrDomainTooLarge) {
-		t.Errorf("InteractionCtx(n=5) err = %v, want ErrDomainTooLarge", err)
 	}
 	if _, err := e.CompareCtx(context.Background(), CompareSpec{N: 5, Alpha: half, Model: c}); !errors.Is(err, ErrDomainTooLarge) {
 		t.Errorf("CompareCtx(n=5) err = %v, want ErrDomainTooLarge", err)

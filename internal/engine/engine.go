@@ -5,9 +5,10 @@
 //
 // Every artifact this module serves — the geometric mechanism G_{n,α}
 // (Theorem 1), multi-level release plans (Algorithm 1, each carrying
-// its own Lemma 3 transitions), the §2.4.3 interaction optima and the
-// tailored optima served from them (the §2.5 LP outside Theorem 1) — is
-// a deterministic, total function of its parameters. Exact rational
+// its own Lemma 3 transitions), the tailored optima (each consumer's
+// optimal interaction with G_{n,α}, Theorem 1) and the compare
+// scorecards with their baseline interactions — is a deterministic,
+// total function of its parameters. Exact rational
 // arithmetic has no rounding modes and no environment dependence, so
 // the parameters form a sound cache key: two computations with equal
 // keys yield equal artifacts, always. The engine exploits this with
@@ -36,8 +37,8 @@
 // context reaches the LP pivot loop, and Close then drains the disk
 // writer. Errors are never cached.
 //
-// The expensive computations (release-plan builds, interaction solves
-// and the tailored LP) additionally pass through a bounded
+// The expensive computations (release-plan builds, tailored solves and
+// baseline interaction solves) additionally pass through a bounded
 // in-flight-solve semaphore (Config.MaxInFlightSolves). Admission is
 // non-blocking:
 // when the bound is reached, new solves fail immediately with
@@ -63,7 +64,6 @@ import (
 	"math/big"
 	"sync/atomic"
 
-	"minimaxdp/internal/baseline"
 	"minimaxdp/internal/consumer"
 	"minimaxdp/internal/lp"
 	"minimaxdp/internal/mechanism"
@@ -76,7 +76,8 @@ import (
 // rationals, so a few hundred entries of moderate n fit comfortably in
 // memory). matrixCacheSize bounds the mechanism and release-plan
 // caches, lpCacheSize the tailored, interaction and compare caches
-// (LP solutions; the most expensive artifacts).
+// (LP solutions and the scorecards built from them; the most
+// expensive artifacts).
 const (
 	matrixCacheSize = 64
 	lpCacheSize     = 256
@@ -96,8 +97,8 @@ const DefaultMaxInFlightSolves = 16
 var ErrSaturated = errors.New("engine: too many solves in flight")
 
 // DefaultMaxLPDomainN bounds the domain size n of LP-backed artifacts
-// when Config.MaxLPDomainN is not positive. Even served as an
-// interaction solve against G_{n,α}, a cold tailored miss scales
+// when Config.MaxLPDomainN is not positive. Even as one interaction
+// solve against G_{n,α}, a cold tailored miss scales
 // steeply in n (the four wire losses on the full side at α ∈ {1/2,
 // 1/3}: 1.1–1.8 ms at n=8, 8–16 ms at n=16, 34–157 ms at n=24 and
 // 0.09–0.24 s at n=32, except zero-one at n=32, α=1/3, at 3.4 s, on a
@@ -118,14 +119,14 @@ var ErrDomainTooLarge = errors.New("engine: LP domain size exceeds cap")
 // Seed (default 1).
 type Config struct {
 	// MaxInFlightSolves bounds concurrently running solves: release-plan
-	// builds, interaction solves and tailored LP solves combined. Zero or
-	// negative means DefaultMaxInFlightSolves: a solve outlives the
-	// callers that gave up on it, so the bound is never lifted.
+	// builds, tailored solves and baseline interaction solves combined.
+	// Zero or negative means DefaultMaxInFlightSolves: a solve outlives
+	// the callers that gave up on it, so the bound is never lifted.
 	MaxInFlightSolves int
 	// MaxLPDomainN bounds the domain size n accepted by the LP-backed
-	// artifact methods (TailoredMechanism, OptimalInteraction, Compare
-	// and their Ctx forms): larger n fails fast with ErrDomainTooLarge
-	// before touching cache or solver. Zero or negative means
+	// artifact methods (TailoredMechanism, Compare and their Ctx
+	// forms): larger n fails fast with ErrDomainTooLarge before
+	// touching cache or solver. Zero or negative means
 	// DefaultMaxLPDomainN.
 	MaxLPDomainN int
 	// Seed seeds the engine's one sampler stream (splitmix64 stream
@@ -260,14 +261,14 @@ func getCached[T any](ctx context.Context, s *store, key string) (T, bool, error
 // getTyped adapts the any-typed store's miss path to a concrete
 // artifact type. Call only after getCached missed on the same key.
 //
-// Only LP solves and release-plan builds are expensive enough to
-// shed, so only they pass e.solves as sem: a plan build makes a G and
-// an exact Lemma 3 transition per level, O(n²) big.Rat reads to check
-// them, and takes about 0.6 s at n=500, while a small G_{n,α} computes
-// in microseconds. A composite (a compare, or a tailored artifact
-// served as an interaction) passes nil: the solves it nests take
-// their own slots, and a second slot for the composite would deadlock
-// a saturated engine against itself.
+// Only LP solves (tailored and baseline interactions) and
+// release-plan builds are expensive enough to shed, so only they pass
+// e.solves as sem: a plan build makes a G and an exact Lemma 3
+// transition per level, O(n²) big.Rat reads to check them, and takes
+// about 0.6 s at n=500, while a small G_{n,α} computes in
+// microseconds. The one composite, a compare, passes nil: the solves
+// it nests take their own slots, and a second slot for the composite
+// would deadlock a saturated engine against itself.
 func getTyped[T any](ctx context.Context, s *store, key string, sem *solveSem, fn func(context.Context) (T, error)) (T, error) {
 	v, err := s.compute(ctx, key, sem, func(solveCtx context.Context) (any, error) { return fn(solveCtx) })
 	if err != nil {
@@ -307,8 +308,9 @@ func geometricKey(n int, alpha *big.Rat) string {
 // A release plan's key is its ladder's (release.Ladder.Key), fixed
 // when the ladder is built, so a plan lookup renders nothing.
 
-// lpKey keys the LP-backed classes (tailored, interactions): the
-// level parameters plus the consumer identity from consumerKey.
+// lpKey keys the tailored class, and prefixes the interactions class's
+// "|vs=<baseline>" keys: the level parameters plus the consumer
+// identity from consumerKey.
 func lpKey(n int, alpha *big.Rat, ck string) string {
 	return fmt.Sprintf("n=%d|a=%s|%s", n, ratKey(alpha), ck)
 }
@@ -439,17 +441,17 @@ func (e *Engine) checkLPDomain(n int) error {
 }
 
 // TailoredMechanism serves (once per key) an optimal α-DP mechanism
-// for consumer model m on {0..n}. Where consumer.GeometricOptimal
-// holds — α ∈ (0, 1) and a loss monotone in |i−r|, which covers every
-// wire loss — it is m's optimal interaction with G_{n,α}, read
-// through the interactions class: G·T° for a minimax consumer, where
-// T° is the interaction LP's canonical optimum (Theorem 1), and G
-// followed by the Bayes-optimal remap for a Bayesian one (Ghosh,
-// Roughgarden and Sundararajan). Optimality among all α-DP mechanisms
-// rests on those theorems and is not recomputed here. Any other input
-// solves the §2.5 LP or its Bayesian analogue. The returned Tailored
-// is shared between callers and must be treated as read-only. It is
-// TailoredCtx(context.Background(), ...).
+// for consumer model m on {0..n}: m's optimal interaction with
+// G_{n,α}, solved and cached in the tailored class. That is G·T° for
+// a minimax consumer, where T° is the interaction LP's canonical
+// optimum (Theorem 1), and G followed by the Bayes-optimal remap for
+// a Bayesian one (Ghosh, Roughgarden and Sundararajan). Optimality
+// among all α-DP mechanisms rests on those theorems and is not
+// recomputed here. Outside their hypotheses (consumer.GeometricOptimal:
+// α ∉ (0, 1), or a loss not monotone in |i−r|) it returns an error;
+// consumer.OptimalMechanismCtx solves the §2.5 LP for such inputs.
+// The returned Tailored is shared between callers and must be treated
+// as read-only. It is TailoredCtx(context.Background(), ...).
 func (e *Engine) TailoredMechanism(m consumer.Model, n int, alpha *big.Rat) (*consumer.Tailored, error) {
 	return e.TailoredCtx(context.Background(), m, n, alpha)
 }
@@ -468,31 +470,6 @@ func (e *Engine) TailoredCtx(ctx context.Context, m consumer.Model, n int, alpha
 		return nil, err
 	}
 	return e.modelTailoredCtx(ctx, m, ck, n, alpha)
-}
-
-// OptimalInteraction solves (once per key) the consumer model's
-// optimal reaction to the deployed geometric mechanism G_{n,α}: the
-// §2.4.3 post-processing LP for minimax consumers, the deterministic
-// posterior remap for Bayesian ones. The tailored class reads its
-// artifact from this entry wherever consumer.GeometricOptimal holds,
-// so the two routes share one solve. The returned Interaction is
-// shared and must be treated as read-only. It is
-// InteractionCtx(context.Background(), ...).
-func (e *Engine) OptimalInteraction(m consumer.Model, n int, alpha *big.Rat) (*consumer.Interaction, error) {
-	return e.InteractionCtx(context.Background(), m, n, alpha)
-}
-
-// InteractionCtx is OptimalInteraction under a context, with the same
-// wait bound and load-shedding behavior as TailoredCtx.
-func (e *Engine) InteractionCtx(ctx context.Context, m consumer.Model, n int, alpha *big.Rat) (*consumer.Interaction, error) {
-	if err := checkRat("alpha", alpha); err != nil {
-		return nil, err
-	}
-	ck, err := consumerKey(m, n)
-	if err != nil {
-		return nil, err
-	}
-	return e.modelInteractionCtx(ctx, m, ck, baseline.Spec{Kind: baseline.Geometric}, n, alpha)
 }
 
 // Metrics snapshots the engine's counters (see Metrics for the JSON

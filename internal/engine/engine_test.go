@@ -70,9 +70,13 @@ func TestTailoredMatchesDirectSolve(t *testing.T) {
 	if got.Loss.Cmp(want.Loss) != 0 {
 		t.Errorf("cached tailored loss %s, direct %s", got.Loss.RatString(), want.Loss.RatString())
 	}
-	// Theorem 1 through the engine: the cached interaction against
-	// cached G_{n,α} achieves the same loss.
-	inter, err := e.OptimalInteraction(c, 6, a)
+	// Theorem 1 through the engine: the library's optimal interaction
+	// against the cached G_{n,α} achieves the same loss.
+	g, err := e.Geometric(6, a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inter, err := consumer.OptimalInteraction(c, g)
 	if err != nil {
 		t.Fatal(err)
 	}

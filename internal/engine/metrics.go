@@ -90,9 +90,10 @@ type ArtifactStats struct {
 }
 
 // LPSolveStats aggregates the float-guided exact LP solver's behavior
-// across every solve the engine ran (tailored and interaction classes
-// combined). Exactly one of the three path counters advances per
-// solve: a hit means the float-located basis was certified optimal
+// across every solve the engine ran: the tailored class's interaction
+// LPs against G_{n,α} and the interactions class's ones against the
+// compare baselines. Exactly one of the three path counters advances
+// per solve: a hit means the float-located basis was certified optimal
 // and unique with zero exact pivots; a resume means exact pivoting
 // continued from that basis (including the refinement of a tied
 // optimum to the canonical one); a fallback means the full exact
@@ -207,8 +208,10 @@ type Metrics struct {
 
 // solveSem is the engine-wide bound on concurrently running solves
 // (LP solves and release-plan builds). A solve holds its slot until
-// it finishes, whether or not anyone still waits for it. Admission is non-blocking by design: a request that cannot
-// get a slot is shed immediately (ErrSaturated) rather than queued,
+// it finishes, whether or not anyone still waits for it, but not
+// while its result waits for the disk writer. Admission is
+// non-blocking by design: a request that cannot get a slot is shed
+// immediately (ErrSaturated) rather than queued,
 // so overload surfaces as fast 429s at the HTTP layer instead of a
 // growing convoy of multi-second solves.
 type solveSem struct {
@@ -303,10 +306,10 @@ func (s *store) lookup(ctx context.Context, key string) (any, bool, error) {
 //
 // Lifetime: ctx bounds only how long this caller waits (see
 // flightGroup). A computation that has started runs to completion
-// under the engine's root context, holding its solve slot, and its
-// result is cached and queued for the disk writer whoever is still
-// waiting; only Engine.Close cancels it. The disk write itself lands
-// after the result is returned (persist.go).
+// under the engine's root context, holding its solve slot until fn
+// returns, and its result is cached and queued for the disk writer
+// whoever is still waiting; only Engine.Close cancels it. The disk
+// write itself lands after the result is returned (persist.go).
 //
 // Nothing errored ever enters the cache: fn errors, including the
 // root context's error from a solve that Close canceled, skip the
@@ -340,12 +343,15 @@ func (s *store) compute(ctx context.Context, key string, sem *solveSem, fn func(
 				s.emit(TraceShed, key)
 				return nil, ErrSaturated
 			}
-			defer sem.release()
 		}
 		s.emit(TraceSolveStart, key)
 		start := time.Now()
 		v, err := fn(solveCtx)
 		elapsed := time.Since(start)
+		// A flight waiting on a full disk queue must hold no slot.
+		if sem != nil {
+			sem.release()
+		}
 		s.emitDone(key, elapsed, err)
 		if err != nil {
 			return nil, err

@@ -14,16 +14,18 @@
 // inside the flight that computed the artifact, so a cold miss costs
 // its solve and not its fsync. The queue is bounded (writeQueue); a
 // full queue blocks the flight until the writer catches up, so no
-// write is ever dropped. Engine.Close drains the queue after the last
-// flight ends, so a graceful stop leaves every computed artifact on
-// disk. A crash is different: an artifact answered in the last
+// write is ever dropped. The flight has given back its solve slot by
+// then (store.compute), so a slow disk sheds no solve. Engine.Close
+// drains the queue after the last flight ends, so a graceful stop
+// leaves every computed artifact on disk. A crash is different: an artifact answered in the last
 // moments before it may not have reached the disk, and the next boot
 // re-solves it.
 //
 // Persisted classes: tailored, compares — the classes whose keys are
 // pure value parameters (n, α, loss name, side set, prior, baseline
 // set), whose load beats recomputation, and whose decode re-validates
-// the artifact. The rest stay in memory only:
+// the artifact. Tailored is the one class that both solves under a
+// slot and persists. The rest stay in memory only:
 //
 //   - mechanisms: decoding G_{n,α} is no faster than building it from
 //     the closed form (DESIGN §13.4), and the compare baselines the
@@ -37,11 +39,8 @@
 //     cached G's rows (sampler.go), so every table it draws from is
 //     built from, and certified against, an exact rational row in
 //     this process;
-//   - interactions: a tailored artifact persists the geometric
-//     interaction in its served form (G·T°), and a compare scorecard
-//     persists the losses of the interactions it needs, so a warm
-//     boot serves both routes with zero solves; a bare
-//     Engine.InteractionCtx miss after a restart re-solves.
+//   - interactions: only the compare baselines' interactions, whose
+//     losses the persisted scorecard holds.
 //
 // Failure policy mirrors the disk store's: a binding that cannot
 // load, decode, or save an artifact counts a StoreError, emits

@@ -137,20 +137,23 @@ func TestRecordLPFoldsAllCounters(t *testing.T) {
 	}
 }
 
-// TestInteractionRecordsLPStats covers the interactions class of the
-// LP counter plumbing: the §2.4.3 post-processing LP must advance
-// exactly one path counter, and the trace hook must see the matching
-// warm-start event.
+// TestInteractionRecordsLPStats covers the tailored class's LP
+// counter plumbing: the §2.4.3 post-processing LP against G_{n,α}
+// that a tailored miss solves must advance exactly one path counter,
+// and the trace hook must see the matching warm-start event, on the
+// tailored class.
 func TestInteractionRecordsLPStats(t *testing.T) {
 	var kinds []TraceKind
 	e := newEngine(t, Config{Trace: func(ev TraceEvent) {
 		switch ev.Kind {
 		case TraceWarmStartHit, TraceWarmStartResume, TraceWarmStartFallback:
-			kinds = append(kinds, ev.Kind)
+			if ev.Artifact == "tailored" {
+				kinds = append(kinds, ev.Kind)
+			}
 		}
 	}})
 	c := &consumer.Consumer{Loss: loss.Absolute{}}
-	if _, err := e.OptimalInteraction(c, 6, big.NewRat(1, 2)); err != nil {
+	if _, err := e.TailoredMechanism(c, 6, big.NewRat(1, 2)); err != nil {
 		t.Fatal(err)
 	}
 	m := e.Metrics().LP
@@ -178,8 +181,9 @@ func TestRecordLPCountsOnlyLPs(t *testing.T) {
 		t.Fatal(err)
 	}
 	met := e.Metrics()
-	if met.LP.Solves != 0 || met.Interactions.Cache.Misses != 3 {
-		t.Fatalf("Bayesian misses: %d LP solves over %d interaction misses, want 0 over 3", met.LP.Solves, met.Interactions.Cache.Misses)
+	if met.LP.Solves != 0 || met.Tailored.Cache.Misses != 1 || met.Interactions.Cache.Misses != 2 {
+		t.Fatalf("Bayesian misses: %d LP solves over %d tailored and %d interaction misses, want 0 over 1 and 2",
+			met.LP.Solves, met.Tailored.Cache.Misses, met.Interactions.Cache.Misses)
 	}
 	if _, err := e.TailoredMechanism(&consumer.Consumer{Loss: loss.Absolute{}}, n, alpha); err != nil {
 		t.Fatal(err)

@@ -130,3 +130,62 @@ func TestEngineWriteBehindFullQueueBlocks(t *testing.T) {
 		t.Errorf("%d store writes, %d store errors; want %d and 0", m.StoreWrites, m.StoreErrors, len(keys))
 	}
 }
+
+// TestEngineFullQueueHoldsNoSlot parks the disk writer, fills its
+// queue, and sends one more miss under a single solve slot: that
+// flight waits on the queue, but its solve is done, so it must have
+// given its slot back. The gauge reads 0, and a miss on another key
+// is admitted and solved, not shed.
+func TestEngineFullQueueHoldsNoSlot(t *testing.T) {
+	keys := distinctTailored(writeQueue + 3)
+	release := make(chan struct{})
+	var parked, freed sync.Once
+	free := func() { freed.Do(func() { close(release) }) }
+	trace := func(ev TraceEvent) {
+		if ev.Kind == TraceStoreWrite {
+			parked.Do(func() { <-release })
+		}
+	}
+	e := newEngine(t, Config{MaxInFlightSolves: 1, Store: openDisk(t, t.TempDir()), Trace: trace})
+	t.Cleanup(free)
+
+	// One at a time, so the single slot never sheds: one write parks
+	// the writer, writeQueue fill the queue, and the next request
+	// waits in its flight on the full queue.
+	errs := make(chan error, len(keys))
+	var served atomic.Int64
+	go func() {
+		for _, k := range keys[:writeQueue+2] {
+			_, err := e.TailoredMechanism(k.c, k.n, k.alpha)
+			served.Add(1)
+			errs <- err
+		}
+	}()
+	waitFor(t, func() bool { return e.Metrics().Tailored.Cache.Size == writeQueue+2 })
+	if got := served.Load(); got != int64(writeQueue+1) {
+		t.Fatalf("%d requests served with the writer parked, want %d", got, writeQueue+1)
+	}
+	if got := e.Metrics().InFlightSolves; got != 0 {
+		t.Errorf("a flight waiting on the write queue holds %d solve slots, want 0", got)
+	}
+	last := keys[writeQueue+2]
+	go func() {
+		_, err := e.TailoredMechanism(last.c, last.n, last.alpha)
+		errs <- err
+	}()
+	waitFor(t, func() bool { return e.Metrics().Tailored.Cache.Size == writeQueue+3 })
+	if m := e.Metrics().Tailored; m.Shed != 0 {
+		t.Errorf("a miss beside the queued flight was shed %d times, want admitted", m.Shed)
+	}
+
+	free()
+	for range keys {
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
+	}
+	e.Close()
+	if m := e.Metrics().Tailored; m.StoreWrites != uint64(len(keys)) || m.StoreErrors != 0 {
+		t.Errorf("%d store writes, %d store errors; want %d and 0", m.StoreWrites, m.StoreErrors, len(keys))
+	}
+}

@@ -111,8 +111,9 @@ const maxDecodeDim = 1 << 16
 
 // --- tailored LP solutions ------------------------------------------------
 
-// EncodeTailored renders a §2.5 tailored optimum: the minimax loss
-// value plus the optimal mechanism.
+// EncodeTailored renders a tailored optimum: its loss value plus the
+// optimal mechanism (as the engine serves it, the consumer's optimal
+// interaction with G_{n,α}).
 func EncodeTailored(t *consumer.Tailored) []byte {
 	var b bytes.Buffer
 	fmt.Fprintf(&b, "tailored %d\nloss %s\n", t.Mechanism.N(), t.Loss.RatString())

@@ -86,8 +86,8 @@ type Bayesian = consumer.Bayesian
 // deployed one (OptimalInteractionCtx), and name its tailored optimum
 // (OptimalMechanismCtx). *Consumer (minimax) and *Bayesian implement
 // it, and every LP-backed serving surface — Engine.TailoredCtx,
-// Engine.InteractionCtx, Engine.Compare, POST /v1/compare — accepts
-// either through this one interface.
+// Engine.Compare, /v1/tailored, POST /v1/compare — accepts either
+// through this one interface.
 type ConsumerModel = consumer.Model
 
 // Interaction is a consumer's optimal post-processing of a deployed
@@ -370,20 +370,21 @@ type CompareSpec = engine.CompareSpec
 // Engine is the concurrent mechanism-serving layer: a compute-once,
 // concurrency-safe front over every served exact artifact (geometric
 // mechanisms, release plans with their Lemma 3 transitions, the
-// §2.4.3 interaction optima and the tailored optima served from them),
-// with keyed caches,
+// tailored optima and the compare scorecards), with keyed caches,
 // singleflight request coalescing, pooled alias-table samplers, and a
 // JSON-ready metrics surface. Construct one per process and share it;
 // see internal/engine for cache-key semantics.
 //
 // Every artifact method has a context-taking form (Engine.TailoredCtx,
-// Engine.InteractionCtx, Engine.GeometricCtx, ...). The context bounds
+// Engine.CompareCtx, Engine.GeometricCtx, ...). The context bounds
 // only the caller's wait: a solve, once started, runs to completion
 // and is cached whoever still waits, so a retry joins it or hits.
 // Engine.Close cancels running solves (the cancellation reaches the LP
 // pivot loop) and caches none of them. The LP-backed methods and
 // release-plan builds shed load with ErrEngineSaturated once
 // EngineConfig.MaxInFlightSolves concurrent solves are running.
+// Outside Theorem 1's hypotheses (α ∉ (0, 1), a non-monotone loss)
+// TailoredCtx and CompareCtx fail; OptimalMechanismCtx solves those.
 type Engine = engine.Engine
 
 // EngineConfig tunes an Engine's in-flight solve bound, LP domain

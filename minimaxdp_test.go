@@ -197,7 +197,7 @@ func TestPublicEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inter, err := e.OptimalInteraction(c, 6, alpha)
+	inter, err := OptimalInteraction(c, g1)
 	if err != nil {
 		t.Fatal(err)
 	}

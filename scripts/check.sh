@@ -160,6 +160,10 @@ curl -fsS "http://${base}/v1/metrics" \
     | sed -n 's/.*"plans":\(.*\)"tailored":.*/\1/p' | grep -q '"hits":[1-9]'
 curl -fsS -X POST "http://${base}/v1/tenants/smoke/epoch" \
     | grep -Eq '^\{"accounting":\{"epochs":2,"next_draw_allowed":true,"spent_alpha":"1/9"\},"epoch":2,"tenant":"smoke"\}$'
+# Every tailored miss above is solved in the tailored class itself:
+# until the first compare, the interactions class (the compare
+# baselines' interactions) has seen no request.
+curl -fsS "http://${base}/v1/metrics" | grep -q '"interactions":{"requests":0,'
 # Compare workbench: the minimax geometric gap must be EXACTLY the
 # string "0" (Theorem 1 part 2 — an exact equality, not a tolerance),
 # and the identical second POST must be served from the compares
